@@ -365,8 +365,12 @@ def _render_text(payload):
     if "sections" in payload:
         for name in sorted(payload["sections"]):
             section = payload["sections"][name]
-            flag = section.get("ok", section.get("negative_definite"))
-            lines.append("  %s: %s" % (name, "ok" if flag else "FAIL"))
+            if "skipped" in section:
+                status = "skipped"
+            else:
+                flag = section.get("ok", section.get("negative_definite"))
+                status = "ok" if flag else "FAIL"
+            lines.append("  %s: %s" % (name, status))
     if "verdict" in payload:
         lines.append("  verdict: %s" % payload["verdict"])
     if "steps" in payload and "terminal" in payload:
@@ -449,7 +453,10 @@ def main(argv=None):
         else:
             payload, code = cmd_report(graph, settings, args.timings)
     except ResourceCapError as exc:
-        _emit({"error": "resource-cap", "message": str(exc)}, args)
+        payload = {"error": "resource-cap", "message": str(exc)}
+        if exc.partial is not None:
+            payload["partial"] = exc.partial
+        _emit(payload, args)
         return EXIT_RESOURCE
     except (ParameterError, UnsupportedGraphError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -74,10 +74,6 @@ def presentation_from_graph(graph):
     return RingPresentation(grading, [rel], [lead_term_of(graph, grading)])
 
 
-def candidate_presentation(family, n):
-    return presentation_from_graph(build_singularity(family, n))
-
-
 def ambient_model(family, n):
     """Invariant-ring ambient data: generators, toric relations, and the
     hyperplane cuts whose pullbacks recover the candidate relation."""

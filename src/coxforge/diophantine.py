@@ -1,11 +1,10 @@
-"""Nonnegative integer solutions of exact linear degree systems.
+"""Hilbert bases of pointed rational cones and of degree-zero monoids.
 
-The solution set of A v = d, v >= 0 splits as (minimal particular
-solutions) + (monoid of homogeneous solutions). Both parts are computed
-through one pointed-cone Hilbert basis routine: parametrize the integer
-solutions by the kernel lattice, homogenize with an extra coordinate t,
-and read the recession basis off the t = 0 slice and the minimal
-particular solutions off the t = 1 slice.
+solve_nonneg gives the Hilbert basis of {v >= 0 : A v = 0}: it
+parametrizes the integer kernel of A by a lattice basis L and takes the
+Hilbert basis of the pointed cone {u : L u >= 0}. Graded pieces of
+nonzero degree do not come through here; rings.monomials_of_degree
+solves for them directly.
 
 The Hilbert basis of a pointed cone B x >= 0 is found the classical way:
 extreme rays by active-constraint enumeration, a pulling triangulation
@@ -166,7 +165,7 @@ def parallelepiped_points(vectors):
     if count > _POINT_LIMIT:
         raise ResourceCapError("parallelepiped holds %d lattice points" % count)
     u2inv = linalg.int_inverse(u2)
-    minv = _frac_inverse(m)
+    minv = linalg.inverse(m)
     points = set()
     for t in product(*(range(dd) for dd in diag)):
         y = [sum(u2inv[i][j] * t[j] for j in range(k)) for i in range(k)]
@@ -176,24 +175,6 @@ def parallelepiped_points(vectors):
         x = [sum(w_cols[i][j] * pk[j] for j in range(k)) for i in range(dim)]
         points.add(tuple(x))
     return sorted(points)
-
-
-def _frac_inverse(m):
-    n = len(m)
-    work = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if work[i][c] != 0)
-        work[c], work[piv] = work[piv], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return [row[n:] for row in work]
 
 
 def hilbert_basis_inequalities(ineqs, dim):
@@ -232,50 +213,23 @@ def _vec_key(v):
     return (sum(v), v)
 
 
-def solve_nonneg(a_rows, d):
-    """Solve A v = d over nonnegative integers.
-
-    Returns (particular, recession): the minimal particular solutions and
-    the Hilbert basis of {v >= 0 : A v = 0}, both sorted by total degree
-    then lexicographically. Every solution is one particular plus a sum of
-    recession elements.
-    """
+def solve_nonneg(a_rows):
+    """Hilbert basis of the monoid {v >= 0 : A v = 0}, sorted by total
+    degree then lexicographically: every nonnegative solution of the
+    homogeneous system is a sum of its elements."""
     if not a_rows:
         raise ValueError("empty system")
     n_vars = len(a_rows[0])
     kb = linalg.kernel_basis(a_rows, width=n_vars)
     r = len(kb)
-    lrows = [[kb[a][i] for a in range(r)] for i in range(n_vars)]
-
-    def back(u):
-        return tuple(sum(lrows[i][a] * u[a] for a in range(r)) for i in range(n_vars))
-
-    zero_d = all(x == 0 for x in d)
     if r == 0:
-        recession = []
-    else:
-        recession = [back(u) for u in hilbert_basis_inequalities(lrows, r)]
-    if zero_d:
-        particular = [tuple(0 for _ in range(n_vars))]
-    else:
-        v0 = linalg.solve_integer(a_rows, list(d))
-        if v0 is None:
-            particular = []
-        elif r == 0:
-            particular = [v0] if all(x >= 0 for x in v0) else []
-        else:
-            hom = [list(lrows[i]) + [v0[i]] for i in range(n_vars)]
-            hom.append([0] * r + [1])
-            particular = []
-            for u in hilbert_basis_inequalities(hom, r + 1):
-                if u[r] == 1:
-                    particular.append(
-                        tuple(v0[i] + sum(lrows[i][a] * u[a] for a in range(r)) for i in range(n_vars))
-                    )
-    for p in particular:
-        if any(x < 0 for x in p) or linalg.mat_vec(a_rows, list(p)) != list(d):
-            raise AssertionError("bad particular solution")
-    for m in recession:
+        return []
+    lrows = [[kb[a][i] for a in range(r)] for i in range(n_vars)]
+    basis = [
+        tuple(sum(lrows[i][a] * u[a] for a in range(r)) for i in range(n_vars))
+        for u in hilbert_basis_inequalities(lrows, r)
+    ]
+    for m in basis:
         if any(x < 0 for x in m) or any(x != 0 for x in linalg.mat_vec(a_rows, list(m))):
-            raise AssertionError("bad recession element")
-    return sorted(particular, key=_vec_key), sorted(recession, key=_vec_key)
+            raise AssertionError("bad Hilbert basis element")
+    return sorted(basis, key=_vec_key)

@@ -300,21 +300,3 @@ def build_custom_tree(lengths):
     label = "custom:" + ",".join(str(x) for x in lens)
     return ResolutionGraph(nodes, edges, None, lv, label)
 
-
-def build_from_string(text):
-    """Parse a case name: 'A3', 'D5', 'E7' or 'custom:2,2,3'."""
-    text = str(text).strip()
-    if text.lower().startswith("custom:"):
-        spec_part = text[len("custom:"):]
-        try:
-            lengths = [int(x) for x in spec_part.split(",") if x.strip()]
-        except ValueError:
-            raise ParameterError("bad branch lengths in %r" % text) from None
-        return build_custom_tree(lengths)
-    if len(text) >= 2 and text[0].upper() in ("A", "D", "E"):
-        try:
-            n = int(text[1:])
-        except ValueError:
-            raise ParameterError("bad case name %r" % text) from None
-        return build_singularity(text[0], n)
-    raise ParameterError("bad case name %r; use A<n>, D<n>, E<n> or custom:l1,l2,..." % text)

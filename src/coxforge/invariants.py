@@ -20,8 +20,7 @@ from .rings import solve_degree_system
 def degree_zero_hilbert_basis(grading):
     """Minimal generators of the degree-zero monomial monoid, sorted by
     total degree then exponents."""
-    sol = solve_degree_system(grading, (0,) * grading.lattice_rank)
-    return sol.recession
+    return solve_degree_system(grading)
 
 
 def _load_reference_tables():

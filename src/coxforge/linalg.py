@@ -212,30 +212,6 @@ def kernel_basis(a, width=None):
     return [tuple(u[i][j] for i in range(n)) for j in range(rk, n)]
 
 
-def solve_integer(a, d):
-    """One integer solution of A v = d, or None if there is none."""
-    if not a:
-        return None
-    h, u, pivots = hnf_columns(a)
-    n = len(a[0])
-    z = [0] * n
-    pivot_by_row = {i: c for i, c in pivots}
-    for i in range(len(a)):
-        resid = d[i] - sum(h[i][j] * z[j] for j in range(n) if z[j] != 0)
-        c = pivot_by_row.get(i)
-        if c is None:
-            if resid != 0:
-                return None
-        else:
-            if resid % h[i][c] != 0:
-                return None
-            z[c] = resid // h[i][c]
-    v = [sum(u[i][j] * z[j] for j in range(n)) for i in range(n)]
-    if mat_vec(a, v) != list(d):
-        return None
-    return tuple(v)
-
-
 def _row_sub(m, i, k, q):
     m[i] = [a - q * b for a, b in zip(m[i], m[k])]
 
@@ -296,8 +272,8 @@ def diagonalize(a):
     return u, s, v
 
 
-def int_inverse(m):
-    """Exact inverse of a unimodular integer matrix."""
+def inverse(m):
+    """Exact inverse of a nonsingular square matrix, as Fractions."""
     n = len(m)
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
     for c in range(n):
@@ -315,13 +291,15 @@ def int_inverse(m):
             if i != c and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    inv = []
-    for i in range(n):
-        row = work[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        inv.append([int(x) for x in row])
-    return inv
+    return [row[n:] for row in work]
+
+
+def int_inverse(m):
+    """Exact inverse of a unimodular integer matrix."""
+    inv = inverse(m)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 def det(m):

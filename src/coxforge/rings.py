@@ -2,15 +2,17 @@
 
 Everything is exact: exponents are Python ints, coefficients are
 Fractions. A Grading pairs a variable table with an integer degree
-matrix whose rows are the lattice coordinates; degree enumeration in a
-fixed degree is delegated to the diophantine solver and cached.
+matrix whose rows are the lattice coordinates. A graded piece is
+enumerated by a linear solve: once the free exponents are fixed, the
+degree determines the pivot exponents. Only the degree-zero monoid
+needs a Hilbert basis, from the diophantine solver.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from . import diophantine
-from .errors import ParameterError, ResourceCapError
+from . import diophantine, linalg
+from .errors import ParameterError
 
 
 class Monomial:
@@ -258,70 +260,87 @@ class Grading:
         return "Grading(%r, <%dx%d>)" % (self.variables, self.lattice_rank, self.width)
 
 
-class SolutionSet:
-    """Monomials of one degree: minimal particular solutions plus the
-    recession monoid generators (degree-zero monomials)."""
+def solve_degree_system(grading):
+    """Minimal generators of the degree-zero monomial monoid, sorted by
+    total degree then exponents."""
+    basis = diophantine.solve_nonneg([list(row) for row in grading.matrix])
+    return tuple(Monomial(m) for m in basis)
 
-    __slots__ = ("particular", "recession")
 
-    def __init__(self, particular, recession):
-        self.particular = tuple(particular)
-        self.recession = tuple(recession)
+def _independent(vectors, order):
+    """Greedy maximal independent subset of the vectors, tried in order."""
+    chosen = []
+    for i in order:
+        if linalg.rank([vectors[j] for j in chosen + [i]]) > len(chosen):
+            chosen.append(i)
+    return chosen
 
 
 @lru_cache(maxsize=None)
-def solve_degree_system(grading, degree):
-    """All monomial solutions of degree_of(m) == degree, as a SolutionSet."""
+def _pivot_system(grading):
+    """Split the degree matrix A for monomials_of_degree.
+
+    Pivot columns P are a maximal independent set tried from the last
+    column back, so on graph gradings they are the curve columns (one
+    section column joins them when the intersection matrix is singular);
+    the other columns are free. Rows R are independent rows of A[:, P],
+    so B = A[R][P] is invertible; with den = |det B| and adj = den B^-1
+    the pivot exponents are adj (d_R - F s) / den. Returns (R, P, free, den,
+    adj, images, dependent): images[j] = adj F_j for free column j, and
+    dependent holds (k, w) with den * A[k] = w . A[R] for each other row.
+    """
+    cols = [grading.column(v) for v in grading.variables]
+    pivots = _independent(cols, range(grading.width - 1, -1, -1))
+    on_pivots = [[row[c] for c in pivots] for row in grading.matrix]
+    rows = _independent(on_pivots, range(grading.lattice_rank))
+    b = [on_pivots[i] for i in rows]
+    den = abs(linalg.det(b))
+    adj = [[int(x * den) for x in row] for row in linalg.inverse(b)]
+    free = [c for c in range(grading.width) if c not in pivots]
+    images = [linalg.mat_vec(adj, [cols[c][i] for i in rows]) for c in free]
+    dependent = [
+        (k, linalg.mat_vec(linalg.transpose(adj), on_pivots[k]))
+        for k in range(grading.lattice_rank)
+        if k not in rows
+    ]
+    return rows, pivots, free, den, adj, images, dependent
+
+
+def monomials_of_degree(grading, degree, cap):
+    """Monomials of the given degree with total degree <= cap, sorted.
+
+    The free exponents run over every tuple with sum <= cap; the pivot
+    exponents follow from the degree, and a monomial is kept when they
+    are nonnegative integers and the total stays within cap."""
+    degree = tuple(degree)
     if len(degree) != grading.lattice_rank:
         raise ParameterError(
             "degree has %d coordinates, grading has %d" % (len(degree), grading.lattice_rank)
         )
-    parts, recs = diophantine.solve_nonneg(
-        [list(row) for row in grading.matrix], list(degree)
-    )
-    return SolutionSet(
-        tuple(Monomial(p) for p in parts), tuple(Monomial(m) for m in recs)
-    )
+    rows, pivots, free, den, adj, images, dependent = _pivot_system(grading)
+    d_rows = [degree[i] for i in rows]
+    if any(den * degree[k] != linalg.dot(w, d_rows) for k, w in dependent):
+        return []
+    exps = [0] * grading.width
+    out = []
 
+    def place(j, num, budget):
+        if j == len(free):
+            if any(x < 0 or x % den for x in num):
+                return
+            ys = [x // den for x in num]
+            if sum(ys) <= budget:
+                for c, y in zip(pivots, ys):
+                    exps[c] = y
+                out.append(Monomial(exps))
+            return
+        image = images[j]
+        for v in range(budget + 1):
+            exps[free[j]] = v
+            place(j + 1, num, budget - v)
+            num = [a - b for a, b in zip(num, image)]
 
-_MONOID_CACHE = {}
-
-
-def _monoid_elements(grading, cap):
-    """Exponent monomials of degree zero with total degree <= cap."""
-    cached = _MONOID_CACHE.get(grading)
-    if cached is None or cached[0] < cap:
-        gens = solve_degree_system(grading, (0,) * grading.lattice_rank).recession
-        elems = {grading.one()}
-        frontier = {grading.one()}
-        while frontier:
-            nxt = set()
-            for m in frontier:
-                for g in gens:
-                    mg = m * g
-                    if mg.total() <= cap and mg not in elems:
-                        elems.add(mg)
-                        nxt.add(mg)
-            frontier = nxt
-        cached = (cap, elems)
-        _MONOID_CACHE[grading] = cached
-    return cached[1]
-
-
-def monomials_of_degree(grading, degree, cap):
-    """Monomials of the given degree with total degree <= cap, sorted."""
-    sol = solve_degree_system(grading, tuple(degree))
-    out = set()
-    elems = None
-    for p in sol.particular:
-        budget = cap - p.total()
-        if budget < 0:
-            continue
-        if elems is None:
-            elems = _monoid_elements(grading, cap)
-        for m in elems:
-            if m.total() <= budget:
-                out.add(p * m)
+    place(0, linalg.mat_vec(adj, d_rows), cap)
     return sorted(out)
 
 

@@ -77,6 +77,13 @@ def test_reduce_reports_step_cap_exhaustion(capsys):
     assert all(s["actual_dim"] is None for s in payload["steps"])
 
 
+def test_reduce_cap_error_carries_partial(capsys):
+    code, payload = run_json(capsys, ["reduce", "--case", "A5", "--degree=0,0,0,-1,0"])
+    assert code == 3
+    assert payload["error"] == "resource-cap"
+    assert payload["partial"]["cap"] == 40
+
+
 def test_reduce_usage_errors(capsys):
     assert cli.main(["reduce", "--case", "D4"]) == 2
     assert cli.main(["reduce", "--case", "D4", "--degree", "1,0,0"]) == 2
@@ -112,6 +119,15 @@ def test_verify_counterexample(capsys):
     assert payload["sections"]["reduction"]["skipped"]
 
 
+@pytest.mark.parametrize("case", ["custom:2,2,2", "custom:1,2,5"])
+def test_verify_affine_trees_exit_zero(capsys, case):
+    # affine E6 and E8: the intersection matrix is singular
+    code, payload = run_json(capsys, ["verify", "--case", case])
+    assert code == 0
+    assert payload["ok"] is True
+    assert payload["sections"]["reduction"]["skipped"]
+
+
 def test_verify_definite_custom_tree_holds(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "custom:1,1,1", "--grid", "150"])
     assert code == 0
@@ -139,6 +155,13 @@ def test_text_format(capsys):
     assert "case D4" in out
     assert "invariants: ok" in out
     assert out.rstrip().endswith("ok")
+
+
+def test_text_format_shows_skipped_sections(capsys):
+    code, out = run(capsys, ["verify", "--case", "custom:2,2,3", "--format", "text"])
+    assert code == 0
+    assert "  reduction: skipped\n" in out
+    assert "  cox: ok\n" in out
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

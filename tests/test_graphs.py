@@ -2,13 +2,9 @@ import json
 
 import pytest
 
+from coxforge.cli import parse_case
 from coxforge.errors import ParameterError
-from coxforge.graphs import (
-    ResolutionGraph,
-    build_custom_tree,
-    build_from_string,
-    build_singularity,
-)
+from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
 
 
 def test_chain_builder():
@@ -78,12 +74,12 @@ def test_builder_rank_errors():
 
 
 def test_build_from_string():
-    assert build_from_string("D5") == build_singularity("D", 5)
-    assert build_from_string("a3") == build_singularity("A", 3)
-    assert build_from_string("custom:2,2,3") == build_custom_tree([2, 2, 3])
+    assert parse_case("D5") == build_singularity("D", 5)
+    assert parse_case("a3") == build_singularity("A", 3)
+    assert parse_case("custom:2,2,3") == build_custom_tree([2, 2, 3])
     for bad in ("", "Q4", "Dx", "custom:1,q", "7"):
         with pytest.raises(ParameterError):
-            build_from_string(bad)
+            parse_case(bad)
 
 
 def test_graph_validation():
@@ -103,7 +99,7 @@ def test_graph_validation():
 
 def test_definiteness():
     for label in ("A1", "A5", "D4", "D9", "E6", "E7", "E8"):
-        assert build_from_string(label).is_negative_definite(), label
+        assert parse_case(label).is_negative_definite(), label
     assert not build_custom_tree([2, 2, 3]).is_negative_definite()
     assert not build_custom_tree([2, 3, 6]).is_negative_definite()
     assert build_custom_tree([1, 2, 3]).is_negative_definite()  # same tree as E7
@@ -144,7 +140,7 @@ def test_unit_degree():
 
 def test_json_round_trip():
     for label in ("A1", "A4", "D7", "E8", "custom:2,2,3"):
-        g = build_from_string(label)
+        g = parse_case(label)
         blob = json.dumps(g.to_dict(), sort_keys=True)
         back = ResolutionGraph.from_dict(json.loads(blob))
         assert back == g

@@ -50,16 +50,6 @@ def test_kernel_basis_spans_integer_kernel(a):
         assert sympy.Matrix([list(v) for v in basis]).rank() == len(basis)
 
 
-def test_solve_integer_finds_solutions_and_detects_failure():
-    a = [[2, 0], [0, 3]]
-    assert linalg.solve_integer(a, (4, 9)) == (2, 3)
-    assert linalg.solve_integer(a, (1, 0)) is None
-    # underdetermined consistent system
-    a = [[1, 2, 3]]
-    v = linalg.solve_integer(a, (7,))
-    assert v is not None and linalg.dot(a[0], v) == 7
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_diagonalize_transforms(a):
@@ -90,6 +80,25 @@ def test_int_inverse_round_trip():
                     m[r][i] += q * m[r][j]
         inv = linalg.int_inverse(m)
         assert linalg.mat_mul(m, inv) == linalg.identity_matrix(n)
+    with pytest.raises(ValueError):
+        linalg.int_inverse([[2, 0], [0, 1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_inverse_matches_sympy(a):
+    m = sympy.Matrix(a)
+    if m.det() == 0:
+        with pytest.raises(ValueError):
+            linalg.inverse(a)
+    else:
+        assert sympy.Matrix(linalg.inverse(a)) == m.inv()
 
 
 @settings(max_examples=60, deadline=None)

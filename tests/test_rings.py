@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxforge.cli import parse_case
 from coxforge.errors import ParameterError
 from coxforge.graphs import build_singularity
 from coxforge.rings import (
@@ -91,17 +92,78 @@ def test_grading_drop_and_embed():
         g.drop(["nope"])
 
 
-def test_solve_degree_system_drop_example():
+def test_monomials_of_degree_drop_example():
     g = _fork_grading().drop(["y1"])
-    sol = solve_degree_system(g, (1, 0, 0, 0))
-    formatted = sorted(g.format_monomial(m) for m in sol.particular)
-    assert formatted == ["x2^2*y2", "x3^2*y3"]
-    assert sol.recession == ()
+    piece = monomials_of_degree(g, (1, 0, 0, 0), 50)
+    assert sorted(g.format_monomial(m) for m in piece) == ["x2^2*y2", "x3^2*y3"]
+    assert monomials_of_degree(g, (0, 0, 0, 0), 50) == [g.one()]
+    assert solve_degree_system(g) == ()
 
 
-def test_solve_degree_system_is_cached():
-    g = _fork_grading()
-    assert solve_degree_system(g, (0, 0, 0, 0)) is solve_degree_system(g, (0, 0, 0, 0))
+def test_monomials_of_degree_inconsistent_lattice():
+    # 2a = 1 has no integer solution
+    g = Grading(("a",), ((2,),))
+    assert monomials_of_degree(g, (1,), 20) == []
+    assert monomials_of_degree(g, (4,), 20) == [Monomial((2,))]
+    # a dependent row must agree with the rows it depends on
+    g = Grading(("a", "b"), ((1, 1), (2, 2)))
+    assert monomials_of_degree(g, (1, 1), 20) == []
+    assert monomials_of_degree(g, (1, 2), 20) == [Monomial((0, 1)), Monomial((1, 0))]
+
+
+def test_monomials_of_degree_negative_only_solution():
+    # a - b = -1: b times powers of the degree-zero generator a*b
+    g = Grading(("a", "b"), ((1, -1),))
+    assert [m.exps for m in monomials_of_degree(g, (-1,), 5)] == [(0, 1), (1, 2), (2, 3)]
+    assert solve_degree_system(g) == (Monomial((1, 1)),)
+
+
+ORACLE_CASES = ["A3", "A1", "D4", "D5", "E6", "custom:2,2,2", "custom:1,2,5"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_monomials_of_degree_matches_box_enumeration(case):
+    # custom:2,2,2 and custom:1,2,5 (affine E6 and E8) have a singular
+    # intersection matrix, so a section column is a pivot
+    graph = parse_case(case)
+    g = graph.grading()
+    unit = graph.unit_degree(graph.nodes[0])
+    degrees = [
+        graph.zero_degree(),
+        unit,
+        tuple(-x for x in unit),
+        tuple(1 for _ in graph.nodes),
+    ]
+    # the oracle box has every exponent <= 7; a total-degree cap of
+    # 7 * width reaches all of it
+    bound = 7
+    for d in degrees:
+        piece = monomials_of_degree(g, d, bound * g.width)
+        got = {m.exps for m in piece if max(m.exps) <= bound}
+        box = oracle.box_exponent_tuples(graph, d, bound)
+        assert got == box, (case, d)
+        if case.startswith("custom:") and d == degrees[2]:
+            # the positive null vector of M pairs to < 0 with -e_0 and to
+            # >= 0 with every monomial's degree: the piece is empty
+            assert piece == [], (case, d)
+        else:
+            assert got, (case, d)
+
+
+@pytest.mark.parametrize("case", ["A3", "D5", "custom:2,2,2"])
+def test_quotient_pieces_are_full_pieces_without_the_section(case):
+    graph = parse_case(case)
+    g = graph.grading()
+    degrees = [graph.zero_degree()] + [
+        tuple(v * x for x in graph.unit_degree(node)) for node in graph.nodes for v in (-1, 2)
+    ]
+    for name, _ in graph.leaf_variables:
+        sub = g.drop([name])
+        cut = g.index(name)
+        for d in degrees:
+            lifted = [g.embed(m, sub) for m in monomials_of_degree(sub, d, 14)]
+            full = [m for m in monomials_of_degree(g, d, 14) if m.exps[cut] == 0]
+            assert lifted == full, (case, name, d)
 
 
 @pytest.mark.parametrize("cap", [4, 8, 12])
