@@ -352,6 +352,11 @@ def cmd_report(graph, settings, with_timings):
 
 def _render_text(payload):
     lines = []
+    if "error" in payload:
+        lines.append("error: %s" % payload["error"])
+        lines.append("  message: %s" % payload["message"])
+        if "partial" in payload:
+            lines.append("  partial: %s" % json.dumps(payload["partial"], sort_keys=True))
     case = payload.get("case", payload.get("label"))
     if case is not None:
         lines.append("case %s" % case)

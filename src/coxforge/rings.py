@@ -285,9 +285,17 @@ def _pivot_system(grading):
     section column joins them when the intersection matrix is singular);
     the other columns are free. Rows R are independent rows of A[:, P],
     so B = A[R][P] is invertible; with den = |det B| and adj = den B^-1
-    the pivot exponents are adj (d_R - F s) / den. Returns (R, P, free, den,
-    adj, images, dependent): images[j] = adj F_j for free column j, and
-    dependent holds (k, w) with den * A[k] = w . A[R] for each other row.
+    the pivot exponents are adj (d_R - F s) / den.
+
+    Every condition on the free exponents s is linear, a . s <= b: the
+    plain sum (a_j = 1, b = cap), the total degree (a_j = den -
+    sum(adj F_j), b = den cap - sum(adj d_R)) and each pivot exponent
+    being >= 0 (a_j = (adj F_j)_i, b = (adj d_R)_i). Returns (R, P,
+    free, den, adj, coeffs, levels, dependent): coeffs[j] holds the a_j
+    of every condition in that order; levels[j] lists the conditions
+    whose coefficients on the later free exponents are all >= 0, so
+    that each bounds s_j by its slack b - a . s_prefix; dependent holds
+    (k, w) with den * A[k] = w . A[R] for each other row.
     """
     cols = [grading.column(v) for v in grading.variables]
     pivots = _independent(cols, range(grading.width - 1, -1, -1))
@@ -297,50 +305,72 @@ def _pivot_system(grading):
     den = abs(linalg.det(b))
     adj = [[int(x * den) for x in row] for row in linalg.inverse(b)]
     free = [c for c in range(grading.width) if c not in pivots]
-    images = [linalg.mat_vec(adj, [cols[c][i] for i in rows]) for c in free]
+    coeffs = []
+    for c in free:
+        image = linalg.mat_vec(adj, [cols[c][i] for i in rows])
+        coeffs.append([1, den - sum(image)] + image)
+    levels = [
+        [i for i in range(2 + len(rows)) if all(a[i] >= 0 for a in coeffs[j + 1 :])]
+        for j in range(len(free))
+    ]
     dependent = [
         (k, linalg.mat_vec(linalg.transpose(adj), on_pivots[k]))
         for k in range(grading.lattice_rank)
         if k not in rows
     ]
-    return rows, pivots, free, den, adj, images, dependent
+    return rows, pivots, free, den, adj, coeffs, levels, dependent
 
 
 def monomials_of_degree(grading, degree, cap):
     """Monomials of the given degree with total degree <= cap, sorted.
 
-    The free exponents run over every tuple with sum <= cap; the pivot
-    exponents follow from the degree, and a monomial is kept when they
-    are nonnegative integers and the total stays within cap."""
+    Each free exponent runs over the interval that its qualifying
+    conditions (see _pivot_system) leave open, given the exponents
+    before it; at the last free exponent every condition qualifies. The
+    pivot exponents follow from the degree, and a monomial is kept when
+    they are nonnegative integers and the total stays within cap."""
     degree = tuple(degree)
     if len(degree) != grading.lattice_rank:
         raise ParameterError(
             "degree has %d coordinates, grading has %d" % (len(degree), grading.lattice_rank)
         )
-    rows, pivots, free, den, adj, images, dependent = _pivot_system(grading)
+    rows, pivots, free, den, adj, coeffs, levels, dependent = _pivot_system(grading)
     d_rows = [degree[i] for i in rows]
     if any(den * degree[k] != linalg.dot(w, d_rows) for k, w in dependent):
         return []
     exps = [0] * grading.width
     out = []
 
-    def place(j, num, budget):
+    def place(j, slack):
+        # slack = [cap - plain sum, den*cap - den*total, *num]; num / den
+        # are the pivot exponents once every free exponent is placed
         if j == len(free):
+            num = slack[2:]
             if any(x < 0 or x % den for x in num):
                 return
             ys = [x // den for x in num]
-            if sum(ys) <= budget:
+            if sum(ys) <= slack[0]:
                 for c, y in zip(pivots, ys):
                     exps[c] = y
                 out.append(Monomial(exps))
             return
-        image = images[j]
-        for v in range(budget + 1):
+        a = coeffs[j]
+        lo, hi = 0, slack[0]  # the plain sum bounds every level
+        for i in levels[j]:
+            if a[i] > 0:
+                hi = min(hi, slack[i] // a[i])
+            elif a[i] < 0:
+                lo = max(lo, -(slack[i] // -a[i]))
+            elif slack[i] < 0:
+                return
+        slack = [x - lo * y for x, y in zip(slack, a)]
+        for v in range(lo, hi + 1):
             exps[free[j]] = v
-            place(j + 1, num, budget - v)
-            num = [a - b for a, b in zip(num, image)]
+            place(j + 1, slack)
+            slack = [x - y for x, y in zip(slack, a)]
 
-    place(0, linalg.mat_vec(adj, d_rows), cap)
+    num = linalg.mat_vec(adj, d_rows)
+    place(0, [cap, den * cap - sum(num)] + num)
     return sorted(out)
 
 

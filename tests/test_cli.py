@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +85,16 @@ def test_reduce_cap_error_carries_partial(capsys):
     assert payload["partial"]["cap"] == 40
 
 
+def test_reduce_cap_error_text_format(capsys):
+    code, out = run(
+        capsys, ["reduce", "--case", "A5", "--degree=0,0,0,-1,0", "--format", "text"]
+    )
+    assert code == 3
+    assert out.startswith("error: resource-cap\n")
+    assert "cap 40" in out
+    assert '  partial: {"cap": 40, "dim": ' in out
+
+
 def test_reduce_usage_errors(capsys):
     assert cli.main(["reduce", "--case", "D4"]) == 2
     assert cli.main(["reduce", "--case", "D4", "--degree", "1,0,0"]) == 2
@@ -106,6 +117,15 @@ def test_verify_is_byte_stable(capsys):
     _, first = run(capsys, ["verify", "--case", "D4", "--grid", "150"])
     _, second = run(capsys, ["verify", "--case", "D4", "--grid", "150"])
     assert first == second
+
+
+@pytest.mark.parametrize("case", ["A4", "D4"])
+def test_verify_matches_golden_report(capsys, case):
+    # tests/data holds the default verify reports, byte for byte
+    code, out = run(capsys, ["verify", "--case", case])
+    assert code == 0
+    golden = Path(__file__).parent / "data" / ("verify_%s.json" % case)
+    assert out.encode("utf-8") == golden.read_bytes()
 
 
 def test_verify_counterexample(capsys):

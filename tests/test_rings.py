@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxforge.cli import parse_case
@@ -118,10 +120,56 @@ def test_monomials_of_degree_negative_only_solution():
     assert solve_degree_system(g) == (Monomial((1, 1)),)
 
 
-ORACLE_CASES = ["A3", "A1", "D4", "D5", "E6", "custom:2,2,2", "custom:1,2,5"]
+@st.composite
+def _small_gradings(draw):
+    """(matrix, degree, cap) with 1-3 rows, 1-5 columns, entries in
+    [-3, 3], degree in [-4, 4] and cap <= 6; a zero row, a row that
+    repeats another up to sign, or a square full-rank matrix on demand."""
+    shape = draw(st.sampled_from(["any", "zero row", "dependent row", "square"]))
+    n_rows = draw(st.integers(2 if shape == "dependent row" else 1, 3))
+    width = n_rows if shape == "square" else draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    matrix = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    degree = draw(st.lists(st.integers(-4, 4), min_size=n_rows, max_size=n_rows))
+    if shape == "square":
+        assume(sympy.Matrix(matrix).det() != 0)
+    elif shape == "zero row":
+        k = draw(st.integers(0, n_rows - 1))
+        matrix[k] = [0] * width
+    elif shape == "dependent row":
+        k, i = draw(st.permutations(range(n_rows)))[:2]
+        sign = draw(st.sampled_from([1, -1]))
+        matrix[k] = [sign * x for x in matrix[i]]
+        if draw(st.booleans()):
+            degree[k] = sign * degree[i]
+    return matrix, tuple(degree), draw(st.integers(0, 6))
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES)
+@settings(max_examples=150, deadline=None)
+@given(_small_gradings())
+def test_monomials_of_degree_matches_product_enumeration(case):
+    matrix, degree, cap = case
+    width = len(matrix[0])
+    g = Grading(["v%d" % i for i in range(width)], matrix)
+    expected = sorted(
+        (
+            e
+            for e in itertools.product(range(cap + 1), repeat=width)
+            if sum(e) <= cap
+            and all(sum(a * x for a, x in zip(r, e)) == d for r, d in zip(matrix, degree))
+        ),
+        key=lambda e: (sum(e), e),
+    )
+    assert [m.exps for m in monomials_of_degree(g, degree, cap)] == expected
+
+
+ORACLE_CASES = ["A3", "A1", "D4", "D5", "E6", "E7", "custom:2,2,2", "custom:1,2,5"]
+# indefinite trees: the total degree does not bound every free exponent
+# of the enumerator, and some of the pieces below are empty
+INDEFINITE_CASES = ["custom:2,2,3", "custom:2,3,7", "custom:3,3,3"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES + INDEFINITE_CASES)
 def test_monomials_of_degree_matches_box_enumeration(case):
     # custom:2,2,2 and custom:1,2,5 (affine E6 and E8) have a singular
     # intersection matrix, so a section column is a pivot
@@ -142,15 +190,21 @@ def test_monomials_of_degree_matches_box_enumeration(case):
         got = {m.exps for m in piece if max(m.exps) <= bound}
         box = oracle.box_exponent_tuples(graph, d, bound)
         assert got == box, (case, d)
+        if case in INDEFINITE_CASES:
+            continue
         if case.startswith("custom:") and d == degrees[2]:
             # the positive null vector of M pairs to < 0 with -e_0 and to
             # >= 0 with every monomial's degree: the piece is empty
             assert piece == [], (case, d)
+        elif (case, d) == ("E7", degrees[2]):
+            # each monomial of degree -e_0 on E7 has an exponent >= 12,
+            # outside the box
+            assert piece, (case, d)
         else:
             assert got, (case, d)
 
 
-@pytest.mark.parametrize("case", ["A3", "D5", "custom:2,2,2"])
+@pytest.mark.parametrize("case", ["A3", "D5", "custom:2,2,2", "custom:2,3,7"])
 def test_quotient_pieces_are_full_pieces_without_the_section(case):
     graph = parse_case(case)
     g = graph.grading()
