@@ -205,45 +205,30 @@ def cmd_cox(graph, settings):
 
 def cmd_reduce(graph, degree, settings):
     caps = settings["caps"]
-    nef = reduction.reduce_to_nef(degree, graph, caps["step"])
-    steps = list(nef.steps)
-    terminal = nef.terminal
-    terminated = nef.terminated
-    measures = ()
-    if nef.terminated:
-        basic = reduction.reduce_nef_to_basic(nef.terminal, graph, caps["step"])
-        steps += list(basic.steps)
-        terminal = basic.terminal
-        terminated = basic.terminated
-        measures = basic.measures
-    if terminated:
-        # a runaway trace is reported as such, not audited step by step
-        pres = presentation_from_graph(graph)
-        for step in steps:
-            reduction.audit_step(pres, step, graph, caps["cokernel"])
-    combined = reduction.ReductionTrace(degree, terminal, steps, terminated, measures)
-    payload = combined.to_dict()
+    trace = reduction.reduce(graph, degree, caps["step"])
+    if trace.terminated:
+        # only an audited trace needs the presentation, which a star
+        # whose center has valence four or more does not have
+        reduction.audit(trace, presentation_from_graph(graph), graph, caps["cokernel"])
+    payload = trace.to_dict()
     payload["case"] = graph.label
     return payload, EXIT_OK if payload["ok"] else EXIT_MISMATCH
 
 
 def _termination_sweep(graph, settings):
-    caps = settings["caps"]
     cells = grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
     is_d_type = (graph.label or "").startswith("D")
     max_steps = 0
     for d in cells:
-        nef = reduction.reduce_to_nef(d, graph, caps["step"])
-        basic = reduction.reduce_nef_to_basic(nef.terminal, graph, caps["step"])
-        if not (nef.terminated and basic.terminated):
+        trace = reduction.reduce(graph, d, settings["caps"]["step"])
+        ms = trace.measures
+        if (
+            not trace.terminated
+            or not reduction.is_basic(trace.terminal, graph)
+            or (is_d_type and any(a < b for a, b in zip(ms, ms[1:])))
+        ):
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        if not reduction.is_basic(basic.terminal, graph):
-            return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        if is_d_type:
-            ms = basic.measures
-            if any(a < b for a, b in zip(ms, ms[1:])):
-                return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        max_steps = max(max_steps, len(nef.steps) + len(basic.steps))
+        max_steps = max(max_steps, len(trace.steps))
     return {"cells": len(cells), "ok": True, "max_steps": max_steps}
 
 

@@ -13,7 +13,6 @@ parallelepiped via integer diagonalization transforms, then an
 irreducibility filter over the collected candidates.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
@@ -39,10 +38,7 @@ def cone_rays(ineqs, dim):
         raise ValueError("cone is not pointed")
     rays = set()
     for sub in combinations(range(len(ineqs)), dim - 1):
-        m = [ineqs[i] for i in sub]
-        if m and linalg.rank(m) != dim - 1:
-            continue
-        ns = linalg.nullspace(m, width=dim)
+        ns = linalg.nullspace([ineqs[i] for i in sub], width=dim)
         if len(ns) != 1:
             continue
         v = ns[0]
@@ -55,57 +51,19 @@ def cone_rays(ineqs, dim):
     return sorted(rays)
 
 
-def _span_basis(vectors):
-    """Row-reduced rational basis of the span of the given vectors."""
-    basis = []
-    pivots = []
-    for vec in vectors:
-        v = [Fraction(x) for x in vec]
-        for b, p in zip(basis, pivots):
-            if v[p] != 0:
-                f = v[p] / b[p]
-                v = [a - f * c for a, c in zip(v, b)]
-        for j, x in enumerate(v):
-            if x != 0:
-                basis.append(v)
-                pivots.append(j)
-                break
-    return basis
-
-
-def _normal_in_span(span_vectors, orth_vectors, dim):
-    """A vector inside span(span_vectors) orthogonal to all orth_vectors.
-
-    Returns a primitive integer tuple, or None when the orthogonal
-    complement inside the span is not a line.
-    """
-    basis = _span_basis(span_vectors)
-    if not basis:
-        return None
-    system = [
-        [sum(b[i] * Fraction(s[i]) for i in range(dim)) for b in basis]
-        for s in orth_vectors
-    ]
-    mu_space = linalg.nullspace(system, width=len(basis))
-    if len(mu_space) != 1:
-        return None
-    mu = mu_space[0]
-    h = [sum(mu[a] * basis[a][i] for a in range(len(basis))) for i in range(dim)]
-    return linalg.primitive(h)
-
-
 def _facets(rays, idx):
     """Facets of cone(rays[i], i in idx), as frozensets of indices."""
     sub = [rays[i] for i in idx]
     dim = len(rays[0])
-    d = linalg.rank(sub)
+    # a normal inside span(sub) is orthogonal to the complement of that span
+    perp = linalg.nullspace(sub)
+    d = dim - len(perp)
     out = set()
     for comb in combinations(idx, d - 1):
-        if comb and linalg.rank([rays[i] for i in comb]) != d - 1:
+        ns = linalg.nullspace([rays[i] for i in comb] + perp, width=dim)
+        if len(ns) != 1:
             continue
-        h = _normal_in_span(sub, [rays[i] for i in comb], dim)
-        if h is None:
-            continue
+        h = ns[0]
         vals = {i: linalg.dot(h, rays[i]) for i in idx}
         if any(v > 0 for v in vals.values()) and any(v < 0 for v in vals.values()):
             continue
@@ -165,12 +123,14 @@ def parallelepiped_points(vectors):
     if count > _POINT_LIMIT:
         raise ResourceCapError("parallelepiped holds %d lattice points" % count)
     u2inv = linalg.int_inverse(u2)
-    minv = linalg.inverse(m)
+    adj, det = linalg.adjugate(m)
+    if det < 0:
+        adj, det = [[-x for x in row] for row in adj], -det
     points = set()
     for t in product(*(range(dd) for dd in diag)):
         y = [sum(u2inv[i][j] * t[j] for j in range(k)) for i in range(k)]
-        lam = [sum(minv[i][j] * y[j] for j in range(k)) for i in range(k)]
-        floors = [x.numerator // x.denominator for x in lam]
+        # floor of m^-1 y
+        floors = [linalg.dot(row, y) // det for row in adj]
         pk = [y[i] - sum(m[i][j] * floors[j] for j in range(k)) for i in range(k)]
         x = [sum(w_cols[i][j] * pk[j] for j in range(k)) for i in range(dim)]
         points.add(tuple(x))

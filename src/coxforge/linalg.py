@@ -1,8 +1,12 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Matrices are plain lists of lists of ints (Fractions where noted); no
-floating point anywhere. The Hermite/diagonalization routines return the
-unimodular transforms, which the lattice-point machinery needs.
+Matrices are plain lists of lists of ints; no floating point anywhere.
+One fraction-free Gauss-Jordan core, row_reduce (Bareiss 1968), serves
+rank, nullspace, det, adjugate, inverse and int_inverse. Only inverse
+returns Fractions, and primitive also accepts them. rank_sparse keeps
+its own elimination over dict rows for the sparse audit matrices. The
+Hermite/diagonalization routines return the unimodular transforms,
+which the lattice-point machinery needs.
 """
 
 from fractions import Fraction
@@ -66,74 +70,96 @@ def primitive(vec):
     return tuple(ints)
 
 
-# ----- rational elimination -----
+# ----- fraction-free elimination -----
+
+
+def row_reduce(rows, ncols=None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Pivots are sought in the first ncols columns (all by default).
+    Returns (work, pivots): work = E * rows for an invertible E, with
+    row r holding its pivot in column pivots[r] and the rows past
+    len(pivots) zero on the first ncols columns. On those columns work
+    is d times the reduced row echelon form, and every pivot entry is
+    the same integer d; for a nonsingular square input d = det(rows).
+    Each entry is a minor of the input (up to sign), so every division
+    by the previous pivot is exact.
+    """
+    work = [list(row) for row in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    pivots = []
+    prev = sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            if i != r:
+                f = row[c]
+                work[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+        pivots.append(c)
+    if sign < 0:
+        work = [[-x for x in row] for row in work]
+    return work, pivots
 
 
 def rank(rows):
-    """Exact rank of a matrix with int or Fraction entries."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    """Exact rank of an integer matrix."""
+    return len(row_reduce(rows)[1])
 
 
 def nullspace(rows, width=None):
     """Basis of the rational nullspace, as primitive integer tuples."""
-    if not rows:
-        if width is None:
-            raise ValueError("width required for empty matrix")
-        return [tuple(1 if i == j else 0 for j in range(width)) for i in range(width)]
-    ncols = len(rows[0])
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        work[r] = [a / pv for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    if not rows and width is None:
+        raise ValueError("width required for empty matrix")
+    ncols = len(rows[0]) if rows else width
+    work, pivots = row_reduce(rows)
+    d = work[0][pivots[0]] if pivots else 1
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -work[pr][fc]
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = d
+        for r, pc in enumerate(pivots):
+            v[pc] = -work[r][fc]
         basis.append(primitive(v))
     return basis
+
+
+def adjugate(m):
+    """(adj, det) of a square integer matrix: m * adj = adj * m = det * I.
+
+    Row-reduces [m | I]. When m is nonsingular that gives [det I | adj].
+    When m has rank n - 1 the leftover row holds one row of adj, at the
+    non-pivot column f, up to the sign (-1)^(n-1-f); adj has rank one
+    and its columns are multiples of the null vector v (v_f = d, other
+    entries from the pivot rows), which fills in the other rows. Below
+    rank n - 1 every (n-1)-minor vanishes.
+    """
+    n = len(m)
+    aug = [list(row) + e for row, e in zip(m, identity_matrix(n))]
+    work, pivots = row_reduce(aug, n)
+    if len(pivots) == n:
+        return [row[n:] for row in work], work[0][0] if n else 1
+    adj = [[0] * n for _ in range(n)]
+    if len(pivots) == n - 1:
+        (f,) = (c for c in range(n) if c not in pivots)
+        d = work[0][pivots[0]] if pivots else 1
+        adj[f] = [(-1) ** (n - 1 - f) * x for x in work[n - 1][n:]]
+        for r, c in enumerate(pivots):
+            adj[c] = [-work[r][f] * x // d for x in adj[f]]
+    return adj, 0
 
 
 # ----- integer forms with transforms -----
@@ -274,59 +300,26 @@ def diagonalize(a):
 
 def inverse(m):
     """Exact inverse of a nonsingular square matrix, as Fractions."""
-    n = len(m)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return [row[n:] for row in work]
+    adj, d = adjugate(m)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, d) for x in row] for row in adj]
 
 
 def int_inverse(m):
     """Exact inverse of a unimodular integer matrix."""
-    inv = inverse(m)
-    if any(x.denominator != 1 for row in inv for x in row):
+    adj, d = adjugate(m)
+    if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return [[d * x for x in row] for row in adj]
 
 
 def det(m):
-    """Exact determinant via Bareiss."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = copy_matrix(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a square integer matrix."""
+    work, pivots = row_reduce(m)
+    if len(pivots) < len(m):
+        return 0
+    return work[-1][-1] if m else 1
 
 
 def is_negative_definite(m):

@@ -12,10 +12,13 @@ procedures move a degree into normal position:
 * the base case handles terminal degrees k*e_leaf through a quotient
   presentation and a seed/period monomial family.
 
+``reduce`` runs the nef pass and then the basic pass as one trace.
+
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). ``cokernel_dimension`` recomputes
-that dimension by exact linear algebra on truncated graded pieces, so a
-full audit certifies each step of a reduction independently.
+that dimension by exact linear algebra on truncated graded pieces, and
+``audit`` checks every step of a terminated trace that way, so a full
+audit certifies each step of a reduction independently.
 """
 
 from fractions import Fraction
@@ -57,7 +60,6 @@ class ReductionStep:
         "degree_after",
         "expected_cokernel_dim",
         "actual_dim",
-        "stabilized",
     )
 
     def __init__(self, kind, nodes, curves, degree_before, degree_after):
@@ -68,7 +70,6 @@ class ReductionStep:
         self.degree_after = tuple(degree_after)
         self.expected_cokernel_dim = None
         self.actual_dim = None
-        self.stabilized = None
 
     def adds_curves(self):
         return self.kind in ("AddCurve", "AddChain")
@@ -81,7 +82,7 @@ class ReductionStep:
             "degree_after": list(self.degree_after),
             "expected_dim": self.expected_cokernel_dim,
             "actual_dim": self.actual_dim,
-            "stabilized": self.stabilized,
+            "stabilized": True if self.actual_dim is not None else None,
         }
 
     def __repr__(self):
@@ -136,8 +137,7 @@ class ReductionTrace:
 
     def to_dict(self):
         ok = self.terminated and all(
-            s.actual_dim is None
-            or (s.stabilized and s.actual_dim == s.expected_cokernel_dim)
+            s.actual_dim is None or s.actual_dim == s.expected_cokernel_dim
             for s in self.steps
         )
         return {
@@ -192,15 +192,10 @@ def _check_degree(degree, graph):
     return d
 
 
-def s_measure(degree, graph=None):
+def s_measure(degree, graph):
     """Termination measure: half weight on the coordinates of nodes 1
     and 2, full weight elsewhere."""
-    if graph is None:
-        halves = {1, 2}
-    else:
-        halves = {
-            graph.node_index(v) for v in (1, 2) if v in graph.nodes
-        }
+    halves = {graph.node_index(v) for v in (1, 2) if v in graph.nodes}
     total = Fraction(0)
     for i, c in enumerate(degree):
         total += Fraction(c, 2) if i in halves else Fraction(c)
@@ -329,6 +324,23 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
             d = after
             p = q
     return ReductionTrace(degree, d, steps, True, measures)
+
+
+def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
+    """The nef pass and, when it terminates, the basic pass on its
+    terminal, as one trace (each pass gets step_cap steps). The
+    measures are those of the basic pass."""
+    nef = reduce_to_nef(degree, graph, step_cap)
+    if not nef.terminated:
+        return nef
+    basic = reduce_nef_to_basic(nef.terminal, graph, step_cap)
+    return ReductionTrace(
+        degree,
+        basic.terminal,
+        nef.steps + basic.steps,
+        basic.terminated,
+        basic.measures,
+    )
 
 
 def expected_cokernel_dim(step, graph):
@@ -499,7 +511,6 @@ def audit_step(pres, step, graph, cap=DEFAULT_COKERNEL_CAP):
             break
         c += 4
     step.actual_dim = dim
-    step.stabilized = True
     return {
         "kind": step.kind,
         "nodes": list(step.nodes),
@@ -508,6 +519,15 @@ def audit_step(pres, step, graph, cap=DEFAULT_COKERNEL_CAP):
         "cap": c,
         "ok": dim == expected,
     }
+
+
+def audit(trace, pres, graph, cap=DEFAULT_COKERNEL_CAP):
+    """Audit every step of a terminated trace and return the step
+    reports. A runaway trace is reported as such, not audited step by
+    step: it gets no reports and its steps keep actual_dim None."""
+    if not trace.terminated:
+        return []
+    return [audit_step(pres, step, graph, cap) for step in trace.steps]
 
 
 def audit_add_curve(graph, node, k=2, cap=DEFAULT_COKERNEL_CAP, pres=None):
@@ -642,37 +662,27 @@ def full_equivalence_audit(
     finish with the base-case family check where it applies."""
     d = _check_degree(degree, graph)
     pres = presentation_from_graph(graph)
-    nef = reduce_to_nef(d, graph, step_cap)
+    trace = reduce(graph, d, step_cap)
+    steps = audit(trace, pres, graph, cap)
     report = {
         "case": graph.label,
         "initial": list(d),
-        "terminated": nef.terminated,
-        "steps": [],
+        "terminated": trace.terminated,
+        "steps": steps,
         "base_case": None,
         "ok": False,
     }
-    basic = None
-    if nef.terminated:
-        basic = reduce_nef_to_basic(nef.terminal, graph, step_cap)
-        report["terminated"] = basic.terminated
-    all_steps = list(nef.steps) + (list(basic.steps) if basic else [])
-    audits_ok = True
-    if report["terminated"]:
-        # a runaway trace is reported as such, not audited step by step
-        for step in all_steps:
-            audit = audit_step(pres, step, graph, cap)
-            report["steps"].append(audit)
-            audits_ok = audits_ok and audit["ok"]
-    if basic is not None and basic.terminated:
-        report["terminal"] = list(basic.terminal)
-        nonzero = [c for c in basic.terminal if c]
+    audits_ok = all(step["ok"] for step in steps)
+    if trace.terminated:
+        report["terminal"] = list(trace.terminal)
+        nonzero = [c for c in trace.terminal if c]
         is_d_type = graph.label is not None and graph.label.startswith("D")
         if nonzero and is_d_type:
             leaf = graph.nodes[
-                next(i for i, c in enumerate(basic.terminal) if c)
+                next(i for i, c in enumerate(trace.terminal) if c)
             ]
             base = base_case_audit(graph, leaf, nonzero[0], a_max)
             report["base_case"] = base
             audits_ok = audits_ok and base["ok"]
-    report["ok"] = bool(report["terminated"] and audits_ok)
+    report["ok"] = bool(trace.terminated and audits_ok)
     return report

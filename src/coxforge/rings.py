@@ -302,8 +302,10 @@ def _pivot_system(grading):
     on_pivots = [[row[c] for c in pivots] for row in grading.matrix]
     rows = _independent(on_pivots, range(grading.lattice_rank))
     b = [on_pivots[i] for i in rows]
-    den = abs(linalg.det(b))
-    adj = [[int(x * den) for x in row] for row in linalg.inverse(b)]
+    adj, det = linalg.adjugate(b)
+    den = abs(det)
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
     free = [c for c in range(grading.width) if c not in pivots]
     coeffs = []
     for c in free:

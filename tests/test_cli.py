@@ -119,13 +119,46 @@ def test_verify_is_byte_stable(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("case", ["A4", "D4"])
+@pytest.mark.parametrize("case", ["A4", "D4", "D5", "E6"])
 def test_verify_matches_golden_report(capsys, case):
     # tests/data holds the default verify reports, byte for byte
     code, out = run(capsys, ["verify", "--case", case])
     assert code == 0
     golden = Path(__file__).parent / "data" / ("verify_%s.json" % case)
     assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "case,degree,caps,exit_code",
+    [
+        ("D4", "0,-1,0,0", None, 0),
+        ("A3", "-1,0,0", None, 0),
+        ("D4", "-3,-3,-3,-3", "step=3", 1),
+    ],
+)
+def test_reduce_matches_golden_report(capsys, case, degree, caps, exit_code):
+    # tests/data holds these reduce traces, byte for byte
+    argv = ["reduce", "--case", case, "--degree=" + degree]
+    name = "reduce_%s_%s" % (case, degree)
+    if caps:
+        argv += ["--caps", caps]
+        name += "_" + caps
+    code, out = run(capsys, argv)
+    assert code == exit_code
+    golden = Path(__file__).parent / "data" / (name + ".json")
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+def test_verify_reports_step_capped_sweep_cell(capsys):
+    # a nef pass cut by the step cap fails its sweep cell; the basic
+    # pass never runs on its (negative) terminal
+    code, payload = run_json(capsys, ["verify", "--case", "D4", "--caps", "step=2"])
+    assert code == 1
+    assert payload["sections"]["reduction"] == {
+        "cells": 2000,
+        "failed_at": [2, -1, -1, -3],
+        "ok": False,
+    }
 
 
 def test_verify_counterexample(capsys):

@@ -101,6 +101,30 @@ def test_inverse_matches_sympy(a):
         assert sympy.Matrix(linalg.inverse(a)) == m.inv()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.integers(0, 3),
+    st.integers(-2, 2),
+)
+def test_adjugate_matches_sympy(a, copies, factor):
+    # overwrite the last columns with multiples of the first, so that
+    # singular matrices of rank n - 1 and below are drawn on purpose
+    n = len(a)
+    for j in range(max(1, n - copies), n):
+        for row in a:
+            row[j] = factor * row[0]
+    adj, d = linalg.adjugate(a)
+    m = sympy.Matrix(a)
+    assert d == m.det()
+    assert sympy.Matrix(adj) == m.adjugate()
+    assert m * sympy.Matrix(adj) == d * sympy.eye(n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_det_and_rank_match_sympy(a):

@@ -235,17 +235,46 @@ def test_reduction_terminates_on_sampled_degrees(family, n):
             assert all(a >= b for a, b in zip(ms, ms[1:]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
-def test_reduction_pipeline_properties(coords):
+def _step_key(step):
+    return (
+        step.kind,
+        step.nodes,
+        step.curves,
+        step.degree_before,
+        step.degree_after,
+        step.expected_cokernel_dim,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.one_of(st.just(reduction.DEFAULT_STEP_CAP), st.integers(0, 6)),
+)
+def test_reduction_pipeline_properties(coords, step_cap):
     d5 = build_singularity("D", 5)
-    nef = reduce_to_nef(tuple(coords), d5)
-    basic = reduce_nef_to_basic(nef.terminal, d5)
-    assert is_basic(basic.terminal, d5)
-    ms = basic.measures
-    assert all(a >= b for a, b in zip(ms, ms[1:]))
-    kinds = {s.kind for s in nef.steps} | {s.kind for s in basic.steps}
+    d = tuple(coords)
+    trace = reduction.reduce(d5, d, step_cap)
+    # reduce is the nef pass, then the basic pass only if the nef pass ended
+    passes = [reduce_to_nef(d, d5, step_cap)]
+    if passes[0].terminated:
+        passes.append(reduce_nef_to_basic(passes[0].terminal, d5, step_cap))
+    assert [_step_key(s) for s in trace.steps] == [
+        _step_key(s) for p in passes for s in p.steps
+    ]
+    assert trace.initial == d
+    assert trace.terminal == passes[-1].terminal
+    assert trace.measures == passes[-1].measures
+    assert trace.terminated == passes[-1].terminated
+    assert trace.validate(d5)
+    kinds = {s.kind for s in trace.steps}
     assert kinds <= {"SubtractCurve", "AddCurve", "AddChain", "ShiftToLeaf"}
+    if step_cap == reduction.DEFAULT_STEP_CAP:
+        assert trace.terminated
+    if trace.terminated:
+        assert is_basic(trace.terminal, d5)
+        ms = trace.measures
+        assert all(a >= b for a, b in zip(ms, ms[1:]))
 
 
 # ---------------------------------------------------------- expected dims
