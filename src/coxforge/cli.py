@@ -6,6 +6,10 @@ to stdout or --out as UTF-8. Exit codes: 0 ok, 1 verification
 mismatch, 2 usage error, 3 resource-cap error. Reports are byte-stable
 for a fixed configuration; --timings adds wall-clock milliseconds and
 is the one switch that breaks that stability.
+
+Caps: --caps step=N bounds each reduction pass, not the whole trace, so
+the nef pass and the basic pass of `reduce` and of the verify sweep get
+N steps each.
 """
 
 import argparse
@@ -258,8 +262,7 @@ def _counterexample_section(graph, settings):
     pres = presentation_from_graph(graph)
     audits = []
     any_failed = False
-    ends = graph.branch_ends() if graph.center() is not None else graph.leaves()
-    for leaf in ends:
+    for leaf in graph.basic_leaves():
         rep = reduction.audit_add_curve(graph, leaf, k=2, cap=caps["cokernel"], pres=pres)
         audits.append(rep)
         any_failed = any_failed or not rep["ok"]
@@ -409,7 +412,8 @@ def build_parser():
         "--caps",
         action="append",
         metavar="KEY=N",
-        help="override caps: cokernel, step, relation (repeat or comma-separate)",
+        help="override caps: cokernel, step (per reduction pass), relation "
+        "(repeat or comma-separate)",
     )
     parser.add_argument("--config", help="JSON config file with caps/seed/grid")
     parser.add_argument("--format", choices=["json", "text"], default="json")

@@ -9,13 +9,33 @@ its node) followed by one column per curve variable (the matching column
 of the intersection matrix).
 """
 
+from types import MappingProxyType
+
 from . import linalg
 from .errors import ParameterError
 from .rings import Grading
 
 
 class ResolutionGraph:
-    __slots__ = ("nodes", "edges", "self_intersection", "leaf_variables", "label", "_adj")
+    """A tree of curves. Its adjacency is fixed at construction, so the
+    topology (node positions, center, branches, curve order, basic
+    leaves) is worked out there and paths are kept once found; nothing
+    derived from the self-intersections is kept."""
+
+    __slots__ = (
+        "nodes",
+        "edges",
+        "self_intersection",
+        "leaf_variables",
+        "label",
+        "index_of",
+        "_adj",
+        "_center",
+        "_branches",
+        "_curve_order",
+        "_basic_leaves",
+        "_paths",
+    )
 
     def __init__(self, nodes, edges, self_intersection=None, leaf_variables=(), label=None):
         ns = tuple(sorted(set(int(x) for x in nodes)))
@@ -79,6 +99,14 @@ class ResolutionGraph:
         self.leaf_variables = tuple(lv)
         self.label = label
         self._adj = adj
+        # read-only node -> position in ``nodes``
+        self.index_of = MappingProxyType({n: i for i, n in enumerate(ns)})
+        self._center, self._branches, self._curve_order = _star_topology(ns, adj)
+        if self._center is None:
+            self._basic_leaves = self.leaves()
+        else:
+            self._basic_leaves = self.branch_ends()
+        self._paths = {}
 
     # --- basic queries -------------------------------------------------
 
@@ -92,37 +120,29 @@ class ResolutionGraph:
         return tuple(n for n in self.nodes if self.valence(n) <= 1)
 
     def node_index(self, node):
-        return self.nodes.index(node)
+        try:
+            return self.index_of[node]
+        except KeyError:
+            raise ParameterError("unknown node %r" % (node,)) from None
 
     def center(self):
         """The unique node of valence >= 3, or None."""
-        hubs = [n for n in self.nodes if self.valence(n) >= 3]
-        return hubs[0] if len(hubs) == 1 else None
+        return self._center
 
     def branches(self):
         """Chains hanging off the center, center-outward, sorted by their
         first node id."""
-        c = self.center()
-        if c is None:
+        if self._center is None:
             raise ParameterError("graph has no unique center")
-        out = []
-        for start in self.neighbors(c):
-            chain = [start]
-            prev, cur = c, start
-            while True:
-                nxt = [m for m in self._adj[cur] if m != prev]
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise ParameterError("branch through node %d forks" % cur)
-                prev, cur = cur, nxt[0]
-                chain.append(cur)
-            out.append(tuple(chain))
-        out.sort(key=lambda ch: ch[0])
-        return tuple(out)
+        return self._branches
 
     def branch_ends(self):
         return tuple(ch[-1] for ch in self.branches())
+
+    def basic_leaves(self):
+        """The nodes a basic degree may sit on: the branch ends of a star,
+        the leaves of a chain."""
+        return self._basic_leaves
 
     def branch_of(self, node):
         for ch in self.branches():
@@ -132,6 +152,10 @@ class ResolutionGraph:
 
     def path(self, a, b):
         """The unique path from a to b, inclusive."""
+        try:
+            return self._paths[a, b]
+        except KeyError:
+            pass
         if a not in self._adj or b not in self._adj:
             raise ParameterError("path endpoints must be nodes")
         parent = {a: None}
@@ -148,7 +172,8 @@ class ResolutionGraph:
         while parent[out[-1]] is not None:
             out.append(parent[out[-1]])
         out.reverse()
-        return tuple(out)
+        self._paths[a, b] = out = tuple(out)
+        return out
 
     def distance(self, a, b):
         return len(self.path(a, b)) - 1
@@ -157,22 +182,13 @@ class ResolutionGraph:
         """Curve processing order: branches ascending by (length, first
         node id), center-outward, with the center inserted right before
         the last branch. Chains use plain node order."""
-        c = self.center()
-        if c is None:
-            return self.nodes
-        bs = sorted(self.branches(), key=lambda ch: (len(ch), ch[0]))
-        order = []
-        for i, ch in enumerate(bs):
-            if i == len(bs) - 1:
-                order.append(c)
-            order.extend(ch)
-        return tuple(order)
+        return self._curve_order
 
     # --- linear data ---------------------------------------------------
 
     def intersection_matrix(self):
         n = len(self.nodes)
-        idx = {v: i for i, v in enumerate(self.nodes)}
+        idx = self.index_of
         m = [[0] * n for _ in range(n)]
         for v in self.nodes:
             m[idx[v]][idx[v]] = self.self_intersection[v]
@@ -241,6 +257,37 @@ class ResolutionGraph:
 
     def __repr__(self):
         return "ResolutionGraph(label=%r, nodes=%d)" % (self.label, len(self.nodes))
+
+
+def _star_topology(nodes, adj):
+    """(center, branches, curve order) of a tree: the unique node of
+    valence >= 3 or None, the chains off it (None without a center) and
+    the curve order."""
+    hubs = [n for n in nodes if len(adj[n]) >= 3]
+    if len(hubs) != 1:
+        return None, None, nodes
+    center = hubs[0]
+    branches = []
+    for start in adj[center]:
+        chain = [start]
+        prev, cur = center, start
+        while True:
+            nxt = [m for m in adj[cur] if m != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise ParameterError("branch through node %d forks" % cur)
+            prev, cur = cur, nxt[0]
+            chain.append(cur)
+        branches.append(tuple(chain))
+    branches.sort(key=lambda ch: ch[0])
+    by_length = sorted(branches, key=lambda ch: (len(ch), ch[0]))
+    order = []
+    for i, ch in enumerate(by_length):
+        if i == len(by_length) - 1:
+            order.append(center)
+        order.extend(ch)
+    return center, tuple(branches), tuple(order)
 
 
 def build_singularity(family, n):

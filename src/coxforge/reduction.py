@@ -22,6 +22,7 @@ audit certifies each step of a reduction independently.
 """
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 from .cox import presentation_from_graph, relation_from_graph
 from .errors import (
@@ -168,11 +169,11 @@ def _columns(graph):
 
 
 def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _sum_columns(cols, nodes, graph):
@@ -192,14 +193,20 @@ def _check_degree(degree, graph):
     return d
 
 
+def _twice_weights(graph):
+    """The S-measure weights doubled: 1 on nodes 1 and 2, 2 elsewhere."""
+    return tuple(1 if v in (1, 2) else 2 for v in graph.nodes)
+
+
+def _measure(degree, twice_weights):
+    # one integer sum and one Fraction per measure
+    return Fraction(sum(map(mul, twice_weights, degree)), 2)
+
+
 def s_measure(degree, graph):
     """Termination measure: half weight on the coordinates of nodes 1
     and 2, full weight elsewhere."""
-    halves = {graph.node_index(v) for v in (1, 2) if v in graph.nodes}
-    total = Fraction(0)
-    for i, c in enumerate(degree):
-        total += Fraction(c, 2) if i in halves else Fraction(c)
-    return total
+    return _measure(degree, _twice_weights(graph))
 
 
 def is_basic(degree, graph):
@@ -210,12 +217,7 @@ def is_basic(degree, graph):
     if len(nonzero) > 1:
         return False
     i, c = nonzero[0]
-    if c < 0:
-        return False
-    node = graph.nodes[i]
-    if graph.center() is None:
-        return node in graph.leaves()
-    return node in graph.branch_ends()
+    return c > 0 and graph.nodes[i] in graph.basic_leaves()
 
 
 def h0_tree(chain_degrees):
@@ -235,20 +237,19 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
     order = graph.curve_order()
-    idx = {v: graph.node_index(v) for v in order}
+    idx = graph.index_of
     cols = _columns(graph)
     steps = []
-    while True:
-        neg = next((v for v in order if d[idx[v]] < 0), None)
-        if neg is None:
-            return ReductionTrace(degree, d, steps, True)
+    while min(d) < 0:
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False)
+        neg = next(v for v in order if d[idx[v]] < 0)
         after = _vec_sub(d, cols[neg])
         step = ReductionStep("SubtractCurve", (neg,), (neg,), d, after)
         step.expected_cokernel_dim = expected_cokernel_dim(step, graph)
         steps.append(step)
         d = after
+    return ReductionTrace(degree, d, steps, True)
 
 
 def _shift_target(graph, node):
@@ -262,15 +263,14 @@ def _shift_target(graph, node):
     return graph.branch_of(node)[-1]
 
 
-def _eligible_pairs(d, ones, graph, idx, pos):
-    for a in range(len(ones)):
-        for b in range(a + 1, len(ones)):
-            u, w = ones[a], ones[b]
-            path = graph.path(u, w)
-            if all(d[idx[v]] == 0 for v in path[1:-1]):
-                key = tuple(sorted((pos[u], pos[w])))
-                first, second = sorted((u, w), key=pos.get)
-                yield key, first, second
+def _least_eligible_pair(d, ones, graph, idx):
+    """The order-least pair of 1's with only zeros strictly between
+    them. ``ones`` is in curve order, so pairs are met in increasing
+    order and the first eligible one is the least."""
+    for a, u in enumerate(ones):
+        for w in ones[a + 1:]:
+            if all(d[idx[v]] == 0 for v in graph.path(u, w)[1:-1]):
+                return u, w
 
 
 def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
@@ -281,11 +281,11 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
     order = graph.curve_order()
-    idx = {v: graph.node_index(v) for v in order}
-    pos = {v: k for k, v in enumerate(order)}
+    idx = graph.index_of
     cols = _columns(graph)
+    weights = _twice_weights(graph)
     steps = []
-    measures = [s_measure(d, graph)]
+    measures = [_measure(d, weights)]
 
     def push(kind, nodes, curves, after):
         step = ReductionStep(kind, nodes, curves, d, after)
@@ -295,21 +295,21 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     while not is_basic(d, graph):
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False, measures)
-        big = next((v for v in order if d[idx[v]] >= 2), None)
-        if big is not None:
+        if max(d) >= 2:
+            big = next(v for v in order if d[idx[v]] >= 2)
             after = _vec_add(d, cols[big])
             push("AddCurve", (big,), (big,), after)
             d = after
-            measures.append(s_measure(d, graph))
+            measures.append(_measure(d, weights))
             continue
         ones = [v for v in order if d[idx[v]] == 1]
         if len(ones) >= 2:
-            _, i, j = min(_eligible_pairs(d, ones, graph, idx, pos))
+            i, j = _least_eligible_pair(d, ones, graph, idx)
             chain = graph.path(i, j)
             after = _vec_add(d, _sum_columns(cols, chain, graph))
             push("AddChain", (i, j), chain, after)
             d = after
-            measures.append(s_measure(d, graph))
+            measures.append(_measure(d, weights))
             continue
         # a single coordinate equal to 1 remains: shift it to a leaf
         p = ones[0]
@@ -328,8 +328,11 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
 
 def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
     """The nef pass and, when it terminates, the basic pass on its
-    terminal, as one trace (each pass gets step_cap steps). The
-    measures are those of the basic pass."""
+    terminal, as one trace. The measures are those of the basic pass.
+
+    step_cap bounds each pass on its own, not the trace: the nef pass
+    and the basic pass get step_cap steps each, so a terminated trace
+    can hold up to 2 * step_cap steps."""
     nef = reduce_to_nef(degree, graph, step_cap)
     if not nef.terminated:
         return nef
@@ -347,7 +350,7 @@ def expected_cokernel_dim(step, graph):
     """Combinatorial cokernel dimension of one step, from the section
     count over the step's chain. Raises when the step violates the
     hypotheses the count relies on."""
-    idx = {v: graph.node_index(v) for v in graph.nodes}
+    idx = graph.index_of
     before = step.degree_before
     after = step.degree_after
     if step.kind == "SubtractCurve":
@@ -360,7 +363,7 @@ def expected_cokernel_dim(step, graph):
         return 0
     if step.kind == "AddCurve":
         (i,) = step.nodes
-        if any(c < 0 for c in before):
+        if min(before) < 0:
             raise HypothesisViolationError("AddCurve needs a nef degree")
         if before[idx[i]] < 2:
             raise HypothesisViolationError(
@@ -371,7 +374,7 @@ def expected_cokernel_dim(step, graph):
     if step.kind == "AddChain":
         i, j = step.nodes
         chain = step.curves
-        if any(c < 0 for c in before):
+        if min(before) < 0:
             raise HypothesisViolationError("AddChain needs a nef degree")
         if before[idx[i]] != 1:
             raise HypothesisViolationError(
@@ -401,7 +404,7 @@ def expected_cokernel_dim(step, graph):
         _, j = step.nodes
         chain = step.curves
         q = chain[0]
-        if any(c < 0 for c in after):
+        if min(after) < 0:
             raise HypothesisViolationError("ShiftToLeaf must land on a nef degree")
         if q == j:
             if after[idx[j]] < 2:
@@ -434,18 +437,25 @@ def _step_multiplier(step, grading):
     return grading.monomial(counts)
 
 
-def _quotient_dim(pres, mono, source, target, cap):
+def _quotient_dims(pres, mono, source, target, cap):
     # Work in the quotient's own monomial basis: the lead-free monomials
     # span each graded piece, and exact normal forms express the image
     # rows in that basis. Cutting relation multiples against a raw
     # monomial list instead leaves a window of unreduced monomials (the
     # relation terms differ in total degree), which plateaus at wrong
     # dimensions for several caps in a row.
+    #
+    # Returns the dimensions truncated at cap - 1 and at cap from one
+    # enumeration at cap: the cap - 1 pieces are the monomials of total
+    # degree <= cap - 1 of the cap ones, a row's normal form does not
+    # depend on the cap, and a rank does not depend on how the columns
+    # are numbered.
     std = graded_piece_basis(pres, target, cap)
     index = {}
     for m in std:
         index[m] = len(index)
     rows = []
+    inner_rows = []
     budget = cap - mono.total()
     if budget >= 0:
         for s in graded_piece_basis(pres, source, budget):
@@ -461,7 +471,10 @@ def _quotient_dim(pres, mono, source, target, cap):
                 row[index[m]] = int(c)
             if row:
                 rows.append(row)
-    return len(std) - rank_sparse(rows)
+                if s.total() < budget:
+                    inner_rows.append(row)
+    inner_std = sum(1 for m in std if m.total() < cap)
+    return inner_std - rank_sparse(inner_rows), len(std) - rank_sparse(rows)
 
 
 def cokernel_dimension(pres, step, cap=DEFAULT_COKERNEL_CAP):
@@ -483,8 +496,7 @@ def cokernel_dimension(pres, step, cap=DEFAULT_COKERNEL_CAP):
     shifted = _vec_add(grading.degree_of(mono), source)
     if shifted != tuple(target):
         raise ParameterError("step degrees are inconsistent with its curves")
-    previous = _quotient_dim(pres, mono, source, target, cap - 1)
-    current = _quotient_dim(pres, mono, source, target, cap)
+    previous, current = _quotient_dims(pres, mono, source, target, cap)
     return current, previous == current
 
 
@@ -552,8 +564,7 @@ def quotient_presentation(graph, leaf):
     """Presentation of the ring with the section variable at the given
     branch-end leaf set to zero: the variable is dropped and the
     relation loses the term it divides."""
-    ends = graph.branch_ends() if graph.center() is not None else graph.leaves()
-    if leaf not in ends:
+    if leaf not in graph.basic_leaves():
         raise ParameterError("node %d is not a branch-end leaf" % leaf)
     names = [name for name, at in graph.leaf_variables if at == leaf]
     if len(names) != 1:

@@ -113,6 +113,28 @@ def test_paths():
     assert g.distance(1, 4) == 3
 
 
+@pytest.mark.parametrize("case", ["D12", "E8", "custom:2,3,7"])
+def test_paths_are_simple_walks(case):
+    g = parse_case(case)
+    for a in g.nodes:
+        for b in g.nodes:
+            p = g.path(a, b)
+            assert type(p) is tuple
+            assert p[0] == a and p[-1] == b
+            assert all(v in g.neighbors(u) for u, v in zip(p, p[1:]))
+            assert len(set(p)) == len(p)
+            assert g.path(a, b) == p
+            assert g.path(b, a) == p[::-1]
+
+
+def test_node_index():
+    g = build_singularity("E", 7)
+    assert [g.node_index(v) for v in g.nodes] == list(range(7))
+    for bad in (7, -1, "0"):
+        with pytest.raises(ParameterError):
+            g.node_index(bad)
+
+
 def test_intersection_matrix_and_grading():
     g = build_singularity("D", 4)
     assert g.intersection_matrix() == [

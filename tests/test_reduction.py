@@ -1,10 +1,15 @@
+import gzip
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxforge import reduction
+from coxforge.cli import parse_case
 from coxforge.cox import presentation_from_graph
 from coxforge.errors import (
     HypothesisViolationError,
@@ -54,6 +59,27 @@ def test_s_measure_values():
 def test_s_measure_chain_counts_all_coordinates():
     a3 = build_singularity("A", 3)
     assert s_measure((1, 1, 1), a3) == Fraction(2)
+
+
+ADE_CASES = (
+    ["A%d" % n for n in range(1, 9)]
+    + ["D%d" % n for n in range(4, 13)]
+    + ["E6", "E7", "E8"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_s_measure_matches_a_fraction_sum(data):
+    graph = parse_case(data.draw(st.sampled_from(ADE_CASES)))
+    width = len(graph.nodes)
+    degree = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width)))
+    expected = Fraction(0)
+    for node, c in zip(graph.nodes, degree):
+        expected += Fraction(c, 2) if node in (1, 2) else Fraction(c)
+    got = s_measure(degree, graph)
+    assert type(got) is Fraction
+    assert got == expected
 
 
 def test_h0_tree():
@@ -275,6 +301,43 @@ def test_reduction_pipeline_properties(coords, step_cap):
         assert is_basic(trace.terminal, d5)
         ms = trace.measures
         assert all(a >= b for a, b in zip(ms, ms[1:]))
+
+
+TRACE_CASES = ("A8", "D8", "D12", "E7", "E8")
+TRACE_CELLS_PER_CASE = 20
+# step-capped runs: the D8 cell terminates because each pass gets the
+# cap on its own (3 + 4 steps), the E8 cell runs out of steps
+CAPPED_TRACE_CELLS = (
+    ("D8", (-2, -2, 2, 2, 0, 0, 1, 1), 5),
+    ("E8", (-1, -1, -1, -1, -1, -1, -1, -1), 3),
+)
+
+
+def _trace_cells():
+    rng = random.Random("reduce-traces")
+    for case in TRACE_CASES:
+        width = len(parse_case(case).nodes)
+        for _ in range(TRACE_CELLS_PER_CASE):
+            cell = tuple(rng.randint(-6, 6) for _ in range(width))
+            yield case, cell, reduction.DEFAULT_STEP_CAP
+    yield from CAPPED_TRACE_CELLS
+
+
+def _reduce_traces_document():
+    """``reduce(graph, cell, step_cap).to_dict()`` of every trace cell,
+    one JSON line each."""
+    lines = []
+    for case, cell, step_cap in _trace_cells():
+        trace = reduction.reduce(parse_case(case), cell, step_cap)
+        entry = {"case": case, "cell": list(cell), "step_cap": step_cap, "trace": trace.to_dict()}
+        lines.append(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_reduce_traces_match_golden():
+    # tests/data holds these traces (gzipped, the JSON is 4.7 MB), byte for byte
+    golden = Path(__file__).parent / "data" / "reduce_traces.json.gz"
+    assert _reduce_traces_document() == gzip.decompress(golden.read_bytes())
 
 
 # ---------------------------------------------------------- expected dims
