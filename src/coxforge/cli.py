@@ -92,6 +92,18 @@ def grid_sample(width, count, seed=DEFAULT_SEED, lo=-3, hi=3):
     return out
 
 
+def _integer(value, what):
+    """One integer setting: an int, or a string that parses as one."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParameterError("%s needs an integer, got %r" % (what, value))
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -120,10 +132,7 @@ def _parse_caps_flags(entries):
                 raise ParameterError(
                     "unknown cap %r (known: %s)" % (key, ", ".join(sorted(DEFAULT_CAPS)))
                 )
-            try:
-                caps[key] = int(value)
-            except ValueError:
-                raise ParameterError("cap %r needs an integer, got %r" % (key, value))
+            caps[key] = _integer(value, "cap %r" % key)
     return caps
 
 
@@ -139,17 +148,19 @@ def resolve_settings(args, environ=None):
     for key, value in config_caps.items():
         if key not in DEFAULT_CAPS:
             raise ParameterError("unknown cap %r in config" % key)
-        caps[key] = int(value)
+        caps[key] = _integer(value, "config cap %r" % key)
     env_cap = environ.get("COXFORGE_CAP")
     if env_cap is not None:
-        try:
-            caps["cokernel"] = int(env_cap)
-        except ValueError:
-            raise ParameterError("COXFORGE_CAP needs an integer, got %r" % env_cap)
+        caps["cokernel"] = _integer(env_cap, "COXFORGE_CAP")
     caps.update(_parse_caps_flags(args.caps))
-    grid = args.grid if args.grid is not None else config.get("grid", DEFAULT_GRID)
-    seed = config.get("seed", DEFAULT_SEED)
-    return {"caps": caps, "grid": int(grid), "seed": int(seed)}
+    grid = args.grid
+    if grid is None:
+        grid = _integer(config.get("grid", DEFAULT_GRID), "config grid")
+    if grid < 1:
+        # an empty sample would pass every check without doing any work
+        raise ParameterError("grid needs at least 1 cell, got %d" % grid)
+    seed = _integer(config.get("seed", DEFAULT_SEED), "config seed")
+    return {"caps": caps, "grid": grid, "seed": seed}
 
 
 def _split_case(graph):
@@ -219,8 +230,11 @@ def cmd_reduce(graph, degree, settings):
     return payload, EXIT_OK if payload["ok"] else EXIT_MISMATCH
 
 
-def _termination_sweep(graph, settings):
-    cells = grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
+def _grid_cells(graph, settings):
+    return grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
+
+
+def _termination_sweep(graph, cells, settings):
     is_d_type = (graph.label or "").startswith("D")
     max_steps = 0
     for d in cells:
@@ -236,9 +250,8 @@ def _termination_sweep(graph, settings):
     return {"cells": len(cells), "ok": True, "max_steps": max_steps}
 
 
-def _audit_sample(graph, settings):
+def _audit_sample(graph, cells, settings):
     caps = settings["caps"]
-    cells = grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
     reports = []
     ok = True
     for d in cells[:AUDIT_DEGREE_COUNT]:
@@ -282,10 +295,13 @@ def cmd_verify(graph, settings, with_timings):
     family, _ = _split_case(graph)
     sections = {}
     timings = {}
+    cells = _grid_cells(graph, settings)
     if family is None:
         _timed(sections, timings, "cox", lambda: _custom_cox_report(graph))
         if graph.is_negative_definite():
-            _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, settings))
+            _timed(
+                sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings)
+            )
         else:
             # greedy reduction has no termination certificate off the
             # negative-definite lattice, so the sweep would only time out
@@ -308,8 +324,8 @@ def cmd_verify(graph, settings, with_timings):
         return payload, EXIT_OK if ok else EXIT_MISMATCH
     _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
     _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
-    _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, settings))
-    _timed(sections, timings, "audits", lambda: _audit_sample(graph, settings))
+    _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings))
+    _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
     ok = all(section["ok"] for section in sections.values())
     payload = {"case": graph.label, "sections": sections, "ok": ok}
     if with_timings:
@@ -326,7 +342,8 @@ def cmd_report(graph, settings, with_timings):
         _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
     _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
     if family is not None:
-        _timed(sections, timings, "audits", lambda: _audit_sample(graph, settings))
+        cells = _grid_cells(graph, settings)
+        _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
     else:
         _timed(
             sections, timings, "counterexample", lambda: _counterexample_section(graph, settings)

@@ -2,11 +2,11 @@
 
 Matrices are plain lists of lists of ints; no floating point anywhere.
 One fraction-free Gauss-Jordan core, row_reduce (Bareiss 1968), serves
-rank, nullspace, det, adjugate, inverse and int_inverse. Only inverse
-returns Fractions, and primitive also accepts them. rank_sparse keeps
-its own elimination over dict rows for the sparse audit matrices. The
-Hermite/diagonalization routines return the unimodular transforms,
-which the lattice-point machinery needs.
+rank, nullspace, det, adjugate and int_inverse; primitive also accepts
+Fractions. rank_sparse keeps its own elimination over dict rows for the
+sparse audit matrices. hnf_columns, diagonalize and int_inverse have no
+caller in the package; the benchmark's per-layer tracer still names
+them, and they go when it stops.
 """
 
 from fractions import Fraction
@@ -226,18 +226,6 @@ def hnf_columns(a):
     return h, u, pivots
 
 
-def kernel_basis(a, width=None):
-    """Lattice basis of {v in Z^n : A v = 0}, as a list of tuples."""
-    if not a:
-        if width is None:
-            raise ValueError("width required for empty matrix")
-        return [tuple(1 if i == j else 0 for j in range(width)) for i in range(width)]
-    h, u, pivots = hnf_columns(a)
-    n = len(a[0])
-    rk = len(pivots)
-    return [tuple(u[i][j] for i in range(n)) for j in range(rk, n)]
-
-
 def _row_sub(m, i, k, q):
     m[i] = [a - q * b for a, b in zip(m[i], m[k])]
 
@@ -296,14 +284,6 @@ def diagonalize(a):
         if t == min(m, n):
             break
     return u, s, v
-
-
-def inverse(m):
-    """Exact inverse of a nonsingular square matrix, as Fractions."""
-    adj, d = adjugate(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return [[Fraction(x, d) for x in row] for row in adj]
 
 
 def int_inverse(m):

@@ -2,16 +2,16 @@
 
 Everything is exact: exponents are Python ints, coefficients are
 Fractions. A Grading pairs a variable table with an integer degree
-matrix whose rows are the lattice coordinates. A graded piece is
-enumerated by a linear solve: once the free exponents are fixed, the
-degree determines the pivot exponents. Only the degree-zero monoid
-needs a Hilbert basis, from the diophantine solver.
+matrix whose rows are the lattice coordinates. Graded pieces and the
+degree-zero generators both come from the one lattice-point solver in
+diophantine: a graded piece is the fiber of the degree matrix over its
+degree, and the generators are the minimal nonzero points of the
+degree-zero fiber.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
-from . import diophantine, linalg
+from . import diophantine
 from .errors import ParameterError
 
 
@@ -267,113 +267,15 @@ def solve_degree_system(grading):
     return tuple(Monomial(m) for m in basis)
 
 
-def _independent(vectors, order):
-    """Greedy maximal independent subset of the vectors, tried in order."""
-    chosen = []
-    for i in order:
-        if linalg.rank([vectors[j] for j in chosen + [i]]) > len(chosen):
-            chosen.append(i)
-    return chosen
-
-
-@lru_cache(maxsize=None)
-def _pivot_system(grading):
-    """Split the degree matrix A for monomials_of_degree.
-
-    Pivot columns P are a maximal independent set tried from the last
-    column back, so on graph gradings they are the curve columns (one
-    section column joins them when the intersection matrix is singular);
-    the other columns are free. Rows R are independent rows of A[:, P],
-    so B = A[R][P] is invertible; with den = |det B| and adj = den B^-1
-    the pivot exponents are adj (d_R - F s) / den.
-
-    Every condition on the free exponents s is linear, a . s <= b: the
-    plain sum (a_j = 1, b = cap), the total degree (a_j = den -
-    sum(adj F_j), b = den cap - sum(adj d_R)) and each pivot exponent
-    being >= 0 (a_j = (adj F_j)_i, b = (adj d_R)_i). Returns (R, P,
-    free, den, adj, coeffs, levels, dependent): coeffs[j] holds the a_j
-    of every condition in that order; levels[j] lists the conditions
-    whose coefficients on the later free exponents are all >= 0, so
-    that each bounds s_j by its slack b - a . s_prefix; dependent holds
-    (k, w) with den * A[k] = w . A[R] for each other row.
-    """
-    cols = [grading.column(v) for v in grading.variables]
-    pivots = _independent(cols, range(grading.width - 1, -1, -1))
-    on_pivots = [[row[c] for c in pivots] for row in grading.matrix]
-    rows = _independent(on_pivots, range(grading.lattice_rank))
-    b = [on_pivots[i] for i in rows]
-    adj, det = linalg.adjugate(b)
-    den = abs(det)
-    if det < 0:
-        adj = [[-x for x in row] for row in adj]
-    free = [c for c in range(grading.width) if c not in pivots]
-    coeffs = []
-    for c in free:
-        image = linalg.mat_vec(adj, [cols[c][i] for i in rows])
-        coeffs.append([1, den - sum(image)] + image)
-    levels = [
-        [i for i in range(2 + len(rows)) if all(a[i] >= 0 for a in coeffs[j + 1 :])]
-        for j in range(len(free))
-    ]
-    dependent = [
-        (k, linalg.mat_vec(linalg.transpose(adj), on_pivots[k]))
-        for k in range(grading.lattice_rank)
-        if k not in rows
-    ]
-    return rows, pivots, free, den, adj, coeffs, levels, dependent
-
-
 def monomials_of_degree(grading, degree, cap):
-    """Monomials of the given degree with total degree <= cap, sorted.
-
-    Each free exponent runs over the interval that its qualifying
-    conditions (see _pivot_system) leave open, given the exponents
-    before it; at the last free exponent every condition qualifies. The
-    pivot exponents follow from the degree, and a monomial is kept when
-    they are nonnegative integers and the total stays within cap."""
+    """Monomials of the given degree with total degree <= cap, sorted:
+    the points of diophantine.fiber_points on the degree matrix."""
     degree = tuple(degree)
     if len(degree) != grading.lattice_rank:
         raise ParameterError(
             "degree has %d coordinates, grading has %d" % (len(degree), grading.lattice_rank)
         )
-    rows, pivots, free, den, adj, coeffs, levels, dependent = _pivot_system(grading)
-    d_rows = [degree[i] for i in rows]
-    if any(den * degree[k] != linalg.dot(w, d_rows) for k, w in dependent):
-        return []
-    exps = [0] * grading.width
-    out = []
-
-    def place(j, slack):
-        # slack = [cap - plain sum, den*cap - den*total, *num]; num / den
-        # are the pivot exponents once every free exponent is placed
-        if j == len(free):
-            num = slack[2:]
-            if any(x < 0 or x % den for x in num):
-                return
-            ys = [x // den for x in num]
-            if sum(ys) <= slack[0]:
-                for c, y in zip(pivots, ys):
-                    exps[c] = y
-                out.append(Monomial(exps))
-            return
-        a = coeffs[j]
-        lo, hi = 0, slack[0]  # the plain sum bounds every level
-        for i in levels[j]:
-            if a[i] > 0:
-                hi = min(hi, slack[i] // a[i])
-            elif a[i] < 0:
-                lo = max(lo, -(slack[i] // -a[i]))
-            elif slack[i] < 0:
-                return
-        slack = [x - lo * y for x, y in zip(slack, a)]
-        for v in range(lo, hi + 1):
-            exps[free[j]] = v
-            place(j + 1, slack)
-            slack = [x - y for x, y in zip(slack, a)]
-
-    num = linalg.mat_vec(adj, d_rows)
-    place(0, [cap, den * cap - sum(num)] + num)
-    return sorted(out)
+    return [Monomial(s) for s in diophantine.fiber_points(grading.matrix, degree, cap)]
 
 
 class RingPresentation:

@@ -128,6 +128,20 @@ def test_verify_matches_golden_report(capsys, case):
     assert out.encode("utf-8") == golden.read_bytes()
 
 
+INVARIANTS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "invariants_ade.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANTS_GOLDEN))
+def test_invariants_matches_golden_report(capsys, case):
+    # tests/data/invariants_ade.json holds stdout and exit code of
+    # `invariants` on every ADE case A1-A8, D4-D12, E6-E8
+    code, out = run(capsys, ["invariants", "--case", case])
+    assert code == INVARIANTS_GOLDEN[case]["exit"]
+    assert out == INVARIANTS_GOLDEN[case]["stdout"]
+
+
 @pytest.mark.parametrize(
     "case,degree,caps,exit_code",
     [
@@ -273,3 +287,51 @@ def test_grid_sample_full_box_and_determinism():
     assert a != c
     assert len(set(a)) == 500
     assert all(all(-3 <= x <= 3 for x in cell) for cell in a)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"caps": {"step": "abc"}},
+        {"caps": {"cokernel": None}},
+        {"caps": {"step": 2.5}},
+        {"grid": "x"},
+        {"grid": True},
+        {"seed": [1]},
+    ],
+)
+def test_config_values_must_be_integers(capsys, tmp_path, config):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["verify", "--case", "A3", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and "needs an integer" in err
+
+
+def test_caps_flag_and_env_need_integers(capsys, monkeypatch):
+    assert cli.main(["verify", "--case", "A3", "--caps", "step=abc"]) == 2
+    assert capsys.readouterr().err == "error: cap 'step' needs an integer, got 'abc'\n"
+    monkeypatch.setenv("COXFORGE_CAP", "1.5")
+    assert cli.main(["verify", "--case", "A3"]) == 2
+    assert capsys.readouterr().err == "error: COXFORGE_CAP needs an integer, got '1.5'\n"
+
+
+def test_string_integers_in_config_still_parse(tmp_path):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"caps": {"step": "400"}, "grid": "77", "seed": 5}))
+    args = cli.build_parser().parse_args(["verify", "--case", "D4", "--config", str(path)])
+    settings = cli.resolve_settings(args, environ={})
+    assert (settings["caps"]["step"], settings["grid"], settings["seed"]) == (400, 77, 5)
+
+
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_grid_below_one_is_rejected(capsys, tmp_path, grid):
+    # an empty grid would report "ok" for a sweep and audits never run
+    assert cli.main(["verify", "--case", "A3", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid needs at least 1 cell, got %s\n" % grid
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"grid": int(grid)}))
+    assert cli.main(["verify", "--case", "A3", "--config", str(path)]) == 2
+    capsys.readouterr()

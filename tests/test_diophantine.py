@@ -25,29 +25,12 @@ def test_cone_rays_rejects_halfplane():
         diophantine.cone_rays([[1, 0]], 2)
 
 
-def test_parallelepiped_unit_square():
-    assert diophantine.parallelepiped_points([(1, 0), (0, 1)]) == [(0, 0)]
-
-
-def test_parallelepiped_index_three():
-    pts = diophantine.parallelepiped_points([(0, 1), (3, 1)])
-    assert sorted(pts) == [(0, 0), (1, 1), (2, 1)]
-
-
-def test_parallelepiped_lower_dimensional():
-    pts = diophantine.parallelepiped_points([(2, 4)])
-    assert sorted(pts) == [(0, 0), (1, 2)]
-
-
-def test_triangulate_square_cone():
-    rays = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]
-    simplices = diophantine.triangulate_cone(rays)
-    assert len(simplices) == 2
-    for s in simplices:
-        assert len(s) == 3
-        assert linalg.rank([rays[i] for i in s]) == 3
-    # the common ray of the two simplices is the pulling vertex
-    assert set(simplices[0]) & set(simplices[1])
+def test_hilbert_basis_square_cone():
+    # four rays, so the cone is not simplicial
+    ineqs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]
+    assert diophantine.cone_rays(ineqs, 3) == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
+    hb = diophantine.hilbert_basis_inequalities(ineqs, 3)
+    assert hb == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
 
 
 def test_hilbert_basis_quadrant():
@@ -58,6 +41,14 @@ def test_hilbert_basis_quadrant():
 def test_hilbert_basis_slanted():
     hb = diophantine.hilbert_basis_inequalities([[1, 0], [-1, 3]], 2)
     assert sorted(hb) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+
+def test_hilbert_basis_unsaturated_slack_lattice():
+    # the slack map x -> B x has index 2 and 4 here: the minimal nonzero
+    # slack vectors (1, 0), (0, 1) come from no integer point
+    hb = diophantine.hilbert_basis_inequalities([[1, 1], [1, -1]], 2)
+    assert hb == [(1, -1), (1, 0), (1, 1)]
+    assert diophantine.hilbert_basis_inequalities([[2, 0], [0, 2]], 2) == [(0, 1), (1, 0)]
 
 
 def test_hilbert_basis_octant():
@@ -108,6 +99,95 @@ def test_hilbert_basis_planar_cones(rows):
         for y in range(-6, 7):
             if diophantine.in_cone(ineqs, (x, y)):
                 assert decomposable((x, y))
+
+
+def _assert_minimal_and_complete(basis, member, box):
+    """No basis element lies above another (their difference would be a
+    monoid element), and every monoid point of the box is a sum of
+    basis elements with every partial sum in the monoid."""
+    for h in basis:
+        for c in basis:
+            diff = tuple(a - b for a, b in zip(h, c))
+            if c != h:
+                assert not member(diff)
+    memo = {}
+
+    def decomposable(v):
+        if not any(v):
+            return True
+        if v not in memo:
+            memo[v] = False
+            for h in basis:
+                w = tuple(a - b for a, b in zip(v, h))
+                if member(w) and decomposable(w):
+                    memo[v] = True
+                    break
+        return memo[v]
+
+    for v in box:
+        if member(v):
+            assert decomposable(v), v
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
+        min_size=3,
+        max_size=5,
+    )
+)
+def test_hilbert_basis_spatial_cones(rows):
+    ineqs = [list(r) for r in rows]
+    assume(linalg.rank(ineqs) == 3)
+    hb = diophantine.hilbert_basis_inequalities(ineqs, 3)
+    assert hb == sorted(set(hb))
+    for h in hb:
+        assert any(h) and diophantine.in_cone(ineqs, h)
+    for r in diophantine.cone_rays(ineqs, 3):
+        assert r in hb
+    _assert_minimal_and_complete(
+        hb, lambda v: diophantine.in_cone(ineqs, v), product(range(-4, 5), repeat=3)
+    )
+
+
+@st.composite
+def _small_systems(draw):
+    """1-3 rows, 1-5 columns, entries in [-3, 3]; a zero column, a row
+    repeated, or a row of positive entries (no nonzero solution) on
+    demand."""
+    shape = draw(st.sampled_from(["any", "zero column", "repeated row", "positive row"]))
+    n_rows = draw(st.integers(2 if shape == "repeated row" else 1, 3))
+    width = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    matrix = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    if shape == "zero column":
+        j = draw(st.integers(0, width - 1))
+        for r in matrix:
+            r[j] = 0
+    elif shape == "repeated row":
+        k, i = draw(st.permutations(range(n_rows)))[:2]
+        matrix[k] = list(matrix[i])
+    elif shape == "positive row":
+        k = draw(st.integers(0, n_rows - 1))
+        matrix[k] = draw(st.lists(st.integers(1, 3), min_size=width, max_size=width))
+    return matrix
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_systems())
+def test_solve_nonneg_random_systems(matrix):
+    basis = diophantine.solve_nonneg(matrix)
+    assert basis == sorted(set(basis), key=lambda v: (sum(v), v))
+    for h in basis:
+        assert any(h) and all(x >= 0 for x in h)
+        assert all(x == 0 for x in linalg.mat_vec(matrix, list(h)))
+
+    def member(v):
+        return all(x >= 0 for x in v) and not any(linalg.mat_vec(matrix, list(v)))
+
+    box = product(range(5), repeat=len(matrix[0]))
+    _assert_minimal_and_complete(basis, member, box)
 
 
 def _expand(recession, width, bound):
