@@ -58,49 +58,6 @@ def test_hilbert_basis_octant():
     assert sorted(hb) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-        min_size=2,
-        max_size=4,
-    )
-)
-def test_hilbert_basis_planar_cones(rows):
-    ineqs = [list(r) for r in rows]
-    assume(linalg.rank(ineqs) == 2)
-    hb = diophantine.hilbert_basis_inequalities(ineqs, 2)
-    for h in hb:
-        assert diophantine.in_cone(ineqs, h)
-    # minimality: no element is another plus a monoid element
-    for h in hb:
-        for c in hb:
-            diff = tuple(a - b for a, b in zip(h, c))
-            if c != h and any(x != 0 for x in diff):
-                assert not diophantine.in_cone(ineqs, diff)
-    # completeness on a small box: every monoid point is a sum of basis
-    # elements, all partial sums staying in the monoid
-    memo = {}
-
-    def decomposable(v):
-        if all(x == 0 for x in v):
-            return True
-        if v in memo:
-            return memo[v]
-        memo[v] = False
-        for h in hb:
-            w = tuple(a - b for a, b in zip(v, h))
-            if diophantine.in_cone(ineqs, w) and decomposable(w):
-                memo[v] = True
-                break
-        return memo[v]
-
-    for x in range(-6, 7):
-        for y in range(-6, 7):
-            if diophantine.in_cone(ineqs, (x, y)):
-                assert decomposable((x, y))
-
-
 def _assert_minimal_and_complete(basis, member, box):
     """No basis element lies above another (their difference would be a
     monoid element), and every monoid point of the box is a sum of
@@ -127,6 +84,25 @@ def _assert_minimal_and_complete(basis, member, box):
     for v in box:
         if member(v):
             assert decomposable(v), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        min_size=2,
+        max_size=4,
+    )
+)
+def test_hilbert_basis_planar_cones(rows):
+    ineqs = [list(r) for r in rows]
+    assume(linalg.rank(ineqs) == 2)
+    hb = diophantine.hilbert_basis_inequalities(ineqs, 2)
+    for h in hb:
+        assert diophantine.in_cone(ineqs, h)
+    _assert_minimal_and_complete(
+        hb, lambda v: diophantine.in_cone(ineqs, v), product(range(-6, 7), repeat=2)
+    )
 
 
 @settings(max_examples=40, deadline=None)
