@@ -9,7 +9,8 @@ is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
 the nef pass and the basic pass of `reduce` and of the verify sweep get
-N steps each.
+N steps each. Every cap, from a flag, COXFORGE_CAP or the config file,
+must be at least 1.
 """
 
 import argparse
@@ -104,6 +105,16 @@ def _integer(value, what):
     raise ParameterError("%s needs an integer, got %r" % (what, value))
 
 
+def _cap(value, what):
+    """One cap setting: an integer of at least 1. A zero or negative cap
+    would cut a reduction pass, an audit or a relation search off before
+    it did any work."""
+    cap = _integer(value, what)
+    if cap < 1:
+        raise ParameterError("%s needs at least 1, got %d" % (what, cap))
+    return cap
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -132,7 +143,7 @@ def _parse_caps_flags(entries):
                 raise ParameterError(
                     "unknown cap %r (known: %s)" % (key, ", ".join(sorted(DEFAULT_CAPS)))
                 )
-            caps[key] = _integer(value, "cap %r" % key)
+            caps[key] = _cap(value, "cap %r" % key)
     return caps
 
 
@@ -148,10 +159,10 @@ def resolve_settings(args, environ=None):
     for key, value in config_caps.items():
         if key not in DEFAULT_CAPS:
             raise ParameterError("unknown cap %r in config" % key)
-        caps[key] = _integer(value, "config cap %r" % key)
+        caps[key] = _cap(value, "config cap %r" % key)
     env_cap = environ.get("COXFORGE_CAP")
     if env_cap is not None:
-        caps["cokernel"] = _integer(env_cap, "COXFORGE_CAP")
+        caps["cokernel"] = _cap(env_cap, "COXFORGE_CAP")
     caps.update(_parse_caps_flags(args.caps))
     grid = args.grid
     if grid is None:

@@ -14,14 +14,26 @@ procedures move a degree into normal position:
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 
+Both passes scan the degree once per step, over (node, index) pairs in
+curve order that are worked out once per call; the basic pass reads its
+is-basic test and its next step kind off that one scan. It keeps the
+doubled S-sum as an integer: adding the column of a node moves it by a
+constant of that node, so each measure is one addition and a cached
+``Fraction``.
+
 Every step carries a combinatorial expected cokernel dimension (a
-section count over the step's chain). ``cokernel_dimension`` recomputes
-that dimension by exact linear algebra on truncated graded pieces, and
-``audit`` checks every step of a terminated trace that way, so a full
-audit certifies each step of a reduction independently.
+section count over the step's chain). Each step kind has its own
+checker, which raises when the step violates the hypotheses the count
+relies on; the passes call the checker of their step kind on every step
+they emit, and ``expected_cokernel_dim`` dispatches to the same
+checkers. ``cokernel_dimension`` recomputes that dimension by exact
+linear algebra on truncated graded pieces, and ``audit`` checks every
+step of a terminated trace that way, so a full audit certifies each
+step of a reduction independently.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, sub
 
 from .cox import presentation_from_graph, relation_from_graph
@@ -164,8 +176,8 @@ class BaseCaseFamily:
 
 
 def _columns(graph):
-    m = graph.intersection_matrix()
-    return {v: tuple(row[i] for row in m) for i, v in enumerate(graph.nodes)}
+    # the intersection matrix is symmetric: its columns are its rows
+    return dict(zip(graph.nodes, map(tuple, graph.intersection_matrix())))
 
 
 def _vec_add(a, b):
@@ -198,15 +210,17 @@ def _twice_weights(graph):
     return tuple(1 if v in (1, 2) else 2 for v in graph.nodes)
 
 
-def _measure(degree, twice_weights):
-    # one integer sum and one Fraction per measure
-    return Fraction(sum(map(mul, twice_weights, degree)), 2)
+@lru_cache(maxsize=4096)
+def _half(twice):
+    # one Fraction per doubled S-value: a sweep meets a few hundred
+    # values over and over
+    return Fraction(twice, 2)
 
 
 def s_measure(degree, graph):
     """Termination measure: half weight on the coordinates of nodes 1
     and 2, full weight elsewhere."""
-    return _measure(degree, _twice_weights(graph))
+    return _half(sum(map(mul, _twice_weights(graph), degree)))
 
 
 def is_basic(degree, graph):
@@ -232,24 +246,32 @@ def h0_tree(chain_degrees):
     return 1 + sum(degs)
 
 
+def _pass_setup(graph):
+    """The (node, index) pairs in curve order and the column per node,
+    worked out once per pass."""
+    idx = graph.index_of
+    return tuple((v, idx[v]) for v in graph.curve_order()), _columns(graph)
+
+
 def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Subtract the column at the order-lowest negative coordinate until
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
-    order = graph.curve_order()
-    idx = graph.index_of
-    cols = _columns(graph)
+    spots, cols = _pass_setup(graph)
     steps = []
-    while min(d) < 0:
+    while True:
+        for neg, i in spots:
+            if d[i] < 0:
+                break
+        else:
+            return ReductionTrace(degree, d, steps, True)
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False)
-        neg = next(v for v in order if d[idx[v]] < 0)
-        after = _vec_sub(d, cols[neg])
+        after = tuple(map(sub, d, cols[neg]))
         step = ReductionStep("SubtractCurve", (neg,), (neg,), d, after)
-        step.expected_cokernel_dim = expected_cokernel_dim(step, graph)
+        step.expected_cokernel_dim = _expect_subtract_curve(step, graph)
         steps.append(step)
         d = after
-    return ReductionTrace(degree, d, steps, True)
 
 
 def _shift_target(graph, node):
@@ -280,36 +302,58 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     d = _check_degree(degree, graph)
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
-    order = graph.curve_order()
+    spots, cols = _pass_setup(graph)
     idx = graph.index_of
-    cols = _columns(graph)
+    leaves = graph.basic_leaves()
+    width = len(d)
     weights = _twice_weights(graph)
+    # adding the column of v moves the doubled S-sum by the same amount
+    # from every degree; the sum follows every step, measures only the
+    # add phase
+    moves = {v: sum(map(mul, weights, col)) for v, col in cols.items()}
+    twice = sum(map(mul, weights, d))
+    measures = [_half(twice)]
     steps = []
-    measures = [_measure(d, weights)]
-
-    def push(kind, nodes, curves, after):
-        step = ReductionStep(kind, nodes, curves, d, after)
-        step.expected_cokernel_dim = expected_cokernel_dim(step, graph)
-        steps.append(step)
-
-    while not is_basic(d, graph):
+    while True:
+        # one scan: the first coordinate >= 2, else every 1 in curve order
+        big = None
+        ones = []
+        for v, i in spots:
+            c = d[i]
+            if c >= 2:
+                big = v
+                break
+            if c == 1:
+                ones.append(v)
+        # is_basic(d, graph), read off the scan; counting zeros keeps a
+        # negative coordinate from passing for a zero
+        if big is not None:
+            if not ones and big in leaves and d.count(0) == width - 1:
+                break
+        elif len(ones) <= 1 and d.count(0) == width - len(ones):
+            if not ones or ones[0] in leaves:
+                break
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False, measures)
-        if max(d) >= 2:
-            big = next(v for v in order if d[idx[v]] >= 2)
-            after = _vec_add(d, cols[big])
-            push("AddCurve", (big,), (big,), after)
+        if big is not None:
+            after = tuple(map(add, d, cols[big]))
+            step = ReductionStep("AddCurve", (big,), (big,), d, after)
+            step.expected_cokernel_dim = _expect_add_curve(step, graph)
+            steps.append(step)
             d = after
-            measures.append(_measure(d, weights))
+            twice += moves[big]
+            measures.append(_half(twice))
             continue
-        ones = [v for v in order if d[idx[v]] == 1]
         if len(ones) >= 2:
             i, j = _least_eligible_pair(d, ones, graph, idx)
             chain = graph.path(i, j)
             after = _vec_add(d, _sum_columns(cols, chain, graph))
-            push("AddChain", (i, j), chain, after)
+            step = ReductionStep("AddChain", (i, j), chain, d, after)
+            step.expected_cokernel_dim = _expect_add_chain(step, graph)
+            steps.append(step)
             d = after
-            measures.append(_measure(d, weights))
+            twice += sum(moves[v] for v in chain)
+            measures.append(_half(twice))
             continue
         # a single coordinate equal to 1 remains: shift it to a leaf
         p = ones[0]
@@ -320,8 +364,11 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
             q = graph.path(p, j)[1]
             chain = graph.path(q, j)
             after = _vec_sub(d, _sum_columns(cols, chain, graph))
-            push("ShiftToLeaf", (p, j), chain, after)
+            step = ReductionStep("ShiftToLeaf", (p, j), chain, d, after)
+            step.expected_cokernel_dim = _expect_shift_to_leaf(step, graph)
+            steps.append(step)
             d = after
+            twice -= sum(moves[v] for v in chain)
             p = q
     return ReductionTrace(degree, d, steps, True, measures)
 
@@ -346,87 +393,114 @@ def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
     )
 
 
+def _expect_subtract_curve(step, graph):
+    idx = graph.index_of
+    before = step.degree_before
+    (i,) = step.nodes
+    if before[idx[i]] >= 0:
+        raise HypothesisViolationError(
+            "SubtractCurve needs a negative coordinate at node %d, got %d"
+            % (i, before[idx[i]])
+        )
+    return 0
+
+
+def _expect_add_curve(step, graph):
+    idx = graph.index_of
+    before = step.degree_before
+    (i,) = step.nodes
+    if min(before) < 0:
+        raise HypothesisViolationError("AddCurve needs a nef degree")
+    if before[idx[i]] < 2:
+        raise HypothesisViolationError(
+            "AddCurve needs coordinate >= 2 at node %d, got %d"
+            % (i, before[idx[i]])
+        )
+    return before[idx[i]] - 1
+
+
+def _expect_add_chain(step, graph):
+    idx = graph.index_of
+    before = step.degree_before
+    after = step.degree_after
+    i, j = step.nodes
+    chain = step.curves
+    if min(before) < 0:
+        raise HypothesisViolationError("AddChain needs a nef degree")
+    if before[idx[i]] != 1:
+        raise HypothesisViolationError(
+            "AddChain needs coordinate 1 at node %d" % i
+        )
+    if before[idx[j]] < 1:
+        raise HypothesisViolationError(
+            "AddChain needs a positive coordinate at node %d" % j
+        )
+    if graph.valence(j) > 1 and before[idx[j]] != 1:
+        raise HypothesisViolationError(
+            "AddChain into interior node %d needs coordinate 1" % j
+        )
+    if any(before[idx[v]] != 0 for v in chain[1:-1]):
+        raise HypothesisViolationError(
+            "AddChain needs zeros strictly between nodes %d and %d" % (i, j)
+        )
+    restricted = [after[idx[v]] for v in chain]
+    shape = [0] * (len(chain) - 1) + [before[idx[j]] - 1]
+    if restricted != shape:
+        raise HypothesisViolationError(
+            "AddChain restricted degrees %r do not match the shape %r"
+            % (restricted, shape)
+        )
+    return h0_tree(restricted)
+
+
+def _expect_shift_to_leaf(step, graph):
+    idx = graph.index_of
+    after = step.degree_after
+    _, j = step.nodes
+    chain = step.curves
+    q = chain[0]
+    if min(after) < 0:
+        raise HypothesisViolationError("ShiftToLeaf must land on a nef degree")
+    if q == j:
+        if after[idx[j]] < 2:
+            raise HypothesisViolationError(
+                "ShiftToLeaf onto node %d needs coordinate >= 2 after" % j
+            )
+        return after[idx[j]] - 1
+    if after[idx[q]] != 1:
+        raise HypothesisViolationError(
+            "ShiftToLeaf needs coordinate 1 at node %d after" % q
+        )
+    if after[idx[j]] < 1:
+        raise HypothesisViolationError(
+            "ShiftToLeaf needs a positive coordinate at node %d after" % j
+        )
+    if any(after[idx[v]] != 0 for v in chain[1:-1]):
+        raise HypothesisViolationError(
+            "ShiftToLeaf needs zeros strictly between nodes %d and %d"
+            % (q, j)
+        )
+    return after[idx[q]] + after[idx[j]] - 1
+
+
+# the checker of each step kind; the passes call theirs directly
+_EXPECTED_DIMS = {
+    "SubtractCurve": _expect_subtract_curve,
+    "AddCurve": _expect_add_curve,
+    "AddChain": _expect_add_chain,
+    "ShiftToLeaf": _expect_shift_to_leaf,
+}
+
+
 def expected_cokernel_dim(step, graph):
     """Combinatorial cokernel dimension of one step, from the section
     count over the step's chain. Raises when the step violates the
     hypotheses the count relies on."""
-    idx = graph.index_of
-    before = step.degree_before
-    after = step.degree_after
-    if step.kind == "SubtractCurve":
-        (i,) = step.nodes
-        if before[idx[i]] >= 0:
-            raise HypothesisViolationError(
-                "SubtractCurve needs a negative coordinate at node %d, got %d"
-                % (i, before[idx[i]])
-            )
-        return 0
-    if step.kind == "AddCurve":
-        (i,) = step.nodes
-        if min(before) < 0:
-            raise HypothesisViolationError("AddCurve needs a nef degree")
-        if before[idx[i]] < 2:
-            raise HypothesisViolationError(
-                "AddCurve needs coordinate >= 2 at node %d, got %d"
-                % (i, before[idx[i]])
-            )
-        return before[idx[i]] - 1
-    if step.kind == "AddChain":
-        i, j = step.nodes
-        chain = step.curves
-        if min(before) < 0:
-            raise HypothesisViolationError("AddChain needs a nef degree")
-        if before[idx[i]] != 1:
-            raise HypothesisViolationError(
-                "AddChain needs coordinate 1 at node %d" % i
-            )
-        if before[idx[j]] < 1:
-            raise HypothesisViolationError(
-                "AddChain needs a positive coordinate at node %d" % j
-            )
-        if graph.valence(j) > 1 and before[idx[j]] != 1:
-            raise HypothesisViolationError(
-                "AddChain into interior node %d needs coordinate 1" % j
-            )
-        if any(before[idx[v]] != 0 for v in chain[1:-1]):
-            raise HypothesisViolationError(
-                "AddChain needs zeros strictly between nodes %d and %d" % (i, j)
-            )
-        restricted = [after[idx[v]] for v in chain]
-        shape = [0] * (len(chain) - 1) + [before[idx[j]] - 1]
-        if restricted != shape:
-            raise HypothesisViolationError(
-                "AddChain restricted degrees %r do not match the shape %r"
-                % (restricted, shape)
-            )
-        return h0_tree(restricted)
-    if step.kind == "ShiftToLeaf":
-        _, j = step.nodes
-        chain = step.curves
-        q = chain[0]
-        if min(after) < 0:
-            raise HypothesisViolationError("ShiftToLeaf must land on a nef degree")
-        if q == j:
-            if after[idx[j]] < 2:
-                raise HypothesisViolationError(
-                    "ShiftToLeaf onto node %d needs coordinate >= 2 after" % j
-                )
-            return after[idx[j]] - 1
-        if after[idx[q]] != 1:
-            raise HypothesisViolationError(
-                "ShiftToLeaf needs coordinate 1 at node %d after" % q
-            )
-        if after[idx[j]] < 1:
-            raise HypothesisViolationError(
-                "ShiftToLeaf needs a positive coordinate at node %d after" % j
-            )
-        if any(after[idx[v]] != 0 for v in chain[1:-1]):
-            raise HypothesisViolationError(
-                "ShiftToLeaf needs zeros strictly between nodes %d and %d"
-                % (q, j)
-            )
-        return after[idx[q]] + after[idx[j]] - 1
-    raise ParameterError("unknown step kind %r" % step.kind)
+    try:
+        check = _EXPECTED_DIMS[step.kind]
+    except KeyError:
+        raise ParameterError("unknown step kind %r" % step.kind) from None
+    return check(step, graph)
 
 
 def _step_multiplier(step, grading):

@@ -335,3 +335,32 @@ def test_grid_below_one_is_rejected(capsys, tmp_path, grid):
     path.write_text(json.dumps({"grid": int(grid)}))
     assert cli.main(["verify", "--case", "A3", "--config", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap", ["step=0", "step=-3", "relation=0", "cokernel=-2"])
+def test_caps_flag_below_one_is_rejected(capsys, cap):
+    # a cap below 1 used to give a verdict (exit 0 or 1), not a usage error
+    assert cli.main(["verify", "--case", "A3", "--grid", "20", "--caps", cap]) == 2
+    key, _, value = cap.partition("=")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap %r needs at least 1, got %s\n" % (key, value)
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_env_cap_below_one_is_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("COXFORGE_CAP", value)
+    assert cli.main(["verify", "--case", "A3", "--grid", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: COXFORGE_CAP needs at least 1, got %s\n" % value
+
+
+@pytest.mark.parametrize("key", ["step", "cokernel", "relation"])
+def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"caps": {key: 0}}))
+    assert cli.main(["verify", "--case", "A3", "--grid", "20", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config cap %r needs at least 1, got 0\n" % key

@@ -16,7 +16,7 @@ from coxforge.errors import (
     ParameterError,
     ResourceCapError,
 )
-from coxforge.graphs import build_custom_tree, build_singularity
+from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
 from coxforge.reduction import (
     ReductionStep,
     audit_add_curve,
@@ -186,6 +186,18 @@ def test_reduce_nef_to_basic_rejects_negative():
         reduce_nef_to_basic((0, -1, 0, 0), d4)
 
 
+def test_basic_pass_does_not_take_a_negative_coordinate_for_zero():
+    # adding a (-3)-curve at coordinate 2 leaves -1 behind: (-1, 2) has a
+    # single coordinate >= 2, at a leaf, but is not basic
+    graph = ResolutionGraph([1, 2], [(1, 2)], {1: -3}, [("x1", 1), ("x2", 2)])
+    capped = reduce_nef_to_basic((2, 1), graph, 1)
+    assert not capped.terminated
+    assert capped.terminal == (-1, 2)
+    assert not is_basic(capped.terminal, graph)
+    with pytest.raises(HypothesisViolationError, match="AddCurve needs a nef degree"):
+        reduce_nef_to_basic((2, 1), graph)
+
+
 def test_trace_validate_catches_tampering():
     d4 = build_singularity("D", 4)
     trace = reduce_to_nef((-1, 0, 0, 0), d4)
@@ -303,6 +315,48 @@ def test_reduction_pipeline_properties(coords, step_cap):
         assert all(a >= b for a, b in zip(ms, ms[1:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_step_cap_keeps_a_prefix_of_the_uncapped_pass(data):
+    graph = parse_case(data.draw(st.sampled_from(["D5", "E6", "A4"])))
+    width = len(graph.nodes)
+    d = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=width, max_size=width)))
+    nef = reduce_to_nef(d, graph)
+    basic = reduce_nef_to_basic(nef.terminal, graph)
+    for run, start, full in ((reduce_to_nef, d, nef), (reduce_nef_to_basic, nef.terminal, basic)):
+        assert full.terminated
+        n = len(full.steps)
+        for cap in range(9):
+            capped = run(start, graph, cap)
+            kept = min(cap, n)
+            assert [_step_key(s) for s in capped.steps] == [
+                _step_key(s) for s in full.steps[:kept]
+            ]
+            assert capped.terminated == (n <= cap)
+            assert capped.terminal == (full.steps[kept - 1].degree_after if kept else start)
+            adds = sum(s.adds_curves() for s in full.steps[:kept])
+            assert capped.measures == full.measures[:adds + 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_measure_is_the_s_measure_of_its_state(data):
+    graph = parse_case(data.draw(st.sampled_from(ADE_CASES)))
+    width = len(graph.nodes)
+    d = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=width, max_size=width)))
+    step_cap = data.draw(st.one_of(st.just(reduction.DEFAULT_STEP_CAP), st.integers(0, 12)))
+    nef = reduce_to_nef(d, graph)
+    trace = reduce_nef_to_basic(nef.terminal, graph, step_cap)
+    # the shift phase lies outside the termination argument: no measure
+    expected = [s_measure(trace.initial, graph)] + [
+        s_measure(s.degree_after, graph)
+        for s in trace.steps
+        if s.kind in ("AddCurve", "AddChain")
+    ]
+    assert list(trace.measures) == expected
+    assert all(type(m) is Fraction for m in trace.measures)
+
+
 TRACE_CASES = ("A8", "D8", "D12", "E7", "E8")
 TRACE_CELLS_PER_CASE = 20
 # step-capped runs: the D8 cell terminates because each pass gets the
@@ -334,10 +388,52 @@ def _reduce_traces_document():
     return "".join(lines).encode("utf-8")
 
 
+def _trace_line_difference(number, got, want):
+    """Where two differing trace lines part: the cell they belong to and
+    the first step, or else the first trace field, that differs."""
+    try:
+        got, want = json.loads(got), json.loads(want)
+    except ValueError:
+        return "trace line %d differs and does not parse" % number
+    where = "trace line %d (%s, cell %s, step_cap %s)" % (
+        number,
+        want["case"],
+        want["cell"],
+        want["step_cap"],
+    )
+    if any(got[key] != want[key] for key in ("case", "cell", "step_cap")):
+        return "%s belongs to %s, cell %s, step_cap %s here" % (
+            where,
+            got["case"],
+            got["cell"],
+            got["step_cap"],
+        )
+    got_steps, want_steps = got["trace"]["steps"], want["trace"]["steps"]
+    for k, (a, b) in enumerate(zip(got_steps, want_steps)):
+        if a != b:
+            return "%s: first differing step %d" % (where, k)
+    if len(got_steps) != len(want_steps):
+        return "%s: %d steps against %d, first differing step %d" % (
+            where,
+            len(got_steps),
+            len(want_steps),
+            min(len(got_steps), len(want_steps)),
+        )
+    fields = sorted(k for k in want["trace"] if got["trace"].get(k) != want["trace"][k])
+    return "%s: the steps agree, %s differ" % (where, fields or "the bytes")
+
+
 def test_reduce_traces_match_golden():
     # tests/data holds these traces (gzipped, the JSON is 4.7 MB), byte for byte
     golden = Path(__file__).parent / "data" / "reduce_traces.json.gz"
-    assert _reduce_traces_document() == gzip.decompress(golden.read_bytes())
+    want = gzip.decompress(golden.read_bytes())
+    got = _reduce_traces_document()
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for number, (a, b) in enumerate(zip(got_lines, want_lines), 1):
+        if a != b:
+            pytest.fail(_trace_line_difference(number, a, b))
+    assert len(got_lines) == len(want_lines), "trace line count"
+    assert got == want
 
 
 # ---------------------------------------------------------- expected dims
