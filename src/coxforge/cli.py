@@ -174,13 +174,6 @@ def resolve_settings(args, environ=None):
     return {"caps": caps, "grid": grid, "seed": seed}
 
 
-def _split_case(graph):
-    label = graph.label or ""
-    if label.startswith("custom"):
-        return None, None
-    return label[0], int(label[1:])
-
-
 def cmd_graph(graph, settings):
     payload = graph.to_dict()
     payload["intersection_matrix"] = [list(row) for row in graph.intersection_matrix()]
@@ -191,24 +184,23 @@ def cmd_graph(graph, settings):
 
 
 def cmd_invariants(graph, settings):
-    family, n = _split_case(graph)
-    if family is None:
+    if graph.family is None:
         raise ParameterError("custom trees have no reference invariant table")
-    report = verify_invariant_table(family, n, relation_cap=settings["caps"]["relation"])
+    report = verify_invariant_table(
+        graph.family, graph.rank, relation_cap=settings["caps"]["relation"]
+    )
     return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
 def _custom_cox_report(graph):
     grading = graph.grading()
-    rel = relation_from_graph(graph, grading)
+    rel = relation_from_graph(graph)
     pres = presentation_from_graph(graph)
     report = {
         "case": graph.label,
         "variables": list(grading.variables),
         "relation": grading.format_polynomial(rel) if rel is not None else None,
-        "lead": grading.format_monomial(lead_term_of(graph, grading))
-        if rel is not None
-        else None,
+        "lead": grading.format_monomial(lead_term_of(graph)) if rel is not None else None,
         "cuts": [],
     }
     ok = True
@@ -221,11 +213,10 @@ def _custom_cox_report(graph):
 
 
 def cmd_cox(graph, settings):
-    family, n = _split_case(graph)
-    if family is None:
+    if graph.family is None:
         report = _custom_cox_report(graph)
     else:
-        report = verify_presentation(family, n)
+        report = verify_presentation(graph.family, graph.rank)
     return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
@@ -246,7 +237,6 @@ def _grid_cells(graph, settings):
 
 
 def _termination_sweep(graph, cells, settings):
-    is_d_type = (graph.label or "").startswith("D")
     max_steps = 0
     for d in cells:
         trace = reduction.reduce(graph, d, settings["caps"]["step"])
@@ -254,7 +244,7 @@ def _termination_sweep(graph, cells, settings):
         if (
             not trace.terminated
             or not reduction.is_basic(trace.terminal, graph)
-            or (is_d_type and any(a < b for a, b in zip(ms, ms[1:])))
+            or (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:])))
         ):
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
         max_steps = max(max_steps, len(trace.steps))
@@ -283,11 +273,10 @@ def _audit_sample(graph, cells, settings):
 
 def _counterexample_section(graph, settings):
     caps = settings["caps"]
-    pres = presentation_from_graph(graph)
     audits = []
     any_failed = False
     for leaf in graph.basic_leaves():
-        rep = reduction.audit_add_curve(graph, leaf, k=2, cap=caps["cokernel"], pres=pres)
+        rep = reduction.audit_add_curve(graph, leaf, k=2, cap=caps["cokernel"])
         audits.append(rep)
         any_failed = any_failed or not rep["ok"]
     verdict = "rule-fails-as-predicted" if any_failed else "rule-holds-on-sample"
@@ -303,11 +292,10 @@ def _timed(sections, timings, name, fn):
 
 
 def cmd_verify(graph, settings, with_timings):
-    family, _ = _split_case(graph)
     sections = {}
     timings = {}
     cells = _grid_cells(graph, settings)
-    if family is None:
+    if graph.family is None:
         _timed(sections, timings, "cox", lambda: _custom_cox_report(graph))
         if graph.is_negative_definite():
             _timed(
@@ -345,14 +333,13 @@ def cmd_verify(graph, settings, with_timings):
 
 
 def cmd_report(graph, settings, with_timings):
-    family, _ = _split_case(graph)
     sections = {}
     timings = {}
     _timed(sections, timings, "graph", lambda: cmd_graph(graph, settings)[0])
-    if family is not None:
+    if graph.family is not None:
         _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
     _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
-    if family is not None:
+    if graph.family is not None:
         cells = _grid_cells(graph, settings)
         _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
     else:
@@ -408,8 +395,11 @@ def _emit(payload, args):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -450,6 +440,32 @@ def build_parser():
     return parser
 
 
+def _run(args):
+    """The payload and exit code of one command. A resource-cap error
+    gives an error payload, with its partial result, and exit 3."""
+    try:
+        settings = resolve_settings(args)
+        graph = parse_case(args.case)
+        if args.command == "graph":
+            return cmd_graph(graph, settings)
+        if args.command == "invariants":
+            return cmd_invariants(graph, settings)
+        if args.command == "cox":
+            return cmd_cox(graph, settings)
+        if args.command == "reduce":
+            if not args.degree:
+                raise ParameterError("reduce needs --degree")
+            return cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
+        if args.command == "verify":
+            return cmd_verify(graph, settings, args.timings)
+        return cmd_report(graph, settings, args.timings)
+    except ResourceCapError as exc:
+        payload = {"error": "resource-cap", "message": str(exc)}
+        if exc.partial is not None:
+            payload["partial"] = exc.partial
+        return payload, EXIT_RESOURCE
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -457,36 +473,14 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        settings = resolve_settings(args)
-        graph = parse_case(args.case)
-        if args.command == "graph":
-            payload, code = cmd_graph(graph, settings)
-        elif args.command == "invariants":
-            payload, code = cmd_invariants(graph, settings)
-        elif args.command == "cox":
-            payload, code = cmd_cox(graph, settings)
-        elif args.command == "reduce":
-            if not args.degree:
-                raise ParameterError("reduce needs --degree")
-            degree = _parse_degree(args.degree, graph)
-            payload, code = cmd_reduce(graph, degree, settings)
-        elif args.command == "verify":
-            payload, code = cmd_verify(graph, settings, args.timings)
-        else:
-            payload, code = cmd_report(graph, settings, args.timings)
-    except ResourceCapError as exc:
-        payload = {"error": "resource-cap", "message": str(exc)}
-        if exc.partial is not None:
-            payload["partial"] = exc.partial
+        payload, code = _run(args)
         _emit(payload, args)
-        return EXIT_RESOURCE
     except (ParameterError, UnsupportedGraphError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
     except CoxforgeError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_MISMATCH
-    _emit(payload, args)
     return code
 
 

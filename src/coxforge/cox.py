@@ -25,17 +25,16 @@ def _section_name_at(graph, node):
     return names[0]
 
 
-def branch_term(graph, branch, grading=None):
+def branch_term(graph, branch):
     """The candidate relation term of one branch."""
-    grading = grading or graph.grading()
     exps = {}
     for t, node in enumerate(branch, start=1):
         exps[graph.curve_variable(node)] = t
     exps[_section_name_at(graph, branch[-1])] = len(branch) + 1
-    return grading.monomial(exps)
+    return graph.grading().monomial(exps)
 
 
-def relation_from_graph(graph, grading=None):
+def relation_from_graph(graph):
     """Candidate relation polynomial, or None for a chain.
 
     Raises UnsupportedGraphError when the tree has a node of valence
@@ -52,26 +51,24 @@ def relation_from_graph(graph, grading=None):
         raise UnsupportedGraphError(
             "no candidate relation at a node of valence %d" % graph.valence(hubs[0])
         )
-    grading = grading or graph.grading()
-    return Polynomial({branch_term(graph, br, grading): 1 for br in graph.branches()})
+    return Polynomial({branch_term(graph, br): 1 for br in graph.branches()})
 
 
-def lead_term_of(graph, grading=None):
+def lead_term_of(graph):
     """Lead term choice: the term of the shortest branch, ties broken by
     the smaller first node id."""
-    grading = grading or graph.grading()
     branch = min(graph.branches(), key=lambda br: (len(br), br[0]))
-    return branch_term(graph, branch, grading)
+    return branch_term(graph, branch)
 
 
 def presentation_from_graph(graph):
     """RingPresentation over the graph grading with the candidate
     relation (when one exists)."""
     grading = graph.grading()
-    rel = relation_from_graph(graph, grading)
+    rel = relation_from_graph(graph)
     if rel is None:
         return RingPresentation(grading, [], [])
-    return RingPresentation(grading, [rel], [lead_term_of(graph, grading)])
+    return RingPresentation(grading, [rel], [lead_term_of(graph)])
 
 
 def ambient_model(family, n):
@@ -150,7 +147,7 @@ def pullback_factorization(family, n, cut_terms):
 
     gcd = Monomial(gcd_exps)
     residual = Polynomial({m / gcd: 1 for m in monos})
-    candidate = relation_from_graph(graph, grading)
+    candidate = relation_from_graph(graph)
     return {
         "gcd": gcd,
         "residual": residual,
@@ -166,12 +163,12 @@ def verify_presentation(family, n):
     grading = graph.grading()
     model = ambient_model(family, n)
     gens = dict(model["generators"])
-    rel = relation_from_graph(graph, grading)
+    rel = relation_from_graph(graph)
     report = {
         "case": graph.label,
         "variables": list(grading.variables),
         "relation": grading.format_polynomial(rel) if rel is not None else None,
-        "lead": grading.format_monomial(lead_term_of(graph, grading)) if rel is not None else None,
+        "lead": grading.format_monomial(lead_term_of(graph)) if rel is not None else None,
         "cuts": [],
     }
     ok = True

@@ -17,10 +17,12 @@ from .rings import Grading
 
 
 class ResolutionGraph:
-    """A tree of curves. Its adjacency is fixed at construction, so the
-    topology (node positions, center, branches, curve order, basic
-    leaves) is worked out there and paths are kept once found; nothing
-    derived from the self-intersections is kept."""
+    """An immutable tree of curves. Everything about it is fixed at
+    construction, so its topology (node positions, center, branches,
+    curve order, basic leaves) and its linear data (the intersection
+    matrix columns and the Grading) are worked out there, and paths are
+    kept once found. ``family`` and ``rank`` read an ``A<n>``, ``D<n>``
+    or ``E<n>`` label as (family, n); any other label gives None."""
 
     __slots__ = (
         "nodes",
@@ -28,7 +30,11 @@ class ResolutionGraph:
         "self_intersection",
         "leaf_variables",
         "label",
+        "family",
+        "rank",
         "index_of",
+        "columns",
+        "_grading",
         "_adj",
         "_center",
         "_branches",
@@ -95,18 +101,39 @@ class ResolutionGraph:
             lv.append((name, node))
         self.nodes = ns
         self.edges = es
-        self.self_intersection = si
+        self.self_intersection = MappingProxyType(si)
         self.leaf_variables = tuple(lv)
         self.label = label
+        known = isinstance(label, str) and label[:1] in ("A", "D", "E") and label[1:].isdecimal()
+        self.family, self.rank = (label[0], int(label[1:])) if known else (None, None)
         self._adj = adj
         # read-only node -> position in ``nodes``
-        self.index_of = MappingProxyType({n: i for i, n in enumerate(ns)})
+        self.index_of = idx = MappingProxyType({n: i for i, n in enumerate(ns)})
+        cols = {v: [0] * len(ns) for v in ns}
+        for v in ns:
+            cols[v][idx[v]] = si[v]
+        for a, b in es:
+            cols[a][idx[b]] = cols[b][idx[a]] = 1
+        # read-only node -> intersection matrix column; the matrix is
+        # symmetric, so the columns in node order are also its rows
+        self.columns = MappingProxyType({v: tuple(c) for v, c in cols.items()})
+        # one row per node: the section variables' unit columns, then
+        # the curve variables' intersection matrix columns
+        variables = [name for name, _ in lv] + [self.curve_variable(v) for v in ns]
+        rows = [[int(at == r) for _, at in lv] + [cols[c][i] for c in ns] for i, r in enumerate(ns)]
+        self._grading = Grading(variables, rows)
         self._center, self._branches, self._curve_order = _star_topology(ns, adj)
         if self._center is None:
             self._basic_leaves = self.leaves()
         else:
             self._basic_leaves = self.branch_ends()
         self._paths = {}
+
+    def __setattr__(self, name, value):
+        # ``_paths`` is the last attribute __init__ sets
+        if hasattr(self, "_paths"):
+            raise AttributeError("ResolutionGraph is immutable")
+        object.__setattr__(self, name, value)
 
     # --- basic queries -------------------------------------------------
 
@@ -187,15 +214,8 @@ class ResolutionGraph:
     # --- linear data ---------------------------------------------------
 
     def intersection_matrix(self):
-        n = len(self.nodes)
-        idx = self.index_of
-        m = [[0] * n for _ in range(n)]
-        for v in self.nodes:
-            m[idx[v]][idx[v]] = self.self_intersection[v]
-        for a, b in self.edges:
-            m[idx[a]][idx[b]] = 1
-            m[idx[b]][idx[a]] = 1
-        return m
+        """A fresh copy of the intersection matrix, as a list of rows."""
+        return [list(self.columns[v]) for v in self.nodes]
 
     def is_negative_definite(self):
         return linalg.is_negative_definite(self.intersection_matrix())
@@ -215,15 +235,7 @@ class ResolutionGraph:
         """Extended degree matrix as a Grading: section variables first
         (unit column at the attachment node), then curve variables (the
         intersection matrix columns)."""
-        inter = self.intersection_matrix()
-        names = [name for name, _ in self.leaf_variables]
-        names += [self.curve_variable(v) for v in self.nodes]
-        rows = []
-        for r, node_r in enumerate(self.nodes):
-            row = [1 if node == node_r else 0 for _, node in self.leaf_variables]
-            row += [inter[r][c] for c in range(len(self.nodes))]
-            rows.append(tuple(row))
-        return Grading(tuple(names), tuple(rows))
+        return self._grading
 
     # --- serialization -------------------------------------------------
 

@@ -15,11 +15,11 @@ procedures move a degree into normal position:
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 
 Both passes scan the degree once per step, over (node, index) pairs in
-curve order that are worked out once per call; the basic pass reads its
-is-basic test and its next step kind off that one scan. It keeps the
-doubled S-sum as an integer: adding the column of a node moves it by a
-constant of that node, so each measure is one addition and a cached
-``Fraction``.
+curve order, and apply the intersection-matrix columns that the graph
+built once; the basic pass reads its is-basic test and its next step
+kind off that one scan. It keeps the doubled S-sum as an integer: adding
+the column of a node moves it by a constant of that node, so each
+measure is one addition and a cached ``Fraction``.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -129,12 +129,11 @@ class ReductionTrace:
 
     def validate(self, graph):
         """Recompute the degree bookkeeping of every step."""
-        cols = _columns(graph)
         d = self.initial
         for step in self.steps:
             if step.degree_before != d:
                 raise ParameterError("trace steps do not compose")
-            delta = _sum_columns(cols, step.curves, graph)
+            delta = _sum_columns(graph.columns, step.curves)
             if step.adds_curves():
                 expect = _vec_add(d, delta)
             else:
@@ -164,20 +163,18 @@ class ReductionTrace:
 
 
 class BaseCaseFamily:
-    """Seed and period monomials spanning one basic graded piece."""
+    """Seed and period monomials spanning the basic graded piece of
+    degree k*e_leaf (``degree``) in the quotient ``presentation``."""
 
-    __slots__ = ("seed", "period", "leaf", "k")
+    __slots__ = ("seed", "period", "leaf", "k", "presentation", "degree")
 
-    def __init__(self, seed, period, leaf, k):
+    def __init__(self, seed, period, leaf, k, presentation, degree):
         self.seed = seed
         self.period = period
         self.leaf = leaf
         self.k = k
-
-
-def _columns(graph):
-    # the intersection matrix is symmetric: its columns are its rows
-    return dict(zip(graph.nodes, map(tuple, graph.intersection_matrix())))
+        self.presentation = presentation
+        self.degree = degree
 
 
 def _vec_add(a, b):
@@ -188,8 +185,8 @@ def _vec_sub(a, b):
     return tuple(map(sub, a, b))
 
 
-def _sum_columns(cols, nodes, graph):
-    total = (0,) * len(graph.nodes)
+def _sum_columns(cols, nodes):
+    total = (0,) * len(cols)
     for v in nodes:
         total = _vec_add(total, cols[v])
     return total
@@ -246,18 +243,13 @@ def h0_tree(chain_degrees):
     return 1 + sum(degs)
 
 
-def _pass_setup(graph):
-    """The (node, index) pairs in curve order and the column per node,
-    worked out once per pass."""
-    idx = graph.index_of
-    return tuple((v, idx[v]) for v in graph.curve_order()), _columns(graph)
-
-
 def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Subtract the column at the order-lowest negative coordinate until
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
-    spots, cols = _pass_setup(graph)
+    # (node, index) pairs in curve order
+    spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
+    cols = graph.columns
     steps = []
     while True:
         for neg, i in spots:
@@ -302,8 +294,9 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     d = _check_degree(degree, graph)
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
-    spots, cols = _pass_setup(graph)
     idx = graph.index_of
+    spots = tuple((v, idx[v]) for v in graph.curve_order())
+    cols = graph.columns
     leaves = graph.basic_leaves()
     width = len(d)
     weights = _twice_weights(graph)
@@ -347,7 +340,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
         if len(ones) >= 2:
             i, j = _least_eligible_pair(d, ones, graph, idx)
             chain = graph.path(i, j)
-            after = _vec_add(d, _sum_columns(cols, chain, graph))
+            after = _vec_add(d, _sum_columns(cols, chain))
             step = ReductionStep("AddChain", (i, j), chain, d, after)
             step.expected_cokernel_dim = _expect_add_chain(step, graph)
             steps.append(step)
@@ -363,7 +356,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
                 return ReductionTrace(degree, d, steps, False, measures)
             q = graph.path(p, j)[1]
             chain = graph.path(q, j)
-            after = _vec_sub(d, _sum_columns(cols, chain, graph))
+            after = _vec_sub(d, _sum_columns(cols, chain))
             step = ReductionStep("ShiftToLeaf", (p, j), chain, d, after)
             step.expected_cokernel_dim = _expect_shift_to_leaf(step, graph)
             steps.append(step)
@@ -616,19 +609,16 @@ def audit(trace, pres, graph, cap=DEFAULT_COKERNEL_CAP):
     return [audit_step(pres, step, graph, cap) for step in trace.steps]
 
 
-def audit_add_curve(graph, node, k=2, cap=DEFAULT_COKERNEL_CAP, pres=None):
+def audit_add_curve(graph, node, k=2, cap=DEFAULT_COKERNEL_CAP):
     """Audit a single AddCurve step from degree k*e_node. The expected
     dimension k-1 is the claim under test, so a mismatch is reported,
     not raised."""
     if k < 2:
         raise ParameterError("AddCurve needs a coordinate of at least 2")
-    if pres is None:
-        pres = presentation_from_graph(graph)
-    cols = _columns(graph)
     before = tuple(k if v == node else 0 for v in graph.nodes)
-    after = _vec_add(before, cols[node])
+    after = _vec_add(before, graph.columns[node])
     step = ReductionStep("AddCurve", (node,), (node,), before, after)
-    report = audit_step(pres, step, graph, cap)
+    report = audit_step(presentation_from_graph(graph), step, graph, cap)
     report["node"] = node
     report["k"] = k
     return report
@@ -652,7 +642,7 @@ def quotient_presentation(graph, leaf):
             tuple(e for i, e in enumerate(mono.exps) if i != cut)
         )
 
-    rel = relation_from_graph(graph, grading)
+    rel = relation_from_graph(graph)
     if rel is None:
         return RingPresentation(sub, [], [])
     kept = {
@@ -696,15 +686,14 @@ def base_case_family(graph, leaf, k, cap=8, cap_limit=64):
         raise ParameterError("period monomial is not of degree zero")
     if qp.grading.degree_of(seed) != target:
         raise ParameterError("seed degree mismatch")
-    return BaseCaseFamily(seed, period, leaf, k)
+    return BaseCaseFamily(seed, period, leaf, k, qp, target)
 
 
 def base_case_audit(graph, leaf, k, a_max=3):
     """Check that the basic graded piece is spanned by the geometric
     family seed * period^a, up to the truncation the family reaches."""
     fam = base_case_family(graph, leaf, k)
-    qp = quotient_presentation(graph, leaf)
-    target = tuple(k * c for c in graph.unit_degree(leaf))
+    qp = fam.presentation
     members = [fam.seed * (fam.period ** a) for a in range(a_max + 1)]
     forms = [normal_form(Polynomial.from_monomial(m), qp) for m in members]
     single = all(
@@ -728,7 +717,7 @@ def base_case_audit(graph, leaf, k, a_max=3):
         report["distinct"] = False
         return report
     cap = max(m.total() for m in monos)
-    basis = graded_piece_basis(qp, target, cap)
+    basis = graded_piece_basis(qp, fam.degree, cap)
     report["family"] = [qp.grading.format_monomial(m) for m in monos]
     report["basis"] = [qp.grading.format_monomial(m) for m in basis]
     report["ok"] = set(basis) == set(monos)
@@ -761,8 +750,7 @@ def full_equivalence_audit(
     if trace.terminated:
         report["terminal"] = list(trace.terminal)
         nonzero = [c for c in trace.terminal if c]
-        is_d_type = graph.label is not None and graph.label.startswith("D")
-        if nonzero and is_d_type:
+        if nonzero and graph.family == "D":
             leaf = graph.nodes[
                 next(i for i, c in enumerate(trace.terminal) if c)
             ]

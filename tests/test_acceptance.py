@@ -95,14 +95,14 @@ def test_criterion_05_candidate_relations():
         for n in ns:
             graph = build_singularity(family, n)
             grading = graph.grading()
-            rel = relation_from_graph(graph, grading)
+            rel = relation_from_graph(graph)
             assert rel is not None
             target = graph.unit_degree(graph.center())
             assert len(rel.monomials()) == len(graph.branches())
             for mono in rel.monomials():
                 assert grading.degree_of(mono) == target
                 assert rel.terms[mono] == 1
-            assert lead_term_of(graph, grading) in rel.monomials()
+            assert lead_term_of(graph) in rel.monomials()
             frozen = FROZEN_RELATIONS.get((family, n))
             if frozen is not None:
                 assert grading.format_polynomial(rel) == frozen

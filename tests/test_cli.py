@@ -239,6 +239,25 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["label"] == "A2"
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["graph", "--case", "D4"], 0),
+        (["reduce", "--case", "A3", "--degree=0,2,0", "--caps", "cokernel=41"], 3),
+    ],
+    ids=["report", "resource-cap"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, argv, code, where):
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % target)
+
+
 def test_usage_exit_codes(capsys):
     assert cli.main(["verify", "--case", "Q9"]) == 2
     assert cli.main(["verify", "--case", "custom:zz"]) == 2

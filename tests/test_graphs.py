@@ -5,6 +5,13 @@ import pytest
 from coxforge.cli import parse_case
 from coxforge.errors import ParameterError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
+from coxforge.rings import Grading
+
+ADE_CASES = (
+    ["A%d" % n for n in range(1, 9)]
+    + ["D%d" % n for n in range(4, 13)]
+    + ["E%d" % n for n in (6, 7, 8)]
+)
 
 
 def test_chain_builder():
@@ -153,6 +160,80 @@ def test_intersection_matrix_and_grading():
     )
 
 
+def test_graph_is_immutable():
+    g = build_singularity("D", 4)
+    with pytest.raises(TypeError):
+        g.self_intersection[0] = -3
+    with pytest.raises(TypeError):
+        g.columns[0] = (0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        g.label = "D5"
+    assert g.self_intersection[0] == -2
+    assert g.label == "D4"
+
+
+def test_intersection_matrix_is_a_fresh_copy():
+    g = build_singularity("D", 4)
+    first = g.intersection_matrix()
+    expected = [row[:] for row in first]
+    first[0][0] = 5
+    first[1].append(3)
+    first.pop()
+    assert g.intersection_matrix() == expected
+    assert g.intersection_matrix() is not g.intersection_matrix()
+    assert [list(g.columns[v]) for v in g.nodes] == expected
+
+
+def _fresh_grading(graph):
+    # the extended degree matrix from the graph's serialized data alone
+    data = json.loads(json.dumps(graph.to_dict()))
+    nodes = data["nodes"]
+    si = {int(k): v for k, v in data["self_intersection"].items()}
+    adjacent = {frozenset(e) for e in data["edges"]}
+
+    def entry(a, b):
+        if a == b:
+            return si[a]
+        return 1 if frozenset((a, b)) in adjacent else 0
+
+    names = [name for name, _ in data["leaf_variables"]]
+    names += ["y%d" % v for v in nodes]
+    rows = [
+        [1 if at == r else 0 for _, at in data["leaf_variables"]] + [entry(r, c) for c in nodes]
+        for r in nodes
+    ]
+    return Grading(names, rows)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ADE_CASES + ["custom:2,2,2", "custom:1,2,5", "custom:2,3,7", "custom:3,3,3", "custom:1,1,1,1"],
+)
+def test_grading_matches_a_fresh_build(case):
+    g = parse_case(case)
+    assert g.grading() == _fresh_grading(g)
+    assert g.grading() is g.grading()
+
+
+@pytest.mark.parametrize(
+    "label,expected",
+    [
+        ("A1", ("A", 1)),
+        ("D12", ("D", 12)),
+        ("E8", ("E", 8)),
+        ("custom:2,2,3", (None, None)),
+        (None, (None, None)),
+        ("D", (None, None)),
+        ("Dx", (None, None)),
+    ],
+)
+def test_family_and_rank_read_from_the_label(label, expected):
+    g = ResolutionGraph([0, 1], [(0, 1)], label=label)
+    assert (g.family, g.rank) == expected
+    back = ResolutionGraph.from_dict(json.loads(json.dumps(g.to_dict())))
+    assert (back.family, back.rank) == expected
+
+
 def test_unit_degree():
     g = build_singularity("E", 6)
     assert g.unit_degree(0) == (1, 0, 0, 0, 0, 0)
@@ -167,3 +248,5 @@ def test_json_round_trip():
         back = ResolutionGraph.from_dict(json.loads(blob))
         assert back == g
         assert back.label == g.label
+        assert (back.family, back.rank) == (g.family, g.rank)
+        assert back.grading() == g.grading()

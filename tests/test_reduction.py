@@ -36,8 +36,7 @@ from coxforge.reduction import (
 
 
 def _step(graph, kind, nodes, curves, before):
-    cols = reduction._columns(graph)
-    delta = reduction._sum_columns(cols, curves, graph)
+    delta = reduction._sum_columns(graph.columns, curves)
     if kind in ("AddCurve", "AddChain"):
         after = reduction._vec_add(before, delta)
     else:
@@ -630,6 +629,31 @@ def test_base_case_audit_d4_all_leaves(leaf, k):
     assert base_case_audit(d4, leaf, k)["ok"]
 
 
+def test_passes_and_audits_read_the_graph_columns(monkeypatch):
+    d5 = build_singularity("D", 5)
+
+    def rebuilt(self):
+        raise AssertionError("intersection matrix rebuilt")
+
+    monkeypatch.setattr(ResolutionGraph, "intersection_matrix", rebuilt)
+    trace = reduction.reduce(d5, (-1, 2, 0, -2, 1))
+    assert trace.terminated and trace.validate(d5)
+    reduction.audit(trace, presentation_from_graph(d5), d5)
+    assert all(s.actual_dim == s.expected_cokernel_dim for s in trace.steps)
+    assert audit_add_curve(d5, 1, k=2)["ok"]
+
+
+def test_mutating_a_matrix_copy_leaves_reduce_unchanged():
+    e6 = build_singularity("E", 6)
+    degree = (-1, 2, 0, -3, 1, 0)
+    before = reduction.reduce(e6, degree).to_dict()
+    matrix = e6.intersection_matrix()
+    matrix[0][0] = 7
+    matrix[3][:] = [0] * 6
+    assert reduction.reduce(e6, degree).to_dict() == before
+    assert before == reduction.reduce(build_singularity("E", 6), degree).to_dict()
+
+
 # ------------------------------------------------------------ full runs
 
 
@@ -659,6 +683,16 @@ def test_full_equivalence_audit_skips_base_case_off_d_type():
     assert len(report["steps"]) == 11
     assert report["terminal"] == [0, 0, 0, 0, 0, 0]
     assert report["base_case"] is None
+
+
+@pytest.mark.parametrize("label,has_base_case", [("D4", True), (None, False), ("custom:1,1,1", False)])
+def test_full_equivalence_audit_reads_the_family_off_the_label(label, has_base_case):
+    data = build_singularity("D", 4).to_dict()
+    data["label"] = label
+    graph = ResolutionGraph.from_dict(json.loads(json.dumps(data)))
+    report = full_equivalence_audit(graph, (0, -1, 0, 0))
+    assert report["ok"]
+    assert (report["base_case"] is not None) is has_base_case
 
 
 def test_full_equivalence_audit_chain():
