@@ -21,13 +21,14 @@ from .errors import (
     UnsupportedGraphError,
 )
 from .graphs import ResolutionGraph, build_custom_tree, build_singularity
-from .invariants import degree_zero_hilbert_basis, verify_invariant_table
+from .invariants import verify_invariant_table
 from .reduction import (
     audit_add_curve,
     full_equivalence_audit,
     reduce_nef_to_basic,
     reduce_to_nef,
 )
+from .rings import solve_degree_system
 
 __all__ = [
     "CoxforgeError",
@@ -40,12 +41,12 @@ __all__ = [
     "audit_add_curve",
     "build_custom_tree",
     "build_singularity",
-    "degree_zero_hilbert_basis",
     "full_equivalence_audit",
     "presentation_from_graph",
     "reduce_nef_to_basic",
     "reduce_to_nef",
     "relation_from_graph",
+    "solve_degree_system",
     "verify_invariant_table",
     "verify_presentation",
 ]

@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import reduction
-from .cox import lead_term_of, presentation_from_graph, relation_from_graph, verify_presentation
+from .cox import presentation_from_graph, verify_presentation
 from .errors import (
     CoxforgeError,
     ParameterError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 from .graphs import build_custom_tree, build_singularity
 from .invariants import verify_invariant_table
-from .rings import normal_form
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -184,39 +183,12 @@ def cmd_graph(graph, settings):
 
 
 def cmd_invariants(graph, settings):
-    if graph.family is None:
-        raise ParameterError("custom trees have no reference invariant table")
-    report = verify_invariant_table(
-        graph.family, graph.rank, relation_cap=settings["caps"]["relation"]
-    )
+    report = verify_invariant_table(graph, relation_cap=settings["caps"]["relation"])
     return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
-def _custom_cox_report(graph):
-    grading = graph.grading()
-    rel = relation_from_graph(graph)
-    pres = presentation_from_graph(graph)
-    report = {
-        "case": graph.label,
-        "variables": list(grading.variables),
-        "relation": grading.format_polynomial(rel) if rel is not None else None,
-        "lead": grading.format_monomial(lead_term_of(graph)) if rel is not None else None,
-        "cuts": [],
-    }
-    ok = True
-    if rel is not None:
-        nf = normal_form(rel, pres)
-        report["normal_form_zero"] = nf.is_zero()
-        ok = nf.is_zero()
-    report["ok"] = ok
-    return report
-
-
 def cmd_cox(graph, settings):
-    if graph.family is None:
-        report = _custom_cox_report(graph)
-    else:
-        report = verify_presentation(graph.family, graph.rank)
+    report = verify_presentation(graph)
     return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
@@ -295,38 +267,28 @@ def cmd_verify(graph, settings, with_timings):
     sections = {}
     timings = {}
     cells = _grid_cells(graph, settings)
-    if graph.family is None:
-        _timed(sections, timings, "cox", lambda: _custom_cox_report(graph))
-        if graph.is_negative_definite():
-            _timed(
-                sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings)
-            )
-        else:
-            # greedy reduction has no termination certificate off the
-            # negative-definite lattice, so the sweep would only time out
-            sections["reduction"] = {
-                "skipped": "intersection form is not negative definite",
-                "ok": True,
-            }
+    if graph.family is not None:
+        _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
+    _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
+    if graph.is_negative_definite():
+        _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings))
+    else:
+        # greedy reduction has no termination certificate off the
+        # negative-definite lattice, so the sweep would only time out
+        sections["reduction"] = {
+            "skipped": "intersection form is not negative definite",
+            "ok": True,
+        }
+    payload = {"case": graph.label, "sections": sections}
+    if graph.family is not None:
+        _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
+    else:
         cex = _timed(
             sections, timings, "counterexample", lambda: _counterexample_section(graph, settings)
         )
-        ok = all(section["ok"] for section in sections.values())
-        payload = {
-            "case": graph.label,
-            "sections": sections,
-            "verdict": cex["verdict"],
-            "ok": ok,
-        }
-        if with_timings:
-            payload["timings"] = timings
-        return payload, EXIT_OK if ok else EXIT_MISMATCH
-    _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
-    _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
-    _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings))
-    _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
+        payload["verdict"] = cex["verdict"]
     ok = all(section["ok"] for section in sections.values())
-    payload = {"case": graph.label, "sections": sections, "ok": ok}
+    payload["ok"] = ok
     if with_timings:
         payload["timings"] = timings
     return payload, EXIT_OK if ok else EXIT_MISMATCH
@@ -376,8 +338,7 @@ def _render_text(payload):
             if "skipped" in section:
                 status = "skipped"
             else:
-                flag = section.get("ok", section.get("negative_definite"))
-                status = "ok" if flag else "FAIL"
+                status = "ok" if section.get("ok", True) else "FAIL"
             lines.append("  %s: %s" % (name, status))
     if "verdict" in payload:
         lines.append("  verdict: %s" % payload["verdict"])

@@ -7,18 +7,19 @@ raised to (branch length + 1). Chains carry no relation. Trees with a
 higher-valence node or several trivalent nodes are legal graphs, but no
 candidate relation rule applies to them.
 
-The ambient model realizes the same ring inside the invariant-ring
-ambient: the listed hyperplane cuts pull back, after dividing out a
-monomial common factor, to exactly the candidate relation.
+The ambient model of an A, D or E graph realizes the same ring inside
+the invariant-ring ambient: the listed hyperplane cuts pull back, after
+dividing out a monomial common factor, to exactly the candidate
+relation. Every function takes the caller's ResolutionGraph, and
+verify_presentation is the one report for every graph.
 """
 
 from .errors import ParameterError, UnsupportedGraphError
-from .graphs import build_singularity
 from .invariants import golden_generators, golden_relations
-from .rings import Polynomial, RingPresentation
+from .rings import Monomial, Polynomial, RingPresentation, normal_form
 
 
-def _section_name_at(graph, node):
+def section_name_at(graph, node):
     names = [name for name, at in graph.leaf_variables if at == node]
     if len(names) != 1:
         raise ParameterError("branch end %d needs exactly one section variable" % node)
@@ -30,7 +31,7 @@ def branch_term(graph, branch):
     exps = {}
     for t, node in enumerate(branch, start=1):
         exps[graph.curve_variable(node)] = t
-    exps[_section_name_at(graph, branch[-1])] = len(branch) + 1
+    exps[section_name_at(graph, branch[-1])] = len(branch) + 1
     return graph.grading().monomial(exps)
 
 
@@ -71,12 +72,13 @@ def presentation_from_graph(graph):
     return RingPresentation(grading, [rel], [lead_term_of(graph)])
 
 
-def ambient_model(family, n):
-    """Invariant-ring ambient data: generators, toric relations, and the
-    hyperplane cuts whose pullbacks recover the candidate relation."""
-    family = str(family).upper()
-    gens = golden_generators(family, n)
-    rels = golden_relations(family, n)
+def ambient_model(graph):
+    """Invariant-ring ambient data of an A, D or E graph: generators,
+    toric relations, and the hyperplane cuts whose pullbacks recover the
+    candidate relation."""
+    family, n = graph.family, graph.rank
+    gens = golden_generators(graph)
+    rels = golden_relations(graph)
     if family == "A":
         cuts = []
     elif family == "D":
@@ -108,15 +110,13 @@ def ambient_model(family, n):
                     "principal": True,
                 },
             ]
-    elif family == "E":
+    else:
         terms = {
             6: [{"Z1": 2}, {"Z3": 1}, {"Z4": 1}],
             7: [{"Z1": 3}, {"Z2": 1}, {"Z4": 2}],
             8: [{"Z2": 5}, {"Z3": 3}, {"Z1": 2}],
         }[n]
         cuts = [{"name": "H", "terms": terms, "principal": True}]
-    else:
-        raise ParameterError("unknown family %r" % family)
     return {
         "family": family,
         "n": n,
@@ -133,19 +133,14 @@ def _substitute_term(gens, grading, term):
     return out
 
 
-def pullback_factorization(family, n, cut_terms):
+def pullback_factorization(graph, cut_terms):
     """Substitute generator monomials into one cut, split off the
     greatest common monomial factor, and compare the residual with the
     candidate relation."""
-    graph = build_singularity(family, n)
     grading = graph.grading()
-    gens = dict(golden_generators(family, n))
+    gens = dict(golden_generators(graph))
     monos = [_substitute_term(gens, grading, term) for term in cut_terms]
-    width = grading.width
-    gcd_exps = tuple(min(m.exps[i] for m in monos) for i in range(width))
-    from .rings import Monomial
-
-    gcd = Monomial(gcd_exps)
+    gcd = Monomial(tuple(min(m.exps[i] for m in monos) for i in range(grading.width)))
     residual = Polynomial({m / gcd: 1 for m in monos})
     candidate = relation_from_graph(graph)
     return {
@@ -155,14 +150,14 @@ def pullback_factorization(family, n, cut_terms):
     }
 
 
-def verify_presentation(family, n):
-    """Full candidate-presentation report: the relation, its lead, the
-    ambient cuts and their pullback factorizations."""
-    family = str(family).upper()
-    graph = build_singularity(family, n)
+def verify_presentation(graph):
+    """Full candidate-presentation report: the relation, its lead and
+    the check that fits the graph. A chain's ambient hypersurface
+    relation must vanish under substitution, the ambient cuts of a D or
+    E graph must pull back to the candidate relation, and the relation
+    of any other star must have normal form zero in its own
+    presentation."""
     grading = graph.grading()
-    model = ambient_model(family, n)
-    gens = dict(model["generators"])
     rel = relation_from_graph(graph)
     report = {
         "case": graph.label,
@@ -172,7 +167,15 @@ def verify_presentation(family, n):
         "cuts": [],
     }
     ok = True
-    if family == "A":
+    if graph.family is None:
+        if rel is not None:
+            ok = normal_form(rel, presentation_from_graph(graph)).is_zero()
+            report["normal_form_zero"] = ok
+        report["ok"] = ok
+        return report
+    model = ambient_model(graph)
+    gens = dict(model["generators"])
+    if graph.family == "A":
         # the ambient is a hypersurface: its toric relation must vanish
         # identically under substitution
         (lhs, rhs), = model["relations"]
@@ -182,7 +185,7 @@ def verify_presentation(family, n):
         report["hypersurface_substitution_zero"] = diff.is_zero()
         ok = diff.is_zero()
     for cut in model["cuts"]:
-        fact = pullback_factorization(family, n, cut["terms"])
+        fact = pullback_factorization(graph, cut["terms"])
         report["cuts"].append(
             {
                 "name": cut["name"],

@@ -6,6 +6,9 @@ gives the relations. For the classical graphs the expected generators
 follow closed formulas (chains and forks) or a fixed reference table
 (the three star shapes), and verify_invariant_table checks computation
 against expectation exponent for exponent.
+
+Every entry point takes the caller's ResolutionGraph and reads its
+family, rank and grading; a custom tree has no reference table.
 """
 
 import json
@@ -13,14 +16,7 @@ from importlib import resources
 
 from . import diophantine
 from .errors import ParameterError, UnsupportedGraphError
-from .graphs import build_singularity
 from .rings import solve_degree_system
-
-
-def degree_zero_hilbert_basis(grading):
-    """Minimal generators of the degree-zero monomial monoid, sorted by
-    total degree then exponents."""
-    return solve_degree_system(grading)
 
 
 def _load_reference_tables():
@@ -87,11 +83,10 @@ def _fork_generators(n, grading):
     return [(name, grading.monomial(e)) for name, e in names]
 
 
-def golden_generators(family, n):
-    """Expected invariant generators, as (name, Monomial) pairs in the
-    grading of build_singularity(family, n)."""
-    family = str(family).upper()
-    grading = build_singularity(family, n).grading()
+def golden_generators(graph):
+    """Expected invariant generators of an A, D or E graph, as (name,
+    Monomial) pairs in its grading."""
+    family, n, grading = graph.family, graph.rank, graph.grading()
     if family == "A":
         return _chain_generators(n, grading)
     if family == "D":
@@ -99,13 +94,13 @@ def golden_generators(family, n):
     if family == "E":
         table = _tables()["E"][str(n)]["generators"]
         return [(name, grading.monomial(e)) for name, e in table.items()]
-    raise ParameterError("unknown family %r" % family)
+    raise ParameterError("no reference invariant table for %s" % graph.label)
 
 
-def golden_relations(family, n):
+def golden_relations(graph):
     """Expected toric relations between the golden generators, each one a
     pair of exponent dicts over the generator names."""
-    family = str(family).upper()
+    family, n = graph.family, graph.rank
     if family == "A":
         return [({"W": n + 1}, {"Z1": 1, "Z2": 1})]
     if family == "D":
@@ -122,15 +117,14 @@ def golden_relations(family, n):
     if family == "E":
         rels = _tables()["E"][str(n)]["relations"]
         return [tuple(dict(side) for side in pair) for pair in rels]
-    raise ParameterError("unknown family %r" % family)
+    raise ParameterError("no reference invariant table for %s" % graph.label)
 
 
-def default_relation_cap(family, n):
-    family = str(family).upper()
-    if family == "A":
-        return n + 2
-    if family == "D":
-        return 4 if n % 2 == 0 else 5
+def default_relation_cap(graph):
+    if graph.family == "A":
+        return graph.rank + 2
+    if graph.family == "D":
+        return 4 if graph.rank % 2 == 0 else 5
     return 8
 
 
@@ -210,14 +204,15 @@ def _canonical_relation(pair_dicts):
     return tuple(sorted(tuple(sorted(side.items())) for side in pair_dicts))
 
 
-def verify_invariant_table(family, n, relation_cap=None):
-    """Compare computed invariant generators and relations against the
-    expected table. Returns a report dict with per-generator matches."""
-    family = str(family).upper()
-    graph = build_singularity(family, n)
+def verify_invariant_table(graph, relation_cap=None):
+    """Compare the computed invariant generators and relations of an A,
+    D or E graph against the expected table. Returns a report dict with
+    per-generator matches."""
+    if graph.family is None:
+        raise ParameterError("custom trees have no reference invariant table")
     grading = graph.grading()
-    computed = list(degree_zero_hilbert_basis(grading))
-    expected = golden_generators(family, n)
+    computed = list(solve_degree_system(grading))
+    expected = golden_generators(graph)
     gen_rows = []
     matched = {}
     leftovers = list(computed)
@@ -247,9 +242,9 @@ def verify_invariant_table(family, n, relation_cap=None):
         )
     names = [row["name"] for row in gen_rows if row["computed"] is not None]
     gens = [matched[name] for name in names]
-    cap = relation_cap if relation_cap is not None else default_relation_cap(family, n)
+    cap = relation_cap if relation_cap is not None else default_relation_cap(graph)
     found = [relation_names(pair, names) for pair in toric_relations(gens, cap)]
-    want_rels = golden_relations(family, n)
+    want_rels = golden_relations(graph)
     rel_match = {_canonical_relation(p) for p in found} == {
         _canonical_relation(p) for p in want_rels
     }
@@ -266,15 +261,15 @@ def verify_invariant_table(family, n, relation_cap=None):
     }
 
 
-def cone_parameter_view(n):
-    """Three-parameter cone picture for fork graphs: coordinates
+def cone_parameter_view(graph):
+    """Three-parameter cone picture for a fork graph: coordinates
     (a, b, c) with the section exponent of the long-branch end equal to
     a, the y1 exponent equal to c, and every other exponent linear in
     the three. Returns the inequalities, the cone Hilbert basis and the
     generator each basis point maps to."""
-    n = int(n)
-    if n < 4:
-        raise ParameterError("fork graphs need n >= 4")
+    if graph.family != "D":
+        raise ParameterError("the cone view needs a fork graph, got %s" % graph.label)
+    n = graph.rank
     ineqs = [
         [1, 0, 0],
         [0, 1, 0],
@@ -282,7 +277,7 @@ def cone_parameter_view(n):
         [1, n, -2],
         [-1, -(n - 2), 2],
     ]
-    grading = build_singularity("D", n).grading()
+    grading = graph.grading()
 
     def to_monomial(pt):
         a, b, c = pt
@@ -299,7 +294,7 @@ def cone_parameter_view(n):
         return grading.monomial(exps)
 
     hb = diophantine.hilbert_basis_inequalities(ineqs, 3)
-    by_exps = {m.exps: name for name, m in golden_generators("D", n)}
+    by_exps = {m.exps: name for name, m in golden_generators(graph)}
     mapping = {}
     for pt in hb:
         mono = to_monomial(pt)

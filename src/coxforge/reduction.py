@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .cox import presentation_from_graph, relation_from_graph
+from .cox import branch_term, presentation_from_graph, relation_from_graph, section_name_at
 from .errors import (
     HypothesisViolationError,
     ParameterError,
@@ -630,12 +630,10 @@ def quotient_presentation(graph, leaf):
     relation loses the term it divides."""
     if leaf not in graph.basic_leaves():
         raise ParameterError("node %d is not a branch-end leaf" % leaf)
-    names = [name for name, at in graph.leaf_variables if at == leaf]
-    if len(names) != 1:
-        raise ParameterError("leaf %d needs exactly one section variable" % leaf)
+    name = section_name_at(graph, leaf)
     grading = graph.grading()
-    sub = grading.drop(names)
-    cut = grading.index(names[0])
+    sub = grading.drop([name])
+    cut = grading.index(name)
 
     def project(mono):
         return Monomial(
@@ -651,10 +649,7 @@ def quotient_presentation(graph, leaf):
     reduced = Polynomial(kept)
     remaining = [br for br in graph.branches() if br[-1] != leaf]
     short = min(remaining, key=lambda br: (len(br), br[0]))
-    lead_nodes = {graph.curve_variable(v): t for t, v in enumerate(short, start=1)}
-    end_names = [name for name, at in graph.leaf_variables if at == short[-1]]
-    lead_nodes[end_names[0]] = len(short) + 1
-    lead = sub.monomial(lead_nodes)
+    lead = project(branch_term(graph, short))
     if lead not in reduced.terms:
         raise ParameterError("quotient relation lost its lead term")
     return RingPresentation(sub, [reduced], [lead])
@@ -729,7 +724,6 @@ def full_equivalence_audit(
     degree,
     cap=DEFAULT_COKERNEL_CAP,
     step_cap=DEFAULT_STEP_CAP,
-    a_max=2,
 ):
     """Reduce a degree to nef and then to basic, audit the cokernel
     dimension of every step against the combinatorial expectation, and
@@ -754,7 +748,7 @@ def full_equivalence_audit(
             leaf = graph.nodes[
                 next(i for i, c in enumerate(trace.terminal) if c)
             ]
-            base = base_case_audit(graph, leaf, nonzero[0], a_max)
+            base = base_case_audit(graph, leaf, nonzero[0], a_max=2)
             report["base_case"] = base
             audits_ok = audits_ok and base["ok"]
     report["ok"] = bool(trace.terminated and audits_ok)

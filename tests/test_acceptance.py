@@ -15,7 +15,8 @@ from coxforge.cox import (
     verify_presentation,
 )
 from coxforge.graphs import build_custom_tree, build_singularity
-from coxforge.invariants import degree_zero_hilbert_basis, verify_invariant_table
+from coxforge.invariants import verify_invariant_table
+from coxforge.rings import solve_degree_system
 
 FROZEN_RELATIONS = {
     ("D", 4): "x3^2*y3 + x2^2*y2 + x1^2*y1",
@@ -45,7 +46,7 @@ class Budget:
 def test_criterion_01_chain_invariants():
     budget = Budget("criterion 1: chain invariant rings", 5)
     for n in range(1, 9):
-        report = verify_invariant_table("A", n, relation_cap=n + 2)
+        report = verify_invariant_table(build_singularity("A", n), relation_cap=n + 2)
         assert report["ok"], report
         assert len(report["generators"]) == 3
         assert all(row["match"] for row in report["generators"])
@@ -56,7 +57,7 @@ def test_criterion_01_chain_invariants():
 def test_criterion_02_even_fork_invariants():
     budget = Budget("criterion 2: even fork invariant rings", 30)
     for n in (4, 6, 8, 10, 12):
-        report = verify_invariant_table("D", n, relation_cap=4)
+        report = verify_invariant_table(build_singularity("D", n), relation_cap=4)
         assert report["ok"], report
         assert len(report["generators"]) == 4
         assert report["relations"]["computed"] == ["W^2 = Z1*Z2*Z3"]
@@ -66,7 +67,7 @@ def test_criterion_02_even_fork_invariants():
 def test_criterion_03_odd_fork_invariants():
     budget = Budget("criterion 3: odd fork invariant rings", 60)
     for n in (5, 7, 9, 11):
-        report = verify_invariant_table("D", n, relation_cap=5)
+        report = verify_invariant_table(build_singularity("D", n), relation_cap=5)
         assert report["ok"], report
         assert len(report["generators"]) == 6
         assert len(report["relations"]["computed"]) == 6
@@ -82,7 +83,7 @@ def test_criterion_04_exceptional_invariants():
         8: (3, []),
     }
     for n, (gens, rels) in expected.items():
-        report = verify_invariant_table("E", n, relation_cap=8)
+        report = verify_invariant_table(build_singularity("E", n), relation_cap=8)
         assert report["ok"], report
         assert len(report["generators"]) == gens
         assert report["relations"]["computed"] == rels
@@ -115,7 +116,7 @@ def test_criterion_06_pullback_factorization():
     budget = Budget("criterion 6: pull-back factorization", 10)
     for family, ns in (("D", range(4, 13)), ("E", (6, 7, 8))):
         for n in ns:
-            report = verify_presentation(family, n)
+            report = verify_presentation(build_singularity(family, n))
             assert report["ok"], report
             assert report["cuts"], report
             principal = [cut for cut in report["cuts"] if cut["principal"]]
@@ -212,7 +213,7 @@ def test_criterion_11_hilbert_basis_oracle():
     total = 0
     for family, n in cases:
         graph = build_singularity(family, n)
-        basis = [m.exps for m in degree_zero_hilbert_basis(graph.grading())]
+        basis = [m.exps for m in solve_degree_system(graph.grading())]
         vecs = [
             v
             for v in oracle.box_exponent_tuples(graph, graph.zero_degree(), 20)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from coxforge import cli
+from coxforge.graphs import ResolutionGraph
 
 
 def run(capsys, argv):
@@ -142,6 +143,47 @@ def test_invariants_matches_golden_report(capsys, case):
     assert out == INVARIANTS_GOLDEN[case]["stdout"]
 
 
+COX_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cox_cases.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(COX_GOLDEN))
+def test_cox_matches_golden_report(capsys, case):
+    # tests/data/cox_cases.json holds stdout, stderr and exit code of
+    # `cox` on A1-A8, D4-D12, E6-E8 and the custom stars 2,2,3, 1,2,2
+    # and 1,1,1,1 (a valence-four center, a usage error)
+    code = cli.main(["cox", "--case", case])
+    captured = capsys.readouterr()
+    assert code == COX_GOLDEN[case]["exit"]
+    assert captured.out == COX_GOLDEN[case]["stdout"]
+    assert captured.err == COX_GOLDEN[case]["stderr"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--case", "D5", "--grid", "20"],
+        ["cox", "--case", "D5"],
+        ["invariants", "--case", "E8"],
+    ],
+)
+def test_each_command_builds_one_graph(capsys, monkeypatch, argv):
+    # the graph parse_case builds is the only one: the invariants, cox
+    # and reduction layers all take it rather than rebuilding the case
+    built = []
+    init = ResolutionGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolutionGraph, "__init__", counting_init)
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "case,degree,caps,exit_code",
     [
@@ -229,6 +271,18 @@ def test_text_format_shows_skipped_sections(capsys):
     assert code == 0
     assert "  reduction: skipped\n" in out
     assert "  cox: ok\n" in out
+
+
+@pytest.mark.parametrize("case", ["custom:2,2,3", "D4"])
+def test_report_text_sections_agree_with_the_verdict(capsys, case):
+    # a section without an ok flag passes, in the text status as in the
+    # verdict; the graph section of a non-definite star is one such
+    code, out = run(capsys, ["report", "--case", case, "--grid", "50", "--format", "text"])
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-1] == "ok"
+    assert [line for line in lines if line.endswith(": FAIL")] == []
+    assert "  graph: ok" in lines
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

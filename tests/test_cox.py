@@ -94,13 +94,13 @@ PULLBACKS = {
 @pytest.mark.parametrize("family,n", sorted(PULLBACKS))
 def test_cut_pullbacks_factor_to_candidate(family, n):
     grading = build_singularity(family, n).grading()
-    model = cox.ambient_model(family, n)
+    model = cox.ambient_model(build_singularity(family, n))
     expected = PULLBACKS[(family, n)]
     assert [(c["name"], c["principal"]) for c in model["cuts"]] == [
         (name, principal) for name, principal, _ in expected
     ]
     for cut, (_, _, gcd) in zip(model["cuts"], expected):
-        fact = cox.pullback_factorization(family, n, cut["terms"])
+        fact = cox.pullback_factorization(build_singularity(family, n), cut["terms"])
         assert grading.format_monomial(fact["gcd"]) == gcd
         assert fact["matches_candidate"], (family, n, cut["name"])
 
@@ -112,7 +112,7 @@ def test_cut_pullbacks_factor_to_candidate(family, n):
     + [("E", n) for n in (6, 7, 8)],
 )
 def test_verify_presentation_ok(family, n):
-    report = cox.verify_presentation(family, n)
+    report = cox.verify_presentation(build_singularity(family, n))
     assert report["ok"], report
     if family == "A":
         assert report["relation"] is None
