@@ -68,8 +68,8 @@ def presentation_from_graph(graph):
     grading = graph.grading()
     rel = relation_from_graph(graph)
     if rel is None:
-        return RingPresentation(grading, [], [])
-    return RingPresentation(grading, [rel], [lead_term_of(graph)])
+        return RingPresentation(grading)
+    return RingPresentation(grading, rel, lead_term_of(graph))
 
 
 def ambient_model(graph):

@@ -3,10 +3,10 @@
 Matrices are plain lists of lists of ints; no floating point anywhere.
 One fraction-free Gauss-Jordan core, row_reduce (Bareiss 1968), serves
 rank, nullspace, det, adjugate and int_inverse; primitive also accepts
-Fractions. rank_sparse keeps its own elimination over dict rows for the
-sparse audit matrices. hnf_columns, diagonalize and int_inverse have no
-caller in the package; the benchmark's per-layer tracer still names
-them, and they go when it stops.
+Fractions. rank_sparse (its own elimination over dict rows),
+hnf_columns, diagonalize and int_inverse have no caller in the package;
+the benchmark's per-layer tracer still names them, and they go when it
+stops.
 """
 
 from fractions import Fraction
@@ -322,8 +322,8 @@ def rank_sparse(rows):
     """Rank of a sparse integer matrix given as dicts {col: coeff}.
 
     Fraction-free elimination; rows are combined as r*pivot - p*r[c] and
-    divided by their gcd, which keeps entries small for the near-unit
-    matrices produced by the cokernel audits.
+    divided by their gcd, which keeps entries small for near-unit
+    matrices.
     """
     work = [dict(r) for r in rows if r]
     rk = 0

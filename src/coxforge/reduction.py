@@ -26,10 +26,12 @@ section count over the step's chain). Each step kind has its own
 checker, which raises when the step violates the hypotheses the count
 relies on; the passes call the checker of their step kind on every step
 they emit, and ``expected_cokernel_dim`` dispatches to the same
-checkers. ``cokernel_dimension`` recomputes that dimension by exact
-linear algebra on truncated graded pieces, and ``audit`` checks every
-step of a terminated trace that way, so a full audit certifies each
-step of a reduction independently.
+checkers. ``cokernel_dimension`` recomputes that dimension on truncated
+graded pieces as a count: multiplication by the chain monomial is
+injective modulo the one relation, so the dimension is the number of
+lead-free monomials of the target minus that of the source. ``audit``
+checks every step of a terminated trace that way, so a full audit
+certifies each step of a reduction independently.
 """
 
 from fractions import Fraction
@@ -42,7 +44,6 @@ from .errors import (
     ParameterError,
     ResourceCapError,
 )
-from .linalg import rank_sparse
 from .rings import (
     Monomial,
     Polynomial,
@@ -54,6 +55,8 @@ from .rings import (
 DEFAULT_STEP_CAP = 10000
 DEFAULT_COKERNEL_CAP = 24
 MAX_COKERNEL_CAP = 40
+BASE_CASE_CAP = 8
+BASE_CASE_CAP_LIMIT = 64
 
 
 class ReductionStep:
@@ -505,50 +508,33 @@ def _step_multiplier(step, grading):
 
 
 def _quotient_dims(pres, mono, source, target, cap):
-    # Work in the quotient's own monomial basis: the lead-free monomials
-    # span each graded piece, and exact normal forms express the image
-    # rows in that basis. Cutting relation multiples against a raw
-    # monomial list instead leaves a window of unreduced monomials (the
-    # relation terms differ in total degree), which plateaus at wrong
-    # dimensions for several caps in a row.
+    # The relation f, when there is one, has at least two terms and its
+    # lead shares no variable with the other terms, so no monomial
+    # divides f and multiplication by mono is injective on S/(f). The lead-free
+    # monomials are a basis of S/(f), since {f} alone is a Groebner
+    # basis (Cox-Little-O'Shea, ch. 2). So mono maps the lead-free
+    # monomials of the source to independent elements of the target,
+    # and each truncated cokernel dimension is a count: lead-free
+    # monomials of the target below the cap, minus those of the source
+    # below cap - total(mono).
     #
     # Returns the dimensions truncated at cap - 1 and at cap from one
-    # enumeration at cap: the cap - 1 pieces are the monomials of total
-    # degree <= cap - 1 of the cap ones, a row's normal form does not
-    # depend on the cap, and a rank does not depend on how the columns
-    # are numbered.
+    # enumeration at cap.
     std = graded_piece_basis(pres, target, cap)
-    index = {}
-    for m in std:
-        index[m] = len(index)
-    rows = []
-    inner_rows = []
     budget = cap - mono.total()
-    if budget >= 0:
-        for s in graded_piece_basis(pres, source, budget):
-            form = normal_form(Polynomial.from_monomial(s * mono), pres)
-            row = {}
-            for m, c in form.terms.items():
-                if c.denominator != 1:
-                    raise ParameterError("relation coefficients must be integral")
-                if m not in index:
-                    # a rewrite can climb past the cap; the monomial is
-                    # still part of the basis, so give it a column
-                    index[m] = len(index)
-                row[index[m]] = int(c)
-            if row:
-                rows.append(row)
-                if s.total() < budget:
-                    inner_rows.append(row)
+    src = graded_piece_basis(pres, source, budget) if budget >= 0 else []
     inner_std = sum(1 for m in std if m.total() < cap)
-    return inner_std - rank_sparse(inner_rows), len(std) - rank_sparse(rows)
+    inner_src = sum(1 for s in src if s.total() < budget)
+    return inner_std - inner_src, len(std) - len(src)
 
 
 def cokernel_dimension(pres, step, cap=DEFAULT_COKERNEL_CAP):
     """Dimension of (target graded piece) / (image of multiplication by
-    the step's chain monomial), both taken modulo the relations and
-    truncated at total degree cap. Returns (dimension, stabilized) where
-    stabilized means caps cap-1 and cap agree."""
+    the step's chain monomial), both taken modulo the relation and
+    truncated at total degree cap: the lead-free monomials of the target
+    minus those of the source, whose images are independent. Returns
+    (dimension, stabilized) where stabilized means caps cap-1 and cap
+    agree."""
     if cap > MAX_COKERNEL_CAP:
         raise ResourceCapError(
             "truncation cap %d exceeds the audit limit %d"
@@ -642,7 +628,7 @@ def quotient_presentation(graph, leaf):
 
     rel = relation_from_graph(graph)
     if rel is None:
-        return RingPresentation(sub, [], [])
+        return RingPresentation(sub)
     kept = {
         project(m): c for m, c in rel.terms.items() if m.exps[cut] == 0
     }
@@ -652,23 +638,25 @@ def quotient_presentation(graph, leaf):
     lead = project(branch_term(graph, short))
     if lead not in reduced.terms:
         raise ParameterError("quotient relation lost its lead term")
-    return RingPresentation(sub, [reduced], [lead])
+    return RingPresentation(sub, reduced, lead)
 
 
-def base_case_family(graph, leaf, k, cap=8, cap_limit=64):
+def base_case_family(graph, leaf, k):
     """Seed and period monomials for the graded piece of degree
     k*e_leaf in the quotient presentation, found by enumerating the
-    piece until two basis elements appear."""
+    piece, from total degree BASE_CASE_CAP up to BASE_CASE_CAP_LIMIT,
+    until two basis elements appear."""
     if k < 1:
         raise ParameterError("k must be positive")
     qp = quotient_presentation(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))
     basis = []
+    cap = BASE_CASE_CAP
     while len(basis) < 2:
-        if cap > cap_limit:
+        if cap > BASE_CASE_CAP_LIMIT:
             raise ResourceCapError(
                 "no two basis elements of degree %r below total degree %d"
-                % (target, cap_limit),
+                % (target, BASE_CASE_CAP_LIMIT),
                 partial=[str(m) for m in basis],
             )
         basis = graded_piece_basis(qp, target, cap)

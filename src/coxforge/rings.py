@@ -29,9 +29,6 @@ class Monomial:
     def total(self):
         return sum(self.exps)
 
-    def is_one(self):
-        return all(x == 0 for x in self.exps)
-
     def divides(self, other):
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
@@ -279,42 +276,41 @@ def monomials_of_degree(grading, degree, cap):
 
 
 class RingPresentation:
-    """Polynomial ring over a grading modulo homogeneous relations whose
-    lead terms have coefficient one and pairwise disjoint variable
-    support from every non-lead term."""
+    """Polynomial ring over a grading, modulo at most one homogeneous
+    relation. The relation has at least two terms, its lead term has
+    coefficient one, and the lead shares no variable with any other
+    term. So {relation} is a Groebner basis, the lead-free monomials
+    are a basis of the quotient, and the relation has no monomial
+    factor."""
 
-    __slots__ = ("grading", "relations", "leads", "weights")
+    __slots__ = ("grading", "relation", "lead", "weights")
 
-    def __init__(self, grading, relations, leads):
-        if len(relations) != len(leads):
-            raise ParameterError("one lead term per relation")
-        for rel, lead in zip(relations, leads):
-            if rel.terms.get(lead) != 1:
+    def __init__(self, grading, relation=None, lead=None):
+        if (relation is None) != (lead is None):
+            raise ParameterError("a relation needs a lead term, and a lead term a relation")
+        if relation is not None:
+            if len(relation.terms) < 2:
+                raise ParameterError("relation needs at least two terms")
+            if relation.terms.get(lead) != 1:
                 raise ParameterError("lead term must appear with coefficient 1")
-            degs = {grading.degree_of(m) for m in rel.terms}
+            degs = {grading.degree_of(m) for m in relation.terms}
             if len(degs) > 1:
                 raise ParameterError("relation is not homogeneous")
+            for m in relation.terms:
+                if m != lead and any(a and b for a, b in zip(lead.exps, m.exps)):
+                    raise ParameterError("lead term shares a variable with another term")
         self.grading = grading
-        self.relations = tuple(relations)
-        self.leads = tuple(leads)
+        self.relation = relation
+        self.lead = lead
         self.weights = self._termination_weights()
 
     def _termination_weights(self):
         # lead variables outweigh any single non-lead term, which makes
         # each rewrite drop the weighted degree and normal forms finite
-        max_other = 0
-        lead_vars = set()
-        for rel, lead in zip(self.relations, self.leads):
-            for m in rel.terms:
-                if m != lead:
-                    max_other = max(max_other, m.total())
-            for i, e in enumerate(lead.exps):
-                if e:
-                    lead_vars.add(i)
-        boost = max_other + 1
-        return tuple(
-            boost if i in lead_vars else 1 for i in range(self.grading.width)
-        )
+        if self.relation is None:
+            return (1,) * self.grading.width
+        boost = 1 + max(m.total() for m in self.relation.terms if m != self.lead)
+        return tuple(boost if e else 1 for e in self.lead.exps)
 
     def weighted_degree(self, mono):
         return sum(w * e for w, e in zip(self.weights, mono.exps))
@@ -324,29 +320,26 @@ class RingPresentation:
 
 
 def normal_form(poly, pres):
-    """Reduce modulo the relations: rewrite lead * q -> -(rest) * q until
-    no term is divisible by a lead. Deterministic and terminating."""
+    """Reduce modulo the relation: rewrite lead * q -> -(rest) * q until
+    no term is divisible by the lead. Deterministic and terminating."""
     work = Polynomial(poly.terms)
+    lead = pres.lead
+    if lead is None:
+        return work
+    rest = Polynomial({m: c for m, c in pres.relation.terms.items() if m != lead})
     while True:
-        target = None
-        for m in sorted(work.terms, key=pres.monomial_order_key, reverse=True):
-            for rel, lead in zip(pres.relations, pres.leads):
-                if lead.divides(m):
-                    target = (m, rel, lead)
-                    break
-            if target:
-                break
-        if target is None:
+        hits = [m for m in work.terms if lead.divides(m)]
+        if not hits:
             return work
-        m, rel, lead = target
-        q = m / lead
+        m = max(hits, key=pres.monomial_order_key)
         c = work.terms[m]
-        rest = Polynomial({mm: cc for mm, cc in rel.terms.items() if mm != lead})
-        work = work - Polynomial({m: c}) - rest.times_monomial(q, c)
+        work = work - Polynomial({m: c}) - rest.times_monomial(m / lead, c)
 
 
 def graded_piece_basis(pres, degree, cap):
     """Monomial basis of one graded piece, truncated at total degree cap:
     monomials of the degree with no lead-term divisor."""
     monos = monomials_of_degree(pres.grading, degree, cap)
-    return [m for m in monos if not any(l.divides(m) for l in pres.leads)]
+    if pres.lead is None:
+        return monos
+    return [m for m in monos if not pres.lead.divides(m)]

@@ -297,7 +297,7 @@ def test_out_flag_writes_file(capsys, tmp_path):
     "argv,code",
     [
         (["graph", "--case", "D4"], 0),
-        (["reduce", "--case", "A3", "--degree=0,2,0", "--caps", "cokernel=41"], 3),
+        (["reduce", "--case", "A5", "--degree=0,0,0,-1,0"], 3),
     ],
     ids=["report", "resource-cap"],
 )
@@ -437,3 +437,27 @@ def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: config cap %r needs at least 1, got 0\n" % key
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_cokernel_cap_above_the_audit_limit_is_rejected(capsys, monkeypatch, tmp_path, source):
+    # a cap of 41 used to pass start-up and exit 3 at the first audit
+    def argv_with(value):
+        argv = ["verify", "--case", "A3", "--grid", "20"]
+        monkeypatch.delenv("COXFORGE_CAP", raising=False)
+        if source == "flag":
+            return argv + ["--caps", "cokernel=%d" % value]
+        if source == "env":
+            monkeypatch.setenv("COXFORGE_CAP", str(value))
+            return argv
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"caps": {"cokernel": value}}))
+        return argv + ["--config", str(path)]
+
+    what = {"flag": "cap 'cokernel'", "env": "COXFORGE_CAP", "config": "config cap 'cokernel'"}
+    assert cli.main(argv_with(41)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s needs at most 40, got 41\n" % what[source]
+    settings = cli.resolve_settings(cli.build_parser().parse_args(argv_with(40)))
+    assert settings["caps"]["cokernel"] == 40

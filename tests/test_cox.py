@@ -46,7 +46,7 @@ def test_chains_have_no_relation(n):
     graph = build_singularity("A", n)
     assert cox.relation_from_graph(graph) is None
     pres = cox.presentation_from_graph(graph)
-    assert pres.relations == ()
+    assert pres.relation is None
 
 
 def test_custom_tree_relation_frozen():

@@ -1,6 +1,7 @@
 import gzip
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxforge import reduction
-from coxforge.cli import parse_case
+from coxforge.cli import grid_sample, parse_case
 from coxforge.cox import presentation_from_graph
 from coxforge.errors import (
     HypothesisViolationError,
@@ -17,6 +18,7 @@ from coxforge.errors import (
     ResourceCapError,
 )
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
+from coxforge.linalg import rank_sparse
 from coxforge.reduction import (
     ReductionStep,
     audit_add_curve,
@@ -33,6 +35,7 @@ from coxforge.reduction import (
     reduce_to_nef,
     s_measure,
 )
+from coxforge.rings import Polynomial, graded_piece_basis, normal_form
 
 
 def _step(graph, kind, nodes, curves, before):
@@ -535,6 +538,53 @@ def test_audit_wide_add_curve_at_default_cap():
     assert report["cap"] == 24
 
 
+def _eliminated_dims(pres, step, graph, cap):
+    """The cokernel dimensions at cap - 1 and cap by elimination: the
+    normal forms of every lead-free source monomial times the chain
+    monomial, as sparse rows over the lead-free target monomials."""
+    grading = pres.grading
+    mono = grading.monomial(Counter(graph.curve_variable(v) for v in step.curves))
+    if step.adds_curves():
+        source, target = step.degree_before, step.degree_after
+    else:
+        source, target = step.degree_after, step.degree_before
+    std = graded_piece_basis(pres, target, cap)
+    index = {m: i for i, m in enumerate(std)}
+    rows, inner_rows = [], []
+    budget = cap - mono.total()
+    for s in graded_piece_basis(pres, source, budget) if budget >= 0 else ():
+        form = normal_form(Polynomial.from_monomial(s * mono), pres)
+        row = {index.setdefault(m, len(index)): int(c) for m, c in form.terms.items()}
+        rows.append(row)
+        if s.total() < budget:
+            inner_rows.append(row)
+    inner_std = sum(1 for m in std if m.total() < cap)
+    return inner_std - rank_sparse(inner_rows), len(std) - rank_sparse(rows)
+
+
+@pytest.mark.parametrize("case", ["A4", "D5", "E6", "custom:2,2,3", "custom:1,2,5"])
+def test_cokernel_count_matches_elimination(case):
+    # the AddCurve steps from 2*e_leaf and the steps of four sampled
+    # degrees; a pass on a star that is not negative definite may not
+    # terminate, so each pass stops after 12 steps
+    graph = parse_case(case)
+    pres = presentation_from_graph(graph)
+    steps = {}
+    for leaf in graph.basic_leaves():
+        before = tuple(2 if v == leaf else 0 for v in graph.nodes)
+        step = _step(graph, "AddCurve", (leaf,), (leaf,), before)
+        steps[(step.kind, step.curves, step.degree_before)] = step
+    for d in grid_sample(len(graph.nodes), 4, seed=5):
+        for step in reduction.reduce(graph, d, step_cap=12).steps:
+            steps.setdefault((step.kind, step.curves, step.degree_before), step)
+    assert len(steps) >= 30
+    for step in steps.values():
+        for cap in range(8, 29, 4):
+            previous, current = _eliminated_dims(pres, step, graph, cap)
+            expected = (current, previous == current)
+            assert cokernel_dimension(pres, step, cap) == expected, (step, cap)
+
+
 def test_cokernel_cap_limit():
     d4 = build_singularity("D", 4)
     pres = presentation_from_graph(d4)
@@ -565,21 +615,21 @@ def test_quotient_presentation_d4():
     d4 = build_singularity("D", 4)
     qp = quotient_presentation(d4, 1)
     assert qp.grading.variables == ("x2", "x3", "y0", "y1", "y2", "y3")
-    assert qp.grading.format_polynomial(qp.relations[0]) == "x3^2*y3 + x2^2*y2"
-    assert qp.grading.format_monomial(qp.leads[0]) == "x2^2*y2"
+    assert qp.grading.format_polynomial(qp.relation) == "x3^2*y3 + x2^2*y2"
+    assert qp.grading.format_monomial(qp.lead) == "x2^2*y2"
 
 
 def test_quotient_presentation_d5_long_leaf():
     d5 = build_singularity("D", 5)
     qp = quotient_presentation(d5, 4)
-    assert qp.grading.format_polynomial(qp.relations[0]) == "x2^2*y2 + x1^2*y1"
-    assert qp.grading.format_monomial(qp.leads[0]) == "x1^2*y1"
+    assert qp.grading.format_polynomial(qp.relation) == "x2^2*y2 + x1^2*y1"
+    assert qp.grading.format_monomial(qp.lead) == "x1^2*y1"
 
 
 def test_quotient_presentation_chain_is_free():
     a3 = build_singularity("A", 3)
     qp = quotient_presentation(a3, 1)
-    assert qp.relations == ()
+    assert qp.relation is None
     assert qp.grading.variables == ("x3", "y1", "y2", "y3")
 
 

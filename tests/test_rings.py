@@ -247,23 +247,41 @@ def _fork_presentation():
             g.parse_monomial("y3*x3^2"): 1,
         }
     )
-    return RingPresentation(g, [rel], [g.parse_monomial("y1*x1^2")])
+    return RingPresentation(g, rel, g.parse_monomial("y1*x1^2"))
 
 
 def test_presentation_rejects_inhomogeneous_relation():
     g = _fork_grading()
     rel = Polynomial({g.parse_monomial("y1*x1^2"): 1, g.parse_monomial("x1"): 1})
     with pytest.raises(ParameterError):
-        RingPresentation(g, [rel], [g.parse_monomial("y1*x1^2")])
+        RingPresentation(g, rel, g.parse_monomial("y1*x1^2"))
 
 
 def test_presentation_rejects_bad_lead():
     g = _fork_grading()
     rel = Polynomial({g.parse_monomial("y1*x1^2"): 2, g.parse_monomial("y2*x2^2"): 1})
     with pytest.raises(ParameterError):
-        RingPresentation(g, [rel], [g.parse_monomial("y1*x1^2")])
+        RingPresentation(g, rel, g.parse_monomial("y1*x1^2"))
     with pytest.raises(ParameterError):
-        RingPresentation(g, [rel], [g.parse_monomial("x1")])
+        RingPresentation(g, rel, g.parse_monomial("x1"))
+
+
+def test_presentation_rejects_lead_sharing_a_variable():
+    # lead * z has the degree of the lead for a degree-zero z, and
+    # shares the variables of the lead
+    g = _fork_grading()
+    lead = g.parse_monomial("y1*x1^2")
+    z = solve_degree_system(g)[0]
+    rel = Polynomial({lead: 1, lead * z: 1})
+    with pytest.raises(ParameterError, match="shares a variable"):
+        RingPresentation(g, rel, lead)
+
+
+def test_presentation_rejects_one_term_relation():
+    g = _fork_grading()
+    lead = g.parse_monomial("y1*x1^2")
+    with pytest.raises(ParameterError, match="at least two terms"):
+        RingPresentation(g, Polynomial({lead: 1}), lead)
 
 
 def test_normal_form_rewrites_lead():
@@ -288,7 +306,7 @@ def test_normal_form_fixes_reduced_terms():
     g = pres.grading
     p = Polynomial({g.parse_monomial("y2*x2^2"): 3, g.parse_monomial("y0"): 1})
     assert normal_form(p, pres) == p
-    rel = pres.relations[0]
+    rel = pres.relation
     assert normal_form(rel, pres).is_zero()
 
 
