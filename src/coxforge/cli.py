@@ -9,9 +9,17 @@ is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
 the nef pass and the basic pass of `reduce` and of the verify sweep get
-N steps each. Every cap, from a flag, COXFORGE_CAP or the config file,
-must be at least 1, and the cokernel cap at most
-reduction.MAX_COKERNEL_CAP (40).
+N steps each. A sweep cell's nef pass is read off
+reduction.least_nef_cycle, which only the sweep uses: the cell fails
+its step cap exactly when the least nef-making cycle has more than N
+curves, the count the step-by-step pass would take. Every cap, from a
+flag, COXFORGE_CAP or the config file, must be at least 1, and the
+cokernel cap at most reduction.MAX_COKERNEL_CAP (40).
+
+verify and report show the cox and counterexample sections as skipped,
+with the reason, on a tree that no candidate relation covers (a node of
+valence four or more, or several branch points); the exit code rests on
+the sections that ran.
 """
 
 import argparse
@@ -21,7 +29,7 @@ import os
 import sys
 import time
 
-from . import reduction
+from . import linalg, reduction
 from .cox import presentation_from_graph, verify_presentation
 from .errors import (
     CoxforgeError,
@@ -215,17 +223,34 @@ def _grid_cells(graph, settings):
 
 
 def _termination_sweep(graph, cells, settings):
+    """The verdict of ``reduction.reduce`` on every cell, in cell order:
+    its nef pass must terminate, its basic pass must terminate on a
+    basic degree, and on D graphs the basic pass's measures must not
+    increase. The nef pass is read off ``reduction.least_nef_cycle``,
+    and the basic pass, which depends only on the nef terminal, runs
+    once per distinct terminal; only its verdict and step count are
+    kept."""
+    step_cap = settings["caps"]["step"]
+    adj, det = linalg.adjugate(graph.intersection_matrix())
+    basic_passes = {}
     max_steps = 0
     for d in cells:
-        trace = reduction.reduce(graph, d, settings["caps"]["step"])
-        ms = trace.measures
-        if (
-            not trace.terminated
-            or not reduction.is_basic(trace.terminal, graph)
-            or (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:])))
-        ):
+        terminal, nef_steps = reduction.least_nef_cycle(d, graph, adj, det)
+        if nef_steps > step_cap:
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        max_steps = max(max_steps, len(trace.steps))
+        if terminal not in basic_passes:
+            trace = reduction.reduce_nef_to_basic(terminal, graph, step_cap)
+            ms = trace.measures
+            basic_passes[terminal] = (
+                trace.terminated
+                and reduction.is_basic(trace.terminal, graph)
+                and not (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:]))),
+                len(trace.steps),
+            )
+        ok, basic_steps = basic_passes[terminal]
+        if not ok:
+            return {"cells": len(cells), "ok": False, "failed_at": list(d)}
+        max_steps = max(max_steps, nef_steps + basic_steps)
     return {"cells": len(cells), "ok": True, "max_steps": max_steps}
 
 
@@ -261,6 +286,15 @@ def _counterexample_section(graph, settings):
     return {"audits": audits, "verdict": verdict, "ok": True}
 
 
+def _unless_unsupported(section, *args):
+    """One section's report, or a visible skip with the reason when no
+    candidate relation covers the graph."""
+    try:
+        return section(*args)
+    except UnsupportedGraphError as exc:
+        return {"skipped": str(exc), "ok": True}
+
+
 def _timed(sections, timings, name, fn):
     start = time.perf_counter()
     result = fn()
@@ -275,7 +309,7 @@ def cmd_verify(graph, settings, with_timings):
     cells = _grid_cells(graph, settings)
     if graph.family is not None:
         _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
-    _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
+    _timed(sections, timings, "cox", lambda: _unless_unsupported(verify_presentation, graph))
     if graph.is_negative_definite():
         _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings))
     else:
@@ -290,9 +324,13 @@ def cmd_verify(graph, settings, with_timings):
         _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
     else:
         cex = _timed(
-            sections, timings, "counterexample", lambda: _counterexample_section(graph, settings)
+            sections,
+            timings,
+            "counterexample",
+            lambda: _unless_unsupported(_counterexample_section, graph, settings),
         )
-        payload["verdict"] = cex["verdict"]
+        if "verdict" in cex:
+            payload["verdict"] = cex["verdict"]
     ok = all(section["ok"] for section in sections.values())
     payload["ok"] = ok
     if with_timings:
@@ -306,13 +344,16 @@ def cmd_report(graph, settings, with_timings):
     _timed(sections, timings, "graph", lambda: cmd_graph(graph, settings)[0])
     if graph.family is not None:
         _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
-    _timed(sections, timings, "cox", lambda: cmd_cox(graph, settings)[0])
+    _timed(sections, timings, "cox", lambda: _unless_unsupported(verify_presentation, graph))
     if graph.family is not None:
         cells = _grid_cells(graph, settings)
         _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
     else:
         _timed(
-            sections, timings, "counterexample", lambda: _counterexample_section(graph, settings)
+            sections,
+            timings,
+            "counterexample",
+            lambda: _unless_unsupported(_counterexample_section, graph, settings),
         )
     ok = all(section.get("ok", True) for section in sections.values())
     payload = {"case": graph.label, "sections": sections, "ok": ok}

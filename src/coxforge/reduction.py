@@ -13,6 +13,8 @@ procedures move a degree into normal position:
   presentation and a seed/period monomial family.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
+``least_nef_cycle`` gives the nef pass's terminal and step count in
+closed form, without a trace; only the verify sweep uses it.
 
 Both passes scan the degree once per step, over (node, index) pairs in
 curve order, and apply the intersection-matrix columns that the graph
@@ -267,6 +269,39 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
         step.expected_cokernel_dim = _expect_subtract_curve(step, graph)
         steps.append(step)
         d = after
+
+
+def least_nef_cycle(degree, graph, adj, det):
+    """The end of ``reduce_to_nef`` in closed form: (d - M Z, |Z|) for
+    the least cycle Z >= 0 with d - M Z >= 0, where M is the
+    intersection matrix of a negative-definite graph and (adj, det) is
+    ``linalg.adjugate`` of it. |Z| is the pass's step count, so the pass
+    terminates within a step cap exactly when |Z| <= cap.
+
+    The cycles Z >= 0 with d - M Z >= 0 are closed under componentwise
+    min, and firing a curve where d - M Z is negative never passes their
+    least element Z* (Laufer, On rational singularities, 1972), so the
+    pass ends at Z* in any firing order. -M is an M-matrix, so every
+    such Z is at least M^-1 d = adj d / det. The start
+    max(0, ceil(adj d / det)) is thus below Z*, and firing from it in
+    curve order ends exactly at Z*. Only the verify sweep uses this;
+    ``reduce`` and the audits keep the step-by-step pass."""
+    d = _check_degree(degree, graph)
+    # ceil(x / det) is -(-x // det) for either sign of det
+    z = [max(0, -(-sum(map(mul, row, d)) // det)) for row in adj]
+    cols = graph.columns
+    # M is symmetric: its columns in node order are also its rows
+    d = tuple([c - sum(map(mul, cols[v], z)) for v, c in zip(graph.nodes, d)])
+    size = sum(z)
+    spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
+    while True:
+        for neg, i in spots:
+            if d[i] < 0:
+                break
+        else:
+            return d, size
+        d = tuple(map(sub, d, cols[neg]))
+        size += 1
 
 
 def _shift_target(graph, node):

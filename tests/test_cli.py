@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from coxforge import cli
+from coxforge import cli, reduction
 from coxforge.graphs import ResolutionGraph
 
 
@@ -217,6 +217,47 @@ def test_verify_reports_step_capped_sweep_cell(capsys):
     }
 
 
+def _stepwise_sweep(graph, cells, settings):
+    # the sweep as it ran before the closed form: the whole step-by-step
+    # reduction of every cell, kept here as the reference
+    max_steps = 0
+    for d in cells:
+        trace = reduction.reduce(graph, d, settings["caps"]["step"])
+        ms = trace.measures
+        if (
+            not trace.terminated
+            or not reduction.is_basic(trace.terminal, graph)
+            or (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:])))
+        ):
+            return {"cells": len(cells), "ok": False, "failed_at": list(d)}
+        max_steps = max(max_steps, len(trace.steps))
+    return {"cells": len(cells), "ok": True, "max_steps": max_steps}
+
+
+ADE_CASES = (
+    ["A%d" % n for n in range(1, 9)]
+    + ["D%d" % n for n in range(4, 13)]
+    + ["E6", "E7", "E8"]
+)
+
+
+@pytest.mark.parametrize(
+    "case,grid,step",
+    [(case, 300, cli.DEFAULT_CAPS["step"]) for case in ADE_CASES]
+    + [(case, cli.DEFAULT_GRID, step) for case in ("D4", "A6") for step in (1, 2, 5, 20, 40)],
+)
+def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
+    graph = cli.parse_case(case)
+    settings = {
+        "caps": dict(cli.DEFAULT_CAPS, step=step),
+        "grid": grid,
+        "seed": cli.DEFAULT_SEED,
+    }
+    cells = cli._grid_cells(graph, settings)
+    want = _stepwise_sweep(graph, cells, settings)
+    assert cli._termination_sweep(graph, cells, settings) == want
+
+
 def test_verify_counterexample(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0
@@ -242,6 +283,44 @@ def test_verify_definite_custom_tree_holds(capsys):
     assert code == 0
     assert payload["verdict"] == "rule-holds-on-sample"
     assert payload["sections"]["reduction"]["ok"]
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("case", ["custom:1,1,1,1", "custom:1,1,1,2"])
+def test_four_arm_stars_show_the_relation_sections_as_skipped(capsys, command, case):
+    # no candidate relation covers a valence-four center, so the cox and
+    # counterexample sections are skipped; the exit code rests on the rest
+    code, payload = run_json(capsys, [command, "--case", case, "--grid", "50"])
+    assert code == 0
+    assert payload["ok"] is True
+    skipped = {"skipped": "no candidate relation at a node of valence 4", "ok": True}
+    assert payload["sections"]["cox"] == skipped
+    assert payload["sections"]["counterexample"] == skipped
+    assert "verdict" not in payload
+    if command == "verify":
+        # neither star is negative definite: custom:1,1,1,1 is affine D4
+        assert payload["sections"]["reduction"]["skipped"]
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_four_arm_star_text_shows_skipped(capsys, command):
+    argv = [command, "--case", "custom:1,1,1,1", "--grid", "50", "--format", "text"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert "  cox: skipped\n" in out
+    assert "  counterexample: skipped\n" in out
+    assert out.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("case,exit_code", [("D4", 0), ("A6", 1)])
+def test_verify_timings_only_add_the_timings_key(capsys, case, exit_code):
+    # --timings adds wall-clock milliseconds and must change no other byte
+    code, plain = run(capsys, ["verify", "--case", case])
+    timed_code, timed = run(capsys, ["verify", "--case", case, "--timings"])
+    assert code == timed_code == exit_code
+    payload = json.loads(timed)
+    assert set(payload.pop("timings")) <= set(payload["sections"])
+    assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == plain
 
 
 def test_report_command(capsys):

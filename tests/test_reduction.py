@@ -18,7 +18,7 @@ from coxforge.errors import (
     ResourceCapError,
 )
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
-from coxforge.linalg import rank_sparse
+from coxforge.linalg import adjugate, rank_sparse
 from coxforge.reduction import (
     ReductionStep,
     audit_add_curve,
@@ -136,6 +136,30 @@ def test_reduce_to_nef_keeps_nef_input():
     assert trace.steps == ()
     assert trace.terminal == (0, 1, 1, 0)
     assert trace.terminated
+
+
+# the negative-definite stars: D, E6, E7 and E8 shapes under custom labels
+DEFINITE_STARS = ["custom:1,1,1", "custom:1,1,4", "custom:1,2,2", "custom:1,2,3", "custom:1,2,4"]
+
+
+@pytest.mark.parametrize("case", ADE_CASES + DEFINITE_STARS)
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_least_nef_cycle_is_the_end_of_the_nef_pass(case, data):
+    graph = parse_case(case)
+    assert graph.is_negative_definite()
+    adj, det = adjugate(graph.intersection_matrix())
+    width = len(graph.nodes)
+    d = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width)))
+    terminal, size = reduction.least_nef_cycle(d, graph, adj, det)
+    nef = reduce_to_nef(d, graph)
+    assert nef.terminated
+    assert terminal == nef.terminal
+    assert size == len(nef.steps)
+    # the step cap boundary: |Z| - 1 steps fall short, |Z| steps suffice
+    if size:
+        assert not reduce_to_nef(d, graph, size - 1).terminated
+    assert reduce_to_nef(d, graph, size).terminated
 
 
 def test_add_chain_trace():
