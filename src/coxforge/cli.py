@@ -12,9 +12,12 @@ the nef pass and the basic pass of `reduce` and of the verify sweep get
 N steps each. A sweep cell's nef pass is read off
 reduction.least_nef_cycle, which only the sweep uses: the cell fails
 its step cap exactly when the least nef-making cycle has more than N
-curves, the count the step-by-step pass would take. Every cap, from a
-flag, COXFORGE_CAP or the config file, must be at least 1, and the
-cokernel cap at most reduction.MAX_COKERNEL_CAP (40).
+curves, the count the step-by-step pass would take. Its basic pass
+stops at an add-phase degree an earlier cell's pass went through, and
+the cell's step count is the steps walked plus the count left from
+there, held to the same N. Every cap, from a flag, COXFORGE_CAP or the
+config file, must be at least 1, and the cokernel cap at most
+reduction.MAX_COKERNEL_CAP (40).
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a tree that no candidate relation covers (a node of
@@ -226,31 +229,51 @@ def _termination_sweep(graph, cells, settings):
     """The verdict of ``reduction.reduce`` on every cell, in cell order:
     its nef pass must terminate, its basic pass must terminate on a
     basic degree, and on D graphs the basic pass's measures must not
-    increase. The nef pass is read off ``reduction.least_nef_cycle``,
-    and the basic pass, which depends only on the nef terminal, runs
-    once per distinct terminal; only its verdict and step count are
-    kept."""
+    increase. The nef pass is read off ``reduction.least_nef_cycle``.
+
+    The basic pass from a degree at the top of its add-phase loop
+    depends on that degree alone, so ``known`` maps every such degree a
+    successful pass went through, and its end, to the steps left in that
+    pass. A cell whose nef terminal is known makes no call; otherwise
+    the pass stops at the first known degree, and its step count is the
+    steps walked plus the count stopped at. The sweep returns at the
+    first failing cell, so ``known`` only holds degrees of passes that
+    succeeded, whose later measures already held; each distinct step is
+    built, and checked, in the first cell that reaches it."""
     step_cap = settings["caps"]["step"]
     adj, det = linalg.adjugate(graph.intersection_matrix())
-    basic_passes = {}
+    known = {}
     max_steps = 0
     for d in cells:
         terminal, nef_steps = reduction.least_nef_cycle(d, graph, adj, det)
         if nef_steps > step_cap:
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        if terminal not in basic_passes:
-            trace = reduction.reduce_nef_to_basic(terminal, graph, step_cap)
+        if terminal not in known:
+            trace = reduction.reduce_nef_to_basic(terminal, graph, step_cap, known)
+            end, steps = trace.terminal, trace.steps
+            # a pass stops at a known degree only at the top of its
+            # add-phase loop, never right after a shift step; a pass that
+            # ended on its own has no steps left
+            stopped = end in known and (not steps or steps[-1].adds_curves())
+            total = len(steps) + (known[end] if stopped else 0)
             ms = trace.measures
-            basic_passes[terminal] = (
+            if not (
                 trace.terminated
-                and reduction.is_basic(trace.terminal, graph)
-                and not (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:]))),
-                len(trace.steps),
-            )
-        ok, basic_steps = basic_passes[terminal]
-        if not ok:
-            return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        max_steps = max(max_steps, nef_steps + basic_steps)
+                and (stopped or reduction.is_basic(end, graph))
+                and not (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:])))
+                and total <= step_cap
+            ):
+                return {"cells": len(cells), "ok": False, "failed_at": list(d)}
+            # the degrees the add-phase loop scanned: those before its
+            # steps up to the first shift, which carries its own position
+            left = total
+            for step in steps:
+                known[step.degree_before] = left
+                if not step.adds_curves():
+                    break
+                left -= 1
+            known.setdefault(end, 0)
+        max_steps = max(max_steps, nef_steps + known[terminal])
     return {"cells": len(cells), "ok": True, "max_steps": max_steps}
 
 

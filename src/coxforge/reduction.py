@@ -14,7 +14,9 @@ procedures move a degree into normal position:
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 ``least_nef_cycle`` gives the nef pass's terminal and step count in
-closed form, without a trace; only the verify sweep uses it.
+closed form, without a trace; only the verify sweep uses it, and only
+it passes ``reduce_nef_to_basic`` the add-phase degrees it already
+knows the rest of.
 
 Both passes scan the degree once per step, over (node, index) pairs in
 curve order, and apply the intersection-matrix columns that the graph
@@ -325,10 +327,17 @@ def _least_eligible_pair(d, ones, graph, idx):
                 return u, w
 
 
-def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
+def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
     """Add phase (single curve at a coordinate >= 2, else the chain
     between the order-least eligible pair of 1's), then shift the last
-    remaining 1 to a branch-end leaf."""
+    remaining 1 to a branch-end leaf.
+
+    Every step after the top of the add-phase loop depends on the degree
+    there alone. ``known`` holds such degrees, from passes already run:
+    the pass stops at the top of its loop on the first degree in it and
+    returns the steps walked so far as a terminated trace ending there.
+    Degrees inside the shift phase are never looked up. Only the verify
+    sweep passes ``known``; every other caller gets the whole pass."""
     d = _check_degree(degree, graph)
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
@@ -346,6 +355,8 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     measures = [_half(twice)]
     steps = []
     while True:
+        if d in known:
+            break
         # one scan: the first coordinate >= 2, else every 1 in curve order
         big = None
         ones = []

@@ -258,6 +258,61 @@ def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
     assert cli._termination_sweep(graph, cells, settings) == want
 
 
+def _sweep_settings(step):
+    return {
+        "caps": dict(cli.DEFAULT_CAPS, step=step),
+        "grid": 300,
+        "seed": cli.DEFAULT_SEED,
+    }
+
+
+@pytest.mark.parametrize("case", ["A6", "D5", "E7"])
+def test_termination_sweep_matches_the_stepwise_sweep_at_the_longest_passes(case):
+    # caps one below and at the longest reduction (L) and the longest
+    # basic pass alone (B), where a pass stopped at a known degree must
+    # land its steps walked plus the count stopped at exactly on the cap;
+    # the nef terminals, as cells of their own, put every basic pass
+    # under the cap with no nef steps in front of it
+    graph = cli.parse_case(case)
+    cells = cli._grid_cells(graph, _sweep_settings(cli.DEFAULT_CAPS["step"]))
+    terminals = list(dict.fromkeys(reduction.reduce_to_nef(d, graph).terminal for d in cells))
+    longest = max(len(reduction.reduce(graph, d).steps) for d in cells)
+    basic = max(len(reduction.reduce_nef_to_basic(t, graph).steps) for t in terminals)
+    for step in (longest - 1, longest, basic - 1, basic):
+        settings = _sweep_settings(step)
+        for sample in (cells, terminals):
+            want = _stepwise_sweep(graph, sample, settings)
+            assert cli._termination_sweep(graph, sample, settings) == want
+        if step == basic:
+            assert cli._termination_sweep(graph, terminals, settings)["max_steps"] == basic
+        if step == basic - 1:
+            assert not cli._termination_sweep(graph, terminals, settings)["ok"]
+
+
+def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
+    # E8 at grid 300: at most one basic-pass call per distinct nef
+    # terminal, and no add-phase degree walked twice
+    graph = cli.parse_case("E8")
+    settings = _sweep_settings(cli.DEFAULT_CAPS["step"])
+    cells = cli._grid_cells(graph, settings)
+    terminals = {reduction.reduce_to_nef(d, graph).terminal for d in cells}
+    passes = [reduction.reduce_nef_to_basic(t, graph) for t in terminals]
+    add_degrees = {s.degree_before for p in passes for s in p.steps if s.adds_curves()}
+    shift_steps = {s.degree_before for p in passes for s in p.steps if not s.adds_curves()}
+    built = []
+    basic_pass = reduction.reduce_nef_to_basic
+
+    def counting(*args):
+        trace = basic_pass(*args)
+        built.append(len(trace.steps))
+        return trace
+
+    monkeypatch.setattr(reduction, "reduce_nef_to_basic", counting)
+    assert cli._termination_sweep(graph, cells, settings)["ok"]
+    assert len(built) <= len(terminals)
+    assert sum(built) <= len(add_degrees) + len(shift_steps)
+
+
 def test_verify_counterexample(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0

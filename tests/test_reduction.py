@@ -364,6 +364,61 @@ def test_step_cap_keeps_a_prefix_of_the_uncapped_pass(data):
             assert capped.measures == full.measures[:adds + 1]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_known_degrees_stop_the_basic_pass_at_the_first_one_met(data):
+    graph = parse_case(data.draw(st.sampled_from(["A4", "D5", "E6"])))
+    width = len(graph.nodes)
+    nef = st.lists(st.integers(0, 4), min_size=width, max_size=width).map(tuple)
+    t, u = data.draw(nef), data.draw(nef)
+    cap = data.draw(st.sampled_from([0, 1, 3, 8, reduction.DEFAULT_STEP_CAP]))
+    # the add-phase degrees of another degree's pass, with any counts
+    known = {
+        s.degree_before: left
+        for left, s in enumerate(reduce_nef_to_basic(u, graph).steps)
+        if s.adds_curves()
+    }
+    full = reduce_nef_to_basic(t, graph)
+    capped = reduce_nef_to_basic(t, graph, cap)
+    got = reduce_nef_to_basic(t, graph, cap, known)
+    # no known degrees: the pass as it always ran
+    assert reduce_nef_to_basic(t, graph, cap, ()).to_dict() == capped.to_dict()
+    stop = next(
+        (k for k, s in enumerate(full.steps) if s.adds_curves() and s.degree_before in known),
+        None,
+    )
+    if stop is None or stop > cap:
+        assert [_step_key(s) for s in got.steps] == [_step_key(s) for s in capped.steps]
+        assert (got.terminal, got.terminated, got.measures) == (
+            capped.terminal,
+            capped.terminated,
+            capped.measures,
+        )
+        return
+    assert [_step_key(s) for s in got.steps] == [_step_key(s) for s in full.steps[:stop]]
+    assert got.terminal == full.steps[stop].degree_before
+    assert got.terminated
+    # every step before the stop is an add step, each with its measure
+    assert got.measures == full.measures[:stop + 1]
+
+
+def test_a_known_degree_inside_the_shift_phase_does_not_stop_the_pass():
+    d5 = build_singularity("D", 5)
+    # from (0, 0, 0, 1, 1) the pass adds the chain 3-4 and then shifts
+    # the 1 at node 0 back through (0, 0, 0, 1, 1) to the leaf
+    full = reduce_nef_to_basic((0, 0, 0, 1, 1), d5)
+    assert [s.kind for s in full.steps] == ["AddChain", "ShiftToLeaf", "ShiftToLeaf"]
+    assert full.steps[2].degree_before == (0, 0, 0, 1, 1)
+    known = {(0, 0, 0, 1, 1): 3}
+    shifted = reduce_nef_to_basic((1, 0, 0, 0, 0), d5, known=known)
+    assert [_step_key(s) for s in shifted.steps] == [_step_key(s) for s in full.steps[1:]]
+    assert shifted.terminal == (0, 0, 0, 0, 3)
+    assert shifted.terminated
+    # at the top of the add-phase loop the same degree stops the pass
+    stopped = reduce_nef_to_basic((0, 0, 0, 1, 1), d5, known=known)
+    assert (stopped.steps, stopped.terminal, stopped.terminated) == ((), (0, 0, 0, 1, 1), True)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_every_measure_is_the_s_measure_of_its_state(data):
