@@ -3,7 +3,7 @@
 The package builds resolution dual graphs, computes their multigraded
 invariant rings by exact Hilbert-basis methods, assembles candidate Cox ring
 presentations, and audits the divisor-reduction equivalences step by step
-with truncated cokernel dimensions.
+with exact cokernel dimensions.
 """
 
 __version__ = "0.1.0"

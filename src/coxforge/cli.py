@@ -15,9 +15,9 @@ its step cap exactly when the least nef-making cycle has more than N
 curves, the count the step-by-step pass would take. Its basic pass
 stops at an add-phase degree an earlier cell's pass went through, and
 the cell's step count is the steps walked plus the count left from
-there, held to the same N. Every cap, from a flag, COXFORGE_CAP or the
-config file, must be at least 1, and the cokernel cap at most
-reduction.MAX_COKERNEL_CAP (40).
+there, held to the same N. Every cap, from a flag or the config file,
+must be at least 1. The cokernel audits are exact counts and take no
+cap, so `cokernel` is an unknown cap.
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a tree that no candidate relation covers (a node of
@@ -28,9 +28,9 @@ the sections that ran.
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
+from operator import ge
 
 from . import linalg, reduction
 from .cox import presentation_from_graph, verify_presentation
@@ -51,7 +51,6 @@ EXIT_RESOURCE = 3
 DEFAULT_GRID = 2000
 DEFAULT_SEED = 20240
 DEFAULT_CAPS = {
-    "cokernel": reduction.DEFAULT_COKERNEL_CAP,
     "step": reduction.DEFAULT_STEP_CAP,
     "relation": None,
 }
@@ -116,18 +115,13 @@ def _integer(value, what):
     raise ParameterError("%s needs an integer, got %r" % (what, value))
 
 
-def _cap(key, value, what):
+def _cap(value, what):
     """One cap setting: an integer of at least 1. A zero or negative cap
-    would cut a reduction pass, an audit or a relation search off before
-    it did any work. A cokernel cap above the audit limit would only
-    fail once the first audit ran."""
+    would cut a reduction pass or a relation search off before it did
+    any work."""
     cap = _integer(value, what)
     if cap < 1:
         raise ParameterError("%s needs at least 1, got %d" % (what, cap))
-    if key == "cokernel" and cap > reduction.MAX_COKERNEL_CAP:
-        raise ParameterError(
-            "%s needs at most %d, got %d" % (what, reduction.MAX_COKERNEL_CAP, cap)
-        )
     return cap
 
 
@@ -159,14 +153,13 @@ def _parse_caps_flags(entries):
                 raise ParameterError(
                     "unknown cap %r (known: %s)" % (key, ", ".join(sorted(DEFAULT_CAPS)))
                 )
-            caps[key] = _cap(key, value, "cap %r" % key)
+            caps[key] = _cap(value, "cap %r" % key)
     return caps
 
 
-def resolve_settings(args, environ=None):
-    """Merge caps, seed and grid size: flags override the environment,
-    which overrides the config file, which overrides defaults."""
-    environ = os.environ if environ is None else environ
+def resolve_settings(args):
+    """Merge caps, seed and grid size: flags override the config file,
+    which overrides defaults."""
     config = _load_config(args.config)
     caps = dict(DEFAULT_CAPS)
     config_caps = config.get("caps", {})
@@ -175,10 +168,7 @@ def resolve_settings(args, environ=None):
     for key, value in config_caps.items():
         if key not in DEFAULT_CAPS:
             raise ParameterError("unknown cap %r in config" % key)
-        caps[key] = _cap(key, value, "config cap %r" % key)
-    env_cap = environ.get("COXFORGE_CAP")
-    if env_cap is not None:
-        caps["cokernel"] = _cap("cokernel", env_cap, "COXFORGE_CAP")
+        caps[key] = _cap(value, "config cap %r" % key)
     caps.update(_parse_caps_flags(args.caps))
     grid = args.grid
     if grid is None:
@@ -215,7 +205,7 @@ def cmd_reduce(graph, degree, settings):
     if trace.terminated:
         # only an audited trace needs the presentation, which a star
         # whose center has valence four or more does not have
-        reduction.audit(trace, presentation_from_graph(graph), graph, caps["cokernel"])
+        reduction.audit(trace, presentation_from_graph(graph), graph)
     payload = trace.to_dict()
     payload["case"] = graph.label
     return payload, EXIT_OK if payload["ok"] else EXIT_MISMATCH
@@ -260,7 +250,7 @@ def _termination_sweep(graph, cells, settings):
             if not (
                 trace.terminated
                 and (stopped or reduction.is_basic(end, graph))
-                and not (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:])))
+                and (graph.family != "D" or all(map(ge, ms, ms[1:])))
                 and total <= step_cap
             ):
                 return {"cells": len(cells), "ok": False, "failed_at": list(d)}
@@ -282,9 +272,7 @@ def _audit_sample(graph, cells, settings):
     reports = []
     ok = True
     for d in cells[:AUDIT_DEGREE_COUNT]:
-        rep = reduction.full_equivalence_audit(
-            graph, d, cap=caps["cokernel"], step_cap=caps["step"]
-        )
+        rep = reduction.full_equivalence_audit(graph, d, caps["step"])
         reports.append(
             {
                 "initial": rep["initial"],
@@ -297,12 +285,11 @@ def _audit_sample(graph, cells, settings):
     return {"degrees": reports, "ok": ok}
 
 
-def _counterexample_section(graph, settings):
-    caps = settings["caps"]
+def _counterexample_section(graph):
     audits = []
     any_failed = False
     for leaf in graph.basic_leaves():
-        rep = reduction.audit_add_curve(graph, leaf, k=2, cap=caps["cokernel"])
+        rep = reduction.audit_add_curve(graph, leaf, k=2)
         audits.append(rep)
         any_failed = any_failed or not rep["ok"]
     verdict = "rule-fails-as-predicted" if any_failed else "rule-holds-on-sample"
@@ -350,7 +337,7 @@ def cmd_verify(graph, settings, with_timings):
             sections,
             timings,
             "counterexample",
-            lambda: _unless_unsupported(_counterexample_section, graph, settings),
+            lambda: _unless_unsupported(_counterexample_section, graph),
         )
         if "verdict" in cex:
             payload["verdict"] = cex["verdict"]
@@ -376,7 +363,7 @@ def cmd_report(graph, settings, with_timings):
             sections,
             timings,
             "counterexample",
-            lambda: _unless_unsupported(_counterexample_section, graph, settings),
+            lambda: _unless_unsupported(_counterexample_section, graph),
         )
     ok = all(section.get("ok", True) for section in sections.values())
     payload = {"case": graph.label, "sections": sections, "ok": ok}
@@ -461,7 +448,7 @@ def build_parser():
         "--caps",
         action="append",
         metavar="KEY=N",
-        help="override caps: cokernel, step (per reduction pass), relation "
+        help="override caps: step (per reduction pass), relation "
         "(repeat or comma-separate)",
     )
     parser.add_argument("--config", help="JSON config file with caps/seed/grid")

@@ -5,7 +5,8 @@ fiber_points is the one lattice-point algorithm: it lists {s >= 0 :
 A s = t, total <= cap}. Once the free exponents are fixed, t determines
 the pivot exponents, and each free exponent runs over the interval that
 the linear conditions on it leave open. rings.monomials_of_degree wraps
-it for graded pieces.
+it for graded pieces, and slice_points for the zero slices s_j = 0,
+below an exact bound from a dual vector.
 
 Both Hilbert bases are the minimal nonzero solutions below an exact
 bound. By Caratheodory's theorem, an element h of the Hilbert basis of
@@ -54,12 +55,12 @@ def cone_rays(ineqs, dim):
 
 
 def _independent(vectors, order):
-    """Greedy maximal independent subset of the vectors, tried in order."""
-    chosen = []
-    for i in order:
-        if linalg.rank([vectors[j] for j in chosen + [i]]) > len(chosen):
-            chosen.append(i)
-    return chosen
+    """Greedy maximal independent subset of the vectors, tried in order:
+    the pivot columns of one elimination on the vectors as columns, since
+    a column is a pivot exactly when the columns before it miss it."""
+    order = list(order)
+    columns = [[vectors[i][k] for i in order] for k in range(len(vectors[0]))]
+    return [order[c] for c in linalg.row_reduce(columns)[1]]
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +162,47 @@ def fiber_points(matrix, target, cap):
     num = linalg.mat_vec(adj, t_rows)
     place(0, [cap, den * cap - sum(num)] + num)
     return sorted(out, key=_total_key)
+
+
+@lru_cache(maxsize=None)
+def _slice_bound(matrix, j):
+    """A without column j, and a dual vector y, as (A', R, w, den) with
+    y = w / den over independent rows R of A' and y . A'_c >= 1 on every
+    column c. Then every s >= 0 with A' s = t has total at most
+    y . t_R (weak duality).
+
+    y = 1 B^-1 for the first column basis B of A'[R] that meets this,
+    with columns tried from the last back as for the pivots of
+    _pivot_system: on graph gradings the curve columns and one section
+    column, found within a few tries. Such a y is a vertex of {y : y A' >=
+    1}, which is pointed because the rows R are independent, so one
+    exists exactly when the fibers of A' are bounded. With (adj, det)
+    of B the test is integral: each column sum of adj A'[R] against
+    det."""
+    dropped = tuple(row[:j] + row[j + 1 :] for row in matrix)
+    rows = _independent(dropped, range(len(dropped)))
+    on_rows = [dropped[i] for i in rows]
+    for basis in combinations(range(len(on_rows[0]) - 1, -1, -1), len(rows)):
+        adj, det = linalg.adjugate([[row[c] for c in basis] for row in on_rows])
+        if det == 0:
+            continue
+        if det < 0:
+            adj, det = [[-x for x in row] for row in adj], -det
+        w = [sum(col) for col in zip(*adj)]
+        if all(linalg.dot(w, col) >= det for col in zip(*on_rows)):
+            return dropped, rows, w, det
+    raise ValueError("the fibers of the matrix without column %d are unbounded" % j)
+
+
+def slice_points(matrix, target, j):
+    """Every s >= 0 with A s = target and s_j = 0, in the order of
+    fiber_points: its points on A without column j, below the exact
+    bound of _slice_bound, with a zero put back at j. Raises ValueError
+    when that slice need not be finite."""
+    matrix = tuple(tuple(row) for row in matrix)
+    dropped, rows, w, den = _slice_bound(matrix, j)
+    cap = linalg.dot(w, [target[i] for i in rows]) // den
+    return [s[:j] + (0,) + s[j:] for s in fiber_points(dropped, target, cap)]
 
 
 def _minimal(points):

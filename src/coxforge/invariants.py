@@ -14,8 +14,7 @@ family, rank and grading; a custom tree has no reference table.
 import json
 from importlib import resources
 
-from . import diophantine
-from .errors import ParameterError, UnsupportedGraphError
+from .errors import ParameterError
 from .rings import solve_degree_system
 
 
@@ -258,52 +257,4 @@ def verify_invariant_table(graph, relation_cap=None):
             "expected": [format_relation(p) for p in want_rels],
             "match": rel_match,
         },
-    }
-
-
-def cone_parameter_view(graph):
-    """Three-parameter cone picture for a fork graph: coordinates
-    (a, b, c) with the section exponent of the long-branch end equal to
-    a, the y1 exponent equal to c, and every other exponent linear in
-    the three. Returns the inequalities, the cone Hilbert basis and the
-    generator each basis point maps to."""
-    if graph.family != "D":
-        raise ParameterError("the cone view needs a fork graph, got %s" % graph.label)
-    n = graph.rank
-    ineqs = [
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-        [1, n, -2],
-        [-1, -(n - 2), 2],
-    ]
-    grading = graph.grading()
-
-    def to_monomial(pt):
-        a, b, c = pt
-        exps = {
-            "x%d" % (n - 1): a,
-            "y1": c,
-            "y0": a + (n - 2) * b,
-            "y2": a + (n - 1) * b - c,
-            "x2": a + n * b - 2 * c,
-            "x1": -a - (n - 2) * b + 2 * c,
-        }
-        for j in range(3, n):
-            exps["y%d" % j] = a + (n - j) * b
-        return grading.monomial(exps)
-
-    hb = diophantine.hilbert_basis_inequalities(ineqs, 3)
-    by_exps = {m.exps: name for name, m in golden_generators(graph)}
-    mapping = {}
-    for pt in hb:
-        mono = to_monomial(pt)
-        mapping[pt] = by_exps.get(mono.exps)
-    if any(v is None for v in mapping.values()) or len(set(mapping.values())) != len(hb):
-        raise UnsupportedGraphError("cone points do not match the generator table")
-    return {
-        "inequalities": [tuple(r) for r in ineqs],
-        "hilbert_basis": sorted(hb),
-        "generators": {pt: mapping[pt] for pt in sorted(hb)},
-        "to_monomial": to_monomial,
     }

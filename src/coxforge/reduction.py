@@ -30,19 +30,21 @@ section count over the step's chain). Each step kind has its own
 checker, which raises when the step violates the hypotheses the count
 relies on; the passes call the checker of their step kind on every step
 they emit, and ``expected_cokernel_dim`` dispatches to the same
-checkers. ``cokernel_dimension`` recomputes that dimension on truncated
-graded pieces as a count: multiplication by the chain monomial is
-injective modulo the one relation, so the dimension is the number of
-lead-free monomials of the target minus that of the source. ``audit``
+checkers. ``cokernel_dimension`` recomputes that dimension exactly, as
+a count: the monomials of the target degree that neither the chain
+monomial nor a relation term coprime to it divides, listed slice by
+slice below exact bounds, so no cap enters the count. ``audit``
 checks every step of a terminated trace that way, so a full audit
-certifies each step of a reduction independently.
+certifies each step of a reduction independently. Only the base case
+still enumerates below an escalating total-degree cap.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import add, ge, mul, sub
 
 from .cox import branch_term, presentation_from_graph, relation_from_graph, section_name_at
+from .diophantine import slice_points
 from .errors import (
     HypothesisViolationError,
     ParameterError,
@@ -57,8 +59,6 @@ from .rings import (
 )
 
 DEFAULT_STEP_CAP = 10000
-DEFAULT_COKERNEL_CAP = 24
-MAX_COKERNEL_CAP = 40
 BASE_CASE_CAP = 8
 BASE_CASE_CAP_LIMIT = 64
 
@@ -545,49 +545,20 @@ def expected_cokernel_dim(step, graph):
     return check(step, graph)
 
 
-def _step_multiplier(step, grading):
-    counts = {}
-    for v in step.curves:
-        name = "y%d" % v
-        counts[name] = counts.get(name, 0) + 1
-    return grading.monomial(counts)
-
-
-def _quotient_dims(pres, mono, source, target, cap):
-    # The relation f, when there is one, has at least two terms and its
-    # lead shares no variable with the other terms, so no monomial
-    # divides f and multiplication by mono is injective on S/(f). The lead-free
-    # monomials are a basis of S/(f), since {f} alone is a Groebner
-    # basis (Cox-Little-O'Shea, ch. 2). So mono maps the lead-free
-    # monomials of the source to independent elements of the target,
-    # and each truncated cokernel dimension is a count: lead-free
-    # monomials of the target below the cap, minus those of the source
-    # below cap - total(mono).
-    #
-    # Returns the dimensions truncated at cap - 1 and at cap from one
-    # enumeration at cap.
-    std = graded_piece_basis(pres, target, cap)
-    budget = cap - mono.total()
-    src = graded_piece_basis(pres, source, budget) if budget >= 0 else []
-    inner_std = sum(1 for m in std if m.total() < cap)
-    inner_src = sum(1 for s in src if s.total() < budget)
-    return inner_std - inner_src, len(std) - len(src)
-
-
-def cokernel_dimension(pres, step, cap=DEFAULT_COKERNEL_CAP):
+def cokernel_dimension(pres, step):
     """Dimension of (target graded piece) / (image of multiplication by
-    the step's chain monomial), both taken modulo the relation and
-    truncated at total degree cap: the lead-free monomials of the target
-    minus those of the source, whose images are independent. Returns
-    (dimension, stabilized) where stabilized means caps cap-1 and cap
-    agree."""
-    if cap > MAX_COKERNEL_CAP:
-        raise ResourceCapError(
-            "truncation cap %d exceeds the audit limit %d"
-            % (cap, MAX_COKERNEL_CAP)
-        )
+    the step's chain monomial m), both taken modulo the relation f.
+
+    That is the piece of S/(f, m) at the target. A path meets at most
+    two branches of a star, so some term T of f shares no variable with
+    the squarefree m; with T as lead, {f, m} is a Groebner basis by
+    Buchberger's first criterion (Cox-Little-O'Shea, ch. 2 section 9).
+    The dimension is then the number of monomials of the target degree
+    that neither T nor m divides: the union of the zero slices at the
+    variables of m, less the multiples of T. A chain has no f, so only m
+    applies. Each slice is finite, listed below an exact bound."""
     grading = pres.grading
-    mono = _step_multiplier(step, grading)
+    mono = grading.monomial({"y%d" % v: 1 for v in step.curves})
     if step.adds_curves():
         source, target = step.degree_before, step.degree_after
     else:
@@ -595,53 +566,49 @@ def cokernel_dimension(pres, step, cap=DEFAULT_COKERNEL_CAP):
     shifted = _vec_add(grading.degree_of(mono), source)
     if shifted != tuple(target):
         raise ParameterError("step degrees are inconsistent with its curves")
-    previous, current = _quotient_dims(pres, mono, source, target, cap)
-    return current, previous == current
+    support = [j for j, e in enumerate(mono.exps) if e]
+    not_m = set()
+    for j in support:
+        not_m.update(slice_points(grading.matrix, target, j))
+    if pres.relation is None:
+        return len(not_m)
+    lead = next(
+        (t.exps for t in pres.relation.terms if not any(t.exps[j] for j in support)),
+        None,
+    )
+    if lead is None:
+        raise ParameterError("every relation term shares a variable with the step")
+    return sum(1 for u in not_m if not all(map(ge, u, lead)))
 
 
-def audit_step(pres, step, graph, cap=DEFAULT_COKERNEL_CAP):
+def audit_step(pres, step, graph):
     """Fill in the actual cokernel dimension of a step and compare with
-    the expected one. The cap escalates while the value is unstable, and
-    also on disagreement, so that slow convergence is not mistaken for a
-    failed step; a genuine failure stays a failure at the cap limit."""
+    the expected one."""
     expected = step.expected_cokernel_dim
     if expected is None:
         expected = expected_cokernel_dim(step, graph)
         step.expected_cokernel_dim = expected
-    c = cap
-    while True:
-        dim, stable = cokernel_dimension(pres, step, c)
-        if stable and dim == expected:
-            break
-        if c + 4 > MAX_COKERNEL_CAP:
-            if not stable:
-                raise ResourceCapError(
-                    "cokernel dimension did not stabilize within cap %d" % c,
-                    partial={"dim": dim, "cap": c},
-                )
-            break
-        c += 4
+    dim = cokernel_dimension(pres, step)
     step.actual_dim = dim
     return {
         "kind": step.kind,
         "nodes": list(step.nodes),
         "expected": expected,
         "actual": dim,
-        "cap": c,
         "ok": dim == expected,
     }
 
 
-def audit(trace, pres, graph, cap=DEFAULT_COKERNEL_CAP):
+def audit(trace, pres, graph):
     """Audit every step of a terminated trace and return the step
     reports. A runaway trace is reported as such, not audited step by
     step: it gets no reports and its steps keep actual_dim None."""
     if not trace.terminated:
         return []
-    return [audit_step(pres, step, graph, cap) for step in trace.steps]
+    return [audit_step(pres, step, graph) for step in trace.steps]
 
 
-def audit_add_curve(graph, node, k=2, cap=DEFAULT_COKERNEL_CAP):
+def audit_add_curve(graph, node, k=2):
     """Audit a single AddCurve step from degree k*e_node. The expected
     dimension k-1 is the claim under test, so a mismatch is reported,
     not raised."""
@@ -650,7 +617,7 @@ def audit_add_curve(graph, node, k=2, cap=DEFAULT_COKERNEL_CAP):
     before = tuple(k if v == node else 0 for v in graph.nodes)
     after = _vec_add(before, graph.columns[node])
     step = ReductionStep("AddCurve", (node,), (node,), before, after)
-    report = audit_step(presentation_from_graph(graph), step, graph, cap)
+    report = audit_step(presentation_from_graph(graph), step, graph)
     report["node"] = node
     report["k"] = k
     return report
@@ -753,19 +720,14 @@ def base_case_audit(graph, leaf, k, a_max=3):
     return report
 
 
-def full_equivalence_audit(
-    graph,
-    degree,
-    cap=DEFAULT_COKERNEL_CAP,
-    step_cap=DEFAULT_STEP_CAP,
-):
+def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     """Reduce a degree to nef and then to basic, audit the cokernel
     dimension of every step against the combinatorial expectation, and
     finish with the base-case family check where it applies."""
     d = _check_degree(degree, graph)
     pres = presentation_from_graph(graph)
     trace = reduce(graph, d, step_cap)
-    steps = audit(trace, pres, graph, cap)
+    steps = audit(trace, pres, graph)
     report = {
         "case": graph.label,
         "initial": list(d),

@@ -79,21 +79,34 @@ def test_reduce_reports_step_cap_exhaustion(capsys):
     assert all(s["actual_dim"] is None for s in payload["steps"])
 
 
+# the D6 base case finds one basis element below its total-degree limit
+D6_CAPPED = ["verify", "--case", "D6", "--grid", "6"]
+
+
 def test_reduce_cap_error_carries_partial(capsys):
-    code, payload = run_json(capsys, ["reduce", "--case", "A5", "--degree=0,0,0,-1,0"])
+    code, payload = run_json(capsys, D6_CAPPED)
     assert code == 3
     assert payload["error"] == "resource-cap"
-    assert payload["partial"]["cap"] == 40
+    assert payload["message"].endswith("below total degree 64")
+    assert payload["partial"] == ["Monomial((0, 8, 12, 6, 10, 8, 4, 0))"]
 
 
 def test_reduce_cap_error_text_format(capsys):
-    code, out = run(
-        capsys, ["reduce", "--case", "A5", "--degree=0,0,0,-1,0", "--format", "text"]
-    )
+    code, out = run(capsys, D6_CAPPED + ["--format", "text"])
     assert code == 3
     assert out.startswith("error: resource-cap\n")
-    assert "cap 40" in out
-    assert '  partial: {"cap": 40, "dim": ' in out
+    assert "below total degree 64" in out
+    assert '  partial: ["Monomial((0, 8, 12, 6, 10, 8, 4, 0))"]\n' in out
+
+
+@pytest.mark.parametrize("degree", ["0,0,0,-1,0", "0,0,0,2,0", "0,1,0,0,0"])
+def test_reduce_audits_on_a5_are_exact(capsys, degree):
+    # the highest standard monomial of these pieces has total degree 40,
+    # so a count cut off at a total-degree cap of 40 cannot settle
+    code, payload = run_json(capsys, ["reduce", "--case", "A5", "--degree=" + degree])
+    assert code == 0
+    assert payload["ok"] is True
+    assert all(s["actual_dim"] == s["expected_dim"] for s in payload["steps"])
 
 
 def test_reduce_usage_errors(capsys):
@@ -313,6 +326,17 @@ def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
     assert sum(built) <= len(add_degrees) + len(shift_steps)
 
 
+@pytest.mark.parametrize("case", ["A5", "A6", "A7", "A8", "E8"])
+def test_verify_audits_settle_past_total_degree_40(capsys, case):
+    # audited steps whose standard monomials reach total degree 40 (A5)
+    # and past it (57 on A6, 133 on A7, 208 on A8, 66 on E8); the first
+    # six grid cells are the same at grid 6 as at the default grid
+    code, payload = run_json(capsys, ["verify", "--case", case, "--grid", "6"])
+    assert code == 0
+    assert payload["ok"] is True
+    assert all(row["ok"] for row in payload["sections"]["audits"]["degrees"])
+
+
 def test_verify_counterexample(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0
@@ -367,11 +391,15 @@ def test_four_arm_star_text_shows_skipped(capsys, command):
     assert out.splitlines()[-1] == "ok"
 
 
-@pytest.mark.parametrize("case,exit_code", [("D4", 0), ("A6", 1)])
-def test_verify_timings_only_add_the_timings_key(capsys, case, exit_code):
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [(["--case", "D4"], 0), (["--case", "D4", "--caps", "step=2"], 1)],
+    ids=["D4-0", "D4-step=2-1"],
+)
+def test_verify_timings_only_add_the_timings_key(capsys, argv, exit_code):
     # --timings adds wall-clock milliseconds and must change no other byte
-    code, plain = run(capsys, ["verify", "--case", case])
-    timed_code, timed = run(capsys, ["verify", "--case", case, "--timings"])
+    code, plain = run(capsys, ["verify"] + argv)
+    timed_code, timed = run(capsys, ["verify"] + argv + ["--timings"])
     assert code == timed_code == exit_code
     payload = json.loads(timed)
     assert set(payload.pop("timings")) <= set(payload["sections"])
@@ -431,7 +459,7 @@ def test_out_flag_writes_file(capsys, tmp_path):
     "argv,code",
     [
         (["graph", "--case", "D4"], 0),
-        (["reduce", "--case", "A5", "--degree=0,0,0,-1,0"], 3),
+        (D6_CAPPED, 3),
     ],
     ids=["report", "resource-cap"],
 )
@@ -455,30 +483,16 @@ def test_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_env_cap_applies(capsys, monkeypatch):
-    monkeypatch.setenv("COXFORGE_CAP", "28")
-    args = cli.build_parser().parse_args(["verify", "--case", "D4"])
-    settings = cli.resolve_settings(args)
-    assert settings["caps"]["cokernel"] == 28
-    monkeypatch.setenv("COXFORGE_CAP", "not-a-number")
-    assert cli.main(["verify", "--case", "D4"]) == 2
-    capsys.readouterr()
-
-
-def test_precedence_flag_over_env_over_config(tmp_path, monkeypatch):
+def test_precedence_flag_over_config(tmp_path):
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"caps": {"cokernel": 20, "step": 400}, "grid": 77}))
+    config.write_text(json.dumps({"caps": {"step": 400, "relation": 6}, "grid": 77}))
     base = ["verify", "--case", "D4", "--config", str(config)]
-    args = cli.build_parser().parse_args(base)
-    settings = cli.resolve_settings(args, environ={})
-    assert settings["caps"]["cokernel"] == 20
-    assert settings["caps"]["step"] == 400
+    settings = cli.resolve_settings(cli.build_parser().parse_args(base))
+    assert settings["caps"] == {"step": 400, "relation": 6}
     assert settings["grid"] == 77
-    settings = cli.resolve_settings(args, environ={"COXFORGE_CAP": "26"})
-    assert settings["caps"]["cokernel"] == 26
-    args = cli.build_parser().parse_args(base + ["--caps", "cokernel=30", "--grid", "99"])
-    settings = cli.resolve_settings(args, environ={"COXFORGE_CAP": "26"})
-    assert settings["caps"]["cokernel"] == 30
+    args = cli.build_parser().parse_args(base + ["--caps", "step=30", "--grid", "99"])
+    settings = cli.resolve_settings(args)
+    assert settings["caps"] == {"step": 30, "relation": 6}
     assert settings["grid"] == 99
 
 
@@ -500,7 +514,7 @@ def test_grid_sample_full_box_and_determinism():
     "config",
     [
         {"caps": {"step": "abc"}},
-        {"caps": {"cokernel": None}},
+        {"caps": {"relation": None}},
         {"caps": {"step": 2.5}},
         {"grid": "x"},
         {"grid": True},
@@ -515,19 +529,18 @@ def test_config_values_must_be_integers(capsys, tmp_path, config):
     assert err.startswith("error: config ") and "needs an integer" in err
 
 
-def test_caps_flag_and_env_need_integers(capsys, monkeypatch):
+def test_caps_flag_needs_integers(capsys):
     assert cli.main(["verify", "--case", "A3", "--caps", "step=abc"]) == 2
     assert capsys.readouterr().err == "error: cap 'step' needs an integer, got 'abc'\n"
-    monkeypatch.setenv("COXFORGE_CAP", "1.5")
-    assert cli.main(["verify", "--case", "A3"]) == 2
-    assert capsys.readouterr().err == "error: COXFORGE_CAP needs an integer, got '1.5'\n"
+    assert cli.main(["verify", "--case", "A3", "--caps", "relation=1.5"]) == 2
+    assert capsys.readouterr().err == "error: cap 'relation' needs an integer, got '1.5'\n"
 
 
 def test_string_integers_in_config_still_parse(tmp_path):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"caps": {"step": "400"}, "grid": "77", "seed": 5}))
     args = cli.build_parser().parse_args(["verify", "--case", "D4", "--config", str(path)])
-    settings = cli.resolve_settings(args, environ={})
+    settings = cli.resolve_settings(args)
     assert (settings["caps"]["step"], settings["grid"], settings["seed"]) == (400, 77, 5)
 
 
@@ -544,7 +557,7 @@ def test_grid_below_one_is_rejected(capsys, tmp_path, grid):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cap", ["step=0", "step=-3", "relation=0", "cokernel=-2"])
+@pytest.mark.parametrize("cap", ["step=0", "step=-3", "relation=0", "relation=-2"])
 def test_caps_flag_below_one_is_rejected(capsys, cap):
     # a cap below 1 used to give a verdict (exit 0 or 1), not a usage error
     assert cli.main(["verify", "--case", "A3", "--grid", "20", "--caps", cap]) == 2
@@ -554,16 +567,7 @@ def test_caps_flag_below_one_is_rejected(capsys, cap):
     assert captured.err == "error: cap %r needs at least 1, got %s\n" % (key, value)
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_env_cap_below_one_is_rejected(capsys, monkeypatch, value):
-    monkeypatch.setenv("COXFORGE_CAP", value)
-    assert cli.main(["verify", "--case", "A3", "--grid", "20"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: COXFORGE_CAP needs at least 1, got %s\n" % value
-
-
-@pytest.mark.parametrize("key", ["step", "cokernel", "relation"])
+@pytest.mark.parametrize("key", ["step", "relation"])
 def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"caps": {key: 0}}))
@@ -573,25 +577,19 @@ def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
     assert captured.err == "error: config cap %r needs at least 1, got 0\n" % key
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "config"])
-def test_cokernel_cap_above_the_audit_limit_is_rejected(capsys, monkeypatch, tmp_path, source):
-    # a cap of 41 used to pass start-up and exit 3 at the first audit
-    def argv_with(value):
-        argv = ["verify", "--case", "A3", "--grid", "20"]
-        monkeypatch.delenv("COXFORGE_CAP", raising=False)
-        if source == "flag":
-            return argv + ["--caps", "cokernel=%d" % value]
-        if source == "env":
-            monkeypatch.setenv("COXFORGE_CAP", str(value))
-            return argv
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_cokernel_cap_is_an_unknown_cap(capsys, tmp_path, source):
+    # the cokernel audits are exact counts and take no cap
+    argv = ["verify", "--case", "A3", "--grid", "20"]
+    if source == "flag":
+        argv += ["--caps", "cokernel=5"]
+        message = "error: unknown cap 'cokernel' (known: relation, step)\n"
+    else:
         path = tmp_path / "conf.json"
-        path.write_text(json.dumps({"caps": {"cokernel": value}}))
-        return argv + ["--config", str(path)]
-
-    what = {"flag": "cap 'cokernel'", "env": "COXFORGE_CAP", "config": "config cap 'cokernel'"}
-    assert cli.main(argv_with(41)) == 2
+        path.write_text(json.dumps({"caps": {"cokernel": 5}}))
+        argv += ["--config", str(path)]
+        message = "error: unknown cap 'cokernel' in config\n"
+    assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: %s needs at most 40, got 41\n" % what[source]
-    settings = cli.resolve_settings(cli.build_parser().parse_args(argv_with(40)))
-    assert settings["caps"]["cokernel"] == 40
+    assert captured.err == message

@@ -1,6 +1,6 @@
 import pytest
 
-from coxforge import invariants
+from coxforge import diophantine, invariants
 from coxforge.graphs import build_singularity
 from coxforge.rings import Monomial, solve_degree_system
 
@@ -73,10 +73,38 @@ def test_box_monoid_decomposes_over_basis(family, n):
         assert oracle.decomposes(v, basis), v
 
 
+def _cone_view(graph):
+    """The three-parameter cone of a fork D_n: coordinates (a, b, c) with
+    the section exponent at the long-branch end a, the y1 exponent c,
+    and every other exponent linear in the three. Returns its Hilbert
+    basis from diophantine.hilbert_basis_inequalities, the map to
+    monomials, and the reference generator each basis point maps to."""
+    n = graph.rank
+    ineqs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, n, -2], [-1, -(n - 2), 2]]
+
+    def to_monomial(pt):
+        a, b, c = pt
+        exps = {
+            "x%d" % (n - 1): a,
+            "y1": c,
+            "y0": a + (n - 2) * b,
+            "y2": a + (n - 1) * b - c,
+            "x2": a + n * b - 2 * c,
+            "x1": -a - (n - 2) * b + 2 * c,
+        }
+        for j in range(3, n):
+            exps["y%d" % j] = a + (n - j) * b
+        return graph.grading().monomial(exps)
+
+    basis = diophantine.hilbert_basis_inequalities(ineqs, 3)
+    by_exps = {m.exps: name for name, m in invariants.golden_generators(graph)}
+    return basis, to_monomial, {pt: by_exps.get(to_monomial(pt).exps) for pt in basis}
+
+
 def test_cone_view_frozen_fork():
-    view = invariants.cone_parameter_view(build_singularity("D", 4))
-    assert view["hilbert_basis"] == [(0, 1, 1), (0, 1, 2), (1, 1, 2), (2, 0, 1)]
-    assert view["generators"] == {
+    basis, _, generators = _cone_view(build_singularity("D", 4))
+    assert basis == [(0, 1, 1), (0, 1, 2), (1, 1, 2), (2, 0, 1)]
+    assert generators == {
         (0, 1, 1): "Z2",
         (0, 1, 2): "Z1",
         (1, 1, 2): "W",
@@ -85,8 +113,8 @@ def test_cone_view_frozen_fork():
 
 
 def test_cone_view_frozen_odd_fork():
-    view = invariants.cone_parameter_view(build_singularity("D", 5))
-    assert view["generators"] == {
+    _, _, generators = _cone_view(build_singularity("D", 5))
+    assert generators == {
         (0, 1, 2): "Z2",
         (0, 2, 3): "Z5",
         (0, 2, 5): "Z6",
@@ -98,17 +126,17 @@ def test_cone_view_frozen_odd_fork():
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_cone_view_bijection(n):
-    view = invariants.cone_parameter_view(build_singularity("D", n))
-    names = {name for _, name in view["generators"].items()}
-    expected = {name for name, _ in invariants.golden_generators(build_singularity("D", n))}
-    assert names == expected
+    graph = build_singularity("D", n)
+    basis, _, generators = _cone_view(graph)
+    names = set(generators.values())
+    assert len(names) == len(basis)
+    assert names == {name for name, _ in invariants.golden_generators(graph)}
     # the b = 0 face is the ray of the short doubled generator
-    b_zero = [pt for pt in view["hilbert_basis"] if pt[1] == 0]
-    assert b_zero == [(2, 0, 1)]
+    assert [pt for pt in basis if pt[1] == 0] == [(2, 0, 1)]
 
 
 def test_cone_view_monomial_map_has_degree_zero():
-    view = invariants.cone_parameter_view(build_singularity("D", 6))
-    grading = build_singularity("D", 6).grading()
-    for pt in view["hilbert_basis"]:
-        assert grading.degree_of(view["to_monomial"](pt)) == (0,) * 6
+    graph = build_singularity("D", 6)
+    basis, to_monomial, _ = _cone_view(graph)
+    for pt in basis:
+        assert graph.grading().degree_of(to_monomial(pt)) == (0,) * 6
