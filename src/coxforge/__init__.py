@@ -17,7 +17,6 @@ from .errors import (
     CoxforgeError,
     HypothesisViolationError,
     ParameterError,
-    ResourceCapError,
     UnsupportedGraphError,
 )
 from .graphs import ResolutionGraph, build_custom_tree, build_singularity
@@ -35,7 +34,6 @@ __all__ = [
     "HypothesisViolationError",
     "ParameterError",
     "ResolutionGraph",
-    "ResourceCapError",
     "UnsupportedGraphError",
     "__version__",
     "audit_add_curve",

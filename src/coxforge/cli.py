@@ -3,7 +3,7 @@ emit JSON or text reports.
 
 Commands: graph, invariants, cox, reduce, verify, report. Output goes
 to stdout or --out as UTF-8. Exit codes: 0 ok, 1 verification
-mismatch, 2 usage error, 3 resource-cap error. Reports are byte-stable
+mismatch, 2 usage error. Reports are byte-stable
 for a fixed configuration; --timings adds wall-clock milliseconds and
 is the one switch that breaks that stability.
 
@@ -34,19 +34,13 @@ from operator import ge
 
 from . import linalg, reduction
 from .cox import presentation_from_graph, verify_presentation
-from .errors import (
-    CoxforgeError,
-    ParameterError,
-    ResourceCapError,
-    UnsupportedGraphError,
-)
+from .errors import CoxforgeError, ParameterError, UnsupportedGraphError
 from .graphs import build_custom_tree, build_singularity
 from .invariants import verify_invariant_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-EXIT_RESOURCE = 3
 
 DEFAULT_GRID = 2000
 DEFAULT_SEED = 20240
@@ -66,7 +60,7 @@ def parse_case(text):
     if text.lower().startswith("custom:"):
         body = text.split(":", 1)[1]
         try:
-            lengths = tuple(int(part) for part in body.split(",") if part.strip())
+            lengths = tuple(int(part) for part in body.split(",")) if body.strip() else ()
         except ValueError:
             raise ParameterError("branch lengths must be integers: %r" % body)
         if not lengths:
@@ -374,11 +368,6 @@ def cmd_report(graph, settings, with_timings):
 
 def _render_text(payload):
     lines = []
-    if "error" in payload:
-        lines.append("error: %s" % payload["error"])
-        lines.append("  message: %s" % payload["message"])
-        if "partial" in payload:
-            lines.append("  partial: %s" % json.dumps(payload["partial"], sort_keys=True))
     case = payload.get("case", payload.get("label"))
     if case is not None:
         lines.append("case %s" % case)
@@ -459,29 +448,22 @@ def build_parser():
 
 
 def _run(args):
-    """The payload and exit code of one command. A resource-cap error
-    gives an error payload, with its partial result, and exit 3."""
-    try:
-        settings = resolve_settings(args)
-        graph = parse_case(args.case)
-        if args.command == "graph":
-            return cmd_graph(graph, settings)
-        if args.command == "invariants":
-            return cmd_invariants(graph, settings)
-        if args.command == "cox":
-            return cmd_cox(graph, settings)
-        if args.command == "reduce":
-            if not args.degree:
-                raise ParameterError("reduce needs --degree")
-            return cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
-        if args.command == "verify":
-            return cmd_verify(graph, settings, args.timings)
-        return cmd_report(graph, settings, args.timings)
-    except ResourceCapError as exc:
-        payload = {"error": "resource-cap", "message": str(exc)}
-        if exc.partial is not None:
-            payload["partial"] = exc.partial
-        return payload, EXIT_RESOURCE
+    """The payload and exit code of one command."""
+    settings = resolve_settings(args)
+    graph = parse_case(args.case)
+    if args.command == "graph":
+        return cmd_graph(graph, settings)
+    if args.command == "invariants":
+        return cmd_invariants(graph, settings)
+    if args.command == "cox":
+        return cmd_cox(graph, settings)
+    if args.command == "reduce":
+        if not args.degree:
+            raise ParameterError("reduce needs --degree")
+        return cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
+    if args.command == "verify":
+        return cmd_verify(graph, settings, args.timings)
+    return cmd_report(graph, settings, args.timings)
 
 
 def main(argv=None):

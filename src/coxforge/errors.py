@@ -19,10 +19,3 @@ class HypothesisViolationError(CoxforgeError):
     The message names the failed condition.
     """
 
-
-class ResourceCapError(CoxforgeError):
-    """A configured cap was exceeded. Carries whatever partial result exists."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

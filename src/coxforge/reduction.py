@@ -10,7 +10,8 @@ procedures move a degree into normal position:
   eligible pair of 1's) until at most a single coordinate remains and
   equals 1, then shifts that 1 step by step to a branch-end leaf.
 * the base case handles terminal degrees k*e_leaf through a quotient
-  presentation and a seed/period monomial family.
+  presentation and a seed/period monomial family, read off the slices
+  of the quotient piece on the center curve variable y0.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 ``least_nef_cycle`` gives the nef pass's terminal and step count in
@@ -35,8 +36,9 @@ a count: the monomials of the target degree that neither the chain
 monomial nor a relation term coprime to it divides, listed slice by
 slice below exact bounds, so no cap enters the count. ``audit``
 checks every step of a terminated trace that way, so a full audit
-certifies each step of a reduction independently. Only the base case
-still enumerates below an escalating total-degree cap.
+certifies each step of a reduction independently. The base case lists
+its piece the same way, one y0 slice at a time, so no count in this
+module truncates.
 """
 
 from fractions import Fraction
@@ -45,22 +47,10 @@ from operator import add, ge, mul, sub
 
 from .cox import branch_term, presentation_from_graph, relation_from_graph, section_name_at
 from .diophantine import slice_points
-from .errors import (
-    HypothesisViolationError,
-    ParameterError,
-    ResourceCapError,
-)
-from .rings import (
-    Monomial,
-    Polynomial,
-    RingPresentation,
-    graded_piece_basis,
-    normal_form,
-)
+from .errors import HypothesisViolationError, ParameterError
+from .rings import Monomial, Polynomial, RingPresentation, normal_form
 
 DEFAULT_STEP_CAP = 10000
-BASE_CASE_CAP = 8
-BASE_CASE_CAP_LIMIT = 64
 
 
 class ReductionStep:
@@ -654,26 +644,39 @@ def quotient_presentation(graph, leaf):
     return RingPresentation(sub, reduced, lead)
 
 
+def _slice_basis(qp, target, j, e):
+    """The standard monomials of degree ``target`` in ``qp`` whose
+    exponent at column j is e: the zero slice at j of the target less e
+    times column j, with e put back at j, less the multiples of the
+    lead."""
+    matrix = qp.grading.matrix
+    shifted = tuple(t - e * row[j] for t, row in zip(target, matrix))
+    monos = (Monomial(s[:j] + (e,) + s[j + 1:]) for s in slice_points(matrix, shifted, j))
+    return [m for m in monos if not qp.lead.divides(m)]
+
+
 def base_case_family(graph, leaf, k):
     """Seed and period monomials for the graded piece of degree
-    k*e_leaf in the quotient presentation, found by enumerating the
-    piece, from total degree BASE_CASE_CAP up to BASE_CASE_CAP_LIMIT,
-    until two basis elements appear."""
+    k*e_leaf in the quotient presentation: the first two standard
+    monomials met walking the slices y0 = 0, 1, 2, ... of the center
+    curve variable y0.
+
+    Every slice is finite, because every degree-zero generator contains
+    every curve variable. The walk ends: no relation term holds y0, so
+    normal forms keep the y0 exponent, and for any degree-zero
+    generator g the normal form of seed*g is nonzero, so a second
+    standard monomial turns up by the slice y0(seed) + y0(g). The walk
+    needs the piece to hold a seed at all, as the D pieces do."""
     if k < 1:
         raise ParameterError("k must be positive")
     qp = quotient_presentation(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))
+    j = qp.grading.index(graph.curve_variable(graph.center()))
     basis = []
-    cap = BASE_CASE_CAP
+    e = 0
     while len(basis) < 2:
-        if cap > BASE_CASE_CAP_LIMIT:
-            raise ResourceCapError(
-                "no two basis elements of degree %r below total degree %d"
-                % (target, BASE_CASE_CAP_LIMIT),
-                partial=[str(m) for m in basis],
-            )
-        basis = graded_piece_basis(qp, target, cap)
-        cap += 4
+        basis += _slice_basis(qp, target, j, e)
+        e += 1
     seed, second = basis[0], basis[1]
     if not seed.divides(second):
         raise ParameterError("second basis element is not a seed multiple")
@@ -687,7 +690,11 @@ def base_case_family(graph, leaf, k):
 
 def base_case_audit(graph, leaf, k, a_max=3):
     """Check that the basic graded piece is spanned by the geometric
-    family seed * period^a, up to the truncation the family reaches."""
+    family seed * period^a for a <= a_max: the normal forms of the
+    family are exactly the standard monomials of the y0 slices up to
+    the largest y0 exponent among them. Normal forms keep the y0
+    exponent, so these slices hold every standard monomial the family
+    can reach."""
     fam = base_case_family(graph, leaf, k)
     qp = fam.presentation
     members = [fam.seed * (fam.period ** a) for a in range(a_max + 1)]
@@ -712,8 +719,9 @@ def base_case_audit(graph, leaf, k, a_max=3):
     if len(set(monos)) != len(monos):
         report["distinct"] = False
         return report
-    cap = max(m.total() for m in monos)
-    basis = graded_piece_basis(qp, fam.degree, cap)
+    j = qp.grading.index(graph.curve_variable(graph.center()))
+    top = max(m.exps[j] for m in monos)
+    basis = [m for e in range(top + 1) for m in _slice_basis(qp, fam.degree, j, e)]
     report["family"] = [qp.grading.format_monomial(m) for m in monos]
     report["basis"] = [qp.grading.format_monomial(m) for m in basis]
     report["ok"] = set(basis) == set(monos)

@@ -79,26 +79,6 @@ def test_reduce_reports_step_cap_exhaustion(capsys):
     assert all(s["actual_dim"] is None for s in payload["steps"])
 
 
-# the D6 base case finds one basis element below its total-degree limit
-D6_CAPPED = ["verify", "--case", "D6", "--grid", "6"]
-
-
-def test_reduce_cap_error_carries_partial(capsys):
-    code, payload = run_json(capsys, D6_CAPPED)
-    assert code == 3
-    assert payload["error"] == "resource-cap"
-    assert payload["message"].endswith("below total degree 64")
-    assert payload["partial"] == ["Monomial((0, 8, 12, 6, 10, 8, 4, 0))"]
-
-
-def test_reduce_cap_error_text_format(capsys):
-    code, out = run(capsys, D6_CAPPED + ["--format", "text"])
-    assert code == 3
-    assert out.startswith("error: resource-cap\n")
-    assert "below total degree 64" in out
-    assert '  partial: ["Monomial((0, 8, 12, 6, 10, 8, 4, 0))"]\n' in out
-
-
 @pytest.mark.parametrize("degree", ["0,0,0,-1,0", "0,0,0,2,0", "0,1,0,0,0"])
 def test_reduce_audits_on_a5_are_exact(capsys, degree):
     # the highest standard monomial of these pieces has total degree 40,
@@ -337,6 +317,17 @@ def test_verify_audits_settle_past_total_degree_40(capsys, case):
     assert all(row["ok"] for row in payload["sections"]["audits"]["degrees"])
 
 
+ADE_CASES = ["A%d" % n for n in range(1, 9)] + ["D%d" % n for n in range(4, 13)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("case", ADE_CASES)
+def test_verify_exits_zero_on_every_ade_case(capsys, case):
+    # on D the first six grid cells reach the base case at several leaves
+    code, payload = run_json(capsys, ["verify", "--case", case, "--grid", "6"])
+    assert code == 0
+    assert payload["ok"] is True
+
+
 def test_verify_counterexample(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0
@@ -459,9 +450,9 @@ def test_out_flag_writes_file(capsys, tmp_path):
     "argv,code",
     [
         (["graph", "--case", "D4"], 0),
-        (D6_CAPPED, 3),
+        (["verify", "--case", "D4", "--caps", "step=2"], 1),
     ],
-    ids=["report", "resource-cap"],
+    ids=["report", "step-cap"],
 )
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, argv, code, where):
@@ -477,6 +468,8 @@ def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, argv, code
 def test_usage_exit_codes(capsys):
     assert cli.main(["verify", "--case", "Q9"]) == 2
     assert cli.main(["verify", "--case", "custom:zz"]) == 2
+    assert cli.main(["graph", "--case", "custom:1,,2,2"]) == 2
+    assert cli.main(["graph", "--case", "custom:1,2,2,"]) == 2
     assert cli.main(["verify", "--case", "D4", "--caps", "bogus=3"]) == 2
     assert cli.main(["bogus", "--case", "D4"]) == 2
     assert cli.main(["--help"]) == 0

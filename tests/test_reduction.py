@@ -14,6 +14,7 @@ from coxforge.cli import grid_sample, parse_case
 from coxforge.cox import presentation_from_graph
 from coxforge.errors import HypothesisViolationError, ParameterError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
+from coxforge.invariants import golden_generators
 from coxforge.linalg import adjugate, rank_sparse
 from coxforge.reduction import (
     ReductionStep,
@@ -807,6 +808,21 @@ def test_base_case_audit_d5_long_leaf():
 def test_base_case_audit_d4_all_leaves(leaf, k):
     d4 = build_singularity("D", 4)
     assert base_case_audit(d4, leaf, k)["ok"]
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_base_case_period_is_a_golden_generator(n):
+    # the golden generators come from closed formulas, not from slices:
+    # the long leaf n - 1 gets Z2, the short leaves Z3 on even D and Z1
+    # on odd D
+    graph = build_singularity("D", n)
+    golden = {mono: name for name, mono in golden_generators(graph)}
+    for leaf in graph.branch_ends():
+        expected = "Z2" if leaf == n - 1 else ("Z3" if n % 2 == 0 else "Z1")
+        for k in (1, 2, 3):
+            fam = base_case_family(graph, leaf, k)
+            period = graph.grading().embed(fam.period, fam.presentation.grading)
+            assert golden.get(period) == expected, (leaf, k)
 
 
 def test_passes_and_audits_read_the_graph_columns(monkeypatch):
