@@ -9,10 +9,10 @@ is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
 the nef pass and the basic pass of `reduce` and of the verify sweep get
-N steps each. A sweep cell's nef pass is read off
-reduction.least_nef_cycle, which only the sweep uses: the cell fails
-its step cap exactly when the least nef-making cycle has more than N
-curves, the count the step-by-step pass would take. Its basic pass
+N steps each. The sweep reads every cell's nef pass off one call of
+reduction.least_nef_cycles, which only the sweep uses: a cell fails
+its step cap exactly when its least nef-making cycle has more than N
+curves, the count the step-by-step pass would take. A cell's basic pass
 stops at an add-phase degree an earlier cell's pass went through, and
 the cell's step count is the steps walked plus the count left from
 there, held to the same N. Every cap, from a flag or the config file,
@@ -82,19 +82,18 @@ def grid_sample(width, count, seed=DEFAULT_SEED, lo=-3, hi=3):
     span = hi - lo + 1
     if span ** width <= count:
         return [tuple(d) for d in itertools.product(range(lo, hi + 1), repeat=width)]
-    out = []
-    seen = set()
-    state = seed & ((1 << 64) - 1)
-    while len(out) < count:
+    mask = (1 << 64) - 1
+    factor, increment = 6364136223846793005, 1442695040888963407
+    state = seed & mask
+    # a dict keeps each distinct cell once, in the order first drawn
+    cells = {}
+    while len(cells) < count:
         cell = []
         for _ in range(width):
-            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            state = (state * factor + increment) & mask
             cell.append(lo + (state >> 33) % span)
-        cell = tuple(cell)
-        if cell not in seen:
-            seen.add(cell)
-            out.append(cell)
-    return out
+        cells[tuple(cell)] = None
+    return list(cells)
 
 
 def _integer(value, what):
@@ -213,7 +212,10 @@ def _termination_sweep(graph, cells, settings):
     """The verdict of ``reduction.reduce`` on every cell, in cell order:
     its nef pass must terminate, its basic pass must terminate on a
     basic degree, and on D graphs the basic pass's measures must not
-    increase. The nef pass is read off ``reduction.least_nef_cycle``.
+    increase. The nef passes of all cells are read off one call of
+    ``reduction.least_nef_cycles``, before the first cell is checked;
+    the verdict still names the first failing cell in cell order. The
+    measures are compared doubled, as integers.
 
     The basic pass from a degree at the top of its add-phase loop
     depends on that degree alone, so ``known`` maps every such degree a
@@ -228,8 +230,8 @@ def _termination_sweep(graph, cells, settings):
     adj, det = linalg.adjugate(graph.intersection_matrix())
     known = {}
     max_steps = 0
-    for d in cells:
-        terminal, nef_steps = reduction.least_nef_cycle(d, graph, adj, det)
+    nefs = reduction.least_nef_cycles(cells, graph, adj, det)
+    for d, (terminal, nef_steps) in zip(cells, nefs):
         if nef_steps > step_cap:
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
         if terminal not in known:
@@ -240,7 +242,7 @@ def _termination_sweep(graph, cells, settings):
             # ended on its own has no steps left
             stopped = end in known and (not steps or steps[-1].adds_curves())
             total = len(steps) + (known[end] if stopped else 0)
-            ms = trace.measures
+            ms = trace.twice_measures
             if not (
                 trace.terminated
                 and (stopped or reduction.is_basic(end, graph))

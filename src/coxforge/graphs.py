@@ -21,7 +21,8 @@ class ResolutionGraph:
     construction, so its topology (node positions, center, branches,
     curve order, basic leaves) and its linear data (the intersection
     matrix columns and the Grading) are worked out there, and paths are
-    kept once found. ``family`` and ``rank`` read an ``A<n>``, ``D<n>``
+    kept once found. Equal graphs hash alike, so a graph can key a
+    cache. ``family`` and ``rank`` read an ``A<n>``, ``D<n>``
     or ``E<n>`` label as (family, n); any other label gives None."""
 
     __slots__ = (
@@ -40,6 +41,7 @@ class ResolutionGraph:
         "_branches",
         "_curve_order",
         "_basic_leaves",
+        "_hash",
         "_paths",
     )
 
@@ -127,6 +129,8 @@ class ResolutionGraph:
             self._basic_leaves = self.leaves()
         else:
             self._basic_leaves = self.branch_ends()
+        # a hash of exactly the data __eq__ compares
+        self._hash = hash((ns, es, tuple(sorted(si.items())), self.leaf_variables))
         self._paths = {}
 
     def __setattr__(self, name, value):
@@ -266,6 +270,9 @@ class ResolutionGraph:
             and self.self_intersection == other.self_intersection
             and self.leaf_variables == other.leaf_variables
         )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return "ResolutionGraph(label=%r, nodes=%d)" % (self.label, len(self.nodes))

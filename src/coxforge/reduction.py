@@ -14,17 +14,18 @@ procedures move a degree into normal position:
   of the quotient piece on the center curve variable y0.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
-``least_nef_cycle`` gives the nef pass's terminal and step count in
-closed form, without a trace; only the verify sweep uses it, and only
-it passes ``reduce_nef_to_basic`` the add-phase degrees it already
-knows the rest of.
+``least_nef_cycles`` gives the nef pass's terminal and step count for a
+whole batch of degrees in closed form, without traces; only the verify
+sweep uses it, and only it passes ``reduce_nef_to_basic`` the add-phase
+degrees it already knows the rest of.
 
 Both passes scan the degree once per step, over (node, index) pairs in
 curve order, and apply the intersection-matrix columns that the graph
 built once; the basic pass reads its is-basic test and its next step
 kind off that one scan. It keeps the doubled S-sum as an integer: adding
 the column of a node moves it by a constant of that node, so each
-measure is one addition and a cached ``Fraction``.
+measure is one addition, and a trace makes its ``Fraction``s only when
+they are read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -43,6 +44,7 @@ module truncates.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from operator import add, ge, mul, sub
 
 from .cox import branch_term, presentation_from_graph, relation_from_graph, section_name_at
@@ -109,17 +111,22 @@ class ReductionTrace:
 
     ``measures`` lists the S-values of the states covered by the
     termination measure (the add phase); the shift phase sits outside
-    that argument and is excluded.
+    that argument and is excluded. The trace keeps them doubled, as the
+    integers ``twice_measures``, and makes the ``Fraction``s on demand.
     """
 
-    __slots__ = ("initial", "terminal", "steps", "terminated", "measures")
+    __slots__ = ("initial", "terminal", "steps", "terminated", "twice_measures")
 
-    def __init__(self, initial, terminal, steps, terminated, measures=()):
+    def __init__(self, initial, terminal, steps, terminated, twice_measures=()):
         self.initial = tuple(initial)
         self.terminal = tuple(terminal)
         self.steps = tuple(steps)
         self.terminated = terminated
-        self.measures = tuple(measures)
+        self.twice_measures = tuple(twice_measures)
+
+    @property
+    def measures(self):
+        return tuple(Fraction(t, 2) for t in self.twice_measures)
 
     def __len__(self):
         return len(self.steps)
@@ -204,17 +211,22 @@ def _twice_weights(graph):
     return tuple(1 if v in (1, 2) else 2 for v in graph.nodes)
 
 
-@lru_cache(maxsize=4096)
-def _half(twice):
-    # one Fraction per doubled S-value: a sweep meets a few hundred
-    # values over and over
-    return Fraction(twice, 2)
+@lru_cache(maxsize=64)
+def _pass_constants(graph):
+    """What the passes read off the graph on every call, built once per
+    graph: the (node, index) pairs in curve order, the doubled
+    S-weights, and how far adding each node's column moves the doubled
+    S-sum (the same from every degree)."""
+    spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
+    weights = _twice_weights(graph)
+    moves = {v: sum(map(mul, weights, col)) for v, col in graph.columns.items()}
+    return spots, weights, moves
 
 
 def s_measure(degree, graph):
     """Termination measure: half weight on the coordinates of nodes 1
     and 2, full weight elsewhere."""
-    return _half(sum(map(mul, _twice_weights(graph), degree)))
+    return Fraction(sum(map(mul, _twice_weights(graph), degree)), 2)
 
 
 def is_basic(degree, graph):
@@ -244,8 +256,7 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Subtract the column at the order-lowest negative coordinate until
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
-    # (node, index) pairs in curve order
-    spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
+    spots = _pass_constants(graph)[0]
     cols = graph.columns
     steps = []
     while True:
@@ -263,37 +274,62 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
         d = after
 
 
-def least_nef_cycle(degree, graph, adj, det):
-    """The end of ``reduce_to_nef`` in closed form: (d - M Z, |Z|) for
-    the least cycle Z >= 0 with d - M Z >= 0, where M is the
-    intersection matrix of a negative-definite graph and (adj, det) is
-    ``linalg.adjugate`` of it. |Z| is the pass's step count, so the pass
-    terminates within a step cap exactly when |Z| <= cap.
+def _times(matrix, vectors):
+    """The rows of ``matrix`` applied to ``vectors``, one list per row:
+    row[0] * vectors[0] + row[1] * vectors[1] + ..., elementwise over
+    the lists, with zero entries of the row skipped."""
+    count = len(vectors[0])
+    out = []
+    for row in matrix:
+        acc = repeat(0, count)
+        for a, vec in zip(row, vectors):
+            if a:
+                acc = map(add, acc, vec if a == 1 else map(mul, vec, repeat(a)))
+        out.append(list(acc))
+    return out
+
+
+def least_nef_cycles(cells, graph, adj, det):
+    """The ends of ``reduce_to_nef`` on every cell, in closed form and in
+    cell order: (d - M Z, |Z|) for the least cycle Z >= 0 with
+    d - M Z >= 0, where M is the intersection matrix of a
+    negative-definite graph and (adj, det) is ``linalg.adjugate`` of it.
+    |Z| is the pass's step count, so the pass terminates within a step
+    cap exactly when |Z| <= cap.
 
     The cycles Z >= 0 with d - M Z >= 0 are closed under componentwise
     min, and firing a curve where d - M Z is negative never passes their
     least element Z* (Laufer, On rational singularities, 1972), so the
     pass ends at Z* in any firing order. -M is an M-matrix, so every
     such Z is at least M^-1 d = adj d / det. The start
-    max(0, ceil(adj d / det)) is thus below Z*, and firing from it in
-    curve order ends exactly at Z*. Only the verify sweep uses this;
-    ``reduce`` and the audits keep the step-by-step pass."""
-    d = _check_degree(degree, graph)
-    # ceil(x / det) is -(-x // det) for either sign of det
-    z = [max(0, -(-sum(map(mul, row, d)) // det)) for row in adj]
-    cols = graph.columns
-    # M is symmetric: its columns in node order are also its rows
-    d = tuple([c - sum(map(mul, cols[v], z)) for v, c in zip(graph.nodes, d)])
-    size = sum(z)
-    spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
-    while True:
-        for neg, i in spots:
-            if d[i] < 0:
-                break
-        else:
-            return d, size
-        d = tuple(map(sub, d, cols[neg]))
-        size += 1
+    max(0, ceil(adj d / det)) is thus below Z*, and firing from it ends
+    exactly at Z*; the cells still negative there fire their lowest
+    coordinate until none is. The start and d - M Z are taken a
+    coordinate at a time over the whole batch, through the nonzero
+    entries of adj and of M. Only the verify sweep uses this; ``reduce``
+    and the audits keep the step-by-step pass."""
+    width = len(graph.nodes)
+    if any(len(d) != width for d in cells):
+        raise ParameterError("every degree needs %d coordinates, one per node" % width)
+    if not cells:
+        return []
+    coords = list(zip(*cells))
+    # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
+    z = [
+        [0 if x * det <= 0 else -(-x // det) for x in row]
+        for row in _times(adj, coords)
+    ]
+    matrix = graph.intersection_matrix()
+    ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])
+    out = []
+    for d, size in zip(ends, map(sum, zip(*z))):
+        low = min(d)
+        while low < 0:
+            d = tuple(map(sub, d, matrix[d.index(low)]))
+            size += 1
+            low = min(d)
+        out.append((d, size))
+    return out
 
 
 def _shift_target(graph, node):
@@ -332,17 +368,13 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
     idx = graph.index_of
-    spots = tuple((v, idx[v]) for v in graph.curve_order())
+    spots, weights, moves = _pass_constants(graph)
     cols = graph.columns
     leaves = graph.basic_leaves()
     width = len(d)
-    weights = _twice_weights(graph)
-    # adding the column of v moves the doubled S-sum by the same amount
-    # from every degree; the sum follows every step, measures only the
-    # add phase
-    moves = {v: sum(map(mul, weights, col)) for v, col in cols.items()}
+    # the doubled S-sum follows every step, measures only the add phase
     twice = sum(map(mul, weights, d))
-    measures = [_half(twice)]
+    measures = [twice]
     steps = []
     while True:
         if d in known:
@@ -374,7 +406,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
             steps.append(step)
             d = after
             twice += moves[big]
-            measures.append(_half(twice))
+            measures.append(twice)
             continue
         if len(ones) >= 2:
             i, j = _least_eligible_pair(d, ones, graph, idx)
@@ -385,7 +417,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
             steps.append(step)
             d = after
             twice += sum(moves[v] for v in chain)
-            measures.append(_half(twice))
+            measures.append(twice)
             continue
         # a single coordinate equal to 1 remains: shift it to a leaf
         p = ones[0]
@@ -421,7 +453,7 @@ def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
         basic.terminal,
         nef.steps + basic.steps,
         basic.terminated,
-        basic.measures,
+        basic.twice_measures,
     )
 
 
@@ -694,7 +726,8 @@ def base_case_audit(graph, leaf, k, a_max=3):
     family are exactly the standard monomials of the y0 slices up to
     the largest y0 exponent among them. Normal forms keep the y0
     exponent, so these slices hold every standard monomial the family
-    can reach."""
+    can reach, and the forms are distinct: the degree-zero period holds
+    y0, so the y0 exponent grows with a."""
     fam = base_case_family(graph, leaf, k)
     qp = fam.presentation
     members = [fam.seed * (fam.period ** a) for a in range(a_max + 1)]
@@ -716,9 +749,6 @@ def base_case_audit(graph, leaf, k, a_max=3):
     if not single:
         return report
     monos = [next(iter(f.terms)) for f in forms]
-    if len(set(monos)) != len(monos):
-        report["distinct"] = False
-        return report
     j = qp.grading.index(graph.curve_variable(graph.center()))
     top = max(m.exps[j] for m in monos)
     basis = [m for e in range(top + 1) for m in _slice_basis(qp, fam.degree, j, e)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -501,6 +502,23 @@ def test_grid_sample_full_box_and_determinism():
     assert a != c
     assert len(set(a)) == 500
     assert all(all(-3 <= x <= 3 for x in cell) for cell in a)
+
+
+@pytest.mark.parametrize(
+    "width,digest",
+    [
+        (4, "8c9f1d04f25164d778a074cced4e0a8ddb41c37251ac0b32858f5f354120ab93"),
+        (5, "ad4628d21bdcdc220b75bbad0916a2be2529dcaf080af73a772613e2abe5252d"),
+        (6, "df3ec90fb76354e2685c300894e3be91e8b6a47e2a15f63963c9a2ac97dd4148"),
+        (8, "1337c3ce925b4d5885dbb69c4d5d9566733cacc2b60839e0937f65f63ca3de1e"),
+        (12, "025c9db1ac9830c851f17dd78b869707870f7c1c9493061459997ea33be7abd4"),
+    ],
+)
+def test_grid_sample_default_cells_are_frozen(width, digest):
+    # the verify grid at the default seed: any change to the generator
+    # that moves, drops or reorders a cell changes the digest
+    cells = cli.grid_sample(width, cli.DEFAULT_GRID)
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

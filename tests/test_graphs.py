@@ -56,6 +56,18 @@ def test_custom_tree_matches_fork_and_star():
     assert build_custom_tree([1, 1, 2]) == build_singularity("D", 5)
 
 
+def test_equal_graphs_hash_alike():
+    # the reduction passes key their per-graph constants on the graph
+    pairs = [
+        (build_custom_tree([1, 1, 1]), build_singularity("D", 4)),
+        (parse_case("a3"), build_singularity("A", 3)),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    distinct = {build_singularity("D", 4), build_singularity("D", 5), build_custom_tree([1, 1, 1])}
+    assert len(distinct) == 2
+
+
 def test_custom_tree_numbering():
     g = build_custom_tree([2, 2, 3])
     assert g.nodes == tuple(range(8))

@@ -145,20 +145,33 @@ DEFINITE_STARS = ["custom:1,1,1", "custom:1,1,4", "custom:1,2,2", "custom:1,2,3"
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_least_nef_cycle_is_the_end_of_the_nef_pass(case, data):
+    # a batch of cells drawn from a small pool, so cells repeat
     graph = parse_case(case)
     assert graph.is_negative_definite()
     adj, det = adjugate(graph.intersection_matrix())
     width = len(graph.nodes)
-    d = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width)))
-    terminal, size = reduction.least_nef_cycle(d, graph, adj, det)
-    nef = reduce_to_nef(d, graph)
-    assert nef.terminated
-    assert terminal == nef.terminal
-    assert size == len(nef.steps)
-    # the step cap boundary: |Z| - 1 steps fall short, |Z| steps suffice
-    if size:
-        assert not reduce_to_nef(d, graph, size - 1).terminated
-    assert reduce_to_nef(d, graph, size).terminated
+    cell = st.tuples(*[st.integers(-6, 6)] * width)
+    pool = data.draw(st.lists(cell, min_size=1, max_size=10))
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    got = reduction.least_nef_cycles(cells, graph, adj, det)
+    assert len(got) == len(cells)
+    for d, (terminal, size) in zip(cells, got):
+        nef = reduce_to_nef(d, graph)
+        assert nef.terminated
+        assert terminal == nef.terminal
+        assert size == len(nef.steps)
+        # the step cap boundary: |Z| - 1 steps fall short, |Z| steps suffice
+        if size:
+            assert not reduce_to_nef(d, graph, size - 1).terminated
+        assert reduce_to_nef(d, graph, size).terminated
+
+
+def test_least_nef_cycles_checks_every_cell_width():
+    d4 = build_singularity("D", 4)
+    adj, det = adjugate(d4.intersection_matrix())
+    assert reduction.least_nef_cycles([], d4, adj, det) == []
+    with pytest.raises(ParameterError):
+        reduction.least_nef_cycles([(0, 0, 0, 0), (0, 0, 0)], d4, adj, det)
 
 
 def test_add_chain_trace():
