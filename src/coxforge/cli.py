@@ -17,12 +17,15 @@ stops at an add-phase degree an earlier cell's pass went through, and
 the cell's step count is the steps walked plus the count left from
 there, held to the same N. Every cap, from a flag or the config file,
 must be at least 1. The cokernel audits are exact counts and take no
-cap, so `cokernel` is an unknown cap.
+cap, and invariants.toric_relations bounds the degree of its relation
+search itself, so `cokernel` and `relation` are unknown caps. The
+--caps help lists the keys of DEFAULT_CAPS.
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a tree that no candidate relation covers (a node of
 valence four or more, or several branch points); the exit code rests on
-the sections that ran.
+the sections that ran. When every section was skipped, the text summary
+says that nothing was checked.
 """
 
 import argparse
@@ -44,10 +47,7 @@ EXIT_USAGE = 2
 
 DEFAULT_GRID = 2000
 DEFAULT_SEED = 20240
-DEFAULT_CAPS = {
-    "step": reduction.DEFAULT_STEP_CAP,
-    "relation": None,
-}
+DEFAULT_CAPS = {"step": reduction.DEFAULT_STEP_CAP}
 AUDIT_DEGREE_COUNT = 6
 
 
@@ -110,8 +110,7 @@ def _integer(value, what):
 
 def _cap(value, what):
     """One cap setting: an integer of at least 1. A zero or negative cap
-    would cut a reduction pass or a relation search off before it did
-    any work."""
+    would cut a reduction pass off before it did any work."""
     cap = _integer(value, what)
     if cap < 1:
         raise ParameterError("%s needs at least 1, got %d" % (what, cap))
@@ -183,7 +182,7 @@ def cmd_graph(graph, settings):
 
 
 def cmd_invariants(graph, settings):
-    report = verify_invariant_table(graph, relation_cap=settings["caps"]["relation"])
+    report = verify_invariant_table(graph)
     return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
@@ -394,7 +393,12 @@ def _render_text(payload):
         lines.append("  steps: %d" % len(payload["steps"]))
         lines.append("  terminal: %s" % payload["terminal"])
     if "ok" in payload:
-        lines.append("ok" if payload["ok"] else "FAIL")
+        verdict = "ok" if payload["ok"] else "FAIL"
+        sections = payload.get("sections")
+        if sections and all("skipped" in section for section in sections.values()):
+            # the verdict of a run whose every section was skipped certifies nothing
+            verdict += " (nothing checked: every section was skipped)"
+        lines.append(verdict)
     return "\n".join(lines) + "\n"
 
 
@@ -439,8 +443,8 @@ def build_parser():
         "--caps",
         action="append",
         metavar="KEY=N",
-        help="override caps: step (per reduction pass), relation "
-        "(repeat or comma-separate)",
+        help="override caps, repeat or comma-separate (known: %s)"
+        % ", ".join(sorted(DEFAULT_CAPS)),
     )
     parser.add_argument("--config", help="JSON config file with caps/seed/grid")
     parser.add_argument("--format", choices=["json", "text"], default="json")

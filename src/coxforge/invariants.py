@@ -1,9 +1,13 @@
 """Torus-invariant rings: the degree-zero part of a graded section ring.
 
-The degree-zero monomials form a finitely generated monoid; its Hilbert
-basis gives the invariant generators and the toric ideal between them
-gives the relations. For the classical graphs the expected generators
-follow closed formulas (chains and forks) or a fixed reference table
+The degree-zero monomials form a finitely generated normal monoid; its
+Hilbert basis gives the invariant generators and the toric ideal between
+them gives the relations. Normality makes the invariant ring
+Cohen-Macaulay (Hochster 1972) with the interior ideal as its canonical
+module (Danilov-Stanley), which bounds the degree of every minimal
+relation, so toric_relations lists the fibers up to that bound in full
+and its relations are exact, with no cap. For the classical graphs the
+expected generators follow closed formulas (chains and forks) or a fixed reference table
 (the three star shapes), and verify_invariant_table checks computation
 against expectation exponent for exponent.
 
@@ -13,7 +17,9 @@ family, rank and grading; a custom tree has no reference table.
 
 import json
 from importlib import resources
+from operator import add, ge
 
+from . import linalg
 from .errors import ParameterError
 from .rings import solve_degree_system
 
@@ -119,64 +125,83 @@ def golden_relations(graph):
     raise ParameterError("no reference invariant table for %s" % graph.label)
 
 
-def default_relation_cap(graph):
-    if graph.family == "A":
-        return graph.rank + 2
-    if graph.family == "D":
-        return 4 if graph.rank % 2 == 0 else 5
-    return 8
+def toric_relations(gens):
+    """Minimal binomial relations among the monomials in gens, found
+    exactly: every fiber of the substitution map up to a degree bound B
+    is listed in full, and no minimal relation lies above B.
 
+    Hypothesis: gens generate a normal monoid M, as any Hilbert basis of
+    {s >= 0 : A s = 0} does. Weight the variable of each generator h_i
+    by w_i = |h_i|, its total exponent, and let p be the rank of the
+    relation lattice, k minus the rank of the exponent matrix. Over a
+    field K, K[M] is Cohen-Macaulay (Hochster, Ann. Math. 1972), so by
+    Auslander-Buchsbaum its minimal graded free resolution over
+    K[Z_1..Z_k] has length p. The last module's shifts are sum(w) less
+    the degrees of the generators of the canonical module, which is the
+    ideal of the interior points (Danilov-Stanley; Bruns-Herzog,
+    Cohen-Macaulay Rings, Thm 6.3.5) and so has none in degree 0: the
+    largest shift there is at most sum(w) - 1. Dualised, a minimal resolution
+    becomes a minimal resolution of the canonical module, whose least
+    shift rises by at least min(w) from each module to the next; so from
+    each module of the first to the one before it the largest shift drops
+    by at least min(w). Every minimal relation thus has w-degree at most
 
-def toric_relations(gens, cap):
-    """Minimal binomial relations among the monomials in gens, searched
-    over generator exponent vectors of total degree <= cap.
+        B = sum(w) - 1 - (p - 1) * min(w),
+
+    and there is none when p = 0. A constant generator (w_i = 0) raises
+    ParameterError, since it leaves no bound at all.
 
     Returns canonical pairs of exponent tuples over gens. Fibers of the
     substitution map are processed in ascending degree; inside a fiber,
-    points already linked by accepted relations are merged, and one new
-    relation is added per extra connected component.
+    points joined by moves along accepted relations form one component,
+    and one new relation joins the least point of the fiber to the least
+    point of each further component.
     """
+    weights = [m.total() for m in gens]
+    if 0 in weights:
+        raise ParameterError("a constant generator bounds no relation degree")
+    p = len(gens) - linalg.rank([m.exps for m in gens])
+    if p == 0:
+        return []
+    bound = sum(weights) - 1 - (p - 1) * min(weights)
     k = len(gens)
     fibers = {}
 
-    def grow(prefix, budget, idx):
+    def grow(prefix, budget, subst):
+        idx = len(prefix)
         if idx == k:
-            subst = tuple(
-                sum(prefix[i] * gens[i].exps[j] for i in range(k))
-                for j in range(len(gens[0].exps))
-            )
-            fibers.setdefault(subst, []).append(tuple(prefix))
+            fibers.setdefault(subst, []).append(prefix)
             return
-        for e in range(budget + 1):
-            grow(prefix + [e], budget - e, idx + 1)
+        row, w = gens[idx].exps, weights[idx]
+        for e in range(budget // w + 1):
+            grow(prefix + (e,), budget - e * w, subst)
+            subst = tuple(map(add, subst, row))
 
-    grow([], cap, 0)
+    grow((), bound, (0,) * len(gens[0].exps))
     accepted = []
-
-    def linked(u, v):
-        for p, q in accepted:
-            for a, b in ((p, q), (q, p)):
-                if all(x >= y for x, y in zip(u, a)):
-                    if tuple(x - y + z for x, y, z in zip(u, a, b)) == v:
-                        return True
-        return False
-
     for subst in sorted(fibers, key=lambda s: (sum(s), s)):
-        pts = sorted(fibers[subst])
+        pts = fibers[subst]
         if len(pts) < 2:
             continue
-        # connected components under moves by accepted relations
-        comps = []
-        for p in pts:
-            merged = [c for c in comps if any(linked(p, q) or linked(q, p) for q in c)]
-            rest = [c for c in comps if c not in merged]
-            new = [p]
-            for c in merged:
-                new.extend(c)
-            comps = rest + [sorted(new)]
-        comps.sort()
-        for other in comps[1:]:
-            accepted.append((comps[0][0], other[0]))
+        pts.sort()
+        # a move along an accepted relation stays inside the fiber, which
+        # is complete below the bound
+        moves = [(a, b) for pair in accepted for a, b in (pair, pair[::-1])]
+        seen = set()
+        for start in pts:
+            if start in seen:
+                continue
+            if seen:
+                accepted.append((pts[0], start))
+            seen.add(start)
+            queue = [start]
+            for u in queue:
+                for a, b in moves:
+                    if all(map(ge, u, a)):
+                        v = tuple(x - y + z for x, y, z in zip(u, a, b))
+                        if v not in seen:
+                            seen.add(v)
+                            queue.append(v)
     return sorted(tuple(sorted(pair)) for pair in accepted)
 
 
@@ -203,7 +228,7 @@ def _canonical_relation(pair_dicts):
     return tuple(sorted(tuple(sorted(side.items())) for side in pair_dicts))
 
 
-def verify_invariant_table(graph, relation_cap=None):
+def verify_invariant_table(graph):
     """Compare the computed invariant generators and relations of an A,
     D or E graph against the expected table. Returns a report dict with
     per-generator matches."""
@@ -241,8 +266,7 @@ def verify_invariant_table(graph, relation_cap=None):
         )
     names = [row["name"] for row in gen_rows if row["computed"] is not None]
     gens = [matched[name] for name in names]
-    cap = relation_cap if relation_cap is not None else default_relation_cap(graph)
-    found = [relation_names(pair, names) for pair in toric_relations(gens, cap)]
+    found = [relation_names(pair, names) for pair in toric_relations(gens)]
     want_rels = golden_relations(graph)
     rel_match = {_canonical_relation(p) for p in found} == {
         _canonical_relation(p) for p in want_rels

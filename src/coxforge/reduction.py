@@ -694,13 +694,18 @@ def base_case_family(graph, leaf, k):
     curve variable y0.
 
     Every slice is finite, because every degree-zero generator contains
-    every curve variable. The walk ends: no relation term holds y0, so
-    normal forms keep the y0 exponent, and for any degree-zero
-    generator g the normal form of seed*g is nonzero, so a second
-    standard monomial turns up by the slice y0(seed) + y0(g). The walk
-    needs the piece to hold a seed at all, as the D pieces do."""
+    every curve variable. The walk ends on a negative definite graph:
+    there the piece of a line bundle is a nonzero module of rank one over
+    O(X), the degree-zero ring, so some slice holds a seed. No relation
+    term holds y0, so normal forms keep the y0 exponent, and for any
+    degree-zero generator g the normal form of seed*g is nonzero, so a
+    second standard monomial turns up by the slice y0(seed) + y0(g). Off
+    the negative definite graphs the piece may be zero and the walk
+    would not end, so they raise ParameterError before it starts."""
     if k < 1:
         raise ParameterError("k must be positive")
+    if not graph.is_negative_definite():
+        raise ParameterError("the base case needs a negative definite graph")
     qp = quotient_presentation(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))
     j = qp.grading.index(graph.curve_variable(graph.center()))

@@ -46,7 +46,7 @@ class Budget:
 def test_criterion_01_chain_invariants():
     budget = Budget("criterion 1: chain invariant rings", 5)
     for n in range(1, 9):
-        report = verify_invariant_table(build_singularity("A", n), relation_cap=n + 2)
+        report = verify_invariant_table(build_singularity("A", n))
         assert report["ok"], report
         assert len(report["generators"]) == 3
         assert all(row["match"] for row in report["generators"])
@@ -57,7 +57,7 @@ def test_criterion_01_chain_invariants():
 def test_criterion_02_even_fork_invariants():
     budget = Budget("criterion 2: even fork invariant rings", 30)
     for n in (4, 6, 8, 10, 12):
-        report = verify_invariant_table(build_singularity("D", n), relation_cap=4)
+        report = verify_invariant_table(build_singularity("D", n))
         assert report["ok"], report
         assert len(report["generators"]) == 4
         assert report["relations"]["computed"] == ["W^2 = Z1*Z2*Z3"]
@@ -67,7 +67,7 @@ def test_criterion_02_even_fork_invariants():
 def test_criterion_03_odd_fork_invariants():
     budget = Budget("criterion 3: odd fork invariant rings", 60)
     for n in (5, 7, 9, 11):
-        report = verify_invariant_table(build_singularity("D", n), relation_cap=5)
+        report = verify_invariant_table(build_singularity("D", n))
         assert report["ok"], report
         assert len(report["generators"]) == 6
         assert len(report["relations"]["computed"]) == 6
@@ -83,7 +83,7 @@ def test_criterion_04_exceptional_invariants():
         8: (3, []),
     }
     for n, (gens, rels) in expected.items():
-        report = verify_invariant_table(build_singularity("E", n), relation_cap=8)
+        report = verify_invariant_table(build_singularity("E", n))
         assert report["ok"], report
         assert len(report["generators"]) == gens
         assert report["relations"]["computed"] == rels

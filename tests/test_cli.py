@@ -380,7 +380,11 @@ def test_four_arm_star_text_shows_skipped(capsys, command):
     assert code == 0
     assert "  cox: skipped\n" in out
     assert "  counterexample: skipped\n" in out
-    assert out.splitlines()[-1] == "ok"
+    # report's graph section always runs; verify's every section was skipped
+    if command == "report":
+        assert out.splitlines()[-1] == "ok"
+    else:
+        assert out.splitlines()[-1] == "ok (nothing checked: every section was skipped)"
 
 
 @pytest.mark.parametrize(
@@ -425,6 +429,19 @@ def test_text_format_shows_skipped_sections(capsys):
     assert code == 0
     assert "  reduction: skipped\n" in out
     assert "  cox: ok\n" in out
+    assert out.splitlines()[-1] == "ok"
+
+
+def test_text_verdict_says_when_nothing_was_checked(capsys):
+    # affine D4: no candidate relation and no negative definite form, so
+    # every section is skipped; the exit code and the JSON stay as they were
+    argv = ["verify", "--case", "custom:1,1,1,1", "--grid", "50"]
+    code, out = run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert out.splitlines()[-1] == "ok (nothing checked: every section was skipped)"
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["ok"] is True
 
 
 @pytest.mark.parametrize("case", ["custom:2,2,3", "D4"])
@@ -479,14 +496,14 @@ def test_usage_exit_codes(capsys):
 
 def test_precedence_flag_over_config(tmp_path):
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"caps": {"step": 400, "relation": 6}, "grid": 77}))
+    config.write_text(json.dumps({"caps": {"step": 400}, "grid": 77}))
     base = ["verify", "--case", "D4", "--config", str(config)]
     settings = cli.resolve_settings(cli.build_parser().parse_args(base))
-    assert settings["caps"] == {"step": 400, "relation": 6}
+    assert settings["caps"] == {"step": 400}
     assert settings["grid"] == 77
     args = cli.build_parser().parse_args(base + ["--caps", "step=30", "--grid", "99"])
     settings = cli.resolve_settings(args)
-    assert settings["caps"] == {"step": 30, "relation": 6}
+    assert settings["caps"] == {"step": 30}
     assert settings["grid"] == 99
 
 
@@ -525,7 +542,7 @@ def test_grid_sample_default_cells_are_frozen(width, digest):
     "config",
     [
         {"caps": {"step": "abc"}},
-        {"caps": {"relation": None}},
+        {"caps": {"step": None}},
         {"caps": {"step": 2.5}},
         {"grid": "x"},
         {"grid": True},
@@ -543,8 +560,8 @@ def test_config_values_must_be_integers(capsys, tmp_path, config):
 def test_caps_flag_needs_integers(capsys):
     assert cli.main(["verify", "--case", "A3", "--caps", "step=abc"]) == 2
     assert capsys.readouterr().err == "error: cap 'step' needs an integer, got 'abc'\n"
-    assert cli.main(["verify", "--case", "A3", "--caps", "relation=1.5"]) == 2
-    assert capsys.readouterr().err == "error: cap 'relation' needs an integer, got '1.5'\n"
+    assert cli.main(["verify", "--case", "A3", "--caps", "step=1.5"]) == 2
+    assert capsys.readouterr().err == "error: cap 'step' needs an integer, got '1.5'\n"
 
 
 def test_string_integers_in_config_still_parse(tmp_path):
@@ -568,7 +585,7 @@ def test_grid_below_one_is_rejected(capsys, tmp_path, grid):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("cap", ["step=0", "step=-3", "relation=0", "relation=-2"])
+@pytest.mark.parametrize("cap", ["step=0", "step=-3"])
 def test_caps_flag_below_one_is_rejected(capsys, cap):
     # a cap below 1 used to give a verdict (exit 0 or 1), not a usage error
     assert cli.main(["verify", "--case", "A3", "--grid", "20", "--caps", cap]) == 2
@@ -578,7 +595,7 @@ def test_caps_flag_below_one_is_rejected(capsys, cap):
     assert captured.err == "error: cap %r needs at least 1, got %s\n" % (key, value)
 
 
-@pytest.mark.parametrize("key", ["step", "relation"])
+@pytest.mark.parametrize("key", ["step"])
 def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"caps": {key: 0}}))
@@ -590,17 +607,26 @@ def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_a_cokernel_cap_is_an_unknown_cap(capsys, tmp_path, source):
-    # the cokernel audits are exact counts and take no cap
-    argv = ["verify", "--case", "A3", "--grid", "20"]
-    if source == "flag":
-        argv += ["--caps", "cokernel=5"]
-        message = "error: unknown cap 'cokernel' (known: relation, step)\n"
-    else:
-        path = tmp_path / "conf.json"
-        path.write_text(json.dumps({"caps": {"cokernel": 5}}))
-        argv += ["--config", str(path)]
-        message = "error: unknown cap 'cokernel' in config\n"
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == message
+    # the cokernel audits are exact counts and the relation search bounds
+    # its own degree, so neither takes a cap
+    for key in ("cokernel", "relation"):
+        argv = ["verify", "--case", "A3", "--grid", "20"]
+        if source == "flag":
+            argv += ["--caps", "%s=5" % key]
+            message = "error: unknown cap %r (known: step)\n" % key
+        else:
+            path = tmp_path / "conf.json"
+            path.write_text(json.dumps({"caps": {key: 5}}))
+            argv += ["--config", str(path)]
+            message = "error: unknown cap %r in config\n" % key
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
+def test_help_names_every_cap_and_no_other(capsys):
+    assert cli.main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    listed = out.split("repeat or comma-separate (known: ", 1)[1].split(")", 1)[0]
+    assert listed.split(", ") == sorted(cli.DEFAULT_CAPS)

@@ -1,6 +1,7 @@
 import pytest
 
 from coxforge import diophantine, invariants
+from coxforge.errors import ParameterError
 from coxforge.graphs import build_singularity
 from coxforge.rings import Monomial, solve_degree_system
 
@@ -11,12 +12,21 @@ ALL_CASES = (
     + [("D", n) for n in range(4, 13)]
     + [("E", n) for n in (6, 7, 8)]
 )
+# the A and D reference tables are closed-form in n, so the cases past
+# ALL_CASES pin the relation search's degree bound independently
+EXACT_CASES = ALL_CASES + [("A", n) for n in range(9, 13)] + [("D", n) for n in range(13, 17)]
 
 
-@pytest.mark.parametrize("family,n", ALL_CASES)
+def _sides(relations):
+    return sorted(tuple(sorted(rel.split(" = "))) for rel in relations)
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
 def test_reference_tables_verify(family, n):
     report = invariants.verify_invariant_table(build_singularity(family, n))
     assert report["ok"], report
+    rels = report["relations"]
+    assert _sides(rels["computed"]) == _sides(rels["expected"])
 
 
 @pytest.mark.parametrize("family,n", ALL_CASES)
@@ -41,18 +51,24 @@ def test_golden_relations_balance(family, n):
 
 def test_toric_relations_on_free_gens():
     gens = [Monomial((1, 0)), Monomial((0, 1))]
-    assert invariants.toric_relations(gens, 6) == []
+    assert invariants.toric_relations(gens) == []
 
 
 def test_toric_relations_single_collision():
     gens = [Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 1))]
-    rels = invariants.toric_relations(gens, 5)
+    rels = invariants.toric_relations(gens)
     assert rels == [((0, 0, 1), (1, 1, 0))]
+
+
+def test_toric_relations_reject_a_constant_generator():
+    # a generator of weight zero would leave the degree bound unbounded
+    with pytest.raises(ParameterError):
+        invariants.toric_relations([Monomial((1, 0)), Monomial((0, 0))])
 
 
 def test_toric_relations_chain_case():
     gens = [m for _, m in invariants.golden_generators(build_singularity("A", 3))]
-    rels = invariants.toric_relations(gens, 5)
+    rels = invariants.toric_relations(gens)
     # Z1*Z2 = W^4 over (Z1, Z2, W)
     assert rels == [((0, 0, 4), (1, 1, 0))]
 

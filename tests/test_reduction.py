@@ -793,6 +793,18 @@ def test_base_case_family_frozen():
         base_case_family(d4, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "case,leaf", [("custom:2,2,3", 2), ("custom:2,2,2", 2), ("custom:1,2,5", 8)]
+)
+def test_base_case_rejects_a_graph_that_is_not_negative_definite(case, leaf):
+    # the slice walk would never meet a seed there; the check comes first
+    graph = parse_case(case)
+    with pytest.raises(ParameterError, match="negative definite"):
+        base_case_family(graph, leaf, 1)
+    with pytest.raises(ParameterError, match="negative definite"):
+        base_case_audit(graph, leaf, 1)
+
+
 def test_base_case_audit_d4_frozen():
     d4 = build_singularity("D", 4)
     report = base_case_audit(d4, 1, 1)
