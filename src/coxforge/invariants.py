@@ -16,8 +16,8 @@ family, rank and grading; a custom tree has no reference table.
 """
 
 import json
-from importlib import resources
-from operator import add, ge
+import os
+from operator import add
 
 from . import linalg
 from .errors import ParameterError
@@ -25,8 +25,11 @@ from .rings import solve_degree_system
 
 
 def _load_reference_tables():
-    path = resources.files("coxforge").joinpath("data/golden_tables.json")
-    return json.loads(path.read_text())
+    # read beside this file: importlib.resources would cost every
+    # process its import, and the tables ship inside the package
+    path = os.path.join(os.path.dirname(__file__), "data", "golden_tables.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 _TABLES = None
@@ -152,10 +155,15 @@ def toric_relations(gens):
     ParameterError, since it leaves no bound at all.
 
     Returns canonical pairs of exponent tuples over gens. Fibers of the
-    substitution map are processed in ascending degree; inside a fiber,
-    points joined by moves along accepted relations form one component,
-    and one new relation joins the least point of the fiber to the least
-    point of each further component.
+    substitution map are processed in ascending degree, and one new
+    relation joins the least point of a fiber to the least point of each
+    further component. Two points of a fiber that share a variable x_i
+    differ by x_i times a binomial of a lower fiber, which is complete
+    below the bound and so joined by the relations already accepted. A
+    move along one of those, from a lower fiber, leaves a nonzero common
+    factor of the two points it joins. So the components are the classes
+    of "shares a variable", found by union-find with each root at the
+    least point.
     """
     weights = [m.total() for m in gens]
     if 0 in weights:
@@ -177,6 +185,12 @@ def toric_relations(gens):
             grow(prefix + (e,), budget - e * w, subst)
             subst = tuple(map(add, subst, row))
 
+    def find(root, n):
+        while root[n] != n:
+            root[n] = root[root[n]]
+            n = root[n]
+        return n
+
     grow((), bound, (0,) * len(gens[0].exps))
     accepted = []
     for subst in sorted(fibers, key=lambda s: (sum(s), s)):
@@ -184,24 +198,14 @@ def toric_relations(gens):
         if len(pts) < 2:
             continue
         pts.sort()
-        # a move along an accepted relation stays inside the fiber, which
-        # is complete below the bound
-        moves = [(a, b) for pair in accepted for a, b in (pair, pair[::-1])]
-        seen = set()
-        for start in pts:
-            if start in seen:
-                continue
-            if seen:
-                accepted.append((pts[0], start))
-            seen.add(start)
-            queue = [start]
-            for u in queue:
-                for a, b in moves:
-                    if all(map(ge, u, a)):
-                        v = tuple(x - y + z for x, y, z in zip(u, a, b))
-                        if v not in seen:
-                            seen.add(v)
-                            queue.append(v)
+        root = list(range(len(pts)))
+        holder = {}
+        for n, pt in enumerate(pts):
+            for i, e in enumerate(pt):
+                if e:
+                    a, b = find(root, n), find(root, holder.setdefault(i, n))
+                    root[max(a, b)] = min(a, b)
+        accepted += [(pts[0], pts[n]) for n in range(1, len(pts)) if find(root, n) == n]
     return sorted(tuple(sorted(pair)) for pair in accepted)
 
 

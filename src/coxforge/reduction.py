@@ -19,13 +19,16 @@ whole batch of degrees in closed form, without traces; only the verify
 sweep uses it, and only it passes ``reduce_nef_to_basic`` the add-phase
 degrees it already knows the rest of.
 
-Both passes scan the degree once per step, over (node, index) pairs in
-curve order, and apply the intersection-matrix columns that the graph
-built once; the basic pass reads its is-basic test and its next step
-kind off that one scan. It keeps the doubled S-sum as an integer: adding
-the column of a node moves it by a constant of that node, so each
-measure is one addition, and a trace makes its ``Fraction``s only when
-they are read.
+Both passes read a step table, made once per graph on its first pass:
+the (node, index) spots in curve order and each node's column and
+S-move, plus, on first use, each chain between two nodes with its
+summed column, S-move and interior positions. After firing a node the
+nef pass rescans only from the earliest of it and its neighbours: the
+column moves no other spot, and every earlier one was nonnegative. The
+basic pass scans the whole degree once per step and reads its is-basic
+test and next step kind off that scan. It keeps the doubled S-sum as an
+integer, moved by the S-move of each step's node or chain, and a trace
+makes its ``Fraction``s only when they are read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -64,15 +67,8 @@ class ReductionStep:
     columns are added for AddCurve and AddChain, subtracted otherwise.
     """
 
-    __slots__ = (
-        "kind",
-        "nodes",
-        "curves",
-        "degree_before",
-        "degree_after",
-        "expected_cokernel_dim",
-        "actual_dim",
-    )
+    __slots__ = ("kind", "nodes", "curves", "degree_before", "degree_after",
+                 "expected_cokernel_dim", "actual_dim")
 
     def __init__(self, kind, nodes, curves, degree_before, degree_after):
         self.kind = kind
@@ -99,11 +95,18 @@ class ReductionStep:
 
     def __repr__(self):
         return "ReductionStep(%s, nodes=%r, %r -> %r)" % (
-            self.kind,
-            self.nodes,
-            self.degree_before,
-            self.degree_after,
-        )
+            self.kind, self.nodes, self.degree_before, self.degree_after)
+
+
+def _step(check, graph, kind, nodes, curves, before, after, _new=object.__new__):
+    """A ReductionStep with its expected dimension from ``check``, the
+    checker of its kind. The passes hand it tuples already, so it skips
+    the constructor's copies."""
+    step = _new(ReductionStep)
+    step.kind, step.nodes, step.curves = kind, nodes, curves
+    step.degree_before, step.degree_after, step.actual_dim = before, after, None
+    step.expected_cokernel_dim = check(step, graph)
+    return step
 
 
 class ReductionTrace:
@@ -143,9 +146,7 @@ class ReductionTrace:
             else:
                 expect = _vec_sub(d, delta)
             if step.degree_after != expect:
-                raise ParameterError(
-                    "step delta mismatch at %r" % (step,)
-                )
+                raise ParameterError("step delta mismatch at %r" % (step,))
             d = step.degree_after
         if d != self.terminal:
             raise ParameterError("terminal does not match the last step")
@@ -211,16 +212,39 @@ def _twice_weights(graph):
     return tuple(1 if v in (1, 2) else 2 for v in graph.nodes)
 
 
-@lru_cache(maxsize=64)
-def _pass_constants(graph):
-    """What the passes read off the graph on every call, built once per
-    graph: the (node, index) pairs in curve order, the doubled
-    S-weights, and how far adding each node's column moves the doubled
-    S-sum (the same from every degree)."""
-    spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
-    weights = _twice_weights(graph)
-    moves = {v: sum(map(mul, weights, col)) for v, col in graph.columns.items()}
-    return spots, weights, moves
+class _StepTable:
+    """The step data of one graph, read by both passes: the (node, index)
+    spots in curve order, the doubled S-weights and, per node, its
+    1-tuple (a step's ``nodes`` and ``curves`` both), its column, its
+    S-move (the change of the doubled S-sum when its column is added,
+    the same from every degree) and its restart tail. ``chain`` fills
+    in an ordered pair's data on first use. ``_step_table`` keeps one
+    per graph; the graph's hash and equality cover all it reads."""
+
+    def __init__(self, graph):
+        spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
+        at = {v: k for k, (v, _) in enumerate(spots)}
+        self.spots, self.weights, self.cols = spots, _twice_weights(graph), graph.columns
+        self.single = {v: (v,) for v in graph.nodes}
+        self.moves = {v: sum(map(mul, self.weights, c)) for v, c in self.cols.items()}
+        # the spots from the earliest of v and its neighbours, the
+        # support of v's column for any self-intersection
+        self.tail = {v: spots[min(map(at.get, (v,) + graph.neighbors(v))):] for v in graph.nodes}
+        self.graph, self.chains = graph, {}
+
+    def chain(self, u, w):
+        """((u, w), the path from u to w, its summed column, its S-move,
+        the index positions of its interior nodes)."""
+        entry = self.chains.get((u, w))
+        if entry is None:
+            path = self.graph.path(u, w)
+            col = _sum_columns(self.cols, path)
+            inner = tuple(map(self.graph.index_of.__getitem__, path[1:-1]))
+            entry = self.chains[u, w] = ((u, w), path, col, sum(map(mul, self.weights, col)), inner)
+        return entry
+
+
+_step_table = lru_cache(maxsize=64)(_StepTable)
 
 
 def s_measure(degree, graph):
@@ -256,11 +280,11 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Subtract the column at the order-lowest negative coordinate until
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
-    spots = _pass_constants(graph)[0]
-    cols = graph.columns
+    table = _step_table(graph)
+    cols, single, tail, scan = table.cols, table.single, table.tail, table.spots
     steps = []
     while True:
-        for neg, i in spots:
+        for neg, i in scan:
             if d[i] < 0:
                 break
         else:
@@ -268,10 +292,12 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False)
         after = tuple(map(sub, d, cols[neg]))
-        step = ReductionStep("SubtractCurve", (neg,), (neg,), d, after)
-        step.expected_cokernel_dim = _expect_subtract_curve(step, graph)
-        steps.append(step)
+        one = single[neg]
+        steps.append(_step(_expect_subtract_curve, graph, "SubtractCurve", one, one, d, after))
         d = after
+        # only neg and its neighbours moved: every spot before tail[neg]
+        # is still nonnegative
+        scan = tail[neg]
 
 
 def _times(matrix, vectors):
@@ -306,8 +332,12 @@ def least_nef_cycles(cells, graph, adj, det):
     exactly at Z*; the cells still negative there fire their lowest
     coordinate until none is. The start and d - M Z are taken a
     coordinate at a time over the whole batch, through the nonzero
-    entries of adj and of M. Only the verify sweep uses this; ``reduce``
+    entries of adj and of M. Off the negative definite graphs Z* need
+    not exist and the corrections would not end, so they raise
+    ParameterError first. Only the verify sweep uses this; ``reduce``
     and the audits keep the step-by-step pass."""
+    if not graph.is_negative_definite():
+        raise ParameterError("the least nef cycles need a negative definite graph")
     width = len(graph.nodes)
     if any(len(d) != width for d in cells):
         raise ParameterError("every degree needs %d coordinates, one per node" % width)
@@ -315,10 +345,7 @@ def least_nef_cycles(cells, graph, adj, det):
         return []
     coords = list(zip(*cells))
     # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
-    z = [
-        [0 if x * det <= 0 else -(-x // det) for x in row]
-        for row in _times(adj, coords)
-    ]
+    z = [[0 if x * det <= 0 else -(-x // det) for x in row] for row in _times(adj, coords)]
     matrix = graph.intersection_matrix()
     ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])
     out = []
@@ -335,22 +362,10 @@ def least_nef_cycles(cells, graph, adj, det):
 def _shift_target(graph, node):
     center = graph.center()
     if center is None:
-        leaves = graph.leaves()
-        return leaves[-1]
+        return graph.leaves()[-1]
     if node == center:
-        branch = sorted(graph.branches(), key=lambda ch: (len(ch), ch[0]))[-1]
-        return branch[-1]
+        return max(graph.branches(), key=lambda ch: (len(ch), ch[0]))[-1]
     return graph.branch_of(node)[-1]
-
-
-def _least_eligible_pair(d, ones, graph, idx):
-    """The order-least pair of 1's with only zeros strictly between
-    them. ``ones`` is in curve order, so pairs are met in increasing
-    order and the first eligible one is the least."""
-    for a, u in enumerate(ones):
-        for w in ones[a + 1:]:
-            if all(d[idx[v]] == 0 for v in graph.path(u, w)[1:-1]):
-                return u, w
 
 
 def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
@@ -367,13 +382,13 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
     d = _check_degree(degree, graph)
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
-    idx = graph.index_of
-    spots, weights, moves = _pass_constants(graph)
-    cols = graph.columns
+    table = _step_table(graph)
+    spots, cols, moves, single = table.spots, table.cols, table.moves, table.single
+    chain = table.chain
     leaves = graph.basic_leaves()
     width = len(d)
     # the doubled S-sum follows every step, measures only the add phase
-    twice = sum(map(mul, weights, d))
+    twice = sum(map(mul, table.weights, d))
     measures = [twice]
     steps = []
     while True:
@@ -401,22 +416,25 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
             return ReductionTrace(degree, d, steps, False, measures)
         if big is not None:
             after = tuple(map(add, d, cols[big]))
-            step = ReductionStep("AddCurve", (big,), (big,), d, after)
-            step.expected_cokernel_dim = _expect_add_curve(step, graph)
-            steps.append(step)
+            one = single[big]
+            steps.append(_step(_expect_add_curve, graph, "AddCurve", one, one, d, after))
             d = after
             twice += moves[big]
             measures.append(twice)
             continue
         if len(ones) >= 2:
-            i, j = _least_eligible_pair(d, ones, graph, idx)
-            chain = graph.path(i, j)
-            after = _vec_add(d, _sum_columns(cols, chain))
-            step = ReductionStep("AddChain", (i, j), chain, d, after)
-            step.expected_cokernel_dim = _expect_add_chain(step, graph)
-            steps.append(step)
+            # the order-least pair of 1's with only zeros strictly between;
+            # ``ones`` is in curve order, so the first such pair is the least.
+            # A nef degree always has one.
+            pairs = (e for a, u in enumerate(ones) for e in map(chain, repeat(u), ones[a + 1:]))
+            entry = next((e for e in pairs if not any(map(d.__getitem__, e[4]))), None)
+            if entry is None:
+                raise HypothesisViolationError("AddChain needs a nef degree")
+            ends, path, col, move, _ = entry
+            after = tuple(map(add, d, col))
+            steps.append(_step(_expect_add_chain, graph, "AddChain", ends, path, d, after))
             d = after
-            twice += sum(moves[v] for v in chain)
+            twice += move
             measures.append(twice)
             continue
         # a single coordinate equal to 1 remains: shift it to a leaf
@@ -425,14 +443,12 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
         while p != j:
             if len(steps) >= step_cap:
                 return ReductionTrace(degree, d, steps, False, measures)
-            q = graph.path(p, j)[1]
-            chain = graph.path(q, j)
-            after = _vec_sub(d, _sum_columns(cols, chain))
-            step = ReductionStep("ShiftToLeaf", (p, j), chain, d, after)
-            step.expected_cokernel_dim = _expect_shift_to_leaf(step, graph)
-            steps.append(step)
+            q = chain(p, j)[1][1]
+            _, path, col, move, _ = chain(q, j)
+            after = tuple(map(sub, d, col))
+            steps.append(_step(_expect_shift_to_leaf, graph, "ShiftToLeaf", (p, j), path, d, after))
             d = after
-            twice -= sum(moves[v] for v in chain)
+            twice -= move
             p = q
     return ReductionTrace(degree, d, steps, True, measures)
 
@@ -449,12 +465,7 @@ def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
         return nef
     basic = reduce_nef_to_basic(nef.terminal, graph, step_cap)
     return ReductionTrace(
-        degree,
-        basic.terminal,
-        nef.steps + basic.steps,
-        basic.terminated,
-        basic.twice_measures,
-    )
+        degree, basic.terminal, nef.steps + basic.steps, basic.terminated, basic.twice_measures)
 
 
 def _expect_subtract_curve(step, graph):
@@ -492,21 +503,14 @@ def _expect_add_chain(step, graph):
     if min(before) < 0:
         raise HypothesisViolationError("AddChain needs a nef degree")
     if before[idx[i]] != 1:
-        raise HypothesisViolationError(
-            "AddChain needs coordinate 1 at node %d" % i
-        )
+        raise HypothesisViolationError("AddChain needs coordinate 1 at node %d" % i)
     if before[idx[j]] < 1:
-        raise HypothesisViolationError(
-            "AddChain needs a positive coordinate at node %d" % j
-        )
+        raise HypothesisViolationError("AddChain needs a positive coordinate at node %d" % j)
     if graph.valence(j) > 1 and before[idx[j]] != 1:
-        raise HypothesisViolationError(
-            "AddChain into interior node %d needs coordinate 1" % j
-        )
+        raise HypothesisViolationError("AddChain into interior node %d needs coordinate 1" % j)
     if any(before[idx[v]] != 0 for v in chain[1:-1]):
         raise HypothesisViolationError(
-            "AddChain needs zeros strictly between nodes %d and %d" % (i, j)
-        )
+            "AddChain needs zeros strictly between nodes %d and %d" % (i, j))
     restricted = [after[idx[v]] for v in chain]
     shape = [0] * (len(chain) - 1) + [before[idx[j]] - 1]
     if restricted != shape:
@@ -528,22 +532,16 @@ def _expect_shift_to_leaf(step, graph):
     if q == j:
         if after[idx[j]] < 2:
             raise HypothesisViolationError(
-                "ShiftToLeaf onto node %d needs coordinate >= 2 after" % j
-            )
+                "ShiftToLeaf onto node %d needs coordinate >= 2 after" % j)
         return after[idx[j]] - 1
     if after[idx[q]] != 1:
-        raise HypothesisViolationError(
-            "ShiftToLeaf needs coordinate 1 at node %d after" % q
-        )
+        raise HypothesisViolationError("ShiftToLeaf needs coordinate 1 at node %d after" % q)
     if after[idx[j]] < 1:
         raise HypothesisViolationError(
-            "ShiftToLeaf needs a positive coordinate at node %d after" % j
-        )
+            "ShiftToLeaf needs a positive coordinate at node %d after" % j)
     if any(after[idx[v]] != 0 for v in chain[1:-1]):
         raise HypothesisViolationError(
-            "ShiftToLeaf needs zeros strictly between nodes %d and %d"
-            % (q, j)
-        )
+            "ShiftToLeaf needs zeros strictly between nodes %d and %d" % (q, j))
     return after[idx[q]] + after[idx[j]] - 1
 
 

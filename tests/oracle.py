@@ -1,5 +1,6 @@
-"""Independent brute-force enumeration used to cross-check the cone
-pipeline.
+"""Independent brute-force references: an enumeration that cross-checks
+the cone pipeline, and a plain walk of the reduction passes (at the end
+of this file).
 
 Degree conditions on a chain or star tree propagate linearly: fixing the
 center exponent and the first exponent of each branch determines the
@@ -158,3 +159,129 @@ def decomposes(vec, basis):
         return False
 
     return rec(tuple(vec))
+
+
+# ------------------------------------------------------- reduction walk
+#
+# A plain walk of the two reduction passes, written from their rules
+# alone: every step rescans the degree from the first curve, every chain
+# is found by breadth-first search, and every column is read off the
+# self-intersections and edges and summed directly. It keeps nothing
+# between steps but the degree. A step is (kind, nodes, curves,
+# degree_before, degree_after, expected_dim).
+
+
+def _column(graph, node):
+    col = [0] * len(graph.nodes)
+    col[graph.nodes.index(node)] = graph.self_intersection[node]
+    for a, b in graph.edges:
+        if node in (a, b):
+            col[graph.nodes.index(b if a == node else a)] = 1
+    return col
+
+
+def _moved(graph, degree, curves, sign):
+    out = list(degree)
+    for v in curves:
+        out = [x + sign * c for x, c in zip(out, _column(graph, v))]
+    return tuple(out)
+
+
+def _bfs_path(graph, a, b):
+    parent = {a: None}
+    queue = [a]
+    for n in queue:
+        for m in graph.neighbors(n):
+            if m not in parent:
+                parent[m] = n
+                queue.append(m)
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def _at(graph, degree, node):
+    return degree[graph.nodes.index(node)]
+
+
+def twice_s(graph, degree):
+    """The S-measure doubled: weight 1 on nodes 1 and 2, 2 elsewhere."""
+    return sum(c * (1 if v in (1, 2) else 2) for v, c in zip(graph.nodes, degree))
+
+
+def _walk_is_basic(graph, degree):
+    nonzero = [(v, c) for v, c in zip(graph.nodes, degree) if c]
+    if not nonzero:
+        return True
+    return len(nonzero) == 1 and nonzero[0][1] > 0 and nonzero[0][0] in graph.basic_leaves()
+
+
+def _walk_shift_target(graph, node):
+    if graph.center() is None:
+        return graph.leaves()[-1]
+    if node == graph.center():
+        longest = sorted(graph.branches(), key=lambda ch: (len(ch), ch[0]))[-1]
+        return longest[-1]
+    return next(ch for ch in graph.branches() if node in ch)[-1]
+
+
+def walk_to_nef(graph, degree, step_cap):
+    """(steps, terminal, terminated) of the nef pass."""
+    d = tuple(degree)
+    steps = []
+    while True:
+        negative = [v for v in graph.curve_order() if _at(graph, d, v) < 0]
+        if not negative:
+            return steps, d, True
+        if len(steps) >= step_cap:
+            return steps, d, False
+        v = negative[0]
+        after = _moved(graph, d, [v], -1)
+        steps.append(("SubtractCurve", (v,), (v,), d, after, 0))
+        d = after
+
+
+def walk_to_basic(graph, degree, step_cap, known=()):
+    """(steps, terminal, terminated, twice_measures) of the basic pass.
+    The measures follow the add phase only."""
+    d = tuple(degree)
+    steps = []
+    twice = [twice_s(graph, d)]
+    order = graph.curve_order()
+    while d not in known and not _walk_is_basic(graph, d):
+        if len(steps) >= step_cap:
+            return steps, d, False, twice
+        big = [v for v in order if _at(graph, d, v) >= 2]
+        ones = [v for v in order if _at(graph, d, v) == 1]
+        if big:
+            v = big[0]
+            after = _moved(graph, d, [v], 1)
+            steps.append(("AddCurve", (v,), (v,), d, after, _at(graph, d, v) - 1))
+        elif len(ones) >= 2:
+            u, w = next(
+                (u, w)
+                for a, u in enumerate(ones)
+                for w in ones[a + 1:]
+                if all(_at(graph, d, x) == 0 for x in _bfs_path(graph, u, w)[1:-1])
+            )
+            chain = _bfs_path(graph, u, w)
+            after = _moved(graph, d, chain, 1)
+            steps.append(("AddChain", (u, w), chain, d, after, _at(graph, d, w)))
+        else:
+            p = ones[0]
+            j = _walk_shift_target(graph, p)
+            while p != j:
+                if len(steps) >= step_cap:
+                    return steps, d, False, twice
+                q = _bfs_path(graph, p, j)[1]
+                chain = _bfs_path(graph, q, j)
+                after = _moved(graph, d, chain, -1)
+                dim = _at(graph, after, j) - 1 + (_at(graph, after, q) if q != j else 0)
+                steps.append(("ShiftToLeaf", (p, j), chain, d, after, dim))
+                d = after
+                p = q
+            continue
+        d = after
+        twice.append(twice_s(graph, d))
+    return steps, d, True, twice

@@ -3,6 +3,8 @@ none, and every absolute import under src/coxforge names the package
 itself or a standard-library module."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,13 @@ def test_package_imports_only_itself_and_the_standard_library():
                 if top != "coxforge" and top not in sys.stdlib_module_names:
                     outside.append((path.name, name))
     assert outside == []
+
+
+def test_importing_the_cli_leaves_importlib_resources_unloaded():
+    # run without site, which may import importlib.resources on its own
+    code = "import sys, coxforge.cli; print('importlib.resources' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -174,6 +174,18 @@ def test_least_nef_cycles_checks_every_cell_width():
         reduction.least_nef_cycles([(0, 0, 0, 0), (0, 0, 0)], d4, adj, det)
 
 
+
+@pytest.mark.parametrize("case,expected_det", [("custom:1,2,6", -1), ("custom:2,2,2", 0)])
+def test_least_nef_cycles_rejects_a_graph_that_is_not_negative_definite(case, expected_det):
+    # the corrections would fire forever on custom:1,2,6; the check comes
+    # before any work, so even an empty batch raises
+    graph = parse_case(case)
+    adj, det = adjugate(graph.intersection_matrix())
+    assert det == expected_det
+    for cells in ([(-1,) * len(graph.nodes)], []):
+        with pytest.raises(ParameterError, match="negative definite"):
+            reduction.least_nef_cycles(cells, graph, adj, det)
+
 def test_add_chain_trace():
     d4 = build_singularity("D", 4)
     trace = reduce_nef_to_basic((0, 1, 1, 0), d4)
@@ -235,6 +247,17 @@ def test_basic_pass_does_not_take_a_negative_coordinate_for_zero():
     with pytest.raises(HypothesisViolationError, match="AddCurve needs a nef degree"):
         reduce_nef_to_basic((2, 1), graph)
 
+
+
+def test_basic_pass_without_an_eligible_pair_raises_a_hypothesis_violation():
+    # adding the (-3)-center of a D4 fork at coordinate 2 leaves -1 there:
+    # every pair of the three 1's meets it strictly between
+    d4 = build_singularity("D", 4)
+    graph = ResolutionGraph(d4.nodes, d4.edges, {0: -3}, d4.leaf_variables)
+    capped = reduce_nef_to_basic((2, 0, 0, 0), graph, 1)
+    assert capped.terminal == (-1, 1, 1, 1)
+    with pytest.raises(HypothesisViolationError, match="AddChain needs a nef degree"):
+        reduce_nef_to_basic((2, 0, 0, 0), graph)
 
 def test_trace_validate_catches_tampering():
     d4 = build_singularity("D", 4)
@@ -527,6 +550,104 @@ def test_reduce_traces_match_golden():
             pytest.fail(_trace_line_difference(number, a, b))
     assert len(got_lines) == len(want_lines), "trace line count"
     assert got == want
+
+
+# -------------------------------------------------------- independent walk
+
+
+def _pass_record(trace):
+    steps = [
+        (s.kind, s.nodes, s.curves, s.degree_before, s.degree_after, s.expected_cokernel_dim)
+        for s in trace.steps
+    ]
+    return steps, trace.terminal, trace.terminated
+
+
+def _matches_the_walk(graph, cell, step_cap=reduction.DEFAULT_STEP_CAP, known=()):
+    """Compare both passes on ``cell`` with ``oracle``'s plain walk, as
+    whole traces. Returns the basic pass's trace, or None when the nef
+    pass ran out of steps."""
+    nef = reduce_to_nef(cell, graph, step_cap)
+    steps, end, done = oracle.walk_to_nef(graph, cell, step_cap)
+    assert _pass_record(nef) == (steps, end, done)
+    assert (nef.initial, nef.twice_measures) == (tuple(cell), ())
+    if not done:
+        return None
+    basic = reduce_nef_to_basic(end, graph, step_cap, known)
+    steps, end, done, twice = oracle.walk_to_basic(graph, end, step_cap, known)
+    assert _pass_record(basic) == (steps, end, done)
+    assert list(basic.twice_measures) == twice
+    return basic
+
+
+def _walk_cells(case, count, box=6):
+    width = len(parse_case(case).nodes)
+    rng = random.Random("walk-" + case)
+    return [tuple(rng.randint(-box, box) for _ in range(width)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", ["A8", "D8", "D12", "E7", "E8"])
+def test_passes_match_the_plain_walk_on_seeded_cells(case):
+    graph = parse_case(case)
+    kinds = Counter()
+    for cell in _walk_cells(case, 25):
+        basic = _matches_the_walk(graph, cell)
+        assert basic.terminated
+        kinds.update(s.kind for s in basic.steps)
+    assert kinds["AddCurve"] and kinds["AddChain"]
+
+
+@pytest.mark.parametrize(
+    "case", ["custom:1,1,5", "custom:1,2,2", "custom:1,2,4", "custom:2,2,3", "custom:1,1,1,1"]
+)
+def test_passes_match_the_plain_walk_on_stars(case):
+    # the last two are not negative definite: a small step cap ends their
+    # passes, which need not end on their own
+    graph = parse_case(case)
+    definite = graph.is_negative_definite()
+    for cell in _walk_cells(case, 20, box=4):
+        basic = _matches_the_walk(graph, cell, reduction.DEFAULT_STEP_CAP if definite else 200)
+        if definite:
+            assert basic.terminated
+
+
+@pytest.mark.parametrize("node,value", [(0, -3), (1, -3), (4, -3), (5, -1)])
+def test_passes_match_the_plain_walk_off_the_minus_two_curves(node, value):
+    # D6 with one other self-intersection; the checkers reject the steps
+    # the passes make there from many cells, and those raise
+    d6 = build_singularity("D", 6)
+    graph = ResolutionGraph(d6.nodes, d6.edges, {node: value}, d6.leaf_variables)
+    compared = 0
+    for cell in _walk_cells("D6", 60, box=4):
+        try:
+            compared += _matches_the_walk(graph, cell, step_cap=200) is not None
+        except HypothesisViolationError:
+            pass
+    assert compared >= 5
+
+
+@pytest.mark.parametrize("step_cap", [0, 1, 2, 5, 13])
+@pytest.mark.parametrize("case", ["D8", "E7"])
+def test_passes_match_the_plain_walk_under_small_step_caps(case, step_cap):
+    graph = parse_case(case)
+    for cell in _walk_cells(case, 15):
+        _matches_the_walk(graph, cell, step_cap)
+
+
+@pytest.mark.parametrize("case", ["A8", "D12", "E8"])
+def test_passes_match_the_plain_walk_with_known_stops(case):
+    graph = parse_case(case)
+    cells = _walk_cells(case, 20)
+    known = {}
+    stopped = 0
+    for cell in cells:
+        nef = reduce_to_nef(cell, graph)
+        full = reduce_nef_to_basic(nef.terminal, graph)
+        basic = _matches_the_walk(graph, cell, known=known)
+        stopped += len(basic.steps) < len(full.steps)
+        # the add-phase degrees of this cell's pass stop the later ones
+        known.update((s.degree_before, 0) for s in full.steps if s.adds_curves())
+    assert stopped
 
 
 # ---------------------------------------------------------- expected dims
