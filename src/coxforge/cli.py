@@ -8,18 +8,14 @@ for a fixed configuration; --timings adds wall-clock milliseconds and
 is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
-the nef pass and the basic pass of `reduce` and of the verify sweep get
-N steps each. The sweep reads every cell's nef pass off one call of
-reduction.least_nef_cycles, which only the sweep uses: a cell fails
-its step cap exactly when its least nef-making cycle has more than N
-curves, the count the step-by-step pass would take. A cell's basic pass
-stops at an add-phase degree an earlier cell's pass went through, and
-the cell's step count is the steps walked plus the count left from
-there, held to the same N. Every cap, from a flag or the config file,
-must be at least 1. The cokernel audits are exact counts and take no
-cap, and invariants.toric_relations bounds the degree of its relation
-search itself, so `cokernel` and `relation` are unknown caps. The
---caps help lists the keys of DEFAULT_CAPS.
+the nef pass and the basic pass of `reduce` and of verify's reduction
+sweep (reduction.sweep) get N steps each. Every cap, from a flag or the
+config file, must be at least 1. The cokernel audits are exact counts
+and take no cap, and invariants.toric_relations bounds the degree of its
+relation search itself, so `cokernel` and `relation` are unknown caps.
+The --caps help lists the keys of DEFAULT_CAPS.
+
+A --degree value may start with a minus sign: `--degree -1,0,0,0`.
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a tree that no candidate relation covers (a node of
@@ -33,9 +29,8 @@ import itertools
 import json
 import sys
 import time
-from operator import ge
 
-from . import linalg, reduction
+from . import reduction
 from .cox import presentation_from_graph, verify_presentation
 from .errors import CoxforgeError, ParameterError, UnsupportedGraphError
 from .graphs import build_custom_tree, build_singularity
@@ -207,61 +202,6 @@ def _grid_cells(graph, settings):
     return grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
 
 
-def _termination_sweep(graph, cells, settings):
-    """The verdict of ``reduction.reduce`` on every cell, in cell order:
-    its nef pass must terminate, its basic pass must terminate on a
-    basic degree, and on D graphs the basic pass's measures must not
-    increase. The nef passes of all cells are read off one call of
-    ``reduction.least_nef_cycles``, before the first cell is checked;
-    the verdict still names the first failing cell in cell order. The
-    measures are compared doubled, as integers.
-
-    The basic pass from a degree at the top of its add-phase loop
-    depends on that degree alone, so ``known`` maps every such degree a
-    successful pass went through, and its end, to the steps left in that
-    pass. A cell whose nef terminal is known makes no call; otherwise
-    the pass stops at the first known degree, and its step count is the
-    steps walked plus the count stopped at. The sweep returns at the
-    first failing cell, so ``known`` only holds degrees of passes that
-    succeeded, whose later measures already held; each distinct step is
-    built, and checked, in the first cell that reaches it."""
-    step_cap = settings["caps"]["step"]
-    adj, det = linalg.adjugate(graph.intersection_matrix())
-    known = {}
-    max_steps = 0
-    nefs = reduction.least_nef_cycles(cells, graph, adj, det)
-    for d, (terminal, nef_steps) in zip(cells, nefs):
-        if nef_steps > step_cap:
-            return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-        if terminal not in known:
-            trace = reduction.reduce_nef_to_basic(terminal, graph, step_cap, known)
-            end, steps = trace.terminal, trace.steps
-            # a pass stops at a known degree only at the top of its
-            # add-phase loop, never right after a shift step; a pass that
-            # ended on its own has no steps left
-            stopped = end in known and (not steps or steps[-1].adds_curves())
-            total = len(steps) + (known[end] if stopped else 0)
-            ms = trace.twice_measures
-            if not (
-                trace.terminated
-                and (stopped or reduction.is_basic(end, graph))
-                and (graph.family != "D" or all(map(ge, ms, ms[1:])))
-                and total <= step_cap
-            ):
-                return {"cells": len(cells), "ok": False, "failed_at": list(d)}
-            # the degrees the add-phase loop scanned: those before its
-            # steps up to the first shift, which carries its own position
-            left = total
-            for step in steps:
-                known[step.degree_before] = left
-                if not step.adds_curves():
-                    break
-                left -= 1
-            known.setdefault(end, 0)
-        max_steps = max(max_steps, nef_steps + known[terminal])
-    return {"cells": len(cells), "ok": True, "max_steps": max_steps}
-
-
 def _audit_sample(graph, cells, settings):
     caps = settings["caps"]
     reports = []
@@ -315,15 +255,8 @@ def cmd_verify(graph, settings, with_timings):
     if graph.family is not None:
         _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
     _timed(sections, timings, "cox", lambda: _unless_unsupported(verify_presentation, graph))
-    if graph.is_negative_definite():
-        _timed(sections, timings, "reduction", lambda: _termination_sweep(graph, cells, settings))
-    else:
-        # greedy reduction has no termination certificate off the
-        # negative-definite lattice, so the sweep would only time out
-        sections["reduction"] = {
-            "skipped": "intersection form is not negative definite",
-            "ok": True,
-        }
+    step_cap = settings["caps"]["step"]
+    _timed(sections, timings, "reduction", lambda: reduction.sweep(graph, cells, step_cap))
     payload = {"case": graph.label, "sections": sections}
     if graph.family is not None:
         _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
@@ -453,6 +386,20 @@ def build_parser():
     return parser
 
 
+def _glue_negative_degree(argv):
+    """argv with ``--degree -1,0,0,0`` read as ``--degree=-1,0,0,0``:
+    argparse takes a value that starts with a minus sign for an option.
+    The flag may be abbreviated, as argparse allows."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--degree".startswith(flag) and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _run(args):
     """The payload and exit code of one command."""
     settings = resolve_settings(args)
@@ -475,7 +422,7 @@ def _run(args):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_degree(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

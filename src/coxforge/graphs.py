@@ -20,10 +20,10 @@ class ResolutionGraph:
     """An immutable tree of curves. Everything about it is fixed at
     construction, so its topology (node positions, center, branches,
     curve order, basic leaves) and its linear data (the intersection
-    matrix columns and the Grading) are worked out there, and paths are
-    kept once found. Equal graphs hash alike, so a graph can key a
-    cache. ``family`` and ``rank`` read an ``A<n>``, ``D<n>``
-    or ``E<n>`` label as (family, n); any other label gives None."""
+    matrix columns and the Grading) are worked out there. Equal graphs
+    hash alike, so a graph can key a cache. ``family`` and ``rank`` read
+    an ``A<n>``, ``D<n>`` or ``E<n>`` label as (family, n); any other
+    label gives None."""
 
     __slots__ = (
         "nodes",
@@ -42,7 +42,6 @@ class ResolutionGraph:
         "_curve_order",
         "_basic_leaves",
         "_hash",
-        "_paths",
     )
 
     def __init__(self, nodes, edges, self_intersection=None, leaf_variables=(), label=None):
@@ -131,11 +130,10 @@ class ResolutionGraph:
             self._basic_leaves = self.branch_ends()
         # a hash of exactly the data __eq__ compares
         self._hash = hash((ns, es, tuple(sorted(si.items())), self.leaf_variables))
-        self._paths = {}
 
     def __setattr__(self, name, value):
-        # ``_paths`` is the last attribute __init__ sets
-        if hasattr(self, "_paths"):
+        # ``_hash`` is the last attribute __init__ sets
+        if hasattr(self, "_hash"):
             raise AttributeError("ResolutionGraph is immutable")
         object.__setattr__(self, name, value)
 
@@ -183,10 +181,6 @@ class ResolutionGraph:
 
     def path(self, a, b):
         """The unique path from a to b, inclusive."""
-        try:
-            return self._paths[a, b]
-        except KeyError:
-            pass
         if a not in self._adj or b not in self._adj:
             raise ParameterError("path endpoints must be nodes")
         parent = {a: None}
@@ -203,8 +197,7 @@ class ResolutionGraph:
         while parent[out[-1]] is not None:
             out.append(parent[out[-1]])
         out.reverse()
-        self._paths[a, b] = out = tuple(out)
-        return out
+        return tuple(out)
 
     def distance(self, a, b):
         return len(self.path(a, b)) - 1

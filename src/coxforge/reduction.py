@@ -14,10 +14,10 @@ procedures move a degree into normal position:
   of the quotient piece on the center curve variable y0.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
-``least_nef_cycles`` gives the nef pass's terminal and step count for a
-whole batch of degrees in closed form, without traces; only the verify
-sweep uses it, and only it passes ``reduce_nef_to_basic`` the add-phase
-degrees it already knows the rest of.
+``sweep``, verify's check of both passes over a grid, reads every nef
+pass off ``least_nef_cycles``, which gives the pass's terminal and step
+count for a whole batch in closed form, and stops each basic pass at
+the add-phase degrees an earlier cell's pass went through.
 
 Both passes read a step table, made once per graph on its first pass:
 the (node, index) spots in curve order and each node's column and
@@ -25,10 +25,12 @@ S-move, plus, on first use, each chain between two nodes with its
 summed column, S-move and interior positions. After firing a node the
 nef pass rescans only from the earliest of it and its neighbours: the
 column moves no other spot, and every earlier one was nonnegative. The
-basic pass scans the whole degree once per step and reads its is-basic
-test and next step kind off that scan. It keeps the doubled S-sum as an
-integer, moved by the S-move of each step's node or chain, and a trace
-makes its ``Fraction``s only when they are read.
+table also keeps whether the graph is negative definite, which the
+sweep, the closed form and the base case need. The basic pass scans the
+whole degree once per step and reads its is-basic test and next step
+kind off that scan. It keeps the doubled S-sum as an integer, moved by
+the S-move of each step's node or chain, and a trace makes its
+``Fraction``s only when they are read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -46,13 +48,14 @@ module truncates.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
 
 from .cox import branch_term, presentation_from_graph, relation_from_graph, section_name_at
 from .diophantine import slice_points
 from .errors import HypothesisViolationError, ParameterError
+from .linalg import adjugate
 from .rings import Monomial, Polynomial, RingPresentation, normal_form
 
 DEFAULT_STEP_CAP = 10000
@@ -243,6 +246,11 @@ class _StepTable:
             entry = self.chains[u, w] = ((u, w), path, col, sum(map(mul, self.weights, col)), inner)
         return entry
 
+    @cached_property
+    def definite(self):
+        """Whether the intersection form is negative definite."""
+        return self.graph.is_negative_definite()
+
 
 _step_table = lru_cache(maxsize=64)(_StepTable)
 
@@ -315,13 +323,12 @@ def _times(matrix, vectors):
     return out
 
 
-def least_nef_cycles(cells, graph, adj, det):
+def least_nef_cycles(cells, graph):
     """The ends of ``reduce_to_nef`` on every cell, in closed form and in
     cell order: (d - M Z, |Z|) for the least cycle Z >= 0 with
     d - M Z >= 0, where M is the intersection matrix of a
-    negative-definite graph and (adj, det) is ``linalg.adjugate`` of it.
-    |Z| is the pass's step count, so the pass terminates within a step
-    cap exactly when |Z| <= cap.
+    negative-definite graph. |Z| is the pass's step count, so the pass
+    terminates within a step cap exactly when |Z| <= cap.
 
     The cycles Z >= 0 with d - M Z >= 0 are closed under componentwise
     min, and firing a curve where d - M Z is negative never passes their
@@ -334,9 +341,9 @@ def least_nef_cycles(cells, graph, adj, det):
     coordinate at a time over the whole batch, through the nonzero
     entries of adj and of M. Off the negative definite graphs Z* need
     not exist and the corrections would not end, so they raise
-    ParameterError first. Only the verify sweep uses this; ``reduce``
-    and the audits keep the step-by-step pass."""
-    if not graph.is_negative_definite():
+    ParameterError first. Only ``sweep`` uses this; ``reduce`` and the
+    audits keep the step-by-step pass."""
+    if not _step_table(graph).definite:
         raise ParameterError("the least nef cycles need a negative definite graph")
     width = len(graph.nodes)
     if any(len(d) != width for d in cells):
@@ -344,9 +351,10 @@ def least_nef_cycles(cells, graph, adj, det):
     if not cells:
         return []
     coords = list(zip(*cells))
+    matrix = graph.intersection_matrix()
+    adj, det = adjugate(matrix)
     # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
     z = [[0 if x * det <= 0 else -(-x // det) for x in row] for row in _times(adj, coords)]
-    matrix = graph.intersection_matrix()
     ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])
     out = []
     for d, size in zip(ends, map(sum, zip(*z))):
@@ -368,17 +376,20 @@ def _shift_target(graph, node):
     return graph.branch_of(node)[-1]
 
 
-def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
+def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Add phase (single curve at a coordinate >= 2, else the chain
     between the order-least eligible pair of 1's), then shift the last
-    remaining 1 to a branch-end leaf.
+    remaining 1 to a branch-end leaf."""
+    return _basic_pass(degree, graph, step_cap, ())[0]
 
-    Every step after the top of the add-phase loop depends on the degree
-    there alone. ``known`` holds such degrees, from passes already run:
-    the pass stops at the top of its loop on the first degree in it and
-    returns the steps walked so far as a terminated trace ending there.
-    Degrees inside the shift phase are never looked up. Only the verify
-    sweep passes ``known``; every other caller gets the whole pass."""
+
+def _basic_pass(degree, graph, step_cap, known):
+    """(trace, count left): ``reduce_nef_to_basic``, stopped at the top
+    of its add-phase loop on the first degree in ``known``, which maps
+    such degrees of passes already run to the steps left from them; every
+    later step depends on that degree alone. The count is the stop's, or
+    0 for a pass that ended or hit its cap. Shift-phase degrees are never
+    looked up. With nothing known, ``()`` spares each loop a hash."""
     d = _check_degree(degree, graph)
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
@@ -391,8 +402,10 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
     twice = sum(map(mul, table.weights, d))
     measures = [twice]
     steps = []
+    left = 0
     while True:
         if d in known:
+            left = known[d]
             break
         # one scan: the first coordinate >= 2, else every 1 in curve order
         big = None
@@ -413,7 +426,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
             if not ones or ones[0] in leaves:
                 break
         if len(steps) >= step_cap:
-            return ReductionTrace(degree, d, steps, False, measures)
+            return ReductionTrace(degree, d, steps, False, measures), 0
         if big is not None:
             after = tuple(map(add, d, cols[big]))
             one = single[big]
@@ -442,7 +455,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
         j = _shift_target(graph, p)
         while p != j:
             if len(steps) >= step_cap:
-                return ReductionTrace(degree, d, steps, False, measures)
+                return ReductionTrace(degree, d, steps, False, measures), 0
             q = chain(p, j)[1][1]
             _, path, col, move, _ = chain(q, j)
             after = tuple(map(sub, d, col))
@@ -450,7 +463,7 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP, known=()):
             d = after
             twice -= move
             p = q
-    return ReductionTrace(degree, d, steps, True, measures)
+    return ReductionTrace(degree, d, steps, True, measures), left
 
 
 def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
@@ -466,6 +479,51 @@ def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
     basic = reduce_nef_to_basic(nef.terminal, graph, step_cap)
     return ReductionTrace(
         degree, basic.terminal, nef.steps + basic.steps, basic.terminated, basic.twice_measures)
+
+
+def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
+    """verify's reduction section: the verdict of ``reduce`` on every
+    cell, in cell order, with ``step_cap`` steps for each pass. The nef
+    pass must terminate, the basic pass must end on a basic degree, and
+    on D graphs its measures, compared doubled, must not increase. The
+    nef passes come from one ``least_nef_cycles`` call. ``known`` maps
+    each degree at the top of the add-phase loop that a successful basic
+    pass went through, and its end, to the steps left in that pass: a
+    cell whose nef terminal is known makes no pass, and ``_basic_pass``
+    stops at the first known degree. The sweep returns at the first
+    failing cell, so ``known`` only holds passes that succeeded, whose
+    later measures held; each distinct step is built, and checked, once.
+    Off the negative definite graphs greedy reduction has no termination
+    certificate, so the sweep is skipped there."""
+    if not _step_table(graph).definite:
+        return {"skipped": "intersection form is not negative definite", "ok": True}
+    known = {}
+    max_steps = 0
+    for d, (terminal, nef_steps) in zip(cells, least_nef_cycles(cells, graph)):
+        if nef_steps > step_cap:
+            return {"cells": len(cells), "ok": False, "failed_at": list(d)}
+        if terminal not in known:
+            trace, left = _basic_pass(terminal, graph, step_cap, known)
+            steps, ms = trace.steps, trace.twice_measures
+            total = len(steps) + left
+            # a pass with no steps left ended on a degree that must be basic
+            if not (
+                trace.terminated
+                and (left or is_basic(trace.terminal, graph))
+                and (graph.family != "D" or all(map(ge, ms, ms[1:])))
+                and total <= step_cap
+            ):
+                return {"cells": len(cells), "ok": False, "failed_at": list(d)}
+            # the degrees the add-phase loop scanned: those before its
+            # steps up to the first shift, which carries its own position
+            for step in steps:
+                known[step.degree_before] = total
+                if not step.adds_curves():
+                    break
+                total -= 1
+            known.setdefault(trace.terminal, 0)
+        max_steps = max(max_steps, nef_steps + known[terminal])
+    return {"cells": len(cells), "ok": True, "max_steps": max_steps}
 
 
 def _expect_subtract_curve(step, graph):
@@ -702,7 +760,7 @@ def base_case_family(graph, leaf, k):
     would not end, so they raise ParameterError before it starts."""
     if k < 1:
         raise ParameterError("k must be positive")
-    if not graph.is_negative_definite():
+    if not _step_table(graph).definite:
         raise ParameterError("the base case needs a negative definite graph")
     qp = quotient_presentation(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))

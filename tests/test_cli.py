@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coxforge import cli, reduction
+from coxforge import cli, linalg, reduction
 from coxforge.graphs import ResolutionGraph
 
 
@@ -88,6 +88,20 @@ def test_reduce_audits_on_a5_are_exact(capsys, degree):
     assert code == 0
     assert payload["ok"] is True
     assert all(s["actual_dim"] == s["expected_dim"] for s in payload["steps"])
+
+
+@pytest.mark.parametrize("degree", ["-1,0,0,0", "-3,-3,-3,-3", "0,-1,0,0", "-1,0,0"])
+def test_a_degree_with_a_leading_minus_reads_like_the_glued_spelling(capsys, degree):
+    # argparse would take "-1,0,0,0" for an option after "--degree"; the
+    # last degree has too few coordinates, which exits 2 either way
+    def spelled(*flag):
+        code = cli.main(["reduce", "--case", "D4", *flag])
+        return code, capsys.readouterr()
+
+    glued = spelled("--degree=" + degree)
+    assert glued[0] == (2 if degree == "-1,0,0" else 0)
+    assert spelled("--degree", degree) == glued
+    assert spelled("--deg", degree) == glued
 
 
 def test_reduce_usage_errors(capsys):
@@ -234,11 +248,15 @@ ADE_CASES = (
     + ["E6", "E7", "E8"]
 )
 
+# the negative-definite stars: D, E6, E7 and E8 shapes under custom labels
+DEFINITE_STARS = ["custom:1,1,1", "custom:1,1,4", "custom:1,2,2", "custom:1,2,3", "custom:1,2,4"]
+
 
 @pytest.mark.parametrize(
     "case,grid,step",
-    [(case, 300, cli.DEFAULT_CAPS["step"]) for case in ADE_CASES]
-    + [(case, cli.DEFAULT_GRID, step) for case in ("D4", "A6") for step in (1, 2, 5, 20, 40)],
+    [(case, 300, cli.DEFAULT_CAPS["step"]) for case in ADE_CASES + DEFINITE_STARS]
+    + [(case, cli.DEFAULT_GRID, step) for case in ("D4", "A6") for step in (1, 2, 5, 20, 40)]
+    + [(case, 300, step) for case in DEFINITE_STARS for step in (2, 20)],
 )
 def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
     graph = cli.parse_case(case)
@@ -249,7 +267,27 @@ def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
     }
     cells = cli._grid_cells(graph, settings)
     want = _stepwise_sweep(graph, cells, settings)
-    assert cli._termination_sweep(graph, cells, settings) == want
+    assert reduction.sweep(graph, cells, step) == want
+
+
+@pytest.mark.parametrize("case,definite", [("D12", True), ("custom:2,2,3", False)])
+def test_verify_tests_negative_definiteness_once(capsys, monkeypatch, case, definite):
+    # the sweep, the closed nef form and the base case all need it; a
+    # graph's step table keeps the answer, so start from an empty cache
+    calls = []
+    test = linalg.is_negative_definite
+
+    def counting(m):
+        calls.append(len(m))
+        return test(m)
+
+    monkeypatch.setattr(linalg, "is_negative_definite", counting)
+    reduction._step_table.cache_clear()
+    code, payload = run_json(capsys, ["verify", "--case", case])
+    assert code == 0
+    assert len(calls) == 1
+    skipped = {"skipped": "intersection form is not negative definite", "ok": True}
+    assert (payload["sections"]["reduction"] == skipped) == (not definite)
 
 
 def _sweep_settings(step):
@@ -276,11 +314,11 @@ def test_termination_sweep_matches_the_stepwise_sweep_at_the_longest_passes(case
         settings = _sweep_settings(step)
         for sample in (cells, terminals):
             want = _stepwise_sweep(graph, sample, settings)
-            assert cli._termination_sweep(graph, sample, settings) == want
+            assert reduction.sweep(graph, sample, step) == want
         if step == basic:
-            assert cli._termination_sweep(graph, terminals, settings)["max_steps"] == basic
+            assert reduction.sweep(graph, terminals, step)["max_steps"] == basic
         if step == basic - 1:
-            assert not cli._termination_sweep(graph, terminals, settings)["ok"]
+            assert not reduction.sweep(graph, terminals, step)["ok"]
 
 
 def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
@@ -294,15 +332,15 @@ def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
     add_degrees = {s.degree_before for p in passes for s in p.steps if s.adds_curves()}
     shift_steps = {s.degree_before for p in passes for s in p.steps if not s.adds_curves()}
     built = []
-    basic_pass = reduction.reduce_nef_to_basic
+    basic_pass = reduction._basic_pass
 
     def counting(*args):
-        trace = basic_pass(*args)
+        trace, left = basic_pass(*args)
         built.append(len(trace.steps))
-        return trace
+        return trace, left
 
-    monkeypatch.setattr(reduction, "reduce_nef_to_basic", counting)
-    assert cli._termination_sweep(graph, cells, settings)["ok"]
+    monkeypatch.setattr(reduction, "_basic_pass", counting)
+    assert reduction.sweep(graph, cells, settings["caps"]["step"])["ok"]
     assert len(built) <= len(terminals)
     assert sum(built) <= len(add_degrees) + len(shift_steps)
 

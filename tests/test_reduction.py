@@ -15,7 +15,7 @@ from coxforge.cox import presentation_from_graph
 from coxforge.errors import HypothesisViolationError, ParameterError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
 from coxforge.invariants import golden_generators
-from coxforge.linalg import adjugate, rank_sparse
+from coxforge.linalg import det, rank_sparse
 from coxforge.reduction import (
     ReductionStep,
     audit_add_curve,
@@ -148,12 +148,11 @@ def test_least_nef_cycle_is_the_end_of_the_nef_pass(case, data):
     # a batch of cells drawn from a small pool, so cells repeat
     graph = parse_case(case)
     assert graph.is_negative_definite()
-    adj, det = adjugate(graph.intersection_matrix())
     width = len(graph.nodes)
     cell = st.tuples(*[st.integers(-6, 6)] * width)
     pool = data.draw(st.lists(cell, min_size=1, max_size=10))
     cells = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
-    got = reduction.least_nef_cycles(cells, graph, adj, det)
+    got = reduction.least_nef_cycles(cells, graph)
     assert len(got) == len(cells)
     for d, (terminal, size) in zip(cells, got):
         nef = reduce_to_nef(d, graph)
@@ -168,10 +167,9 @@ def test_least_nef_cycle_is_the_end_of_the_nef_pass(case, data):
 
 def test_least_nef_cycles_checks_every_cell_width():
     d4 = build_singularity("D", 4)
-    adj, det = adjugate(d4.intersection_matrix())
-    assert reduction.least_nef_cycles([], d4, adj, det) == []
+    assert reduction.least_nef_cycles([], d4) == []
     with pytest.raises(ParameterError):
-        reduction.least_nef_cycles([(0, 0, 0, 0), (0, 0, 0)], d4, adj, det)
+        reduction.least_nef_cycles([(0, 0, 0, 0), (0, 0, 0)], d4)
 
 
 
@@ -180,11 +178,10 @@ def test_least_nef_cycles_rejects_a_graph_that_is_not_negative_definite(case, ex
     # the corrections would fire forever on custom:1,2,6; the check comes
     # before any work, so even an empty batch raises
     graph = parse_case(case)
-    adj, det = adjugate(graph.intersection_matrix())
-    assert det == expected_det
+    assert det(graph.intersection_matrix()) == expected_det
     for cells in ([(-1,) * len(graph.nodes)], []):
         with pytest.raises(ParameterError, match="negative definite"):
-            reduction.least_nef_cycles(cells, graph, adj, det)
+            reduction.least_nef_cycles(cells, graph)
 
 def test_add_chain_trace():
     d4 = build_singularity("D", 4)
@@ -415,14 +412,16 @@ def test_known_degrees_stop_the_basic_pass_at_the_first_one_met(data):
     }
     full = reduce_nef_to_basic(t, graph)
     capped = reduce_nef_to_basic(t, graph, cap)
-    got = reduce_nef_to_basic(t, graph, cap, known)
-    # no known degrees: the pass as it always ran
-    assert reduce_nef_to_basic(t, graph, cap, ()).to_dict() == capped.to_dict()
+    got, left = reduction._basic_pass(t, graph, cap, known)
+    # no known degrees: the pass as it always ran, with nothing left
+    plain, nothing = reduction._basic_pass(t, graph, cap, ())
+    assert (plain.to_dict(), nothing) == (capped.to_dict(), 0)
     stop = next(
         (k for k, s in enumerate(full.steps) if s.adds_curves() and s.degree_before in known),
         None,
     )
     if stop is None or stop > cap:
+        assert left == 0
         assert [_step_key(s) for s in got.steps] == [_step_key(s) for s in capped.steps]
         assert (got.terminal, got.terminated, got.measures) == (
             capped.terminal,
@@ -433,6 +432,7 @@ def test_known_degrees_stop_the_basic_pass_at_the_first_one_met(data):
     assert [_step_key(s) for s in got.steps] == [_step_key(s) for s in full.steps[:stop]]
     assert got.terminal == full.steps[stop].degree_before
     assert got.terminated
+    assert left == known[got.terminal]
     # every step before the stop is an add step, each with its measure
     assert got.measures == full.measures[:stop + 1]
 
@@ -445,13 +445,14 @@ def test_a_known_degree_inside_the_shift_phase_does_not_stop_the_pass():
     assert [s.kind for s in full.steps] == ["AddChain", "ShiftToLeaf", "ShiftToLeaf"]
     assert full.steps[2].degree_before == (0, 0, 0, 1, 1)
     known = {(0, 0, 0, 1, 1): 3}
-    shifted = reduce_nef_to_basic((1, 0, 0, 0, 0), d5, known=known)
+    shifted, left = reduction._basic_pass((1, 0, 0, 0, 0), d5, reduction.DEFAULT_STEP_CAP, known)
     assert [_step_key(s) for s in shifted.steps] == [_step_key(s) for s in full.steps[1:]]
     assert shifted.terminal == (0, 0, 0, 0, 3)
-    assert shifted.terminated
+    assert (shifted.terminated, left) == (True, 0)
     # at the top of the add-phase loop the same degree stops the pass
-    stopped = reduce_nef_to_basic((0, 0, 0, 1, 1), d5, known=known)
+    stopped, left = reduction._basic_pass((0, 0, 0, 1, 1), d5, reduction.DEFAULT_STEP_CAP, known)
     assert (stopped.steps, stopped.terminal, stopped.terminated) == ((), (0, 0, 0, 1, 1), True)
+    assert left == 3
 
 
 @settings(max_examples=150, deadline=None)
@@ -573,7 +574,12 @@ def _matches_the_walk(graph, cell, step_cap=reduction.DEFAULT_STEP_CAP, known=()
     assert (nef.initial, nef.twice_measures) == (tuple(cell), ())
     if not done:
         return None
-    basic = reduce_nef_to_basic(end, graph, step_cap, known)
+    if known:
+        basic, left = reduction._basic_pass(end, graph, step_cap, known)
+        # a pass that ended has the count of the degree it ended on left
+        assert left == (known.get(basic.terminal, 0) if basic.terminated else 0)
+    else:
+        basic = reduce_nef_to_basic(end, graph, step_cap)
     steps, end, done, twice = oracle.walk_to_basic(graph, end, step_cap, known)
     assert _pass_record(basic) == (steps, end, done)
     assert list(basic.twice_measures) == twice
