@@ -148,6 +148,9 @@ def resolve_settings(args):
     """Merge caps, seed and grid size: flags override the config file,
     which overrides defaults."""
     config = _load_config(args.config)
+    for key in config:
+        if key not in ("caps", "grid", "seed"):
+            raise ParameterError("unknown setting %r in config" % key)
     caps = dict(DEFAULT_CAPS)
     config_caps = config.get("caps", {})
     if not isinstance(config_caps, dict):

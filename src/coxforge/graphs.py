@@ -1,6 +1,8 @@
 """Resolution dual graphs: trees of rational curves with self-intersection
-data, plus the builders for the classical chain, fork and star shapes and
-for custom star trees.
+data, plus the builders for chains (A_n) and three-arm stars: D_n has
+arms (1, 1, n - 3), E_n arms (1, 2, n - 4), and a custom star three or
+more arms of any lengths. Every star comes from one builder, so D_n
+equals the custom star with the same arms in everything but its label.
 
 Degree vectors everywhere in the package are tuples indexed by the sorted
 node list of the graph at hand. The extended degree matrix turns a graph
@@ -199,9 +201,6 @@ class ResolutionGraph:
         out.reverse()
         return tuple(out)
 
-    def distance(self, a, b):
-        return len(self.path(a, b)) - 1
-
     def curve_order(self):
         """Curve processing order: branches ascending by (length, first
         node id), center-outward, with the center inserted right before
@@ -284,11 +283,10 @@ def _star_topology(nodes, adj):
         chain = [start]
         prev, cur = center, start
         while True:
+            # the only hub is the center, so a branch never forks
             nxt = [m for m in adj[cur] if m != prev]
             if not nxt:
                 break
-            if len(nxt) > 1:
-                raise ParameterError("branch through node %d forks" % cur)
             prev, cur = cur, nxt[0]
             chain.append(cur)
         branches.append(tuple(chain))
@@ -303,8 +301,9 @@ def _star_topology(nodes, adj):
 
 
 def build_singularity(family, n):
-    """Standard rational double point graphs: chains ('A', n >= 1), forks
-    ('D', n >= 4) and the three exceptional star shapes ('E', n in 6..8)."""
+    """Standard rational double point graphs: chains ('A', n >= 1) and
+    the stars with arms (1, 1, n - 3) ('D', n >= 4) and (1, 2, n - 4)
+    ('E', n in 6..8)."""
     family = str(family).upper()
     n = int(n)
     if family == "A":
@@ -320,42 +319,36 @@ def build_singularity(family, n):
     if family == "D":
         if n < 4:
             raise ParameterError("fork graphs need n >= 4")
-        nodes = range(n)
-        edges = [(0, 1), (0, 2), (0, 3)]
-        edges += [(i, i + 1) for i in range(3, n - 1)]
-        lv = [("x1", 1), ("x2", 2), ("x%d" % (n - 1), n - 1)]
-        return ResolutionGraph(nodes, edges, None, lv, "D%d" % n)
+        return _star((1, 1, n - 3), "D%d" % n)
     if family == "E":
         if n not in (6, 7, 8):
             raise ParameterError("exceptional graphs need n in {6, 7, 8}")
-        nodes = range(n)
-        edges = [(0, 1), (0, 2), (2, 3), (0, 4)]
-        edges += [(i, i + 1) for i in range(4, n - 1)]
-        lv = [("x1", 1), ("x3", 3), ("x%d" % (n - 1), n - 1)]
-        return ResolutionGraph(nodes, edges, None, lv, "E%d" % n)
+        return _star((1, 2, n - 4), "E%d" % n)
     raise ParameterError("unknown family %r; use A, D or E" % family)
 
 
 def build_custom_tree(lengths):
-    """Star tree with the given branch lengths: node 0 at the center,
-    branches numbered consecutively, one section variable per branch end."""
+    """Star tree with the given branch lengths: at least three branches,
+    each of length at least 1."""
     lens = [int(x) for x in lengths]
     if len(lens) < 3:
         raise ParameterError("a star tree needs at least 3 branches")
     if any(x < 1 for x in lens):
         raise ParameterError("branch lengths must be >= 1")
-    nodes = [0]
+    return _star(lens, "custom:" + ",".join(str(x) for x in lens))
+
+
+def _star(lengths, label):
+    """Star tree: node 0 at the center, the arms numbered outward one
+    after another, section variable ``x<end>`` at each arm end."""
     edges = []
     lv = []
     nxt = 1
-    for length in lens:
+    for length in lengths:
         prev = 0
         for _ in range(length):
-            nodes.append(nxt)
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
         lv.append(("x%d" % prev, prev))
-    label = "custom:" + ",".join(str(x) for x in lens)
-    return ResolutionGraph(nodes, edges, None, lv, label)
-
+    return ResolutionGraph(range(nxt), edges, None, lv, label)

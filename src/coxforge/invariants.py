@@ -17,6 +17,7 @@ family, rank and grading; a custom tree has no reference table.
 
 import json
 import os
+from functools import lru_cache
 from operator import add
 
 from . import linalg
@@ -24,22 +25,13 @@ from .errors import ParameterError
 from .rings import solve_degree_system
 
 
-def _load_reference_tables():
+@lru_cache(maxsize=None)
+def _tables():
     # read beside this file: importlib.resources would cost every
     # process its import, and the tables ship inside the package
     path = os.path.join(os.path.dirname(__file__), "data", "golden_tables.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-_TABLES = None
-
-
-def _tables():
-    global _TABLES
-    if _TABLES is None:
-        _TABLES = _load_reference_tables()
-    return _TABLES
 
 
 def _chain_generators(n, grading):

@@ -6,7 +6,9 @@ matrix whose rows are the lattice coordinates. Graded pieces and the
 degree-zero generators both come from the one lattice-point solver in
 diophantine: a graded piece is the fiber of the degree matrix over its
 degree, and the generators are the minimal nonzero points of the
-degree-zero fiber.
+degree-zero fiber. A presentation holds at most one relation, whose lead
+shares no variable with its other terms, so normal forms need no term
+order: every rewrite order gives the same one.
 """
 
 from fractions import Fraction
@@ -283,7 +285,7 @@ class RingPresentation:
     are a basis of the quotient, and the relation has no monomial
     factor."""
 
-    __slots__ = ("grading", "relation", "lead", "weights")
+    __slots__ = ("grading", "relation", "lead")
 
     def __init__(self, grading, relation=None, lead=None):
         if (relation is None) != (lead is None):
@@ -302,36 +304,29 @@ class RingPresentation:
         self.grading = grading
         self.relation = relation
         self.lead = lead
-        self.weights = self._termination_weights()
-
-    def _termination_weights(self):
-        # lead variables outweigh any single non-lead term, which makes
-        # each rewrite drop the weighted degree and normal forms finite
-        if self.relation is None:
-            return (1,) * self.grading.width
-        boost = 1 + max(m.total() for m in self.relation.terms if m != self.lead)
-        return tuple(boost if e else 1 for e in self.lead.exps)
-
-    def weighted_degree(self, mono):
-        return sum(w * e for w, e in zip(self.weights, mono.exps))
-
-    def monomial_order_key(self, mono):
-        return (self.weighted_degree(mono), mono.exps)
 
 
 def normal_form(poly, pres):
     """Reduce modulo the relation: rewrite lead * q -> -(rest) * q until
-    no term is divisible by the lead. Deterministic and terminating."""
+    no term is divisible by the lead, taking the lead multiples in
+    whatever order they come.
+
+    Any order ends: the other terms share no variable with the lead, so
+    a rewrite replaces a monomial whose lead power (the largest k with
+    lead^k dividing it) is r by monomials of lead power r - 1. Any order
+    ends at the same remainder: some term order makes the lead the
+    leading term, for instance one that weights the lead's variables
+    above every other term's total degree, and under it {relation} is a
+    Groebner basis, whose remainders are unique."""
     work = Polynomial(poly.terms)
     lead = pres.lead
     if lead is None:
         return work
     rest = Polynomial({m: c for m, c in pres.relation.terms.items() if m != lead})
     while True:
-        hits = [m for m in work.terms if lead.divides(m)]
-        if not hits:
+        m = next((m for m in work.terms if lead.divides(m)), None)
+        if m is None:
             return work
-        m = max(hits, key=pres.monomial_order_key)
         c = work.terms[m]
         work = work - Polynomial({m: c}) - rest.times_monomial(m / lead, c)
 

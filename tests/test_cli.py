@@ -19,6 +19,17 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_digests.json").read_text())
+
+
+def run_frozen(capsys, argv):
+    # tests/data/verify_digests.json holds the SHA-256 of the stdout of
+    # these commands, so any change to a byte of it shows
+    code, out = run(capsys, argv)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[" ".join(argv)]
+    return code, json.loads(out)
+
+
 def test_graph_command(capsys):
     code, payload = run_json(capsys, ["graph", "--case", "D4"])
     assert code == 0
@@ -362,13 +373,13 @@ ADE_CASES = ["A%d" % n for n in range(1, 9)] + ["D%d" % n for n in range(4, 13)]
 @pytest.mark.parametrize("case", ADE_CASES)
 def test_verify_exits_zero_on_every_ade_case(capsys, case):
     # on D the first six grid cells reach the base case at several leaves
-    code, payload = run_json(capsys, ["verify", "--case", case, "--grid", "6"])
+    code, payload = run_frozen(capsys, ["verify", "--case", case, "--grid", "6"])
     assert code == 0
     assert payload["ok"] is True
 
 
 def test_verify_counterexample(capsys):
-    code, payload = run_json(capsys, ["verify", "--case", "custom:2,2,3"])
+    code, payload = run_frozen(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0
     assert payload["ok"] is True
     assert payload["verdict"] == "rule-fails-as-predicted"
@@ -381,14 +392,14 @@ def test_verify_counterexample(capsys):
 @pytest.mark.parametrize("case", ["custom:2,2,2", "custom:1,2,5"])
 def test_verify_affine_trees_exit_zero(capsys, case):
     # affine E6 and E8: the intersection matrix is singular
-    code, payload = run_json(capsys, ["verify", "--case", case])
+    code, payload = run_frozen(capsys, ["verify", "--case", case])
     assert code == 0
     assert payload["ok"] is True
     assert payload["sections"]["reduction"]["skipped"]
 
 
 def test_verify_definite_custom_tree_holds(capsys):
-    code, payload = run_json(capsys, ["verify", "--case", "custom:1,1,1", "--grid", "150"])
+    code, payload = run_frozen(capsys, ["verify", "--case", "custom:1,1,1", "--grid", "150"])
     assert code == 0
     assert payload["verdict"] == "rule-holds-on-sample"
     assert payload["sections"]["reduction"]["ok"]
@@ -399,7 +410,7 @@ def test_verify_definite_custom_tree_holds(capsys):
 def test_four_arm_stars_show_the_relation_sections_as_skipped(capsys, command, case):
     # no candidate relation covers a valence-four center, so the cox and
     # counterexample sections are skipped; the exit code rests on the rest
-    code, payload = run_json(capsys, [command, "--case", case, "--grid", "50"])
+    code, payload = run_frozen(capsys, [command, "--case", case, "--grid", "50"])
     assert code == 0
     assert payload["ok"] is True
     skipped = {"skipped": "no candidate relation at a node of valence 4", "ok": True}
@@ -641,6 +652,20 @@ def test_config_cap_below_one_is_rejected(capsys, tmp_path, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: config cap %r needs at least 1, got 0\n" % key
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [({"grdi": 5, "cap": {"step": 1}}, "grdi"), ({"caps": {"step": 1}, "Seed": 3}, "Seed")],
+)
+def test_an_unknown_config_setting_is_a_usage_error(capsys, tmp_path, config, key):
+    # a misspelt key used to be ignored, so the run went on at the defaults
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["verify", "--case", "A3", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown setting %r in config\n" % key
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

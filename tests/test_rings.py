@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxforge.cli import parse_case
+from coxforge.cox import presentation_from_graph
 from coxforge.errors import ParameterError
 from coxforge.graphs import build_singularity
 from coxforge.rings import (
@@ -19,6 +21,7 @@ from coxforge.rings import (
     normal_form,
     solve_degree_system,
 )
+from coxforge.reduction import quotient_presentation
 
 import oracle
 
@@ -327,6 +330,46 @@ def test_normal_form_is_idempotent_and_ideal_stable(data):
     # homogeneity is preserved
     for m in nf.terms:
         assert g.degree_of(m) == (1, 0, 0, 0)
+
+
+def _reduce_heaviest_first(poly, pres):
+    # a fixed rewrite order: the lead multiple of largest weighted degree
+    # first, with the lead's variables weighted above every other
+    # relation term's total degree
+    lead = pres.lead
+    rest = Polynomial({m: c for m, c in pres.relation.terms.items() if m != lead})
+    boost = 1 + max(m.total() for m in rest.terms)
+    weights = [boost if e else 1 for e in lead.exps]
+    work = Polynomial(poly.terms)
+    while True:
+        hits = [m for m in work.terms if lead.divides(m)]
+        if not hits:
+            return work
+        m = max(hits, key=lambda m: (sum(map(operator.mul, weights, m.exps)), m.exps))
+        c = work.terms[m]
+        work = work - Polynomial({m: c}) - rest.times_monomial(m / lead, c)
+
+
+ORDER_CASES = (
+    [("D%d" % n, None) for n in range(4, 13)]
+    + [(case, None) for case in ("E6", "E7", "E8", "custom:2,2,3", "custom:1,2,5", "custom:2,3,4")]
+    + [("D%d" % n, leaf) for n in range(4, 9) for leaf in (1, 2, n - 1)]
+)
+
+
+@pytest.mark.parametrize("case,leaf", ORDER_CASES)
+def test_normal_form_does_not_depend_on_the_rewrite_order(case, leaf):
+    # {relation} is a Groebner basis, so any rewrite order ends at the
+    # same remainder; the products of three relation terms need rewrites
+    # at lead powers 3, 2 and 1. A leaf means the base case's quotient.
+    graph = parse_case(case)
+    pres = presentation_from_graph(graph) if leaf is None else quotient_presentation(graph, leaf)
+    products = itertools.combinations_with_replacement(sorted(pres.relation.terms), 3)
+    poly = Polynomial({a * b * c: (-1) ** i * (i + 1) for i, (a, b, c) in enumerate(products)})
+    nf = normal_form(poly, pres)
+    assert nf == _reduce_heaviest_first(poly, pres)
+    assert not any(pres.lead.divides(m) for m in nf.terms)
+    assert normal_form(poly - nf, pres).is_zero()
 
 
 def test_graded_piece_basis_drops_lead_multiples():
