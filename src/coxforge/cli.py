@@ -9,13 +9,20 @@ is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
 the nef pass and the basic pass of `reduce` and of verify's reduction
-sweep (reduction.sweep) get N steps each. Every cap, from a flag or the
-config file, must be at least 1. The cokernel audits are exact counts
-and take no cap, and invariants.toric_relations bounds the degree of its
-relation search itself, so `cokernel` and `relation` are unknown caps.
+sweep (reduction.sweep) get N steps each. Every cap and the grid, from
+a flag or the config file, must be at least 1; a config value is
+checked even when a flag overrides it. The cokernel audits are exact
+counts and take no cap, and invariants.toric_relations bounds the
+degree of its relation search itself, so `cokernel` and `relation` are
+unknown caps.
 The --caps help lists the keys of DEFAULT_CAPS.
 
 A --degree value may start with a minus sign: `--degree -1,0,0,0`.
+
+verify and report build their sections through one function,
+cmd_checks: both run the invariants (A, D and E only), cox and audits
+or counterexample sections; verify adds the reduction sweep and the
+top-level verdict, report the graph section.
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a tree that no candidate relation covers (a node of
@@ -160,33 +167,25 @@ def resolve_settings(args):
             raise ParameterError("unknown cap %r in config" % key)
         caps[key] = _cap(value, "config cap %r" % key)
     caps.update(_parse_caps_flags(args.caps))
-    grid = args.grid
-    if grid is None:
-        grid = _integer(config.get("grid", DEFAULT_GRID), "config grid")
-    if grid < 1:
-        # an empty sample would pass every check without doing any work
-        raise ParameterError("grid needs at least 1 cell, got %d" % grid)
+    # the config grid is checked even under --grid, as the config caps
+    # are under --caps
+    config_grid = _integer(config.get("grid", DEFAULT_GRID), "config grid")
+    grid = config_grid if args.grid is None else args.grid
+    for value in (config_grid, grid):
+        if value < 1:
+            # an empty sample would pass every check without doing any work
+            raise ParameterError("grid needs at least 1 cell, got %d" % value)
     seed = _integer(config.get("seed", DEFAULT_SEED), "config seed")
     return {"caps": caps, "grid": grid, "seed": seed}
 
 
-def cmd_graph(graph, settings):
+def cmd_graph(graph):
     payload = graph.to_dict()
     payload["intersection_matrix"] = [list(row) for row in graph.intersection_matrix()]
     payload["grading_matrix"] = [list(row) for row in graph.grading().matrix]
     payload["variables"] = list(graph.grading().variables)
     payload["negative_definite"] = graph.is_negative_definite()
-    return payload, EXIT_OK
-
-
-def cmd_invariants(graph, settings):
-    report = verify_invariant_table(graph)
-    return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
-
-
-def cmd_cox(graph, settings):
-    report = verify_presentation(graph)
-    return report, EXIT_OK if report["ok"] else EXIT_MISMATCH
+    return payload
 
 
 def cmd_reduce(graph, degree, settings):
@@ -198,19 +197,18 @@ def cmd_reduce(graph, degree, settings):
         reduction.audit(trace, presentation_from_graph(graph), graph)
     payload = trace.to_dict()
     payload["case"] = graph.label
-    return payload, EXIT_OK if payload["ok"] else EXIT_MISMATCH
+    return payload
 
 
 def _grid_cells(graph, settings):
     return grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
 
 
-def _audit_sample(graph, cells, settings):
-    caps = settings["caps"]
+def _audit_sample(graph, cells, step_cap):
     reports = []
     ok = True
     for d in cells[:AUDIT_DEGREE_COUNT]:
-        rep = reduction.full_equivalence_audit(graph, d, caps["step"])
+        rep = reduction.full_equivalence_audit(graph, d, step_cap)
         reports.append(
             {
                 "initial": rep["initial"],
@@ -243,64 +241,38 @@ def _unless_unsupported(section, *args):
         return {"skipped": str(exc), "ok": True}
 
 
-def _timed(sections, timings, name, fn):
-    start = time.perf_counter()
-    result = fn()
-    timings[name] = int((time.perf_counter() - start) * 1000)
-    sections[name] = result
-    return result
-
-
-def cmd_verify(graph, settings, with_timings):
-    sections = {}
-    timings = {}
-    cells = _grid_cells(graph, settings)
-    if graph.family is not None:
-        _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
-    _timed(sections, timings, "cox", lambda: _unless_unsupported(verify_presentation, graph))
+def cmd_checks(graph, settings, command, with_timings):
+    """The payload of verify or report (``command``), with each section
+    timed. The grid cells are drawn before any section runs: always for
+    verify, and for report only when the audits need them."""
+    ade = graph.family is not None
+    cells = _grid_cells(graph, settings) if ade or command == "verify" else None
     step_cap = settings["caps"]["step"]
-    _timed(sections, timings, "reduction", lambda: reduction.sweep(graph, cells, step_cap))
-    payload = {"case": graph.label, "sections": sections}
-    if graph.family is not None:
-        _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
+    runs = []
+    if command == "report":
+        runs.append(("graph", cmd_graph, graph))
+    if ade:
+        runs.append(("invariants", verify_invariant_table, graph))
+    runs.append(("cox", _unless_unsupported, verify_presentation, graph))
+    if command == "verify":
+        runs.append(("reduction", reduction.sweep, graph, cells, step_cap))
+    if ade:
+        runs.append(("audits", _audit_sample, graph, cells, step_cap))
     else:
-        cex = _timed(
-            sections,
-            timings,
-            "counterexample",
-            lambda: _unless_unsupported(_counterexample_section, graph),
-        )
-        if "verdict" in cex:
-            payload["verdict"] = cex["verdict"]
-    ok = all(section["ok"] for section in sections.values())
-    payload["ok"] = ok
-    if with_timings:
-        payload["timings"] = timings
-    return payload, EXIT_OK if ok else EXIT_MISMATCH
-
-
-def cmd_report(graph, settings, with_timings):
+        runs.append(("counterexample", _unless_unsupported, _counterexample_section, graph))
     sections = {}
     timings = {}
-    _timed(sections, timings, "graph", lambda: cmd_graph(graph, settings)[0])
-    if graph.family is not None:
-        _timed(sections, timings, "invariants", lambda: cmd_invariants(graph, settings)[0])
-    _timed(sections, timings, "cox", lambda: _unless_unsupported(verify_presentation, graph))
-    if graph.family is not None:
-        cells = _grid_cells(graph, settings)
-        _timed(sections, timings, "audits", lambda: _audit_sample(graph, cells, settings))
-    else:
-        _timed(
-            sections,
-            timings,
-            "counterexample",
-            lambda: _unless_unsupported(_counterexample_section, graph),
-        )
+    for name, section, *args in runs:
+        start = time.perf_counter()
+        sections[name] = section(*args)
+        timings[name] = int((time.perf_counter() - start) * 1000)
     ok = all(section.get("ok", True) for section in sections.values())
     payload = {"case": graph.label, "sections": sections, "ok": ok}
+    if command == "verify" and "verdict" in sections.get("counterexample", {}):
+        payload["verdict"] = sections["counterexample"]["verdict"]
     if with_timings:
         payload["timings"] = timings
-    return payload, EXIT_OK if ok else EXIT_MISMATCH
+    return payload
 
 
 def _render_text(payload):
@@ -408,18 +380,19 @@ def _run(args):
     settings = resolve_settings(args)
     graph = parse_case(args.case)
     if args.command == "graph":
-        return cmd_graph(graph, settings)
-    if args.command == "invariants":
-        return cmd_invariants(graph, settings)
-    if args.command == "cox":
-        return cmd_cox(graph, settings)
-    if args.command == "reduce":
+        payload = cmd_graph(graph)
+    elif args.command == "invariants":
+        payload = verify_invariant_table(graph)
+    elif args.command == "cox":
+        payload = verify_presentation(graph)
+    elif args.command == "reduce":
         if not args.degree:
             raise ParameterError("reduce needs --degree")
-        return cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
-    if args.command == "verify":
-        return cmd_verify(graph, settings, args.timings)
-    return cmd_report(graph, settings, args.timings)
+        payload = cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
+    else:
+        payload = cmd_checks(graph, settings, args.command, args.timings)
+    # the graph payload has no verdict of its own
+    return payload, EXIT_OK if payload.get("ok", True) else EXIT_MISMATCH
 
 
 def main(argv=None):

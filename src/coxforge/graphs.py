@@ -219,9 +219,6 @@ class ResolutionGraph:
     def unit_degree(self, node):
         return tuple(1 if v == node else 0 for v in self.nodes)
 
-    def zero_degree(self):
-        return (0,) * len(self.nodes)
-
     def curve_variable(self, node):
         if node not in self._adj:
             raise ParameterError("unknown node %d" % node)

@@ -2,14 +2,13 @@
 
 Matrices are plain lists of lists of ints; no floating point anywhere.
 One fraction-free Gauss-Jordan core, row_reduce (Bareiss 1968), serves
-rank, nullspace, det, adjugate and int_inverse; primitive also accepts
-Fractions. rank_sparse (its own elimination over dict rows),
+rank, nullspace, det, adjugate and int_inverse; primitive takes integer
+vectors only. rank_sparse (its own elimination over dict rows),
 hnf_columns, diagonalize and int_inverse have no caller in the package;
 the benchmark's per-layer tracer still names them, and they go when it
 stops.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -48,26 +47,16 @@ def vec_gcd(v):
 
 
 def primitive(vec):
-    """Scale a rational vector to a primitive integer vector.
-
-    Sign is normalized so the first nonzero entry is positive. Returns a
-    tuple; the zero vector is returned unchanged.
-    """
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = vec_gcd(ints)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(ints)
+    """Divide an integer vector by the gcd of its entries, with the sign
+    that makes the first nonzero entry positive. Returns a tuple; the
+    zero vector is returned unchanged."""
+    g = vec_gcd(vec)
+    if g == 0:
+        return tuple(vec)
+    first = next(x for x in vec if x)
+    if first < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 # ----- fraction-free elimination -----

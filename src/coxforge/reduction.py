@@ -272,18 +272,6 @@ def is_basic(degree, graph):
     return c > 0 and graph.nodes[i] in graph.basic_leaves()
 
 
-def h0_tree(chain_degrees):
-    """Section count of a degree vector on a chain of rational curves:
-    1 + sum, or None when a negative degree puts the chain outside the
-    supported shapes."""
-    degs = list(chain_degrees)
-    if not degs:
-        raise ParameterError("empty chain")
-    if any(c < 0 for c in degs):
-        return None
-    return 1 + sum(degs)
-
-
 def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Subtract the column at the order-lowest negative coordinate until
     the degree is componentwise nonnegative."""
@@ -576,7 +564,9 @@ def _expect_add_chain(step, graph):
             "AddChain restricted degrees %r do not match the shape %r"
             % (restricted, shape)
         )
-    return h0_tree(restricted)
+    # a chain of rational curves of degrees (0, ..., 0, c) has 1 + c
+    # sections, and here c = before[j] - 1
+    return before[idx[j]]
 
 
 def _expect_shift_to_leaf(step, graph):

@@ -86,9 +86,6 @@ class Polynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mc[0].key())
 
-    def monomials(self):
-        return sorted(self.terms, key=Monomial.key)
-
     def __add__(self, other):
         d = dict(self.terms)
         for m, c in other.terms.items():
@@ -100,12 +97,6 @@ class Polynomial:
         for m, c in other.terms.items():
             d[m] = d.get(m, Fraction(0)) - c
         return Polynomial(d)
-
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def scale(self, f):
-        return Polynomial({m: c * Fraction(f) for m, c in self.terms.items()})
 
     def times_monomial(self, mono, coeff=1):
         return Polynomial({m * mono: c * Fraction(coeff) for m, c in self.terms.items()})
@@ -160,10 +151,6 @@ class Grading:
         except KeyError:
             raise ParameterError("unknown variable %r" % (name,)) from None
 
-    def column(self, name):
-        i = self.index(name)
-        return tuple(row[i] for row in self.matrix)
-
     def degree_of(self, mono):
         if len(mono.exps) != self.width:
             raise ParameterError(
@@ -180,9 +167,6 @@ class Grading:
 
     def one(self):
         return Monomial((0,) * self.width)
-
-    def exponent_dict(self, mono):
-        return {v: e for v, e in zip(self.variables, mono.exps) if e}
 
     def format_monomial(self, mono):
         parts = []

@@ -99,11 +99,11 @@ def test_criterion_05_candidate_relations():
             rel = relation_from_graph(graph)
             assert rel is not None
             target = graph.unit_degree(graph.center())
-            assert len(rel.monomials()) == len(graph.branches())
-            for mono in rel.monomials():
+            assert len(rel.terms) == len(graph.branches())
+            for mono in rel.terms:
                 assert grading.degree_of(mono) == target
                 assert rel.terms[mono] == 1
-            assert lead_term_of(graph) in rel.monomials()
+            assert lead_term_of(graph) in rel.terms
             frozen = FROZEN_RELATIONS.get((family, n))
             if frozen is not None:
                 assert grading.format_polynomial(rel) == frozen
@@ -216,7 +216,7 @@ def test_criterion_11_hilbert_basis_oracle():
         basis = [m.exps for m in solve_degree_system(graph.grading())]
         vecs = [
             v
-            for v in oracle.box_exponent_tuples(graph, graph.zero_degree(), 20)
+            for v in oracle.box_exponent_tuples(graph, (0,) * len(graph.nodes), 20)
             if sum(v) <= 20
         ]
         for v in vecs:

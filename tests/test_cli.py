@@ -24,10 +24,11 @@ VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_digests.js
 
 def run_frozen(capsys, argv):
     # tests/data/verify_digests.json holds the SHA-256 of the stdout of
-    # these commands, so any change to a byte of it shows
+    # these commands, so any change to a byte of it shows; text output
+    # comes back as it is, JSON parsed
     code, out = run(capsys, argv)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[" ".join(argv)]
-    return code, json.loads(out)
+    return code, out if "text" in argv else json.loads(out)
 
 
 def test_graph_command(capsys):
@@ -378,6 +379,48 @@ def test_verify_exits_zero_on_every_ade_case(capsys, case):
     assert payload["ok"] is True
 
 
+@pytest.mark.parametrize("case", ADE_CASES)
+def test_report_is_frozen_on_every_ade_case(capsys, case):
+    code, payload = run_frozen(capsys, ["report", "--case", case, "--grid", "6"])
+    assert code == 0
+    assert set(payload["sections"]) == {"graph", "invariants", "cox", "audits"}
+
+
+@pytest.mark.parametrize("case", ["custom:2,2,3", "custom:2,2,2", "custom:1,2,5"])
+def test_report_is_frozen_on_three_arm_stars(capsys, case):
+    code, payload = run_frozen(capsys, ["report", "--case", case])
+    assert code == 0
+    assert set(payload["sections"]) == {"graph", "cox", "counterexample"}
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("case", ["D5", "E6", "custom:2,2,3"])
+def test_text_output_is_frozen(capsys, command, case):
+    code, out = run_frozen(capsys, [command, "--case", case, "--format", "text"])
+    assert code == 0
+    assert out.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("case", ["D4", "A6"])
+def test_step_capped_verify_is_frozen(capsys, case):
+    argv = ["verify", "--case", case, "--grid", "6", "--caps", "step=2"]
+    code, payload = run_frozen(capsys, argv)
+    assert code == 1
+    assert payload["sections"]["reduction"]["ok"] is False
+
+
+@pytest.mark.parametrize("case", ["A3", "D5", "E6", "custom:2,2,3", "custom:1,1,1,2"])
+def test_report_shares_its_checks_with_verify(capsys, case):
+    # the sections both commands run are the same sections, byte for byte
+    argv = ["--case", case, "--grid", "20"]
+    _, verified = run_json(capsys, ["verify"] + argv)
+    _, reported = run_json(capsys, ["report"] + argv)
+    shared = set(verified["sections"]) & set(reported["sections"])
+    assert shared == set(reported["sections"]) - {"graph"}
+    for name in shared:
+        assert reported["sections"][name] == verified["sections"][name]
+
+
 def test_verify_counterexample(capsys):
     code, payload = run_frozen(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0
@@ -632,6 +675,22 @@ def test_grid_below_one_is_rejected(capsys, tmp_path, grid):
     path.write_text(json.dumps({"grid": int(grid)}))
     assert cli.main(["verify", "--case", "A3", "--config", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [("abc", "config grid needs an integer, got 'abc'"), (0, "grid needs at least 1 cell, got 0")],
+)
+def test_a_bad_config_grid_is_rejected_under_the_grid_flag(capsys, tmp_path, grid, message):
+    # --grid overrides the config grid but does not excuse it, as --caps
+    # does not excuse the config caps; the flag used to hide it (exit 0)
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"grid": grid}))
+    for flag in ([], ["--grid", "3"]):
+        assert cli.main(["verify", "--case", "A2", "--config", str(path)] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("cap", ["step=0", "step=-3"])

@@ -256,7 +256,6 @@ def test_unit_degree():
     g = build_singularity("E", 6)
     assert g.unit_degree(0) == (1, 0, 0, 0, 0, 0)
     assert g.unit_degree(5) == (0, 0, 0, 0, 0, 1)
-    assert g.zero_degree() == (0,) * 6
 
 
 def test_json_round_trip():

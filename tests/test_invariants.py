@@ -85,7 +85,7 @@ def test_hilbert_basis_elements_are_irreducible(family, n):
 def test_box_monoid_decomposes_over_basis(family, n):
     graph = build_singularity(family, n)
     basis = [m.exps for m in solve_degree_system(graph.grading())]
-    for v in oracle.box_exponent_tuples(graph, graph.zero_degree(), 8):
+    for v in oracle.box_exponent_tuples(graph, (0,) * len(graph.nodes), 8):
         assert oracle.decomposes(v, basis), v
 
 

@@ -25,7 +25,6 @@ from coxforge.reduction import (
     cokernel_dimension,
     expected_cokernel_dim,
     full_equivalence_audit,
-    h0_tree,
     is_basic,
     quotient_presentation,
     reduce_nef_to_basic,
@@ -81,14 +80,6 @@ def test_s_measure_matches_a_fraction_sum(data):
     got = s_measure(degree, graph)
     assert type(got) is Fraction
     assert got == expected
-
-
-def test_h0_tree():
-    assert h0_tree([0]) == 1
-    assert h0_tree([3]) == 4
-    assert h0_tree([0, 0, 3]) == 4
-    assert h0_tree([2, 1]) == 4
-    assert h0_tree([1, -1]) is None
 
 
 def test_is_basic():

@@ -63,9 +63,7 @@ def test_polynomial_arithmetic():
         Monomial((1, 1)): Fraction(-1),
         Monomial((0, 2)): Fraction(2),
     }
-    assert p.scale(Fraction(1, 2)).terms[m2] == 1
     assert p.times_monomial(m2).terms[m1 * m2] == 1
-    assert (-q).terms[m1] == 1
 
 
 def _fork_grading():
@@ -92,7 +90,7 @@ def test_grading_drop_and_embed():
     assert sub.variables == ("x1", "x2", "x3", "y0", "y2", "y3")
     m = sub.monomial({"x2": 2, "y2": 1})
     lifted = g.embed(m, sub)
-    assert g.exponent_dict(lifted) == {"x2": 2, "y2": 1}
+    assert g.format_monomial(lifted) == "x2^2*y2"
     with pytest.raises(ParameterError):
         g.drop(["nope"])
 
@@ -180,7 +178,7 @@ def test_monomials_of_degree_matches_box_enumeration(case):
     g = graph.grading()
     unit = graph.unit_degree(graph.nodes[0])
     degrees = [
-        graph.zero_degree(),
+        (0,) * len(graph.nodes),
         unit,
         tuple(-x for x in unit),
         tuple(1 for _ in graph.nodes),
@@ -211,7 +209,7 @@ def test_monomials_of_degree_matches_box_enumeration(case):
 def test_quotient_pieces_are_full_pieces_without_the_section(case):
     graph = parse_case(case)
     g = graph.grading()
-    degrees = [graph.zero_degree()] + [
+    degrees = [(0,) * len(graph.nodes)] + [
         tuple(v * x for x in graph.unit_degree(node)) for node in graph.nodes for v in (-1, 2)
     ]
     for name, _ in graph.leaf_variables:
