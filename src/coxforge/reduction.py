@@ -20,17 +20,23 @@ count for a whole batch in closed form, and stops each basic pass at
 the add-phase degrees an earlier cell's pass went through.
 
 Both passes read a step table, made once per graph on its first pass:
-the (node, index) spots in curve order and each node's column and
-S-move, plus, on first use, each chain between two nodes with its
-summed column, S-move and interior positions. After firing a node the
-nef pass rescans only from the earliest of it and its neighbours: the
-column moves no other spot, and every earlier one was nonnegative. The
-table also keeps whether the graph is negative definite, which the
-sweep, the closed form and the base case need. The basic pass scans the
-whole degree once per step and reads its is-basic test and next step
-kind off that scan. It keeps the doubled S-sum as an integer, moved by
-the S-move of each step's node or chain, and a trace makes its
-``Fraction``s only when they are read.
+the (node, index) spots in curve order and each node's column, as its
+support (its nonzero entries, at most the node and its neighbours), and
+S-move, plus, on first use, each chain between two nodes with the
+support of its summed column, its S-move and its interior positions.
+Each pass keeps its working degree as a list, applies a step's support
+to it in place, and hands the step a tuple copy, so every degree in a
+trace is a tuple. After firing a node the nef pass rescans only from
+the earliest of it and its neighbours: the column moves no other spot,
+and every earlier one was nonnegative. The table also keeps whether the
+graph is negative definite, which the sweep, the closed form and the
+base case need. The basic pass reads its is-basic test and next step
+kind off one scan in curve order; after an AddCurve it resumes that scan
+at the curve's restart tail and keeps the 1's found before it, and
+after an AddChain or a shift it scans the whole degree again. It keeps
+the doubled S-sum as an integer, moved by the S-move of each step's
+node or chain, and a trace makes its ``Fraction``s only when they are
+read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -215,35 +221,48 @@ def _twice_weights(graph):
     return tuple(1 if v in (1, 2) else 2 for v in graph.nodes)
 
 
+def _support(vec):
+    """The nonzero entries of ``vec`` as ((index, entry), ...)."""
+    return tuple((i, e) for i, e in enumerate(vec) if e)
+
+
 class _StepTable:
     """The step data of one graph, read by both passes: the (node, index)
     spots in curve order, the doubled S-weights and, per node, its
-    1-tuple (a step's ``nodes`` and ``curves`` both), its column, its
-    S-move (the change of the doubled S-sum when its column is added,
-    the same from every degree) and its restart tail. ``chain`` fills
+    1-tuple (a step's ``nodes`` and ``curves`` both), its column's
+    support (the nonzero entries, at most the node and its neighbours),
+    its S-move (the change of the doubled S-sum when its column is
+    added, the same from every degree), its curve-order position and
+    its restart tail with that tail's first position. ``chain`` fills
     in an ordered pair's data on first use. ``_step_table`` keeps one
     per graph; the graph's hash and equality cover all it reads."""
 
     def __init__(self, graph):
         spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
-        at = {v: k for k, (v, _) in enumerate(spots)}
-        self.spots, self.weights, self.cols = spots, _twice_weights(graph), graph.columns
+        self.at = {v: k for k, (v, _) in enumerate(spots)}
+        self.spots, self.weights = spots, _twice_weights(graph)
         self.single = {v: (v,) for v in graph.nodes}
-        self.moves = {v: sum(map(mul, self.weights, c)) for v, c in self.cols.items()}
-        # the spots from the earliest of v and its neighbours, the
-        # support of v's column for any self-intersection
-        self.tail = {v: spots[min(map(at.get, (v,) + graph.neighbors(v))):] for v in graph.nodes}
+        self.supports = {v: _support(c) for v, c in graph.columns.items()}
+        self.moves = {v: self._move(s) for v, s in self.supports.items()}
+        # the spots from the earliest of v and its neighbours, which hold
+        # the support of v's column for any self-intersection
+        self.first = {v: min(map(self.at.get, (v,) + graph.neighbors(v))) for v in graph.nodes}
+        self.tail = {v: spots[k:] for v, k in self.first.items()}
         self.graph, self.chains = graph, {}
 
+    def _move(self, support):
+        weights = self.weights
+        return sum(weights[i] * e for i, e in support)
+
     def chain(self, u, w):
-        """((u, w), the path from u to w, its summed column, its S-move,
-        the index positions of its interior nodes)."""
+        """((u, w), the path from u to w, the support of its summed
+        column, its S-move, the index positions of its interior nodes)."""
         entry = self.chains.get((u, w))
         if entry is None:
             path = self.graph.path(u, w)
-            col = _sum_columns(self.cols, path)
+            support = _support(_sum_columns(self.graph.columns, path))
             inner = tuple(map(self.graph.index_of.__getitem__, path[1:-1]))
-            entry = self.chains[u, w] = ((u, w), path, col, sum(map(mul, self.weights, col)), inner)
+            entry = self.chains[u, w] = ((u, w), path, support, self._move(support), inner)
         return entry
 
     @cached_property
@@ -277,17 +296,21 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
     table = _step_table(graph)
-    cols, single, tail, scan = table.cols, table.single, table.tail, table.spots
+    supports, single, tail, scan = table.supports, table.single, table.tail, table.spots
+    # the working degree, moved in place; d is its tuple before the step
+    cur = list(d)
     steps = []
     while True:
         for neg, i in scan:
-            if d[i] < 0:
+            if cur[i] < 0:
                 break
         else:
             return ReductionTrace(degree, d, steps, True)
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False)
-        after = tuple(map(sub, d, cols[neg]))
+        for i, e in supports[neg]:
+            cur[i] -= e
+        after = tuple(cur)
         one = single[neg]
         steps.append(_step(_expect_subtract_curve, graph, "SubtractCurve", one, one, d, after))
         d = after
@@ -325,13 +348,15 @@ def least_nef_cycles(cells, graph):
     such Z is at least M^-1 d = adj d / det. The start
     max(0, ceil(adj d / det)) is thus below Z*, and firing from it ends
     exactly at Z*; the cells still negative there fire their lowest
-    coordinate until none is. The start and d - M Z are taken a
+    coordinate until none is, each on a list copy through the step
+    table's column supports. The start and d - M Z are taken a
     coordinate at a time over the whole batch, through the nonzero
     entries of adj and of M. Off the negative definite graphs Z* need
     not exist and the corrections would not end, so they raise
     ParameterError first. Only ``sweep`` uses this; ``reduce`` and the
     audits keep the step-by-step pass."""
-    if not _step_table(graph).definite:
+    table = _step_table(graph)
+    if not table.definite:
         raise ParameterError("the least nef cycles need a negative definite graph")
     width = len(graph.nodes)
     if any(len(d) != width for d in cells):
@@ -344,13 +369,18 @@ def least_nef_cycles(cells, graph):
     # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
     z = [[0 if x * det <= 0 else -(-x // det) for x in row] for row in _times(adj, coords)]
     ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])
+    supports = list(map(table.supports.__getitem__, graph.nodes))
     out = []
     for d, size in zip(ends, map(sum, zip(*z))):
         low = min(d)
-        while low < 0:
-            d = tuple(map(sub, d, matrix[d.index(low)]))
-            size += 1
-            low = min(d)
+        if low < 0:
+            cur = list(d)
+            while low < 0:
+                for i, e in supports[cur.index(low)]:
+                    cur[i] -= e
+                size += 1
+                low = min(cur)
+            d = tuple(cur)
         out.append((d, size))
     return out
 
@@ -382,24 +412,27 @@ def _basic_pass(degree, graph, step_cap, known):
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
     table = _step_table(graph)
-    spots, cols, moves, single = table.spots, table.cols, table.moves, table.single
-    chain = table.chain
+    spots, supports, moves, single = table.spots, table.supports, table.moves, table.single
+    at, first, tail, chain = table.at, table.first, table.tail, table.chain
     leaves = graph.basic_leaves()
     width = len(d)
+    # the working degree, moved in place; d is its tuple before the step
+    cur = list(d)
     # the doubled S-sum follows every step, measures only the add phase
     twice = sum(map(mul, table.weights, d))
     measures = [twice]
     steps = []
     left = 0
+    # the scan resumes on ``scan`` with the 1's before it in ``ones``
+    scan, ones = spots, []
     while True:
         if d in known:
             left = known[d]
             break
-        # one scan: the first coordinate >= 2, else every 1 in curve order
+        # the first coordinate >= 2, else every 1 in curve order
         big = None
-        ones = []
-        for v, i in spots:
-            c = d[i]
+        for v, i in scan:
+            c = cur[i]
             if c >= 2:
                 big = v
                 break
@@ -416,12 +449,19 @@ def _basic_pass(degree, graph, step_cap, known):
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False, measures), 0
         if big is not None:
-            after = tuple(map(add, d, cols[big]))
+            for i, e in supports[big]:
+                cur[i] += e
+            after = tuple(cur)
             one = single[big]
             steps.append(_step(_expect_add_curve, graph, "AddCurve", one, one, d, after))
             d = after
             twice += moves[big]
             measures.append(twice)
+            # only big and its neighbours moved: the 1's found before
+            # tail[big] stand, and ``ones`` is in curve order
+            scan, start = tail[big], first[big]
+            while ones and at[ones[-1]] >= start:
+                ones.pop()
             continue
         if len(ones) >= 2:
             # the order-least pair of 1's with only zeros strictly between;
@@ -431,12 +471,15 @@ def _basic_pass(degree, graph, step_cap, known):
             entry = next((e for e in pairs if not any(map(d.__getitem__, e[4]))), None)
             if entry is None:
                 raise HypothesisViolationError("AddChain needs a nef degree")
-            ends, path, col, move, _ = entry
-            after = tuple(map(add, d, col))
+            ends, path, support, move, _ = entry
+            for i, e in support:
+                cur[i] += e
+            after = tuple(cur)
             steps.append(_step(_expect_add_chain, graph, "AddChain", ends, path, d, after))
             d = after
             twice += move
             measures.append(twice)
+            scan, ones = spots, []
             continue
         # a single coordinate equal to 1 remains: shift it to a leaf
         p = ones[0]
@@ -445,12 +488,15 @@ def _basic_pass(degree, graph, step_cap, known):
             if len(steps) >= step_cap:
                 return ReductionTrace(degree, d, steps, False, measures), 0
             q = chain(p, j)[1][1]
-            _, path, col, move, _ = chain(q, j)
-            after = tuple(map(sub, d, col))
+            _, path, support, move, _ = chain(q, j)
+            for i, e in support:
+                cur[i] -= e
+            after = tuple(cur)
             steps.append(_step(_expect_shift_to_leaf, graph, "ShiftToLeaf", (p, j), path, d, after))
             d = after
             twice -= move
             p = q
+        scan, ones = spots, []
     return ReductionTrace(degree, d, steps, True, measures), left
 
 

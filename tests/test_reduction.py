@@ -608,12 +608,22 @@ def test_passes_match_the_plain_walk_on_stars(case):
             assert basic.terminated
 
 
-@pytest.mark.parametrize("node,value", [(0, -3), (1, -3), (4, -3), (5, -1)])
-def test_passes_match_the_plain_walk_off_the_minus_two_curves(node, value):
-    # D6 with one other self-intersection; the checkers reject the steps
-    # the passes make there from many cells, and those raise
+# D6 with one other self-intersection: the center is node 0 and node 5
+# the end of its long branch, so the last two make the center and a
+# leaf curves of self-intersection 0
+OFF_MINUS_TWO = [(0, -3), (1, -3), (4, -3), (5, -1), (0, 0), (5, 0)]
+
+
+def _off_minus_two(node, value):
     d6 = build_singularity("D", 6)
-    graph = ResolutionGraph(d6.nodes, d6.edges, {node: value}, d6.leaf_variables)
+    return ResolutionGraph(d6.nodes, d6.edges, {node: value}, d6.leaf_variables)
+
+
+@pytest.mark.parametrize("node,value", OFF_MINUS_TWO)
+def test_passes_match_the_plain_walk_off_the_minus_two_curves(node, value):
+    # the checkers reject the steps the passes make there from many
+    # cells, and those raise
+    graph = _off_minus_two(node, value)
     compared = 0
     for cell in _walk_cells("D6", 60, box=4):
         try:
@@ -645,6 +655,86 @@ def test_passes_match_the_plain_walk_with_known_stops(case):
         # the add-phase degrees of this cell's pass stop the later ones
         known.update((s.degree_before, 0) for s in full.steps if s.adds_curves())
     assert stopped
+
+
+def _tuple_trace(trace, start):
+    """Assert that ``trace`` starts at ``start``, that its degrees are
+    tuples and that its steps compose."""
+    assert type(trace.initial) is tuple and trace.initial == tuple(start)
+    assert type(trace.terminal) is tuple
+    d = trace.initial
+    for step in trace.steps:
+        assert type(step.degree_before) is tuple and type(step.degree_after) is tuple
+        assert step.degree_before == d
+        d = step.degree_after
+    assert d == trace.terminal
+
+
+@pytest.mark.parametrize("case", ["D8", "E7"])
+def test_traces_hold_only_tuples(case, monkeypatch):
+    # the passes move a list in place; every degree they hand out is a
+    # tuple, from list input too
+    graph = parse_case(case)
+    cells = _walk_cells(case, 25)
+    for cell in cells:
+        nef = reduce_to_nef(list(cell), graph)
+        _tuple_trace(nef, cell)
+        _tuple_trace(reduce_nef_to_basic(list(nef.terminal), graph), nef.terminal)
+        _tuple_trace(reduction.reduce(graph, list(cell)), cell)
+    knowns = []
+    basic_pass = reduction._basic_pass
+
+    def recording(degree, graph, step_cap, known):
+        knowns.append(known)
+        return basic_pass(degree, graph, step_cap, known)
+
+    monkeypatch.setattr(reduction, "_basic_pass", recording)
+    assert reduction.sweep(graph, cells)["ok"]
+    assert knowns and knowns[0]
+    assert all(type(key) is tuple for known in knowns for key in known)
+
+
+# ------------------------------------------------------------- step table
+
+
+def _expand(support, width):
+    """The dense vector of a support; its indices rise and its entries
+    are nonzero."""
+    indices = [i for i, _ in support]
+    assert indices == sorted(set(indices))
+    assert all(e for _, e in support)
+    dense = [0] * width
+    for i, e in support:
+        dense[i] = e
+    return tuple(dense)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [parse_case("A8"), parse_case("D12"), parse_case("E8")]
+    + [_off_minus_two(node, value) for node, value in OFF_MINUS_TWO],
+    ids=["A8", "D12", "E8"] + ["D6-%d:%d" % row for row in OFF_MINUS_TWO],
+)
+def test_step_table_supports_expand_to_the_columns(graph):
+    table = reduction._StepTable(graph)
+    width = len(graph.nodes)
+    weights = reduction._twice_weights(graph)
+    for v in graph.nodes:
+        column = graph.columns[v]
+        assert _expand(table.supports[v], width) == column
+        assert table.moves[v] == sum(w * c for w, c in zip(weights, column))
+        # a curve of self-intersection 0 (the D6 rows ending in 0) drops
+        # out of its own support
+        own = graph.index_of[v] in dict(table.supports[v])
+        assert own == (column[graph.index_of[v]] != 0)
+    for u in graph.nodes:
+        for w in graph.nodes:
+            ends, path, support, move, inner = table.chain(u, w)
+            assert (ends, path) == ((u, w), graph.path(u, w))
+            dense = reduction._sum_columns(graph.columns, path)
+            assert _expand(support, width) == dense
+            assert move == sum(a * b for a, b in zip(weights, dense))
+            assert inner == tuple(graph.index_of[x] for x in path[1:-1])
 
 
 # ---------------------------------------------------------- expected dims
