@@ -1,4 +1,4 @@
-"""Candidate section-ring presentations and their ambient models.
+"""Candidate section-ring presentations and the one cox report.
 
 A star tree with one trivalent center carries a single candidate
 relation: one term per branch, the curve variable at distance t from the
@@ -7,11 +7,13 @@ raised to (branch length + 1). Chains carry no relation. Trees with a
 higher-valence node or several trivalent nodes are legal graphs, but no
 candidate relation rule applies to them.
 
-The ambient model of an A, D or E graph realizes the same ring inside
-the invariant-ring ambient: the listed hyperplane cuts pull back, after
-dividing out a monomial common factor, to exactly the candidate
-relation. Every function takes the caller's ResolutionGraph, and
-verify_presentation is the one report for every graph.
+The invariant-ring ambient of an A, D or E graph realizes the same
+ring: under the reference generators the ambient hypersurface relation
+of a chain vanishes, and each hard-coded hyperplane cut of a D or E
+graph (_cuts) pulls back, after dividing out the greatest common
+monomial factor of its terms, to exactly the candidate relation. Every
+function takes the caller's ResolutionGraph, and verify_presentation
+is the one report for every graph.
 """
 
 from .errors import ParameterError, UnsupportedGraphError
@@ -72,126 +74,83 @@ def presentation_from_graph(graph):
     return RingPresentation(grading, rel, lead_term_of(graph))
 
 
-def ambient_model(graph):
-    """Invariant-ring ambient data of an A, D or E graph: generators,
-    toric relations, and the hyperplane cuts whose pullbacks recover the
-    candidate relation."""
+def _cuts(graph):
+    """Hyperplane cuts of the invariant-ring ambient of a D or E graph,
+    as (name, principal, terms), each term an exponent dict over the
+    generator names; no cuts for any other graph."""
     family, n = graph.family, graph.rank
-    gens = golden_generators(graph)
-    rels = golden_relations(graph)
-    if family == "A":
-        cuts = []
-    elif family == "D":
-        if n % 2 == 0:
-            k = n // 2
-            cuts = [
-                {
-                    "name": "H",
-                    "terms": [{"Z1": 1}, {"Z2": 1}, {"Z3": k - 1}],
-                    "principal": True,
-                }
-            ]
-        else:
-            k = (n - 1) // 2
-            cuts = [
-                {
-                    "name": "H1",
-                    "terms": [{"Z1": k}, {"Z3": 1}, {"Z4": 1}],
-                    "principal": False,
-                },
-                {
-                    "name": "H2a",
-                    "terms": [{"Z1": k - 1, "Z3": 1}, {"Z2": 2}, {"Z5": 1}],
-                    "principal": True,
-                },
-                {
-                    "name": "H2b",
-                    "terms": [{"Z1": k - 1, "Z4": 1}, {"Z2": 2}, {"Z6": 1}],
-                    "principal": True,
-                },
-            ]
-    else:
+    if family == "D" and n % 2 == 0:
+        return [("H", True, [{"Z1": 1}, {"Z2": 1}, {"Z3": n // 2 - 1}])]
+    if family == "D":
+        k = (n - 1) // 2
+        return [
+            ("H1", False, [{"Z1": k}, {"Z3": 1}, {"Z4": 1}]),
+            ("H2a", True, [{"Z1": k - 1, "Z3": 1}, {"Z2": 2}, {"Z5": 1}]),
+            ("H2b", True, [{"Z1": k - 1, "Z4": 1}, {"Z2": 2}, {"Z6": 1}]),
+        ]
+    if family == "E":
         terms = {
             6: [{"Z1": 2}, {"Z3": 1}, {"Z4": 1}],
             7: [{"Z1": 3}, {"Z2": 1}, {"Z4": 2}],
             8: [{"Z2": 5}, {"Z3": 3}, {"Z1": 2}],
         }[n]
-        cuts = [{"name": "H", "terms": terms, "principal": True}]
-    return {
-        "family": family,
-        "n": n,
-        "generators": gens,
-        "relations": rels,
-        "cuts": cuts,
-    }
-
-
-def _substitute_term(gens, grading, term):
-    out = grading.one()
-    for name, e in term.items():
-        out = out * (gens[name] ** e)
-    return out
-
-
-def pullback_factorization(graph, cut_terms):
-    """Substitute generator monomials into one cut, split off the
-    greatest common monomial factor, and compare the residual with the
-    candidate relation."""
-    grading = graph.grading()
-    gens = dict(golden_generators(graph))
-    monos = [_substitute_term(gens, grading, term) for term in cut_terms]
-    gcd = Monomial(tuple(min(m.exps[i] for m in monos) for i in range(grading.width)))
-    residual = Polynomial({m / gcd: 1 for m in monos})
-    candidate = relation_from_graph(graph)
-    return {
-        "gcd": gcd,
-        "residual": residual,
-        "matches_candidate": candidate is not None and residual == candidate,
-    }
+        return [("H", True, terms)]
+    return []
 
 
 def verify_presentation(graph):
     """Full candidate-presentation report: the relation, its lead and
     the check that fits the graph. A chain's ambient hypersurface
-    relation must vanish under substitution, the ambient cuts of a D or
-    E graph must pull back to the candidate relation, and the relation
-    of any other star must have normal form zero in its own
-    presentation."""
+    relation must vanish under substitution, and each ambient cut of a
+    D or E graph, pulled back and divided by the greatest common
+    monomial factor of its terms, must equal the candidate relation.
+    The relation of any other star must have normal form zero in its
+    own presentation."""
     grading = graph.grading()
-    rel = relation_from_graph(graph)
+    pres = presentation_from_graph(graph)
+    rel = pres.relation
     report = {
         "case": graph.label,
         "variables": list(grading.variables),
         "relation": grading.format_polynomial(rel) if rel is not None else None,
-        "lead": grading.format_monomial(lead_term_of(graph)) if rel is not None else None,
+        "lead": grading.format_monomial(pres.lead) if rel is not None else None,
         "cuts": [],
     }
     ok = True
     if graph.family is None:
         if rel is not None:
-            ok = normal_form(rel, presentation_from_graph(graph)).is_zero()
+            ok = normal_form(rel, pres).is_zero()
             report["normal_form_zero"] = ok
         report["ok"] = ok
         return report
-    model = ambient_model(graph)
-    gens = dict(model["generators"])
+    gens = dict(golden_generators(graph))
+
+    def pullback(term):
+        out = grading.one()
+        for name, e in term.items():
+            out = out * gens[name] ** e
+        return out
+
     if graph.family == "A":
         # the ambient is a hypersurface: its toric relation must vanish
         # identically under substitution
-        (lhs, rhs), = model["relations"]
-        ok = _substitute_term(gens, grading, lhs) == _substitute_term(gens, grading, rhs)
+        (lhs, rhs), = golden_relations(graph)
+        ok = pullback(lhs) == pullback(rhs)
         report["hypersurface_substitution_zero"] = ok
-    for cut in model["cuts"]:
-        fact = pullback_factorization(graph, cut["terms"])
+    for name, principal, terms in _cuts(graph):
+        monos = [pullback(term) for term in terms]
+        gcd = Monomial(tuple(map(min, *(m.exps for m in monos))))
+        residual = Polynomial({m / gcd: 1 for m in monos})
+        matches = residual == rel
         report["cuts"].append(
             {
-                "name": cut["name"],
-                "principal": cut["principal"],
-                "gcd": grading.format_monomial(fact["gcd"]),
-                "residual": grading.format_polynomial(fact["residual"]),
-                "matches_candidate": fact["matches_candidate"],
+                "name": name,
+                "principal": principal,
+                "gcd": grading.format_monomial(gcd),
+                "residual": grading.format_polynomial(residual),
+                "matches_candidate": matches,
             }
         )
-        ok = ok and fact["matches_candidate"]
+        ok = ok and matches
     report["ok"] = ok
     return report

@@ -180,13 +180,11 @@ class BaseCaseFamily:
     """Seed and period monomials spanning the basic graded piece of
     degree k*e_leaf (``degree``) in the quotient ``presentation``."""
 
-    __slots__ = ("seed", "period", "leaf", "k", "presentation", "degree")
+    __slots__ = ("seed", "period", "presentation", "degree")
 
-    def __init__(self, seed, period, leaf, k, presentation, degree):
+    def __init__(self, seed, period, presentation, degree):
         self.seed = seed
         self.period = period
-        self.leaf = leaf
-        self.k = k
         self.presentation = presentation
         self.degree = degree
 
@@ -814,7 +812,7 @@ def base_case_family(graph, leaf, k):
         raise ParameterError("period monomial is not of degree zero")
     if qp.grading.degree_of(seed) != target:
         raise ParameterError("seed degree mismatch")
-    return BaseCaseFamily(seed, period, leaf, k, qp, target)
+    return BaseCaseFamily(seed, period, qp, target)
 
 
 def base_case_audit(graph, leaf, k, a_max=3):

@@ -1,8 +1,9 @@
 """Multigraded monomials, polynomials and ring presentations.
 
-Everything is exact: exponents are Python ints, coefficients are
-Fractions. A Grading pairs a variable table with an integer degree
-matrix whose rows are the lattice coordinates. Graded pieces and the
+Everything is exact: exponents and coefficients are Python ints, since
+every relation here has coefficients 1 and rewrites keep them integral.
+A Grading pairs a variable table with an integer degree matrix whose
+rows are the lattice coordinates. Graded pieces and the
 degree-zero generators both come from the one lattice-point solver in
 diophantine: a graded piece is the fiber of the degree matrix over its
 degree, and the generators are the minimal nonzero points of the
@@ -10,8 +11,6 @@ degree-zero fiber. A presentation holds at most one relation, whose lead
 shares no variable with its other terms, so normal forms need no term
 order: every rewrite order gives the same one.
 """
-
-from fractions import Fraction
 
 from . import diophantine
 from .errors import ParameterError
@@ -64,14 +63,15 @@ class Monomial:
 
 
 class Polynomial:
-    """Sparse polynomial: monomial -> Fraction, zero terms dropped."""
+    """Sparse polynomial: monomial -> int coefficient, zero terms dropped."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         d = {}
         for m, c in dict(terms).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                raise ParameterError("polynomial coefficients must be integers")
             if c != 0:
                 d[m] = c
         self.terms = d
@@ -89,24 +89,24 @@ class Polynomial:
     def __add__(self, other):
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d.get(m, Fraction(0)) + c
+            d[m] = d.get(m, 0) + c
         return Polynomial(d)
 
     def __sub__(self, other):
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d.get(m, Fraction(0)) - c
+            d[m] = d.get(m, 0) - c
         return Polynomial(d)
 
     def times_monomial(self, mono, coeff=1):
-        return Polynomial({m * mono: c * Fraction(coeff) for m, c in self.terms.items()})
+        return Polynomial({m * mono: c * coeff for m, c in self.terms.items()})
 
     def __mul__(self, other):
         d = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                d[m] = d.get(m, Fraction(0)) + c1 * c2
+                d[m] = d.get(m, 0) + c1 * c2
         return Polynomial(d)
 
     def __eq__(self, other):
@@ -187,10 +187,8 @@ class Grading:
                 s = mono
             elif c == -1:
                 s = "-" + mono
-            elif c.denominator == 1:
-                s = "%d*%s" % (c.numerator, mono)
             else:
-                s = "(%s)*%s" % (c, mono)
+                s = "%d*%s" % (c, mono)
             parts.append(s)
         out = parts[0]
         for s in parts[1:]:

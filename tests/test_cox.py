@@ -1,6 +1,6 @@
 import pytest
 
-from coxforge import cox
+from coxforge import cli, cox
 from coxforge.errors import UnsupportedGraphError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
 from coxforge.rings import normal_form
@@ -93,16 +93,49 @@ PULLBACKS = {
 
 @pytest.mark.parametrize("family,n", sorted(PULLBACKS))
 def test_cut_pullbacks_factor_to_candidate(family, n):
-    grading = build_singularity(family, n).grading()
-    model = cox.ambient_model(build_singularity(family, n))
-    expected = PULLBACKS[(family, n)]
-    assert [(c["name"], c["principal"]) for c in model["cuts"]] == [
-        (name, principal) for name, principal, _ in expected
+    report = cox.verify_presentation(build_singularity(family, n))
+    assert [(c["name"], c["principal"], c["gcd"]) for c in report["cuts"]] == PULLBACKS[
+        (family, n)
     ]
-    for cut, (_, _, gcd) in zip(model["cuts"], expected):
-        fact = cox.pullback_factorization(build_singularity(family, n), cut["terms"])
-        assert grading.format_monomial(fact["gcd"]) == gcd
-        assert fact["matches_candidate"], (family, n, cut["name"])
+    for cut in report["cuts"]:
+        assert cut["matches_candidate"], (family, n, cut["name"])
+        assert cut["residual"] == report["relation"]
+
+
+def _skewed_generators(monkeypatch):
+    """Make Z1 and W each carry one extra factor of the last curve
+    variable, so no cut and no hypersurface relation pulls back right."""
+    golden = cox.golden_generators
+
+    def skewed(graph):
+        grading = graph.grading()
+        extra = grading.monomial({graph.curve_variable(max(graph.nodes)): 1})
+        return [(name, m * extra if name in ("Z1", "W") else m) for name, m in golden(graph)]
+
+    monkeypatch.setattr(cox, "golden_generators", skewed)
+
+
+@pytest.mark.parametrize("family,n", [("D", 4), ("D", 5), ("E", 6)])
+def test_skewed_generators_fail_every_cut(monkeypatch, family, n):
+    _skewed_generators(monkeypatch)
+    report = cox.verify_presentation(build_singularity(family, n))
+    assert report["cuts"]
+    assert not any(cut["matches_candidate"] for cut in report["cuts"]), report
+    assert report["ok"] is False
+
+
+def test_skewed_generators_fail_the_hypersurface_check(monkeypatch):
+    _skewed_generators(monkeypatch)
+    report = cox.verify_presentation(build_singularity("A", 4))
+    assert report["hypersurface_substitution_zero"] is False
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("case", ["A4", "D5"])
+def test_skewed_generators_make_cox_exit_1(monkeypatch, capsys, case):
+    _skewed_generators(monkeypatch)
+    assert cli.main(["cox", "--case", case]) == 1
+    assert '"ok": false' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -55,15 +55,22 @@ def test_polynomial_arithmetic():
     m1, m2 = Monomial((1, 0)), Monomial((0, 1))
     p = Polynomial({m1: 1, m2: 2})
     q = Polynomial({m1: -1, m2: 1})
-    assert (p + q).terms == {m2: Fraction(3)}
+    assert (p + q).terms == {m2: 3}
     assert (p - p).is_zero()
     prod = p * q
     assert prod.terms == {
-        Monomial((2, 0)): Fraction(-1),
-        Monomial((1, 1)): Fraction(-1),
-        Monomial((0, 2)): Fraction(2),
+        Monomial((2, 0)): -1,
+        Monomial((1, 1)): -1,
+        Monomial((0, 2)): 2,
     }
+    assert all(type(c) is int for c in prod.terms.values())
     assert p.times_monomial(m2).terms[m1 * m2] == 1
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 1.0])
+def test_polynomial_rejects_non_integer_coefficients(coeff):
+    with pytest.raises(ParameterError):
+        Polynomial({Monomial((1, 0)): coeff})
 
 
 def _fork_grading():
