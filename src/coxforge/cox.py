@@ -3,9 +3,11 @@
 A star tree with one trivalent center carries a single candidate
 relation: one term per branch, the curve variable at distance t from the
 center raised to the t-th power, times the branch-end section variable
-raised to (branch length + 1). Chains carry no relation. Trees with a
-higher-valence node or several trivalent nodes are legal graphs, but no
-candidate relation rule applies to them.
+raised to (branch length + 1), led by the first branch in curve order.
+Chains carry no relation. Trees with a higher-valence node or several
+trivalent nodes are legal graphs, but no candidate relation rule applies
+to them. presentation_from_graph builds the presentation, and with a
+leaf the quotient that sets the leaf's section variable to zero.
 
 The invariant-ring ambient of an A, D or E graph realizes the same
 ring: under the reference generators the ambient hypersurface relation
@@ -30,19 +32,20 @@ def section_name_at(graph, node):
 
 def branch_term(graph, branch):
     """The candidate relation term of one branch."""
-    exps = {}
-    for t, node in enumerate(branch, start=1):
-        exps[graph.curve_variable(node)] = t
+    return graph.grading().monomial(_term_exponents(graph, branch))
+
+
+def _term_exponents(graph, branch):
+    exps = {graph.curve_variable(node): t for t, node in enumerate(branch, start=1)}
     exps[section_name_at(graph, branch[-1])] = len(branch) + 1
-    return graph.grading().monomial(exps)
+    return exps
 
 
-def relation_from_graph(graph):
-    """Candidate relation polynomial, or None for a chain.
-
-    Raises UnsupportedGraphError when the tree has a node of valence
-    four or more, or more than one trivalent node.
-    """
+def _relation(graph, grading, leaf=None):
+    """(relation, lead) over ``grading``, or None for a chain: a term per
+    branch but the one ending at ``leaf``, led by the first branch left
+    in curve order. Raises UnsupportedGraphError on a tree with a node of
+    valence four or more, or with more than one trivalent node."""
     hubs = [v for v in graph.nodes if graph.valence(v) >= 3]
     if not hubs:
         return None
@@ -54,24 +57,39 @@ def relation_from_graph(graph):
         raise UnsupportedGraphError(
             "no candidate relation at a node of valence %d" % graph.valence(hubs[0])
         )
-    return Polynomial({branch_term(graph, br): 1 for br in graph.branches()})
+    arms = [br for br in graph.branches() if br[-1] != leaf]
+    terms = {br[0]: grading.monomial(_term_exponents(graph, br)) for br in arms}
+    lead = next(terms[v] for v in graph.curve_order() if v in terms)
+    return Polynomial(dict.fromkeys(terms.values(), 1)), lead
+
+
+def relation_from_graph(graph):
+    """Candidate relation polynomial, homogeneous or not, or None for a
+    chain; UnsupportedGraphError on a tree that no relation rule fits."""
+    rel = _relation(graph, graph.grading())
+    return rel and rel[0]
 
 
 def lead_term_of(graph):
-    """Lead term choice: the term of the shortest branch, ties broken by
-    the smaller first node id."""
-    branch = min(graph.branches(), key=lambda br: (len(br), br[0]))
-    return branch_term(graph, branch)
+    """The term of the branch that comes first in curve order."""
+    return branch_term(graph, graph.branch_of(graph.curve_order()[0]))
 
 
-def presentation_from_graph(graph):
+def presentation_from_graph(graph, leaf=None):
     """RingPresentation over the graph grading with the candidate
-    relation (when one exists)."""
+    relation (when one exists) and its lead.
+
+    With ``leaf``, a node of ``graph.basic_leaves()``, the presentation
+    of the quotient that sets the leaf's section variable to zero: the
+    variable leaves the grading, the term it divides leaves the
+    relation, and the first branch left in curve order gives the lead.
+    """
     grading = graph.grading()
-    rel = relation_from_graph(graph)
-    if rel is None:
-        return RingPresentation(grading)
-    return RingPresentation(grading, rel, lead_term_of(graph))
+    if leaf is not None:
+        if leaf not in graph.basic_leaves():
+            raise ParameterError("node %d is not a branch-end leaf" % leaf)
+        grading = grading.drop([section_name_at(graph, leaf)])
+    return RingPresentation(grading, *(_relation(graph, grading, leaf) or ()))
 
 
 def _cuts(graph):

@@ -47,10 +47,11 @@ class ResolutionGraph:
     )
 
     def __init__(self, nodes, edges, self_intersection=None, leaf_variables=(), label=None):
-        ns = tuple(sorted(set(int(x) for x in nodes)))
+        nodes = [int(x) for x in nodes]
+        ns = tuple(sorted(set(nodes)))
         if not ns:
             raise ParameterError("graph needs at least one node")
-        if len(ns) != len(tuple(nodes)):
+        if len(ns) != len(nodes):
             raise ParameterError("duplicate node ids")
         es = []
         seen = set()

@@ -9,9 +9,10 @@ procedures move a degree into normal position:
   coordinate is at least 2, else add the chain between the order-least
   eligible pair of 1's) until at most a single coordinate remains and
   equals 1, then shifts that 1 step by step to a branch-end leaf.
-* the base case handles terminal degrees k*e_leaf through a quotient
-  presentation and a seed/period monomial family, read off the slices
-  of the quotient piece on the center curve variable y0.
+* the base case handles terminal degrees k*e_leaf through the leaf's
+  quotient, ``presentation_from_graph(graph, leaf)``, and a seed/period
+  monomial family, read off the slices of the quotient piece on the
+  center curve variable y0.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 ``sweep``, verify's check of both passes over a grid, reads every nef
@@ -53,16 +54,17 @@ its piece the same way, one y0 slice at a time, so no count in this
 module truncates.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
 
-from .cox import branch_term, presentation_from_graph, relation_from_graph, section_name_at
+from .cox import presentation_from_graph
 from .diophantine import slice_points
 from .errors import HypothesisViolationError, ParameterError
 from .linalg import adjugate
-from .rings import Monomial, Polynomial, RingPresentation, normal_form
+from .rings import Monomial, Polynomial, normal_form
 
 DEFAULT_STEP_CAP = 10000
 
@@ -176,17 +178,9 @@ class ReductionTrace:
         }
 
 
-class BaseCaseFamily:
-    """Seed and period monomials spanning the basic graded piece of
-    degree k*e_leaf (``degree``) in the quotient ``presentation``."""
-
-    __slots__ = ("seed", "period", "presentation", "degree")
-
-    def __init__(self, seed, period, presentation, degree):
-        self.seed = seed
-        self.period = period
-        self.presentation = presentation
-        self.degree = degree
+# Seed and period monomials spanning the basic graded piece of degree
+# k*e_leaf (``degree``) in the quotient ``presentation``.
+BaseCaseFamily = namedtuple("BaseCaseFamily", "seed period presentation degree")
 
 
 def _vec_add(a, b):
@@ -386,9 +380,10 @@ def least_nef_cycles(cells, graph):
 def _shift_target(graph, node):
     center = graph.center()
     if center is None:
+        # a chain's curve order is its node order, which need not end at a leaf
         return graph.leaves()[-1]
     if node == center:
-        return max(graph.branches(), key=lambda ch: (len(ch), ch[0]))[-1]
+        return graph.curve_order()[-1]
     return graph.branch_of(node)[-1]
 
 
@@ -735,37 +730,6 @@ def audit_add_curve(graph, node, k=2):
     return report
 
 
-def quotient_presentation(graph, leaf):
-    """Presentation of the ring with the section variable at the given
-    branch-end leaf set to zero: the variable is dropped and the
-    relation loses the term it divides."""
-    if leaf not in graph.basic_leaves():
-        raise ParameterError("node %d is not a branch-end leaf" % leaf)
-    name = section_name_at(graph, leaf)
-    grading = graph.grading()
-    sub = grading.drop([name])
-    cut = grading.index(name)
-
-    def project(mono):
-        return Monomial(
-            tuple(e for i, e in enumerate(mono.exps) if i != cut)
-        )
-
-    rel = relation_from_graph(graph)
-    if rel is None:
-        return RingPresentation(sub)
-    kept = {
-        project(m): c for m, c in rel.terms.items() if m.exps[cut] == 0
-    }
-    reduced = Polynomial(kept)
-    remaining = [br for br in graph.branches() if br[-1] != leaf]
-    short = min(remaining, key=lambda br: (len(br), br[0]))
-    lead = project(branch_term(graph, short))
-    if lead not in reduced.terms:
-        raise ParameterError("quotient relation lost its lead term")
-    return RingPresentation(sub, reduced, lead)
-
-
 def _slice_basis(qp, target, j, e):
     """The standard monomials of degree ``target`` in ``qp`` whose
     exponent at column j is e: the zero slice at j of the target less e
@@ -796,7 +760,7 @@ def base_case_family(graph, leaf, k):
         raise ParameterError("k must be positive")
     if not _step_table(graph).definite:
         raise ParameterError("the base case needs a negative definite graph")
-    qp = quotient_presentation(graph, leaf)
+    qp = presentation_from_graph(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))
     j = qp.grading.index(graph.curve_variable(graph.center()))
     basis = []

@@ -1,7 +1,7 @@
 import pytest
 
 from coxforge import cli, cox
-from coxforge.errors import UnsupportedGraphError
+from coxforge.errors import ParameterError, UnsupportedGraphError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
 from coxforge.rings import normal_form
 
@@ -75,6 +75,38 @@ def test_two_hub_tree_is_rejected():
     )
     with pytest.raises(UnsupportedGraphError):
         cox.relation_from_graph(graph)
+
+
+def test_lead_term_of_a_chain_raises():
+    with pytest.raises(ParameterError, match="graph has no unique center"):
+        cox.lead_term_of(build_singularity("A", 3))
+
+
+def _d4_with_a_minus_three_leaf():
+    return ResolutionGraph(
+        range(4), [(0, 1), (0, 2), (0, 3)], {1: -3}, [("x1", 1), ("x2", 2), ("x3", 3)]
+    )
+
+
+def test_inhomogeneous_relation_is_returned_but_not_presented():
+    # at self-intersection -3 the leaf's term leaves the center's degree:
+    # the relation and its lead still read off, the presentation refuses
+    graph = _d4_with_a_minus_three_leaf()
+    grading = graph.grading()
+    rel = cox.relation_from_graph(graph)
+    assert grading.format_polynomial(rel) == "x3^2*y3 + x2^2*y2 + x1^2*y1"
+    assert grading.format_monomial(cox.lead_term_of(graph)) == "x1^2*y1"
+    with pytest.raises(ParameterError, match="relation is not homogeneous"):
+        cox.presentation_from_graph(graph)
+
+
+def test_quotient_leaf_is_checked_before_the_hubs():
+    with pytest.raises(ParameterError, match="not a branch-end leaf"):
+        cox.presentation_from_graph(build_singularity("D", 4), leaf=0)
+    with pytest.raises(UnsupportedGraphError):
+        cox.presentation_from_graph(build_custom_tree((1, 1, 1, 1)), leaf=1)
+    with pytest.raises(ParameterError, match="not a branch-end leaf"):
+        cox.presentation_from_graph(build_custom_tree((1, 1, 1, 1)), leaf=0)
 
 
 PULLBACKS = {

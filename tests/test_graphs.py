@@ -108,6 +108,13 @@ def test_build_from_string():
             parse_case(bad)
 
 
+def test_nodes_may_be_read_only_once():
+    g = ResolutionGraph((i for i in (1, 2, 3)), [(1, 2), (2, 3)])
+    assert g.nodes == (1, 2, 3) and g.edges == ((1, 2), (2, 3))
+    with pytest.raises(ParameterError, match="duplicate node ids"):
+        ResolutionGraph((i for i in (1, 2, 2)), [(1, 2)])
+
+
 def test_graph_validation():
     with pytest.raises(ParameterError):
         ResolutionGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])  # cycle

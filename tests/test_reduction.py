@@ -26,7 +26,6 @@ from coxforge.reduction import (
     expected_cokernel_dim,
     full_equivalence_audit,
     is_basic,
-    quotient_presentation,
     reduce_nef_to_basic,
     reduce_to_nef,
     s_measure,
@@ -216,6 +215,18 @@ def test_shift_trace_three_hops():
         ("ShiftToLeaf", (4, 5), (5,), (0, 0, 0, 0, 0, 4)),
     ]
     assert trace.terminal == (0, 0, 0, 0, 0, 4)
+
+
+def test_shift_on_a_chain_whose_node_order_is_not_the_path():
+    # nodes 1, 2, 3 on the path 1 - 3 - 2: node order ends at 3, which is
+    # not a leaf, so the shift must aim at the last leaf instead; the
+    # target is asserted first, since a pass shifting onto 3 never ends
+    chain = ResolutionGraph((1, 2, 3), [(1, 3), (3, 2)], None, [("x1", 1), ("x2", 2)])
+    assert chain.curve_order()[-1] == 3
+    assert reduction._shift_target(chain, 3) == 2
+    trace = reduce_nef_to_basic((0, 0, 1), chain)
+    assert trace.terminal == (0, 2, 0)
+    assert [s.kind for s in trace.steps] == ["ShiftToLeaf"]
 
 
 def test_reduce_nef_to_basic_rejects_negative():
@@ -963,24 +974,68 @@ def test_audited_sample_agrees_with_expectations():
 # ----------------------------------------------------------- base cases
 
 
-def test_quotient_presentation_d4():
-    d4 = build_singularity("D", 4)
-    qp = quotient_presentation(d4, 1)
-    assert qp.grading.variables == ("x2", "x3", "y0", "y1", "y2", "y3")
-    assert qp.grading.format_polynomial(qp.relation) == "x3^2*y3 + x2^2*y2"
-    assert qp.grading.format_monomial(qp.lead) == "x2^2*y2"
+# the quotient relation and lead at every branch end of D4-D12 and E6-E8
+QUOTIENTS = {
+    ("D4", 1): ("x3^2*y3 + x2^2*y2", "x2^2*y2"),
+    ("D4", 2): ("x3^2*y3 + x1^2*y1", "x1^2*y1"),
+    ("D4", 3): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D5", 1): ("x2^2*y2 + x4^3*y3*y4^2", "x2^2*y2"),
+    ("D5", 2): ("x1^2*y1 + x4^3*y3*y4^2", "x1^2*y1"),
+    ("D5", 4): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D6", 1): ("x2^2*y2 + x5^4*y3*y4^2*y5^3", "x2^2*y2"),
+    ("D6", 2): ("x1^2*y1 + x5^4*y3*y4^2*y5^3", "x1^2*y1"),
+    ("D6", 5): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D7", 1): ("x2^2*y2 + x6^5*y3*y4^2*y5^3*y6^4", "x2^2*y2"),
+    ("D7", 2): ("x1^2*y1 + x6^5*y3*y4^2*y5^3*y6^4", "x1^2*y1"),
+    ("D7", 6): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D8", 1): ("x2^2*y2 + x7^6*y3*y4^2*y5^3*y6^4*y7^5", "x2^2*y2"),
+    ("D8", 2): ("x1^2*y1 + x7^6*y3*y4^2*y5^3*y6^4*y7^5", "x1^2*y1"),
+    ("D8", 7): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D9", 1): ("x2^2*y2 + x8^7*y3*y4^2*y5^3*y6^4*y7^5*y8^6", "x2^2*y2"),
+    ("D9", 2): ("x1^2*y1 + x8^7*y3*y4^2*y5^3*y6^4*y7^5*y8^6", "x1^2*y1"),
+    ("D9", 8): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D10", 1): ("x2^2*y2 + x9^8*y3*y4^2*y5^3*y6^4*y7^5*y8^6*y9^7", "x2^2*y2"),
+    ("D10", 2): ("x1^2*y1 + x9^8*y3*y4^2*y5^3*y6^4*y7^5*y8^6*y9^7", "x1^2*y1"),
+    ("D10", 9): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D11", 1): ("x2^2*y2 + x10^9*y3*y4^2*y5^3*y6^4*y7^5*y8^6*y9^7*y10^8", "x2^2*y2"),
+    ("D11", 2): ("x1^2*y1 + x10^9*y3*y4^2*y5^3*y6^4*y7^5*y8^6*y9^7*y10^8", "x1^2*y1"),
+    ("D11", 10): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("D12", 1): ("x2^2*y2 + x11^10*y3*y4^2*y5^3*y6^4*y7^5*y8^6*y9^7*y10^8*y11^9", "x2^2*y2"),
+    ("D12", 2): ("x1^2*y1 + x11^10*y3*y4^2*y5^3*y6^4*y7^5*y8^6*y9^7*y10^8*y11^9", "x1^2*y1"),
+    ("D12", 11): ("x2^2*y2 + x1^2*y1", "x1^2*y1"),
+    ("E6", 1): ("x5^3*y4*y5^2 + x3^3*y2*y3^2", "x3^3*y2*y3^2"),
+    ("E6", 3): ("x1^2*y1 + x5^3*y4*y5^2", "x1^2*y1"),
+    ("E6", 5): ("x1^2*y1 + x3^3*y2*y3^2", "x1^2*y1"),
+    ("E7", 1): ("x3^3*y2*y3^2 + x6^4*y4*y5^2*y6^3", "x3^3*y2*y3^2"),
+    ("E7", 3): ("x1^2*y1 + x6^4*y4*y5^2*y6^3", "x1^2*y1"),
+    ("E7", 6): ("x1^2*y1 + x3^3*y2*y3^2", "x1^2*y1"),
+    ("E8", 1): ("x3^3*y2*y3^2 + x7^5*y4*y5^2*y6^3*y7^4", "x3^3*y2*y3^2"),
+    ("E8", 3): ("x1^2*y1 + x7^5*y4*y5^2*y6^3*y7^4", "x1^2*y1"),
+    ("E8", 7): ("x1^2*y1 + x3^3*y2*y3^2", "x1^2*y1"),
+}
+
+
+@pytest.mark.parametrize("case,leaf", sorted(QUOTIENTS))
+def test_quotient_presentation_frozen(case, leaf):
+    graph = parse_case(case)
+    qp = presentation_from_graph(graph, leaf)
+    name = "x%d" % leaf
+    assert qp.grading.variables == tuple(v for v in graph.grading().variables if v != name)
+    relation, lead = QUOTIENTS[(case, leaf)]
+    assert qp.grading.format_polynomial(qp.relation) == relation
+    assert qp.grading.format_monomial(qp.lead) == lead
 
 
 def test_quotient_presentation_d5_long_leaf():
     d5 = build_singularity("D", 5)
-    qp = quotient_presentation(d5, 4)
+    qp = presentation_from_graph(d5, 4)
     assert qp.grading.format_polynomial(qp.relation) == "x2^2*y2 + x1^2*y1"
     assert qp.grading.format_monomial(qp.lead) == "x1^2*y1"
 
 
 def test_quotient_presentation_chain_is_free():
     a3 = build_singularity("A", 3)
-    qp = quotient_presentation(a3, 1)
+    qp = presentation_from_graph(a3, 1)
     assert qp.relation is None
     assert qp.grading.variables == ("x3", "y1", "y2", "y3")
 
@@ -988,13 +1043,13 @@ def test_quotient_presentation_chain_is_free():
 def test_quotient_presentation_rejects_center():
     d4 = build_singularity("D", 4)
     with pytest.raises(ParameterError):
-        quotient_presentation(d4, 0)
+        presentation_from_graph(d4, 0)
 
 
 def test_base_case_family_frozen():
     d4 = build_singularity("D", 4)
     fam = base_case_family(d4, 1, 1)
-    qp = quotient_presentation(d4, 1)
+    qp = presentation_from_graph(d4, 1)
     assert qp.grading.format_monomial(fam.seed) == "x2*x3*y0*y2*y3"
     assert qp.grading.format_monomial(fam.period) == "x3^2*y0^2*y1*y2*y3^2"
     with pytest.raises(ParameterError):

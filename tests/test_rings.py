@@ -21,7 +21,6 @@ from coxforge.rings import (
     normal_form,
     solve_degree_system,
 )
-from coxforge.reduction import quotient_presentation
 
 import oracle
 
@@ -368,7 +367,7 @@ def test_normal_form_does_not_depend_on_the_rewrite_order(case, leaf):
     # same remainder; the products of three relation terms need rewrites
     # at lead powers 3, 2 and 1. A leaf means the base case's quotient.
     graph = parse_case(case)
-    pres = presentation_from_graph(graph) if leaf is None else quotient_presentation(graph, leaf)
+    pres = presentation_from_graph(graph, leaf)
     products = itertools.combinations_with_replacement(sorted(pres.relation.terms), 3)
     poly = Polynomial({a * b * c: (-1) ** i * (i + 1) for i, (a, b, c) in enumerate(products)})
     nf = normal_form(poly, pres)
