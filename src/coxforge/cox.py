@@ -30,11 +30,6 @@ def section_name_at(graph, node):
     return names[0]
 
 
-def branch_term(graph, branch):
-    """The candidate relation term of one branch."""
-    return graph.grading().monomial(_term_exponents(graph, branch))
-
-
 def _term_exponents(graph, branch):
     exps = {graph.curve_variable(node): t for t, node in enumerate(branch, start=1)}
     exps[section_name_at(graph, branch[-1])] = len(branch) + 1
@@ -72,7 +67,8 @@ def relation_from_graph(graph):
 
 def lead_term_of(graph):
     """The term of the branch that comes first in curve order."""
-    return branch_term(graph, graph.branch_of(graph.curve_order()[0]))
+    branch = graph.branch_of(graph.curve_order()[0])
+    return graph.grading().monomial(_term_exponents(graph, branch))
 
 
 def presentation_from_graph(graph, leaf=None):

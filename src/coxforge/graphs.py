@@ -151,12 +151,6 @@ class ResolutionGraph:
     def leaves(self):
         return tuple(n for n in self.nodes if self.valence(n) <= 1)
 
-    def node_index(self, node):
-        try:
-            return self.index_of[node]
-        except KeyError:
-            raise ParameterError("unknown node %r" % (node,)) from None
-
     def center(self):
         """The unique node of valence >= 3, or None."""
         return self._center
@@ -241,16 +235,6 @@ class ResolutionGraph:
             "self_intersection": {str(n): v for n, v in self.self_intersection.items()},
             "leaf_variables": [[name, node] for name, node in self.leaf_variables],
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data["nodes"],
-            [tuple(e) for e in data["edges"]],
-            {int(k): v for k, v in data.get("self_intersection", {}).items()},
-            [tuple(p) for p in data.get("leaf_variables", [])],
-            data.get("label"),
-        )
 
     def __eq__(self, other):
         return (

@@ -142,9 +142,6 @@ class ReductionTrace:
     def measures(self):
         return tuple(Fraction(t, 2) for t in self.twice_measures)
 
-    def __len__(self):
-        return len(self.steps)
-
     def validate(self, graph):
         """Recompute the degree bookkeeping of every step."""
         d = self.initial

@@ -86,12 +86,6 @@ class Polynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mc[0].key())
 
-    def __add__(self, other):
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            d[m] = d.get(m, 0) + c
-        return Polynomial(d)
-
     def __sub__(self, other):
         d = dict(self.terms)
         for m, c in other.terms.items():
@@ -101,19 +95,8 @@ class Polynomial:
     def times_monomial(self, mono, coeff=1):
         return Polynomial({m * mono: c * coeff for m, c in self.terms.items()})
 
-    def __mul__(self, other):
-        d = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                d[m] = d.get(m, 0) + c1 * c2
-        return Polynomial(d)
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return "Polynomial(%r)" % (self.terms,)
@@ -195,21 +178,6 @@ class Grading:
             out += " - " + s[1:] if s.startswith("-") else " + " + s
         return out
 
-    def parse_monomial(self, text):
-        text = text.strip()
-        if text in ("1", ""):
-            return self.one()
-        exps = [0] * self.width
-        for factor in text.split("*"):
-            factor = factor.strip()
-            if "^" in factor:
-                name, _, power = factor.partition("^")
-                e = int(power)
-            else:
-                name, e = factor, 1
-            exps[self.index(name.strip())] += e
-        return Monomial(exps)
-
     def drop(self, names):
         names = set(names)
         for n in names:
@@ -219,13 +187,6 @@ class Grading:
             tuple(self.variables[i] for i in keep),
             tuple(tuple(row[i] for i in keep) for row in self.matrix),
         )
-
-    def embed(self, mono, sub):
-        """Lift a monomial of a sub-grading obtained via drop()."""
-        exps = [0] * self.width
-        for v, e in zip(sub.variables, mono.exps):
-            exps[self.index(v)] = e
-        return Monomial(exps)
 
     def __eq__(self, other):
         return (

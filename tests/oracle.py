@@ -22,7 +22,7 @@ def _branch_assignment(graph, degree, e_center, first, branch, bound):
         if cur < 0 or cur > bound:
             return None
         vals[node] = cur
-        d_node = degree[graph.node_index(node)]
+        d_node = degree[graph.nodes.index(node)]
         if t < len(branch) - 1:
             prev, cur = cur, 2 * cur + d_node - prev
         else:
@@ -45,7 +45,7 @@ def box_monomials(graph, degree, bound):
         out.extend(_chain_monomials(graph, degree, bound, section_at))
         return out
     branches = graph.branches()
-    d_center = degree[graph.node_index(center)]
+    d_center = degree[graph.nodes.index(center)]
     for e_c in range(bound + 1):
         per_branch = []
         for branch in branches:

@@ -1,6 +1,7 @@
 """The package keeps zero runtime dependencies: pyproject.toml declares
 none, and every absolute import under src/coxforge names the package
-itself or a standard-library module."""
+itself or a standard-library module. Every module-level private name
+under src/coxforge is read somewhere in the package."""
 
 import ast
 import os
@@ -48,3 +49,32 @@ def test_importing_the_cli_leaves_importlib_resources_unloaded():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_helper_is_referenced():
+    defined = []
+    used = []
+    for path in sorted((ROOT / "src" / "coxforge").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.extend((path.name, name) for name in names if _is_private(name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.append(node.attr)
+            elif isinstance(node, ast.alias):
+                used.append(node.name)
+    assert defined
+    assert [(module, name) for module, name in defined if name not in used] == []

@@ -1109,7 +1109,8 @@ def test_base_case_period_is_a_golden_generator(n):
         expected = "Z2" if leaf == n - 1 else ("Z3" if n % 2 == 0 else "Z1")
         for k in (1, 2, 3):
             fam = base_case_family(graph, leaf, k)
-            period = graph.grading().embed(fam.period, fam.presentation.grading)
+            sub = fam.presentation.grading
+            period = graph.grading().monomial(dict(zip(sub.variables, fam.period.exps)))
             assert golden.get(period) == expected, (leaf, k)
 
 
@@ -1171,9 +1172,10 @@ def test_full_equivalence_audit_skips_base_case_off_d_type():
 
 @pytest.mark.parametrize("label,has_base_case", [("D4", True), (None, False), ("custom:1,1,1", False)])
 def test_full_equivalence_audit_reads_the_family_off_the_label(label, has_base_case):
-    data = build_singularity("D", 4).to_dict()
-    data["label"] = label
-    graph = ResolutionGraph.from_dict(json.loads(json.dumps(data)))
+    d4 = build_singularity("D", 4)
+    graph = ResolutionGraph(
+        d4.nodes, d4.edges, dict(d4.self_intersection), d4.leaf_variables, label
+    )
     report = full_equivalence_audit(graph, (0, -1, 0, 0))
     assert report["ok"]
     assert (report["base_case"] is not None) is has_base_case

@@ -54,15 +54,9 @@ def test_polynomial_arithmetic():
     m1, m2 = Monomial((1, 0)), Monomial((0, 1))
     p = Polynomial({m1: 1, m2: 2})
     q = Polynomial({m1: -1, m2: 1})
-    assert (p + q).terms == {m2: 3}
+    assert (p - q).terms == {m1: 2, m2: 1}
+    assert all(type(c) is int for c in (p - q).terms.values())
     assert (p - p).is_zero()
-    prod = p * q
-    assert prod.terms == {
-        Monomial((2, 0)): -1,
-        Monomial((1, 1)): -1,
-        Monomial((0, 2)): 2,
-    }
-    assert all(type(c) is int for c in prod.terms.values())
     assert p.times_monomial(m2).terms[m1 * m2] == 1
 
 
@@ -82,21 +76,16 @@ def test_grading_degree_and_formatting():
     assert g.degree_of(m) == (-2, 3, 1, 1)
     assert g.format_monomial(m) == "x1^2*y0"
     assert g.format_monomial(g.one()) == "1"
-    assert g.parse_monomial("x1^2*y0") == m
-    assert g.parse_monomial("1") == g.one()
     with pytest.raises(ParameterError):
         g.degree_of(Monomial((1, 2)))
     with pytest.raises(ParameterError):
         g.monomial({"z9": 1})
 
 
-def test_grading_drop_and_embed():
+def test_grading_drop():
     g = _fork_grading()
     sub = g.drop(["y1"])
     assert sub.variables == ("x1", "x2", "x3", "y0", "y2", "y3")
-    m = sub.monomial({"x2": 2, "y2": 1})
-    lifted = g.embed(m, sub)
-    assert g.format_monomial(lifted) == "x2^2*y2"
     with pytest.raises(ParameterError):
         g.drop(["nope"])
 
@@ -222,7 +211,10 @@ def test_quotient_pieces_are_full_pieces_without_the_section(case):
         sub = g.drop([name])
         cut = g.index(name)
         for d in degrees:
-            lifted = [g.embed(m, sub) for m in monomials_of_degree(sub, d, 14)]
+            lifted = [
+                g.monomial(dict(zip(sub.variables, m.exps)))
+                for m in monomials_of_degree(sub, d, 14)
+            ]
             full = [m for m in monomials_of_degree(g, d, 14) if m.exps[cut] == 0]
             assert lifted == full, (case, name, d)
 
@@ -249,35 +241,35 @@ def _fork_presentation():
     g = _fork_grading()
     rel = Polynomial(
         {
-            g.parse_monomial("y1*x1^2"): 1,
-            g.parse_monomial("y2*x2^2"): 1,
-            g.parse_monomial("y3*x3^2"): 1,
+            g.monomial({"y1": 1, "x1": 2}): 1,
+            g.monomial({"y2": 1, "x2": 2}): 1,
+            g.monomial({"y3": 1, "x3": 2}): 1,
         }
     )
-    return RingPresentation(g, rel, g.parse_monomial("y1*x1^2"))
+    return RingPresentation(g, rel, g.monomial({"y1": 1, "x1": 2}))
 
 
 def test_presentation_rejects_inhomogeneous_relation():
     g = _fork_grading()
-    rel = Polynomial({g.parse_monomial("y1*x1^2"): 1, g.parse_monomial("x1"): 1})
+    rel = Polynomial({g.monomial({"y1": 1, "x1": 2}): 1, g.monomial({"x1": 1}): 1})
     with pytest.raises(ParameterError):
-        RingPresentation(g, rel, g.parse_monomial("y1*x1^2"))
+        RingPresentation(g, rel, g.monomial({"y1": 1, "x1": 2}))
 
 
 def test_presentation_rejects_bad_lead():
     g = _fork_grading()
-    rel = Polynomial({g.parse_monomial("y1*x1^2"): 2, g.parse_monomial("y2*x2^2"): 1})
+    rel = Polynomial({g.monomial({"y1": 1, "x1": 2}): 2, g.monomial({"y2": 1, "x2": 2}): 1})
     with pytest.raises(ParameterError):
-        RingPresentation(g, rel, g.parse_monomial("y1*x1^2"))
+        RingPresentation(g, rel, g.monomial({"y1": 1, "x1": 2}))
     with pytest.raises(ParameterError):
-        RingPresentation(g, rel, g.parse_monomial("x1"))
+        RingPresentation(g, rel, g.monomial({"x1": 1}))
 
 
 def test_presentation_rejects_lead_sharing_a_variable():
     # lead * z has the degree of the lead for a degree-zero z, and
     # shares the variables of the lead
     g = _fork_grading()
-    lead = g.parse_monomial("y1*x1^2")
+    lead = g.monomial({"y1": 1, "x1": 2})
     z = solve_degree_system(g)[0]
     rel = Polynomial({lead: 1, lead * z: 1})
     with pytest.raises(ParameterError, match="shares a variable"):
@@ -286,7 +278,7 @@ def test_presentation_rejects_lead_sharing_a_variable():
 
 def test_presentation_rejects_one_term_relation():
     g = _fork_grading()
-    lead = g.parse_monomial("y1*x1^2")
+    lead = g.monomial({"y1": 1, "x1": 2})
     with pytest.raises(ParameterError, match="at least two terms"):
         RingPresentation(g, Polynomial({lead: 1}), lead)
 
@@ -294,16 +286,16 @@ def test_presentation_rejects_one_term_relation():
 def test_normal_form_rewrites_lead():
     pres = _fork_presentation()
     g = pres.grading
-    nf = normal_form(Polynomial({g.parse_monomial("y1*x1^2"): 1}), pres)
+    nf = normal_form(Polynomial({g.monomial({"y1": 1, "x1": 2}): 1}), pres)
     assert nf == Polynomial(
-        {g.parse_monomial("y2*x2^2"): -1, g.parse_monomial("y3*x3^2"): -1}
+        {g.monomial({"y2": 1, "x2": 2}): -1, g.monomial({"y3": 1, "x3": 2}): -1}
     )
-    nf2 = normal_form(Polynomial({g.parse_monomial("y1^2*x1^4"): 1}), pres)
+    nf2 = normal_form(Polynomial({g.monomial({"y1": 2, "x1": 4}): 1}), pres)
     assert nf2 == Polynomial(
         {
-            g.parse_monomial("y2^2*x2^4"): 1,
-            g.parse_monomial("y2*x2^2*y3*x3^2"): 2,
-            g.parse_monomial("y3^2*x3^4"): 1,
+            g.monomial({"y2": 2, "x2": 4}): 1,
+            g.monomial({"y2": 1, "x2": 2, "y3": 1, "x3": 2}): 2,
+            g.monomial({"y3": 2, "x3": 4}): 1,
         }
     )
 
@@ -311,7 +303,7 @@ def test_normal_form_rewrites_lead():
 def test_normal_form_fixes_reduced_terms():
     pres = _fork_presentation()
     g = pres.grading
-    p = Polynomial({g.parse_monomial("y2*x2^2"): 3, g.parse_monomial("y0"): 1})
+    p = Polynomial({g.monomial({"y2": 1, "x2": 2}): 3, g.monomial({"y0": 1}): 1})
     assert normal_form(p, pres) == p
     rel = pres.relation
     assert normal_form(rel, pres).is_zero()
