@@ -8,11 +8,7 @@ with exact cokernel dimensions.
 
 __version__ = "0.1.0"
 
-from .cox import (
-    presentation_from_graph,
-    relation_from_graph,
-    verify_presentation,
-)
+from .cox import presentation_from_graph, verify_presentation
 from .errors import (
     CoxforgeError,
     HypothesisViolationError,
@@ -43,7 +39,6 @@ __all__ = [
     "presentation_from_graph",
     "reduce_nef_to_basic",
     "reduce_to_nef",
-    "relation_from_graph",
     "solve_degree_system",
     "verify_invariant_table",
     "verify_presentation",

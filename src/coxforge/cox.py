@@ -58,19 +58,6 @@ def _relation(graph, grading, leaf=None):
     return Polynomial(dict.fromkeys(terms.values(), 1)), lead
 
 
-def relation_from_graph(graph):
-    """Candidate relation polynomial, homogeneous or not, or None for a
-    chain; UnsupportedGraphError on a tree that no relation rule fits."""
-    rel = _relation(graph, graph.grading())
-    return rel and rel[0]
-
-
-def lead_term_of(graph):
-    """The term of the branch that comes first in curve order."""
-    branch = graph.branch_of(graph.curve_order()[0])
-    return graph.grading().monomial(_term_exponents(graph, branch))
-
-
 def presentation_from_graph(graph, leaf=None):
     """RingPresentation over the graph grading with the candidate
     relation (when one exists) and its lead.

@@ -28,13 +28,6 @@ def mat_vec(m, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
@@ -127,28 +120,16 @@ def nullspace(rows, width=None):
 
 
 def adjugate(m):
-    """(adj, det) of a square integer matrix: m * adj = adj * m = det * I.
-
-    Row-reduces [m | I]. When m is nonsingular that gives [det I | adj].
-    When m has rank n - 1 the leftover row holds one row of adj, at the
-    non-pivot column f, up to the sign (-1)^(n-1-f); adj has rank one
-    and its columns are multiples of the null vector v (v_f = d, other
-    entries from the pivot rows), which fills in the other rows. Below
-    rank n - 1 every (n-1)-minor vanishes.
+    """(adj, det) of a nonsingular square integer matrix:
+    m * adj = adj * m = det * I. Row-reduces [m | I] to [det I | adj].
+    A singular matrix gives (None, 0).
     """
     n = len(m)
     aug = [list(row) + e for row, e in zip(m, identity_matrix(n))]
     work, pivots = row_reduce(aug, n)
-    if len(pivots) == n:
-        return [row[n:] for row in work], work[0][0] if n else 1
-    adj = [[0] * n for _ in range(n)]
-    if len(pivots) == n - 1:
-        (f,) = (c for c in range(n) if c not in pivots)
-        d = work[0][pivots[0]] if pivots else 1
-        adj[f] = [(-1) ** (n - 1 - f) * x for x in work[n - 1][n:]]
-        for r, c in enumerate(pivots):
-            adj[c] = [-work[r][f] * x // d for x in adj[f]]
-    return adj, 0
+    if len(pivots) < n:
+        return None, 0
+    return [row[n:] for row in work], work[0][0] if n else 1
 
 
 # ----- integer forms with transforms -----

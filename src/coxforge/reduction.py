@@ -36,8 +36,8 @@ kind off one scan in curve order; after an AddCurve it resumes that scan
 at the curve's restart tail and keeps the 1's found before it, and
 after an AddChain or a shift it scans the whole degree again. It keeps
 the doubled S-sum as an integer, moved by the S-move of each step's
-node or chain, and a trace makes its ``Fraction``s only when they are
-read.
+node or chain, and a trace writes each halved value as a string only
+when it is read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -55,7 +55,6 @@ module truncates.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
@@ -123,10 +122,11 @@ def _step(check, graph, kind, nodes, curves, before, after, _new=object.__new__)
 class ReductionTrace:
     """A run of one reduction procedure.
 
-    ``measures`` lists the S-values of the states covered by the
-    termination measure (the add phase); the shift phase sits outside
-    that argument and is excluded. The trace keeps them doubled, as the
-    integers ``twice_measures``, and makes the ``Fraction``s on demand.
+    ``twice_measures`` lists the doubled S-values of the states covered
+    by the termination measure (the add phase); the shift phase sits
+    outside that argument and is excluded. ``measures`` gives them
+    halved, as strings: "t/2" for odd t, else t // 2 written out.
+    Strings do not order as the values do, so compare ``twice_measures``.
     """
 
     __slots__ = ("initial", "terminal", "steps", "terminated", "twice_measures")
@@ -140,25 +140,7 @@ class ReductionTrace:
 
     @property
     def measures(self):
-        return tuple(Fraction(t, 2) for t in self.twice_measures)
-
-    def validate(self, graph):
-        """Recompute the degree bookkeeping of every step."""
-        d = self.initial
-        for step in self.steps:
-            if step.degree_before != d:
-                raise ParameterError("trace steps do not compose")
-            delta = _sum_columns(graph.columns, step.curves)
-            if step.adds_curves():
-                expect = _vec_add(d, delta)
-            else:
-                expect = _vec_sub(d, delta)
-            if step.degree_after != expect:
-                raise ParameterError("step delta mismatch at %r" % (step,))
-            d = step.degree_after
-        if d != self.terminal:
-            raise ParameterError("terminal does not match the last step")
-        return True
+        return tuple("%d/2" % t if t % 2 else str(t // 2) for t in self.twice_measures)
 
     def to_dict(self):
         ok = self.terminated and all(
@@ -169,7 +151,7 @@ class ReductionTrace:
             "initial": list(self.initial),
             "steps": [s.to_dict() for s in self.steps],
             "terminal": list(self.terminal),
-            "measures": [str(m) for m in self.measures],
+            "measures": list(self.measures),
             "terminated": self.terminated,
             "ok": ok,
         }
@@ -182,10 +164,6 @@ BaseCaseFamily = namedtuple("BaseCaseFamily", "seed period presentation degree")
 
 def _vec_add(a, b):
     return tuple(map(add, a, b))
-
-
-def _vec_sub(a, b):
-    return tuple(map(sub, a, b))
 
 
 def _sum_columns(cols, nodes):
@@ -261,12 +239,6 @@ class _StepTable:
 
 
 _step_table = lru_cache(maxsize=64)(_StepTable)
-
-
-def s_measure(degree, graph):
-    """Termination measure: half weight on the coordinates of nodes 1
-    and 2, full weight elsewhere."""
-    return Fraction(sum(map(mul, _twice_weights(graph), degree)), 2)
 
 
 def is_basic(degree, graph):
@@ -787,7 +759,7 @@ def base_case_audit(graph, leaf, k, a_max=3):
     fam = base_case_family(graph, leaf, k)
     qp = fam.presentation
     members = [fam.seed * (fam.period ** a) for a in range(a_max + 1)]
-    forms = [normal_form(Polynomial.from_monomial(m), qp) for m in members]
+    forms = [normal_form(Polynomial({m: 1}), qp) for m in members]
     single = all(
         len(f.terms) == 1 and abs(next(iter(f.terms.values()))) == 1
         for f in forms

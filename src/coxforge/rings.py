@@ -76,10 +76,6 @@ class Polynomial:
                 d[m] = c
         self.terms = d
 
-    @classmethod
-    def from_monomial(cls, m, coeff=1):
-        return cls({m: coeff})
-
     def is_zero(self):
         return not self.terms
 

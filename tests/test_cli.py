@@ -243,7 +243,7 @@ def _stepwise_sweep(graph, cells, settings):
     max_steps = 0
     for d in cells:
         trace = reduction.reduce(graph, d, settings["caps"]["step"])
-        ms = trace.measures
+        ms = trace.twice_measures
         if (
             not trace.terminated
             or not reduction.is_basic(trace.terminal, graph)

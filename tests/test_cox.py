@@ -19,8 +19,8 @@ RELATIONS = {
 def test_candidate_relation_frozen(family, n):
     graph = build_singularity(family, n)
     grading = graph.grading()
-    rel = cox.relation_from_graph(graph)
-    lead = cox.lead_term_of(graph)
+    pres = cox.presentation_from_graph(graph)
+    rel, lead = pres.relation, pres.lead
     expected_rel, expected_lead = RELATIONS[(family, n)]
     assert grading.format_polynomial(rel) == expected_rel
     assert grading.format_monomial(lead) == expected_lead
@@ -33,7 +33,7 @@ def test_candidate_relation_frozen(family, n):
 def test_candidate_relation_homogeneous_of_center_degree(family, n):
     graph = build_singularity(family, n)
     grading = graph.grading()
-    rel = cox.relation_from_graph(graph)
+    rel = cox.presentation_from_graph(graph).relation
     center = graph.center()
     target = graph.unit_degree(center)
     assert len(rel.terms) == len(graph.branches())
@@ -44,26 +44,25 @@ def test_candidate_relation_homogeneous_of_center_degree(family, n):
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_chains_have_no_relation(n):
     graph = build_singularity("A", n)
-    assert cox.relation_from_graph(graph) is None
     pres = cox.presentation_from_graph(graph)
-    assert pres.relation is None
+    assert (pres.relation, pres.lead) == (None, None)
 
 
 def test_custom_tree_relation_frozen():
     graph = build_custom_tree((2, 2, 3))
     grading = graph.grading()
-    rel = cox.relation_from_graph(graph)
+    pres = cox.presentation_from_graph(graph)
     assert (
-        grading.format_polynomial(rel)
+        grading.format_polynomial(pres.relation)
         == "x4^3*y3*y4^2 + x2^3*y1*y2^2 + x7^4*y5*y6^2*y7^3"
     )
-    assert grading.format_monomial(cox.lead_term_of(graph)) == "x2^3*y1*y2^2"
+    assert grading.format_monomial(pres.lead) == "x2^3*y1*y2^2"
 
 
 def test_valence_four_star_is_rejected():
     graph = build_custom_tree((1, 1, 1, 1))
     with pytest.raises(UnsupportedGraphError):
-        cox.relation_from_graph(graph)
+        cox.presentation_from_graph(graph)
 
 
 def test_two_hub_tree_is_rejected():
@@ -74,28 +73,14 @@ def test_two_hub_tree_is_rejected():
         leaf_variables=(("x1", 1), ("x2", 2), ("x4", 4), ("x5", 5)),
     )
     with pytest.raises(UnsupportedGraphError):
-        cox.relation_from_graph(graph)
+        cox.presentation_from_graph(graph)
 
 
-def test_lead_term_of_a_chain_raises():
-    with pytest.raises(ParameterError, match="graph has no unique center"):
-        cox.lead_term_of(build_singularity("A", 3))
-
-
-def _d4_with_a_minus_three_leaf():
-    return ResolutionGraph(
+def test_an_inhomogeneous_relation_is_not_presented():
+    # at self-intersection -3 the leaf's term leaves the center's degree
+    graph = ResolutionGraph(
         range(4), [(0, 1), (0, 2), (0, 3)], {1: -3}, [("x1", 1), ("x2", 2), ("x3", 3)]
     )
-
-
-def test_inhomogeneous_relation_is_returned_but_not_presented():
-    # at self-intersection -3 the leaf's term leaves the center's degree:
-    # the relation and its lead still read off, the presentation refuses
-    graph = _d4_with_a_minus_three_leaf()
-    grading = graph.grading()
-    rel = cox.relation_from_graph(graph)
-    assert grading.format_polynomial(rel) == "x3^2*y3 + x2^2*y2 + x1^2*y1"
-    assert grading.format_monomial(cox.lead_term_of(graph)) == "x1^2*y1"
     with pytest.raises(ParameterError, match="relation is not homogeneous"):
         cox.presentation_from_graph(graph)
 
@@ -191,7 +176,7 @@ def test_custom_tree_presentation_supports_normal_form():
 
     graph = build_custom_tree((2, 2, 3))
     pres = cox.presentation_from_graph(graph)
-    rel = cox.relation_from_graph(graph)
-    lead = Polynomial.from_monomial(cox.lead_term_of(graph))
+    rel = pres.relation
+    lead = Polynomial({pres.lead: 1})
     assert normal_form(lead, pres) == lead - rel
     assert normal_form(rel, pres).is_zero()
