@@ -216,7 +216,7 @@ class ResolutionGraph:
 
     def curve_variable(self, node):
         if node not in self._adj:
-            raise ParameterError("unknown node %d" % node)
+            raise ParameterError("unknown node %r" % (node,))
         return "y%d" % node
 
     def grading(self):

@@ -10,9 +10,9 @@ procedures move a degree into normal position:
   eligible pair of 1's) until at most a single coordinate remains and
   equals 1, then shifts that 1 step by step to a branch-end leaf.
 * the base case handles terminal degrees k*e_leaf through the leaf's
-  quotient, ``presentation_from_graph(graph, leaf)``, and a seed/period
-  monomial family, read off the slices of the quotient piece on the
-  center curve variable y0.
+  quotient, ``presentation_from_graph(graph, leaf)``: it counts the
+  standard monomials of the quotient piece slice by slice on the center
+  curve variable y0 and compares the counts with a closed-form series.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 ``sweep``, verify's check of both passes over a grid, reads every nef
@@ -50,11 +50,10 @@ monomial nor a relation term coprime to it divides, listed slice by
 slice below exact bounds, so no cap enters the count. ``audit``
 checks every step of a terminated trace that way, so a full audit
 certifies each step of a reduction independently. The base case lists
-its piece the same way, one y0 slice at a time, so no count in this
-module truncates.
+its piece the same way, one y0 slice at a time, each slice in full; it
+stops at a fixed number of periods of its series.
 """
 
-from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
@@ -63,9 +62,11 @@ from .cox import presentation_from_graph
 from .diophantine import slice_points
 from .errors import HypothesisViolationError, ParameterError
 from .linalg import adjugate
-from .rings import Monomial, Polynomial, normal_form
+from .rings import Monomial
 
 DEFAULT_STEP_CAP = 10000
+# the periods of the base-case series that base_case_audit counts
+BASE_CASE_PERIODS = 3
 
 
 class ReductionStep:
@@ -155,11 +156,6 @@ class ReductionTrace:
             "terminated": self.terminated,
             "ok": ok,
         }
-
-
-# Seed and period monomials spanning the basic graded piece of degree
-# k*e_leaf (``degree``) in the quotient ``presentation``.
-BaseCaseFamily = namedtuple("BaseCaseFamily", "seed period presentation degree")
 
 
 def _vec_add(a, b):
@@ -710,86 +706,44 @@ def _slice_basis(qp, target, j, e):
     return [m for m in monos if not qp.lead.divides(m)]
 
 
-def base_case_family(graph, leaf, k):
-    """Seed and period monomials for the graded piece of degree
-    k*e_leaf in the quotient presentation: the first two standard
-    monomials met walking the slices y0 = 0, 1, 2, ... of the center
-    curve variable y0.
-
-    Every slice is finite, because every degree-zero generator contains
-    every curve variable. The walk ends on a negative definite graph:
-    there the piece of a line bundle is a nonzero module of rank one over
-    O(X), the degree-zero ring, so some slice holds a seed. No relation
-    term holds y0, so normal forms keep the y0 exponent, and for any
-    degree-zero generator g the normal form of seed*g is nonzero, so a
-    second standard monomial turns up by the slice y0(seed) + y0(g). Off
-    the negative definite graphs the piece may be zero and the walk
-    would not end, so they raise ParameterError before it starts."""
+def base_case_audit(graph, leaf, k):
+    """Count the standard monomials of the basic graded piece of degree
+    k*e_leaf in the leaf's quotient, slice by slice on the center curve
+    variable y0, and compare the counts with the series
+    t^(k*l) / (1 - t^(l+1)), where l is the length of the leaf's arm:
+    slice e must hold one standard monomial when e >= k*l and
+    e = k*l (mod l + 1), and none otherwise. Every slice is finite,
+    because every degree-zero generator contains every curve variable,
+    and each is listed in full. The count stops at ``reached``, the
+    slice k*l + BASE_CASE_PERIODS * (l + 1); no bound shows yet that the
+    slices beyond it follow the series. Off the negative definite graphs
+    the series has no footing, so they raise ParameterError, and so does
+    a chain, which has no center."""
     if k < 1:
         raise ParameterError("k must be positive")
     if not _step_table(graph).definite:
         raise ParameterError("the base case needs a negative definite graph")
+    center = graph.center()
+    if center is None:
+        raise ParameterError("the base case needs a star")
+    arm = len(graph.branch_of(leaf))
     qp = presentation_from_graph(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))
-    j = qp.grading.index(graph.curve_variable(graph.center()))
-    basis = []
-    e = 0
-    while len(basis) < 2:
-        basis += _slice_basis(qp, target, j, e)
-        e += 1
-    seed, second = basis[0], basis[1]
-    if not seed.divides(second):
-        raise ParameterError("second basis element is not a seed multiple")
-    period = second / seed
-    if qp.grading.degree_of(period) != (0,) * len(graph.nodes):
-        raise ParameterError("period monomial is not of degree zero")
-    if qp.grading.degree_of(seed) != target:
-        raise ParameterError("seed degree mismatch")
-    return BaseCaseFamily(seed, period, qp, target)
-
-
-def base_case_audit(graph, leaf, k, a_max=3):
-    """Check that the basic graded piece is spanned by the geometric
-    family seed * period^a for a <= a_max: the normal forms of the
-    family are exactly the standard monomials of the y0 slices up to
-    the largest y0 exponent among them. Normal forms keep the y0
-    exponent, so these slices hold every standard monomial the family
-    can reach, and the forms are distinct: the degree-zero period holds
-    y0, so the y0 exponent grows with a."""
-    fam = base_case_family(graph, leaf, k)
-    qp = fam.presentation
-    members = [fam.seed * (fam.period ** a) for a in range(a_max + 1)]
-    forms = [normal_form(Polynomial({m: 1}), qp) for m in members]
-    single = all(
-        len(f.terms) == 1 and abs(next(iter(f.terms.values()))) == 1
-        for f in forms
-    )
-    report = {
-        "case": graph.label,
-        "leaf": leaf,
-        "k": k,
-        "a_max": a_max,
-        "seed": qp.grading.format_monomial(fam.seed),
-        "period": qp.grading.format_monomial(fam.period),
-        "single_monomial_forms": single,
-        "ok": False,
-    }
-    if not single:
-        return report
-    monos = [next(iter(f.terms)) for f in forms]
-    j = qp.grading.index(graph.curve_variable(graph.center()))
-    top = max(m.exps[j] for m in monos)
-    basis = [m for e in range(top + 1) for m in _slice_basis(qp, fam.degree, j, e)]
-    report["family"] = [qp.grading.format_monomial(m) for m in monos]
-    report["basis"] = [qp.grading.format_monomial(m) for m in basis]
-    report["ok"] = set(basis) == set(monos)
-    return report
+    j = qp.grading.index(graph.curve_variable(center))
+    first = k * arm
+    reached = first + BASE_CASE_PERIODS * (arm + 1)
+    slices = range(reached + 1)
+    counts = [len(_slice_basis(qp, target, j, e)) for e in slices]
+    series = [int(e >= first and (e - first) % (arm + 1) == 0) for e in slices]
+    return {"case": graph.label, "leaf": leaf, "k": k, "arm": arm, "reached": reached,
+            "ok": counts == series}
 
 
 def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     """Reduce a degree to nef and then to basic, audit the cokernel
-    dimension of every step against the combinatorial expectation, and
-    finish with the base-case family check where it applies."""
+    dimension of every step against the combinatorial expectation, and,
+    on D and E graphs whose terminal k*e_leaf is nonzero, finish with
+    ``base_case_audit(graph, leaf, k)``."""
     d = _check_degree(degree, graph)
     pres = presentation_from_graph(graph)
     trace = reduce(graph, d, step_cap)
@@ -806,11 +760,11 @@ def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     if trace.terminated:
         report["terminal"] = list(trace.terminal)
         nonzero = [c for c in trace.terminal if c]
-        if nonzero and graph.family == "D":
+        if nonzero and graph.family in ("D", "E"):
             leaf = graph.nodes[
                 next(i for i, c in enumerate(trace.terminal) if c)
             ]
-            base = base_case_audit(graph, leaf, nonzero[0], a_max=2)
+            base = base_case_audit(graph, leaf, nonzero[0])
             report["base_case"] = base
             audits_ok = audits_ok and base["ok"]
     report["ok"] = bool(trace.terminated and audits_ok)

@@ -171,17 +171,23 @@ def test_criterion_08_cokernel_audits():
 def test_criterion_09_base_cases():
     budget = Budget("criterion 9: base cases", 120)
     checked = 0
-    for n in range(4, 13):
-        graph = build_singularity("D", n)
+    cases = [("D", n) for n in range(4, 13)] + [("E", n) for n in (6, 7, 8)]
+    for family, n in cases:
+        graph = build_singularity(family, n)
         for leaf in graph.branch_ends():
             for k in (1, 2, 3):
-                report = reduction.base_case_audit(graph, leaf, k, a_max=3)
+                report = reduction.base_case_audit(graph, leaf, k)
                 assert report["ok"], report
                 checked += 1
-                if n == 4 and leaf == 1 and k == 1:
-                    assert report["seed"] == "x2*x3*y0*y2*y3"
-    assert checked == 81
-    budget.done("81 seed/period families span their pieces")
+    assert checked == 108
+    # the first nonzero slice, y0 = k * arm, of two known pieces
+    for n, leaf, seed in ((4, 1, "x2*x3*y0*y2*y3"), (5, 4, "x2^2*y0^2*y1*y2^2*y3")):
+        graph = build_singularity("D", n)
+        qp = presentation_from_graph(graph, leaf)
+        arm = len(graph.branch_of(leaf))
+        basis = reduction._slice_basis(qp, graph.unit_degree(leaf), qp.grading.index("y0"), arm)
+        assert [qp.grading.format_monomial(m) for m in basis] == [seed]
+    budget.done("108 pieces count t^(k*arm) / (1 - t^(arm + 1)) slice by slice")
 
 
 def test_criterion_10_counterexample(capsys):

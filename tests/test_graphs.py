@@ -108,6 +108,13 @@ def test_build_from_string():
             parse_case(bad)
 
 
+@pytest.mark.parametrize("node", [None, 4, "y0"])
+def test_curve_variable_rejects_an_unknown_node(node):
+    # a node that is not an int must not break the message's formatting
+    with pytest.raises(ParameterError, match="unknown node"):
+        build_singularity("A", 3).curve_variable(node)
+
+
 def test_nodes_may_be_read_only_once():
     g = ResolutionGraph((i for i in (1, 2, 3)), [(1, 2), (2, 3)])
     assert g.nodes == (1, 2, 3) and g.edges == ((1, 2), (2, 3))

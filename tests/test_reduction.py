@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coxforge import diophantine, reduction
 from coxforge.cli import grid_sample, parse_case
-from coxforge.cox import presentation_from_graph
+from coxforge.cox import presentation_from_graph, section_name_at
 from coxforge.errors import HypothesisViolationError, ParameterError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
 from coxforge.invariants import golden_generators
@@ -21,7 +21,6 @@ from coxforge.reduction import (
     audit_add_curve,
     audit_step,
     base_case_audit,
-    base_case_family,
     cokernel_dimension,
     expected_cokernel_dim,
     full_equivalence_audit,
@@ -1047,49 +1046,35 @@ def test_quotient_presentation_rejects_center():
         presentation_from_graph(d4, 0)
 
 
-def test_base_case_family_frozen():
-    d4 = build_singularity("D", 4)
-    fam = base_case_family(d4, 1, 1)
-    qp = presentation_from_graph(d4, 1)
-    assert qp.grading.format_monomial(fam.seed) == "x2*x3*y0*y2*y3"
-    assert qp.grading.format_monomial(fam.period) == "x3^2*y0^2*y1*y2*y3^2"
-    with pytest.raises(ParameterError):
-        base_case_family(d4, 1, 0)
-
-
 @pytest.mark.parametrize(
     "case,leaf", [("custom:2,2,3", 2), ("custom:2,2,2", 2), ("custom:1,2,5", 8)]
 )
 def test_base_case_rejects_a_graph_that_is_not_negative_definite(case, leaf):
-    # the slice walk would never meet a seed there; the check comes first
+    # the series holds only on negative definite graphs; the check comes first
     graph = parse_case(case)
-    with pytest.raises(ParameterError, match="negative definite"):
-        base_case_family(graph, leaf, 1)
     with pytest.raises(ParameterError, match="negative definite"):
         base_case_audit(graph, leaf, 1)
 
 
+def test_base_case_rejects_a_chain():
+    # a chain has no center, so no y0 to slice on
+    with pytest.raises(ParameterError, match="needs a star"):
+        base_case_audit(build_singularity("A", 3), 3, 1)
+
+
 def test_base_case_audit_d4_frozen():
     d4 = build_singularity("D", 4)
-    report = base_case_audit(d4, 1, 1)
-    assert report["ok"]
-    assert report["seed"] == "x2*x3*y0*y2*y3"
-    assert report["period"] == "x3^2*y0^2*y1*y2*y3^2"
-    assert report["family"] == [
-        "x2*x3*y0*y2*y3",
-        "x2*x3^3*y0^3*y1*y2^2*y3^3",
-        "x2*x3^5*y0^5*y1^2*y2^3*y3^5",
-        "x2*x3^7*y0^7*y1^3*y2^4*y3^7",
-    ]
-    assert set(report["basis"]) == set(report["family"])
+    assert base_case_audit(d4, 1, 1) == {
+        "case": "D4", "leaf": 1, "k": 1, "arm": 1, "reached": 7, "ok": True}
+    with pytest.raises(ParameterError, match="k must be positive"):
+        base_case_audit(d4, 1, 0)
 
 
 def test_base_case_audit_d5_long_leaf():
     d5 = build_singularity("D", 5)
-    report = base_case_audit(d5, 4, 1)
-    assert report["ok"]
-    assert report["seed"] == "x2^2*y0^2*y1*y2^2*y3"
-    assert report["period"] == "x1*x2*y0^3*y1^2*y2^2*y3^2*y4"
+    assert base_case_audit(d5, 4, 1) == {
+        "case": "D5", "leaf": 4, "k": 1, "arm": 2, "reached": 11, "ok": True}
+    assert base_case_audit(d5, 4, 2)["reached"] == 4 + 3 * 3
 
 
 @pytest.mark.parametrize("leaf", [1, 2, 3])
@@ -1101,18 +1086,67 @@ def test_base_case_audit_d4_all_leaves(leaf, k):
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_base_case_period_is_a_golden_generator(n):
-    # the golden generators come from closed formulas, not from slices:
-    # the long leaf n - 1 gets Z2, the short leaves Z3 on even D and Z1
-    # on odd D
+    # the series' period, arm + 1, is the y0 exponent of a golden
+    # generator free of the leaf's section variable; those come from
+    # closed formulas, not from slices: the long leaf n - 1 gets Z2, the
+    # short leaves Z3 on even D and Z1 on odd D
     graph = build_singularity("D", n)
-    golden = {mono: name for name, mono in golden_generators(graph)}
+    grading = graph.grading()
+    golden = dict(golden_generators(graph))
+    y0 = grading.index("y0")
     for leaf in graph.branch_ends():
-        expected = "Z2" if leaf == n - 1 else ("Z3" if n % 2 == 0 else "Z1")
+        mono = golden["Z2" if leaf == n - 1 else ("Z3" if n % 2 == 0 else "Z1")]
+        assert mono.exps[grading.index(section_name_at(graph, leaf))] == 0
         for k in (1, 2, 3):
-            fam = base_case_family(graph, leaf, k)
-            sub = fam.presentation.grading
-            period = graph.grading().monomial(dict(zip(sub.variables, fam.period.exps)))
-            assert golden.get(period) == expected, (leaf, k)
+            report = base_case_audit(graph, leaf, k)
+            assert report["ok"] and mono.exps[y0] == report["arm"] + 1, (leaf, k)
+
+
+def _box_slice_counts(graph, leaf, k, reached, bound):
+    """The standard monomials of degree k*e_leaf in the leaf's quotient
+    counted per y0 exponent up to ``reached``, from the brute-force box
+    of exponents <= bound: those without the leaf's section variable and
+    not divisible by the quotient's lead."""
+    qp = presentation_from_graph(graph, leaf)
+    lead = dict(zip(qp.grading.variables, qp.lead.exps))
+    section = section_name_at(graph, leaf)
+    counts = Counter(
+        m["y0"]
+        for m in oracle.box_monomials(graph, tuple(k * c for c in graph.unit_degree(leaf)), bound)
+        if not m[section] and m["y0"] <= reached and not all(m[v] >= e for v, e in lead.items())
+    )
+    return [counts[e] for e in range(reached + 1)]
+
+
+@pytest.mark.parametrize("case", ["D4", "D5", "E6"])
+def test_base_case_counts_match_the_box_oracle(case):
+    graph = parse_case(case)
+    for leaf in graph.branch_ends():
+        for k in (1, 2):
+            report = base_case_audit(graph, leaf, k)
+            arm, reached = report["arm"], report["reached"]
+            counts = _box_slice_counts(graph, leaf, k, reached, 20)
+            # the box is big enough: doubling it finds no further point
+            assert counts == _box_slice_counts(graph, leaf, k, reached, 40)
+            series = [int(e >= k * arm and (e - k * arm) % (arm + 1) == 0) for e in range(reached + 1)]
+            assert report["ok"] and counts == series, (leaf, k)
+
+
+def test_base_case_audit_fails_on_a_lost_monomial(monkeypatch):
+    # slice 3 of D4's leaf 1 at k = 1 holds one standard monomial; lose it
+    honest = reduction._slice_basis
+
+    def lossy(qp, target, j, e):
+        basis = honest(qp, target, j, e)
+        return basis[1:] if e == 3 else basis
+
+    monkeypatch.setattr(reduction, "_slice_basis", lossy)
+    d4 = build_singularity("D", 4)
+    assert base_case_audit(d4, 1, 1)["ok"] is False
+    report = full_equivalence_audit(d4, (0, -1, 0, 0))
+    assert report["terminal"] == [0, 1, 0, 0]
+    assert report["base_case"]["ok"] is False
+    assert report["ok"] is False
 
 
 def test_passes_and_audits_read_the_graph_columns(monkeypatch):
@@ -1163,13 +1197,27 @@ def test_full_equivalence_audit_zero_degree():
     assert report["base_case"] is None
 
 
-def test_full_equivalence_audit_skips_base_case_off_d_type():
-    e6 = build_singularity("E", 6)
-    report = full_equivalence_audit(e6, (0, -1, 0, 0, 0, 0))
+@pytest.mark.parametrize(
+    "case,degree,terminal",
+    [
+        ("E6", (0, -1, 0, 0, 1, -1), (0, 0, 0, 0, 0, 1)),
+        ("E8", (0, 1, 0, -1, 0, 0, 1, -1), (0, 0, 0, 0, 0, 0, 0, 2)),
+        ("E6", (0, -1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0)),
+    ],
+    ids=["E6", "E8", "E6-zero"],
+)
+def test_full_equivalence_audit_runs_the_base_case_on_e_type(case, degree, terminal):
+    graph = parse_case(case)
+    report = full_equivalence_audit(graph, degree)
     assert report["ok"]
-    assert len(report["steps"]) == 11
-    assert report["terminal"] == [0, 0, 0, 0, 0, 0]
-    assert report["base_case"] is None
+    assert report["terminal"] == list(terminal)
+    if any(terminal):
+        leaf = graph.nodes[next(i for i, c in enumerate(terminal) if c)]
+        assert report["base_case"] == base_case_audit(graph, leaf, max(terminal))
+        assert report["base_case"]["ok"]
+    else:
+        # a zero terminal has no base case to audit
+        assert report["base_case"] is None
 
 
 @pytest.mark.parametrize("label,has_base_case", [("D4", True), (None, False), ("custom:1,1,1", False)])
