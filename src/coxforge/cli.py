@@ -25,10 +25,9 @@ or counterexample sections; verify adds the reduction sweep and the
 top-level verdict, report the graph section.
 
 verify and report show the cox and counterexample sections as skipped,
-with the reason, on a tree that no candidate relation covers (a node of
-valence four or more, or several branch points); the exit code rests on
-the sections that ran. When every section was skipped, the text summary
-says that nothing was checked.
+with the reason, on a star that no candidate relation covers (four or
+more arms); the exit code rests on the sections that ran. When every
+section was skipped, the text summary says that nothing was checked.
 """
 
 import argparse

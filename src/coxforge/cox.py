@@ -1,13 +1,13 @@
 """Candidate section-ring presentations and the one cox report.
 
-A star tree with one trivalent center carries a single candidate
-relation: one term per branch, the curve variable at distance t from the
-center raised to the t-th power, times the branch-end section variable
-raised to (branch length + 1), led by the first branch in curve order.
-Chains carry no relation. Trees with a higher-valence node or several
-trivalent nodes are legal graphs, but no candidate relation rule applies
-to them. presentation_from_graph builds the presentation, and with a
-leaf the quotient that sets the leaf's section variable to zero.
+A star with three arms carries a single candidate relation: one term
+per arm, the curve variable at distance t from the center raised to the
+t-th power, times the arm-end section variable raised to (arm length +
+1), led by the first arm in curve order. Chains carry no relation. A
+star with four or more arms is a legal graph, but no candidate relation
+rule applies to it. presentation_from_graph builds the presentation,
+and with a leaf the quotient that sets the leaf's section variable to
+zero.
 
 The invariant-ring ambient of an A, D or E graph realizes the same
 ring: under the reference generators the ambient hypersurface relation
@@ -39,18 +39,14 @@ def _term_exponents(graph, branch):
 def _relation(graph, grading, leaf=None):
     """(relation, lead) over ``grading``, or None for a chain: a term per
     branch but the one ending at ``leaf``, led by the first branch left
-    in curve order. Raises UnsupportedGraphError on a tree with a node of
-    valence four or more, or with more than one trivalent node."""
-    hubs = [v for v in graph.nodes if graph.valence(v) >= 3]
-    if not hubs:
+    in curve order. Raises UnsupportedGraphError on a star with four or
+    more arms."""
+    center = graph.center()
+    if center is None:
         return None
-    if len(hubs) > 1:
+    if graph.valence(center) > 3:
         raise UnsupportedGraphError(
-            "no candidate relation for a tree with %d branch points" % len(hubs)
-        )
-    if graph.valence(hubs[0]) > 3:
-        raise UnsupportedGraphError(
-            "no candidate relation at a node of valence %d" % graph.valence(hubs[0])
+            "no candidate relation at a node of valence %d" % graph.valence(center)
         )
     arms = [br for br in graph.branches() if br[-1] != leaf]
     terms = {br[0]: grading.monomial(_term_exponents(graph, br)) for br in arms}
@@ -70,7 +66,7 @@ def presentation_from_graph(graph, leaf=None):
     grading = graph.grading()
     if leaf is not None:
         if leaf not in graph.basic_leaves():
-            raise ParameterError("node %d is not a branch-end leaf" % leaf)
+            raise ParameterError("node %r is not a branch-end leaf" % (leaf,))
         grading = grading.drop([section_name_at(graph, leaf)])
     return RingPresentation(grading, *(_relation(graph, grading, leaf) or ()))
 

@@ -25,10 +25,6 @@ from itertools import combinations
 from . import linalg
 
 
-def in_cone(ineqs, v):
-    return all(linalg.dot(row, v) >= 0 for row in ineqs)
-
-
 def cone_rays(ineqs, dim):
     """Extreme rays of the pointed cone {x in R^dim : B x >= 0}.
 
@@ -241,11 +237,7 @@ def hilbert_basis_inequalities(ineqs, dim):
         num = linalg.mat_vec(adj, [s[i] for i in rows])
         if all(x % det == 0 for x in num):
             xs[s] = tuple(x // det for x in num)
-    basis = sorted(xs[s] for s in _minimal(xs))
-    for x in basis:
-        if not in_cone(ineqs, x):
-            raise AssertionError("basis element escaped the cone")
-    return basis
+    return sorted(xs[s] for s in _minimal(xs))
 
 
 def solve_nonneg(a_rows):
@@ -266,8 +258,4 @@ def solve_nonneg(a_rows):
         full = [den * x for x in u] + linalg.mat_vec(pivot_rows, u)
         totals.append(sum(linalg.primitive(full)))
     cap = _ray_bound(totals, len(free))
-    basis = _minimal(fiber_points(matrix, (0,) * len(matrix), cap))
-    for m in basis:
-        if any(x < 0 for x in m) or any(x != 0 for x in linalg.mat_vec(a_rows, list(m))):
-            raise AssertionError("bad Hilbert basis element")
-    return basis
+    return _minimal(fiber_points(matrix, (0,) * len(matrix), cap))

@@ -208,7 +208,7 @@ class _StepTable:
         self.supports = {v: _support(c) for v, c in graph.columns.items()}
         self.moves = {v: self._move(s) for v, s in self.supports.items()}
         # the spots from the earliest of v and its neighbours, which hold
-        # the support of v's column for any self-intersection
+        # the support of v's column
         self.first = {v: min(map(self.at.get, (v,) + graph.neighbors(v))) for v in graph.nodes}
         self.tail = {v: spots[k:] for v, k in self.first.items()}
         self.graph, self.chains = graph, {}
@@ -343,11 +343,9 @@ def least_nef_cycles(cells, graph):
 
 
 def _shift_target(graph, node):
+    # a chain's curve order is its path, and a star's ends on its last arm
     center = graph.center()
-    if center is None:
-        # a chain's curve order is its node order, which need not end at a leaf
-        return graph.leaves()[-1]
-    if node == center:
+    if center is None or node == center:
         return graph.curve_order()[-1]
     return graph.branch_of(node)[-1]
 
@@ -686,7 +684,7 @@ def audit_add_curve(graph, node, k=2):
     not raised."""
     if k < 2:
         raise ParameterError("AddCurve needs a coordinate of at least 2")
-    before = tuple(k if v == node else 0 for v in graph.nodes)
+    before = tuple(k * c for c in graph.unit_degree(node))
     after = _vec_add(before, graph.columns[node])
     step = ReductionStep("AddCurve", (node,), (node,), before, after)
     report = audit_step(presentation_from_graph(graph), step, graph)

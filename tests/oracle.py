@@ -166,14 +166,15 @@ def decomposes(vec, basis):
 # A plain walk of the two reduction passes, written from their rules
 # alone: every step rescans the degree from the first curve, every chain
 # is found by breadth-first search, and every column is read off the
-# self-intersections and edges and summed directly. It keeps nothing
+# edges, with -2 on the diagonal, and summed directly. It keeps nothing
 # between steps but the degree. A step is (kind, nodes, curves,
 # degree_before, degree_after, expected_dim).
 
 
 def _column(graph, node):
     col = [0] * len(graph.nodes)
-    col[graph.nodes.index(node)] = graph.self_intersection[node]
+    # every curve of a chain or a star is a (-2)-curve
+    col[graph.nodes.index(node)] = -2
     for a, b in graph.edges:
         if node in (a, b):
             col[graph.nodes.index(b if a == node else a)] = 1
@@ -219,7 +220,8 @@ def _walk_is_basic(graph, degree):
 
 def _walk_shift_target(graph, node):
     if graph.center() is None:
-        return graph.leaves()[-1]
+        # a chain's nodes run 1..n along its path
+        return graph.nodes[-1]
     if node == graph.center():
         longest = sorted(graph.branches(), key=lambda ch: (len(ch), ch[0]))[-1]
         return longest[-1]

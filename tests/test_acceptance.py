@@ -174,7 +174,7 @@ def test_criterion_09_base_cases():
     cases = [("D", n) for n in range(4, 13)] + [("E", n) for n in (6, 7, 8)]
     for family, n in cases:
         graph = build_singularity(family, n)
-        for leaf in graph.branch_ends():
+        for leaf in graph.basic_leaves():
             for k in (1, 2, 3):
                 report = reduction.base_case_audit(graph, leaf, k)
                 assert report["ok"], report

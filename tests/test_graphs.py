@@ -1,10 +1,14 @@
 import json
+import re
+from itertools import product
 
 import pytest
 
 from coxforge.cli import cmd_graph, parse_case
+from coxforge.cox import presentation_from_graph
 from coxforge.errors import ParameterError
-from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
+from coxforge.graphs import build_custom_tree, build_singularity
+from coxforge.reduction import audit_add_curve, base_case_audit
 from coxforge.rings import Grading
 
 ADE_CASES = (
@@ -38,7 +42,7 @@ def test_fork_builder():
     assert g.leaf_variables == (("x1", 1), ("x2", 2), ("x5", 5))
     assert g.center() == 0
     assert g.branches() == ((1,), (2,), (3, 4, 5))
-    assert g.branch_ends() == (1, 2, 5)
+    assert g.basic_leaves() == (1, 2, 5)
     assert g.curve_order() == (1, 2, 0, 3, 4, 5)
 
 
@@ -103,7 +107,8 @@ def test_build_from_string():
     assert parse_case("D5") == build_singularity("D", 5)
     assert parse_case("a3") == build_singularity("A", 3)
     assert parse_case("custom:2,2,3") == build_custom_tree([2, 2, 3])
-    for bad in ("", "Q4", "Dx", "custom:1,q", "7"):
+    # parse_case is the one reader of a case label
+    for bad in ("", "Q4", "D", "Dx", "None", "custom:1,q", "7"):
         with pytest.raises(ParameterError):
             parse_case(bad)
 
@@ -115,26 +120,67 @@ def test_curve_variable_rejects_an_unknown_node(node):
         build_singularity("A", 3).curve_variable(node)
 
 
-def test_nodes_may_be_read_only_once():
-    g = ResolutionGraph((i for i in (1, 2, 3)), [(1, 2), (2, 3)])
-    assert g.nodes == (1, 2, 3) and g.edges == ((1, 2), (2, 3))
-    with pytest.raises(ParameterError, match="duplicate node ids"):
-        ResolutionGraph((i for i in (1, 2, 2)), [(1, 2)])
+@pytest.mark.parametrize("node", [None, 9, "y0"])
+def test_an_unknown_node_raises_a_parameter_error(node):
+    # a node that is not an int must not break the message's formatting;
+    # a leaf of None asks for the whole presentation, not a quotient
+    d4 = build_singularity("D", 4)
+    calls = [
+        lambda: d4.branch_of(node),
+        lambda: d4.unit_degree(node),
+        lambda: base_case_audit(d4, node, 1),
+        lambda: audit_add_curve(d4, node),
+    ]
+    if node is not None:
+        calls.append(lambda: presentation_from_graph(d4, leaf=node))
+    for call in calls:
+        with pytest.raises(ParameterError, match=re.escape(repr(node))):
+            call()
 
 
-def test_graph_validation():
-    with pytest.raises(ParameterError):
-        ResolutionGraph([1, 2, 3], [(1, 2), (2, 3), (1, 3)])  # cycle
-    with pytest.raises(ParameterError):
-        ResolutionGraph([1, 2], [(1, 1)])  # loop
-    with pytest.raises(ParameterError):
-        ResolutionGraph([1, 2], [(1, 3)])  # unknown node
-    with pytest.raises(ParameterError):
-        ResolutionGraph([1, 2], [])  # disconnected
-    with pytest.raises(ParameterError):
-        ResolutionGraph([1], [], leaf_variables=[("x1", 2)])
-    with pytest.raises(ParameterError):
-        ResolutionGraph([1], [], leaf_variables=[("x1", 1), ("x1", 1)])
+def _builder_cases():
+    cases = ["A%d" % n for n in range(1, 13)] + ["D%d" % n for n in range(4, 17)]
+    cases += ["E6", "E7", "E8"]
+    for arms in (3, 4, 5):
+        cases += ["custom:" + ",".join(map(str, ls)) for ls in product(range(1, 5), repeat=arms)]
+    return cases
+
+
+def test_builders_make_chains_and_stars_of_minus_two_curves():
+    # the builders are the only producers of graphs, and the graph
+    # constructor checks nothing: this is what it may take for granted
+    for case in _builder_cases():
+        g = parse_case(case)
+        nodes = g.nodes
+        assert type(nodes) is tuple and list(nodes) == sorted(set(nodes)), case
+        # a tree: |E| = |V| - 1, and every node is reached by a path of edges
+        assert len(g.edges) == len(nodes) - 1, case
+        assert list(g.edges) == sorted(set(g.edges)) and all(a < b for a, b in g.edges), case
+        edges = set(g.edges)
+        for v in nodes:
+            p = g.path(nodes[0], v)
+            assert p[0] == nodes[0] and p[-1] == v, case
+            assert all((min(e), max(e)) in edges for e in zip(p, p[1:])), case
+        assert all(g.columns[v][g.index_of[v]] == -2 for v in nodes), case
+        assert set(g.to_dict()["self_intersection"].values()) == {-2}, case
+        variables = g.grading().variables
+        assert len(set(variables)) == len(variables), case
+        sections = sorted(at for _, at in g.leaf_variables)
+        assert sections == ([1, 1] if case == "A1" else sorted(g.basic_leaves())), case
+        assert sorted(g.curve_order()) == list(nodes), case
+        if g.center() is None:
+            # a chain: nodes 1..n in path order, ending at its two leaves
+            assert nodes == tuple(range(1, len(nodes) + 1)) and g.path(1, nodes[-1]) == nodes, case
+            assert g.basic_leaves() == tuple(sorted({1, nodes[-1]})), case
+        else:
+            # a star: the branches partition the other nodes into paths
+            # out of node 0
+            assert g.center() == 0 and g.valence(0) == len(g.branches()) >= 3, case
+            assert sorted(sum(g.branches(), ())) == list(nodes[1:]), case
+            for branch in g.branches():
+                assert g.path(0, branch[-1]) == (0,) + branch, case
+                assert g.valence(branch[-1]) == 1, case
+            assert g.basic_leaves() == tuple(br[-1] for br in g.branches()), case
 
 
 def test_definiteness():
@@ -187,12 +233,12 @@ def test_intersection_matrix_and_grading():
 def test_graph_is_immutable():
     g = build_singularity("D", 4)
     with pytest.raises(TypeError):
-        g.self_intersection[0] = -3
-    with pytest.raises(TypeError):
         g.columns[0] = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        g.index_of[0] = 1
     with pytest.raises(AttributeError):
         g.label = "D5"
-    assert g.self_intersection[0] == -2
+    assert g.columns[0] == (-2, 1, 1, 1)
     assert g.label == "D4"
 
 
@@ -208,9 +254,8 @@ def test_intersection_matrix_is_a_fresh_copy():
     assert [list(g.columns[v]) for v in g.nodes] == expected
 
 
-def _fresh_grading(graph):
-    # the extended degree matrix from the graph's serialized data alone
-    data = json.loads(json.dumps(graph.to_dict()))
+def _fresh_grading(data):
+    # the extended degree matrix from the graph command's JSON alone
     nodes = data["nodes"]
     si = {int(k): v for k, v in data["self_intersection"].items()}
     adjacent = {frozenset(e) for e in data["edges"]}
@@ -231,11 +276,15 @@ def _fresh_grading(graph):
 
 @pytest.mark.parametrize(
     "case",
-    ADE_CASES + ["custom:2,2,2", "custom:1,2,5", "custom:2,3,7", "custom:3,3,3", "custom:1,1,1,1"],
+    ADE_CASES
+    + ["custom:2,2,2", "custom:2,2,3", "custom:1,2,5", "custom:2,3,7", "custom:3,3,3", "custom:1,1,1,1"],
 )
 def test_grading_matches_a_fresh_build(case):
+    # the graph command's JSON round-trips: it rebuilds the grading
     g = parse_case(case)
-    assert g.grading() == _fresh_grading(g)
+    data = json.loads(json.dumps(cmd_graph(g)))
+    assert data["label"] == g.label
+    assert g.grading() == _fresh_grading(data)
     assert g.grading() is g.grading()
 
 
@@ -246,34 +295,16 @@ def test_grading_matches_a_fresh_build(case):
         ("D12", ("D", 12)),
         ("E8", ("E", 8)),
         ("custom:2,2,3", (None, None)),
-        (None, (None, None)),
-        ("D", (None, None)),
-        ("Dx", (None, None)),
     ],
 )
 def test_family_and_rank_read_from_the_label(label, expected):
-    g = ResolutionGraph([0, 1], [(0, 1)], label=label)
+    # parse_case reads the label, and its builder passes on the family
+    g = parse_case(label)
     assert (g.family, g.rank) == expected
+    assert g.label == label
 
 
 def test_unit_degree():
     g = build_singularity("E", 6)
     assert g.unit_degree(0) == (1, 0, 0, 0, 0, 0)
     assert g.unit_degree(5) == (0, 0, 0, 0, 0, 1)
-
-
-@pytest.mark.parametrize("case", ["A1", "A4", "D7", "E8", "custom:2,2,3"])
-def test_graph_command_output_rebuilds_the_graph(case):
-    g = parse_case(case)
-    data = json.loads(json.dumps(cmd_graph(g)))
-    back = ResolutionGraph(
-        data["nodes"],
-        data["edges"],
-        data["self_intersection"],
-        data["leaf_variables"],
-        data["label"],
-    )
-    assert back == g
-    assert back.grading() == g.grading()
-    assert back.label == g.label
-    assert (back.family, back.rank) == (g.family, g.rank)

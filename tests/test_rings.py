@@ -252,7 +252,7 @@ def _fork_presentation():
 def test_presentation_rejects_inhomogeneous_relation():
     g = _fork_grading()
     rel = Polynomial({g.monomial({"y1": 1, "x1": 2}): 1, g.monomial({"x1": 1}): 1})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="relation is not homogeneous"):
         RingPresentation(g, rel, g.monomial({"y1": 1, "x1": 2}))
 
 
