@@ -3,7 +3,7 @@ import pytest
 from coxforge import cli, cox
 from coxforge.errors import ParameterError, UnsupportedGraphError
 from coxforge.graphs import build_custom_tree, build_singularity
-from coxforge.rings import normal_form
+from coxforge.rings import Polynomial, RingPresentation, normal_form
 
 RELATIONS = {
     ("D", 4): ("x3^2*y3 + x2^2*y2 + x1^2*y1", "x1^2*y1"),
@@ -63,6 +63,17 @@ def test_valence_four_star_is_rejected():
     graph = build_custom_tree((1, 1, 1, 1))
     with pytest.raises(UnsupportedGraphError):
         cox.presentation_from_graph(graph)
+
+
+def test_an_inhomogeneous_relation_is_not_presented():
+    # the D4 relation with one leaf's exponent raised, as a leaf of
+    # self-intersection -3 would give: that term leaves the center's degree
+    pres = cox.presentation_from_graph(build_singularity("D", 4))
+    g = pres.grading
+    terms = dict(pres.relation.terms)
+    terms[g.monomial({"x3": 3, "y3": 1})] = terms.pop(g.monomial({"x3": 2, "y3": 1}))
+    with pytest.raises(ParameterError, match="relation is not homogeneous"):
+        RingPresentation(g, Polynomial(terms), pres.lead)
 
 
 def test_quotient_leaf_is_checked_before_the_hubs():

@@ -255,7 +255,7 @@ def test_intersection_matrix_is_a_fresh_copy():
 
 
 def _fresh_grading(data):
-    # the extended degree matrix from the graph command's JSON alone
+    # the extended degree matrix from the graph's serialized data alone
     nodes = data["nodes"]
     si = {int(k): v for k, v in data["self_intersection"].items()}
     adjacent = {frozenset(e) for e in data["edges"]}
@@ -280,11 +280,8 @@ def _fresh_grading(data):
     + ["custom:2,2,2", "custom:2,2,3", "custom:1,2,5", "custom:2,3,7", "custom:3,3,3", "custom:1,1,1,1"],
 )
 def test_grading_matches_a_fresh_build(case):
-    # the graph command's JSON round-trips: it rebuilds the grading
     g = parse_case(case)
-    data = json.loads(json.dumps(cmd_graph(g)))
-    assert data["label"] == g.label
-    assert g.grading() == _fresh_grading(data)
+    assert g.grading() == _fresh_grading(json.loads(json.dumps(g.to_dict())))
     assert g.grading() is g.grading()
 
 
@@ -295,10 +292,19 @@ def test_grading_matches_a_fresh_build(case):
         ("D12", ("D", 12)),
         ("E8", ("E", 8)),
         ("custom:2,2,3", (None, None)),
+        # a label that names no case is rejected, not read as (None, None)
+        (None, pytest.raises(ParameterError)),
+        ("D", pytest.raises(ParameterError)),
+        ("Dx", pytest.raises(ParameterError)),
     ],
 )
 def test_family_and_rank_read_from_the_label(label, expected):
-    # parse_case reads the label, and its builder passes on the family
+    # parse_case is the one reader of a case label, and its builder passes
+    # on the family
+    if not isinstance(expected, tuple):
+        with expected:
+            parse_case(label)
+        return
     g = parse_case(label)
     assert (g.family, g.rank) == expected
     assert g.label == label
@@ -308,3 +314,18 @@ def test_unit_degree():
     g = build_singularity("E", 6)
     assert g.unit_degree(0) == (1, 0, 0, 0, 0, 0)
     assert g.unit_degree(5) == (0, 0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("case", ["A1", "A4", "D7", "E8", "custom:2,2,3"])
+def test_graph_command_output_rebuilds_the_graph(case):
+    # the graph command's JSON round-trips: its label rebuilds the graph,
+    # and its nodes, edges and self-intersections rebuild the grading
+    g = parse_case(case)
+    data = json.loads(json.dumps(cmd_graph(g)))
+    back = parse_case(data["label"])
+    assert back == g
+    assert (back.family, back.rank) == (g.family, g.rank)
+    assert data["nodes"] == list(g.nodes)
+    assert [tuple(e) for e in data["edges"]] == list(g.edges)
+    assert [tuple(s) for s in data["leaf_variables"]] == list(g.leaf_variables)
+    assert _fresh_grading(data) == g.grading()

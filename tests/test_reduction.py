@@ -230,6 +230,30 @@ def test_reduce_nef_to_basic_rejects_negative():
         reduce_nef_to_basic((0, -1, 0, 0), d4)
 
 
+def test_basic_pass_does_not_take_a_negative_coordinate_for_zero():
+    # (-1, 2) has a single coordinate >= 2, at a leaf, but is not basic.
+    # The passes never leave a nef degree on (-2)-curves, so it is met
+    # only at the entry point and in a hand-built step
+    a2 = build_singularity("A", 2)
+    assert not is_basic((-1, 2), a2)
+    with pytest.raises(ParameterError, match="needs a nef degree"):
+        reduce_nef_to_basic((-1, 2), a2)
+    d4 = build_singularity("D", 4)
+    off_nef_add = _step(d4, "AddCurve", (1,), (1,), (0, 2, -1, 0))
+    with pytest.raises(HypothesisViolationError, match="AddCurve needs a nef degree"):
+        expected_cokernel_dim(off_nef_add, d4)
+
+
+def test_basic_pass_without_an_eligible_pair_raises_a_hypothesis_violation():
+    # at (-1, 1, 1, 1) on D4 every pair of the three 1's meets the center's
+    # -1 strictly between; only a hand-built step reaches it
+    d4 = build_singularity("D", 4)
+    assert not is_basic((-1, 1, 1, 1), d4)
+    off_nef_chain = _step(d4, "AddChain", (1, 2), (1, 0, 2), (-1, 1, 1, 1))
+    with pytest.raises(HypothesisViolationError, match="AddChain needs a nef degree"):
+        expected_cokernel_dim(off_nef_chain, d4)
+
+
 def test_trace_to_dict_shape():
     d4 = build_singularity("D", 4)
     trace = reduce_nef_to_basic((0, 1, 1, 0), d4)
@@ -745,14 +769,6 @@ def test_expected_dim_hypothesis_violations():
     bad_shift = _step(d5, "ShiftToLeaf", (0, 4), (3, 4), (0, 0, 0, 2, 1))
     with pytest.raises(HypothesisViolationError):
         expected_cokernel_dim(bad_shift, d5)
-    # the passes never leave a nef degree on (-2)-curves, so only a
-    # hand-built step reaches the nef checks
-    off_nef_add = _step(d4, "AddCurve", (1,), (1,), (0, 2, -1, 0))
-    with pytest.raises(HypothesisViolationError, match="AddCurve needs a nef degree"):
-        expected_cokernel_dim(off_nef_add, d4)
-    off_nef_chain = _step(d4, "AddChain", (1, 3), (1, 0, 3), (0, 1, -1, 1))
-    with pytest.raises(HypothesisViolationError, match="AddChain needs a nef degree"):
-        expected_cokernel_dim(off_nef_chain, d4)
 
 
 # ------------------------------------------------------------- cokernels
