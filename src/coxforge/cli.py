@@ -28,6 +28,7 @@ verify and report show the cox and counterexample sections as skipped,
 with the reason, on a star that no candidate relation covers (four or
 more arms); the exit code rests on the sections that ran. When every
 section was skipped, the text summary says that nothing was checked.
+On such a star, reduce exits 2 only when its trace has a step to audit.
 """
 
 import argparse
@@ -36,11 +37,8 @@ import json
 import sys
 import time
 
-from . import reduction
-from .cox import presentation_from_graph, verify_presentation
+from . import cox, graphs, invariants, reduction
 from .errors import CoxforgeError, ParameterError, UnsupportedGraphError
-from .graphs import build_custom_tree, build_singularity
-from .invariants import verify_invariant_table
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -48,7 +46,9 @@ EXIT_USAGE = 2
 
 DEFAULT_GRID = 2000
 DEFAULT_SEED = 20240
-DEFAULT_CAPS = {"step": reduction.DEFAULT_STEP_CAP}
+# reduction.DEFAULT_STEP_CAP, written out so that a command that never
+# reduces does not load reduction
+DEFAULT_CAPS = {"step": 10000}
 AUDIT_DEGREE_COUNT = 6
 
 
@@ -66,13 +66,13 @@ def parse_case(text):
             raise ParameterError("branch lengths must be integers: %r" % body)
         if not lengths:
             raise ParameterError("custom case needs branch lengths")
-        return build_custom_tree(lengths)
+        return graphs.build_custom_tree(lengths)
     family = text[0].upper()
     try:
         n = int(text[1:])
     except ValueError:
         raise ParameterError("cannot parse case %r" % text)
-    return build_singularity(family, n)
+    return graphs.build_singularity(family, n)
 
 
 def grid_sample(width, count, seed=DEFAULT_SEED, lo=-3, hi=3):
@@ -190,10 +190,10 @@ def cmd_graph(graph):
 def cmd_reduce(graph, degree, settings):
     caps = settings["caps"]
     trace = reduction.reduce(graph, degree, caps["step"])
-    if trace.terminated:
-        # only an audited trace needs the presentation, which a star
-        # whose center has valence four or more does not have
-        reduction.audit(trace, presentation_from_graph(graph), graph)
+    if trace.terminated and trace.steps:
+        # only a trace with steps to audit needs the presentation, which
+        # a star whose center has valence four or more does not have
+        reduction.audit(trace, cox.presentation_from_graph(graph), graph)
     payload = trace.to_dict()
     payload["case"] = graph.label
     return payload
@@ -251,8 +251,8 @@ def cmd_checks(graph, settings, command, with_timings):
     if command == "report":
         runs.append(("graph", cmd_graph, graph))
     if ade:
-        runs.append(("invariants", verify_invariant_table, graph))
-    runs.append(("cox", _unless_unsupported, verify_presentation, graph))
+        runs.append(("invariants", invariants.verify_invariant_table, graph))
+    runs.append(("cox", _unless_unsupported, cox.verify_presentation, graph))
     if command == "verify":
         runs.append(("reduction", reduction.sweep, graph, cells, step_cap))
     if ade:
@@ -381,9 +381,9 @@ def _run(args):
     if args.command == "graph":
         payload = cmd_graph(graph)
     elif args.command == "invariants":
-        payload = verify_invariant_table(graph)
+        payload = invariants.verify_invariant_table(graph)
     elif args.command == "cox":
-        payload = verify_presentation(graph)
+        payload = cox.verify_presentation(graph)
     elif args.command == "reduce":
         if not args.degree:
             raise ParameterError("reduce needs --degree")

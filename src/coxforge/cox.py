@@ -18,8 +18,8 @@ function takes the caller's ResolutionGraph, and verify_presentation
 is the one report for every graph.
 """
 
+from . import invariants
 from .errors import ParameterError, UnsupportedGraphError
-from .invariants import golden_generators, golden_relations
 from .rings import Monomial, Polynomial, RingPresentation, normal_form
 
 
@@ -120,7 +120,7 @@ def verify_presentation(graph):
             report["normal_form_zero"] = ok
         report["ok"] = ok
         return report
-    gens = dict(golden_generators(graph))
+    gens = dict(invariants.golden_generators(graph))
 
     def pullback(term):
         out = grading.one()
@@ -131,7 +131,7 @@ def verify_presentation(graph):
     if graph.family == "A":
         # the ambient is a hypersurface: its toric relation must vanish
         # identically under substitution
-        (lhs, rhs), = golden_relations(graph)
+        (lhs, rhs), = invariants.golden_relations(graph)
         ok = pullback(lhs) == pullback(rhs)
         report["hypersurface_substitution_zero"] = ok
     for name, principal, terms in _cuts(graph):

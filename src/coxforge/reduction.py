@@ -58,10 +58,10 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
 
+from . import linalg
 from .cox import presentation_from_graph
 from .diophantine import slice_points
 from .errors import HypothesisViolationError, ParameterError
-from .linalg import adjugate
 from .rings import Monomial
 
 DEFAULT_STEP_CAP = 10000
@@ -322,7 +322,7 @@ def least_nef_cycles(cells, graph):
         return []
     coords = list(zip(*cells))
     matrix = graph.intersection_matrix()
-    adj, det = adjugate(matrix)
+    adj, det = linalg.adjugate(matrix)
     # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
     z = [[0 if x * det <= 0 else -(-x // det) for x in row] for row in _times(adj, coords)]
     ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])

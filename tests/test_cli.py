@@ -122,6 +122,28 @@ def test_reduce_usage_errors(capsys):
     assert cli.main(["reduce", "--case", "D4", "--degree", "a,b,c,d"]) == 2
 
 
+@pytest.mark.parametrize("degree,exit_code", [("0,0,0,0,0", 0), ("0,1,0,0,0", 0), ("1,0,0,0,0", 2)])
+def test_reduce_on_a_four_arm_star_needs_a_relation_only_to_audit(capsys, degree, exit_code):
+    # no candidate relation covers a valence-four center, so only a trace
+    # with a step to audit (here one ShiftToLeaf) is refused
+    code = cli.main(["reduce", "--case", "custom:1,1,1,1", "--degree=" + degree])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    if exit_code:
+        assert captured.out == ""
+        assert captured.err == "error: no candidate relation at a node of valence 4\n"
+    else:
+        payload = json.loads(captured.out)
+        assert payload["steps"] == []
+        assert payload["terminal"] == [int(c) for c in degree.split(",")]
+        assert payload["ok"] is True
+        assert captured.err == ""
+
+
+def test_the_default_step_cap_is_reductions():
+    assert cli.DEFAULT_CAPS == {"step": reduction.DEFAULT_STEP_CAP}
+
+
 def test_verify_command(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "D4", "--grid", "200"])
     assert code == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from coxforge import cli, cox
+from coxforge import cli, cox, invariants
 from coxforge.errors import ParameterError, UnsupportedGraphError
 from coxforge.graphs import build_custom_tree, build_singularity
 from coxforge.rings import Polynomial, RingPresentation, normal_form
@@ -113,14 +113,14 @@ def test_cut_pullbacks_factor_to_candidate(family, n):
 def _skewed_generators(monkeypatch):
     """Make Z1 and W each carry one extra factor of the last curve
     variable, so no cut and no hypersurface relation pulls back right."""
-    golden = cox.golden_generators
+    golden = invariants.golden_generators
 
     def skewed(graph):
         grading = graph.grading()
         extra = grading.monomial({graph.curve_variable(max(graph.nodes)): 1})
         return [(name, m * extra if name in ("Z1", "W") else m) for name, m in golden(graph)]
 
-    monkeypatch.setattr(cox, "golden_generators", skewed)
+    monkeypatch.setattr(invariants, "golden_generators", skewed)
 
 
 @pytest.mark.parametrize("family,n", [("D", 4), ("D", 5), ("E", 6)])

@@ -2,7 +2,9 @@
 none, and every absolute import under src/coxforge names the package
 itself or a standard-library module. Every module-level private name
 under src/coxforge is read somewhere in the package, and every public
-function or method is named in the package or by the benchmark."""
+function or method is named in the package or by the benchmark. The
+library modules load lazily: each is registered on import, a command
+runs only the modules it uses, and the CLI run as __main__ runs once."""
 
 import ast
 import os
@@ -43,15 +45,96 @@ def test_package_imports_only_itself_and_the_standard_library():
     assert outside == []
 
 
-@pytest.mark.parametrize("module", ["importlib.resources", "fractions", "decimal"])
-def test_importing_the_cli_leaves_a_module_unloaded(module):
-    # run without site, which may import importlib.resources on its own
-    code = "import sys, coxforge.cli; print(%r in sys.modules)" % module
+def _fresh(code, *args):
+    """The stdout of ``code`` in a new interpreter without site, which
+    may import importlib.resources on its own; a test in this process
+    would see the modules that earlier tests loaded."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, *args],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+@pytest.mark.parametrize("module", ["importlib.resources", "fractions", "decimal"])
+def test_importing_the_cli_leaves_a_module_unloaded(module):
+    code = "import sys, coxforge.cli; print(%r in sys.modules)" % module
+    assert _fresh(code).strip() == "False"
+
+
+EXECUTED = """
+import io, sys, types
+from contextlib import redirect_stdout
+import coxforge.cli
+with redirect_stdout(io.StringIO()):
+    coxforge.cli.main(sys.argv[1:])
+print(" ".join(sorted(
+    name.split(".")[1] for name, m in sys.modules.items()
+    if name.startswith("coxforge.") and type(m) is types.ModuleType
+)))
+"""
+
+LIBRARY = {"linalg", "diophantine", "rings", "graphs", "invariants", "cox", "reduction"}
+
+
+@pytest.mark.parametrize(
+    "argv,ran",
+    [
+        ("graph --case A4", {"graphs", "rings", "linalg"}),
+        ("cox --case custom:2,2,3", {"graphs", "rings", "cox"}),
+        ("invariants --case D12", {"graphs", "rings", "linalg", "diophantine", "invariants"}),
+        ("reduce --case D4 --degree=0,2,0,0", {"graphs", "rings", "cox", "diophantine", "reduction"}),
+        ("verify --case A4", LIBRARY),
+    ],
+)
+def test_a_command_runs_only_the_modules_it_uses(argv, ran):
+    # every library module is in sys.modules, but a lazy one that was
+    # never used is still of LazyLoader's module subclass
+    executed = set(_fresh(EXECUTED, *argv.split()).split())
+    assert executed == {"cli", "errors"} | ran
+
+
+def test_every_library_module_is_registered_on_import():
+    code = "import sys, coxforge; print(*sorted(n for n in sys.modules if n.startswith('coxforge.')))"
+    assert _fresh(code).split() == sorted(["coxforge." + name for name in LIBRARY | {"errors"}])
+
+
+def test_every_public_name_resolves_and_no_other():
+    code = """
+import coxforge
+for name in coxforge.__all__:
+    getattr(coxforge, name)
+try:
+    coxforge.no_such_name
+except AttributeError as exc:
+    print("AttributeError", exc)
+"""
+    assert _fresh(code).strip() == "AttributeError module 'coxforge' has no attribute 'no_such_name'"
+
+
+def test_the_cli_run_as_main_runs_once_and_prints_what_main_prints():
+    # python -m coxforge.cli: runpy finds the CLI apart from sys.modules
+    # and runs its body once, as __main__
+    code = """
+import io, runpy, sys
+from contextlib import redirect_stdout
+sys.argv = ["coxforge", "graph", "--case", "A4"]
+out = io.StringIO()
+with redirect_stdout(out):
+    try:
+        runpy.run_module("coxforge.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(code, "coxforge.cli" in sys.modules)
+sys.stdout.write(out.getvalue())
+"""
+    status, _, printed = _fresh(code).partition("\n")
+    assert status == "0 False"
+    expected = _fresh(
+        "import sys, coxforge.cli; sys.exit(coxforge.cli.main(['graph', '--case', 'A4']))"
+    )
+    assert printed == expected
 
 
 def _is_private(name):
