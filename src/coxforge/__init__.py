@@ -12,8 +12,8 @@ Every library module but ``errors`` loads lazily: ``linalg``,
 attribute access. A process without bytecode caches (a fresh checkout, or
 ``PYTHONDONTWRITEBYTECODE``) compiles every module it runs, and for a
 short command that was most of what it spent past interpreter start-up;
-now ``coxforge graph`` runs only ``cli``, ``errors``, ``graphs``, ``rings``
-and ``linalg``. The public names of ``__all__`` resolve through the
+now ``coxforge graph`` runs only ``cli``, ``errors``, ``graphs`` and
+``rings``. The public names of ``__all__`` resolve through the
 module ``__getattr__`` below.
 
 ``cli`` is not registered, so that ``python -m coxforge.cli`` runs its body

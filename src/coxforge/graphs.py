@@ -5,6 +5,12 @@ D_n is the star with arms (1, 1, n - 3), E_n the one with arms
 Every star comes from one builder, so D_n equals the custom star with
 the same arms in everything but its label.
 
+The intersection form is negative definite on every chain and, by the
+ADE classification, on a star exactly when it has three arms with
+1/a + 1/b + 1/c > 1 for the arm lengths plus one: the platonic triples
+(1, 1, m), (1, 2, 2), (1, 2, 3) and (1, 2, 4), that is D, E6, E7 and
+E8. is_negative_definite reads that off the arms in integers.
+
 Degree vectors everywhere in the package are tuples indexed by the sorted
 node list of the graph at hand. The extended degree matrix turns a graph
 into a Grading: one column per attached section variable (unit vector at
@@ -14,7 +20,6 @@ of the intersection matrix).
 
 from types import MappingProxyType
 
-from . import linalg
 from .errors import ParameterError
 from .rings import Grading
 
@@ -162,7 +167,15 @@ class ResolutionGraph:
         return [list(self.columns[v]) for v in self.nodes]
 
     def is_negative_definite(self):
-        return linalg.is_negative_definite(self.intersection_matrix())
+        """Whether the intersection form is negative definite: always on
+        a chain, and on a star exactly when it has three arms and, with
+        a, b, c the arm lengths plus one, bc + ac + ab > abc."""
+        if self._center is None:
+            return True
+        if len(self._branches) != 3:
+            return False
+        a, b, c = (len(arm) + 1 for arm in self._branches)
+        return b * c + a * c + a * b > a * b * c
 
     def unit_degree(self, node):
         if node not in self.index_of:

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of lists of ints; no floating point anywhere.
 One fraction-free Gauss-Jordan core, row_reduce (Bareiss 1968), serves
-rank, nullspace, det, adjugate and int_inverse; primitive takes integer
+rank, nullspace, adjugate and int_inverse; primitive takes integer
 vectors only. rank_sparse (its own elimination over dict rows),
 hnf_columns, diagonalize and int_inverse have no caller in the package;
 the benchmark's per-layer tracer still names them, and they go when it
@@ -262,30 +262,6 @@ def int_inverse(m):
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
     return [[d * x for x in row] for row in adj]
-
-
-def det(m):
-    """Exact determinant of a square integer matrix."""
-    work, pivots = row_reduce(m)
-    if len(pivots) < len(m):
-        return 0
-    return work[-1][-1] if m else 1
-
-
-def is_negative_definite(m):
-    """Sylvester test: leading principal minors alternate, starting negative."""
-    n = len(m)
-    for i in range(n):
-        if len(m[i]) != n:
-            raise ValueError("matrix must be square")
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix must be symmetric")
-    for k in range(1, n + 1):
-        minor = det([row[:k] for row in m[:k]])
-        if (-1) ** k * minor <= 0:
-            return False
-    return True
 
 
 def rank_sparse(rows):

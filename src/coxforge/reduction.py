@@ -29,12 +29,11 @@ Each pass keeps its working degree as a list, applies a step's support
 to it in place, and hands the step a tuple copy, so every degree in a
 trace is a tuple. After firing a node the nef pass rescans only from
 the earliest of it and its neighbours: the column moves no other spot,
-and every earlier one was nonnegative. The table also keeps whether the
-graph is negative definite, which the sweep, the closed form and the
-base case need. The basic pass reads its is-basic test and next step
-kind off one scan in curve order; after an AddCurve it resumes that scan
-at the curve's restart tail and keeps the 1's found before it, and
-after an AddChain or a shift it scans the whole degree again. It keeps
+and every earlier one was nonnegative. The basic pass reads its
+is-basic test and next step kind off one scan in curve order; after an
+AddCurve it resumes that scan at the curve's restart tail and keeps the
+1's found before it, and after an AddChain or a shift it scans the
+whole degree again. It keeps
 the doubled S-sum as an integer, moved by the S-move of each step's
 node or chain, and a trace writes each halved value as a string only
 when it is read.
@@ -54,7 +53,7 @@ its piece the same way, one y0 slice at a time, each slice in full; it
 stops at a fixed number of periods of its series.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
 
@@ -228,11 +227,6 @@ class _StepTable:
             entry = self.chains[u, w] = ((u, w), path, support, self._move(support), inner)
         return entry
 
-    @cached_property
-    def definite(self):
-        """Whether the intersection form is negative definite."""
-        return self.graph.is_negative_definite()
-
 
 _step_table = lru_cache(maxsize=64)(_StepTable)
 
@@ -312,9 +306,9 @@ def least_nef_cycles(cells, graph):
     not exist and the corrections would not end, so they raise
     ParameterError first. Only ``sweep`` uses this; ``reduce`` and the
     audits keep the step-by-step pass."""
-    table = _step_table(graph)
-    if not table.definite:
+    if not graph.is_negative_definite():
         raise ParameterError("the least nef cycles need a negative definite graph")
+    table = _step_table(graph)
     width = len(graph.nodes)
     if any(len(d) != width for d in cells):
         raise ParameterError("every degree needs %d coordinates, one per node" % width)
@@ -424,9 +418,7 @@ def _basic_pass(degree, graph, step_cap, known):
             # ``ones`` is in curve order, so the first such pair is the least.
             # A nef degree always has one.
             pairs = (e for a, u in enumerate(ones) for e in map(chain, repeat(u), ones[a + 1:]))
-            entry = next((e for e in pairs if not any(map(d.__getitem__, e[4]))), None)
-            if entry is None:
-                raise HypothesisViolationError("AddChain needs a nef degree")
+            entry = next(e for e in pairs if not any(map(d.__getitem__, e[4])))
             ends, path, support, move, _ = entry
             for i, e in support:
                 cur[i] += e
@@ -485,7 +477,7 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     later measures held; each distinct step is built, and checked, once.
     Off the negative definite graphs greedy reduction has no termination
     certificate, so the sweep is skipped there."""
-    if not _step_table(graph).definite:
+    if not graph.is_negative_definite():
         return {"skipped": "intersection form is not negative definite", "ok": True}
     known = {}
     max_steps = 0
@@ -719,7 +711,7 @@ def base_case_audit(graph, leaf, k):
     a chain, which has no center."""
     if k < 1:
         raise ParameterError("k must be positive")
-    if not _step_table(graph).definite:
+    if not graph.is_negative_definite():
         raise ParameterError("the base case needs a negative definite graph")
     center = graph.center()
     if center is None:

@@ -1,6 +1,7 @@
 """Independent brute-force references: an enumeration that cross-checks
-the cone pipeline, and a plain walk of the reduction passes (at the end
-of this file).
+the cone pipeline, a plain walk of the reduction passes, and Sylvester's
+criterion for negative definiteness (the last two at the end of this
+file).
 
 Degree conditions on a chain or star tree propagate linearly: fixing the
 center exponent and the first exponent of each branch determines the
@@ -10,6 +11,7 @@ monomial of a given degree with all exponents <= bound, with no Hilbert
 basis machinery involved.
 """
 
+from fractions import Fraction
 from itertools import product
 
 
@@ -287,3 +289,36 @@ def walk_to_basic(graph, degree, step_cap, known=()):
         d = after
         twice.append(twice_s(graph, d))
     return steps, d, True, twice
+
+
+# ------------------------------------------------- Sylvester's criterion
+
+
+def det(matrix):
+    """The determinant of a square integer matrix, by Gaussian
+    elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    out = Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            out = -out
+        top = rows[c]
+        out *= top[c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / top[c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+    return out
+
+
+def is_negative_definite(matrix):
+    """Sylvester's criterion: a symmetric matrix is negative definite
+    exactly when its k-th leading principal minor has the sign of
+    (-1)^k for every k."""
+    return all(
+        (-1) ** k * det([row[:k] for row in matrix[:k]]) > 0
+        for k in range(1, len(matrix) + 1)
+    )

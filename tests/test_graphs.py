@@ -1,6 +1,6 @@
 import json
 import re
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -10,6 +10,8 @@ from coxforge.errors import ParameterError
 from coxforge.graphs import build_custom_tree, build_singularity
 from coxforge.reduction import audit_add_curve, base_case_audit
 from coxforge.rings import Grading
+
+import oracle
 
 ADE_CASES = (
     ["A%d" % n for n in range(1, 9)]
@@ -189,6 +191,22 @@ def test_definiteness():
     assert not build_custom_tree([2, 2, 3]).is_negative_definite()
     assert not build_custom_tree([2, 3, 6]).is_negative_definite()
     assert build_custom_tree([1, 2, 3]).is_negative_definite()  # same tree as E7
+
+
+# the chains A1-A14 and every star with three arms of length <= 9, four
+# of length <= 4 or five of length <= 3
+SYLVESTER_GRAPHS = [build_singularity("A", n) for n in range(1, 15)] + [
+    build_custom_tree(arms)
+    for count, longest in ((3, 9), (4, 4), (5, 3))
+    for arms in combinations_with_replacement(range(1, longest + 1), count)
+]
+
+
+@pytest.mark.parametrize("graph", SYLVESTER_GRAPHS, ids=lambda g: g.label)
+def test_is_negative_definite_matches_sylvester(graph):
+    # the arm rule against every leading principal minor
+    matrix = graph.intersection_matrix()
+    assert graph.is_negative_definite() == oracle.is_negative_definite(matrix)
 
 
 def test_paths():
