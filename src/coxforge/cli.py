@@ -17,7 +17,8 @@ degree of its relation search itself, so `cokernel` and `relation` are
 unknown caps.
 The --caps help lists the keys of DEFAULT_CAPS.
 
-A --degree value may start with a minus sign: `--degree -1,0,0,0`.
+A --degree value may start with a minus sign: `--degree -1,0,0,0`. Its
+numbers, like those of a case, are ASCII digits.
 
 verify and report build their sections through one function,
 cmd_checks: both run the invariants (A, D and E only), cox and audits
@@ -52,6 +53,15 @@ DEFAULT_CAPS = {"step": 10000}
 AUDIT_DEGREE_COUNT = 6
 
 
+def _ascii_int(text):
+    """The integer ``text`` writes in ASCII digits, maybe after a minus
+    sign, once stripped; int() also takes '_', '+' and other digits."""
+    text = text.strip()
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_case(text):
     """Build the resolution graph named by a case string such as
     ``A3``, ``D5``, ``E7`` or ``custom:2,2,3``."""
@@ -61,7 +71,7 @@ def parse_case(text):
     if text.lower().startswith("custom:"):
         body = text.split(":", 1)[1]
         try:
-            lengths = tuple(int(part) for part in body.split(",")) if body.strip() else ()
+            lengths = tuple(map(_ascii_int, body.split(","))) if body.strip() else ()
         except ValueError:
             raise ParameterError("branch lengths must be integers: %r" % body)
         if not lengths:
@@ -69,7 +79,7 @@ def parse_case(text):
         return graphs.build_custom_tree(lengths)
     family = text[0].upper()
     try:
-        n = int(text[1:])
+        n = _ascii_int(text[1:])
     except ValueError:
         raise ParameterError("cannot parse case %r" % text)
     return graphs.build_singularity(family, n)
@@ -326,7 +336,7 @@ def _emit(payload, args):
 
 def _parse_degree(text, graph):
     try:
-        degree = tuple(int(part) for part in text.split(","))
+        degree = tuple(map(_ascii_int, text.split(",")))
     except ValueError:
         raise ParameterError("degree must be comma-separated integers: %r" % text)
     if len(degree) != len(graph.nodes):

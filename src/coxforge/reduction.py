@@ -48,9 +48,9 @@ a count: the monomials of the target degree that neither the chain
 monomial nor a relation term coprime to it divides, listed slice by
 slice below exact bounds, so no cap enters the count. ``audit``
 checks every step of a terminated trace that way, so a full audit
-certifies each step of a reduction independently. The base case lists
-its piece the same way, one y0 slice at a time, each slice in full; it
-stops at a fixed number of periods of its series.
+certifies each step of a reduction independently. The base case counts
+its piece through the same ``_slice_basis``, one y0 slice at a time,
+each in full; it stops at a fixed number of periods of its series.
 """
 
 from functools import lru_cache
@@ -61,7 +61,6 @@ from . import linalg
 from .cox import presentation_from_graph
 from .diophantine import slice_points
 from .errors import HypothesisViolationError, ParameterError
-from .rings import Monomial
 
 DEFAULT_STEP_CAP = 10000
 # the periods of the base-case series that base_case_audit counts
@@ -157,15 +156,8 @@ class ReductionTrace:
         }
 
 
-def _vec_add(a, b):
-    return tuple(map(add, a, b))
-
-
 def _sum_columns(cols, nodes):
-    total = (0,) * len(cols)
-    for v in nodes:
-        total = _vec_add(total, cols[v])
-    return total
+    return tuple(map(sum, zip(*map(cols.__getitem__, nodes))))
 
 
 def _check_degree(degree, graph):
@@ -348,16 +340,16 @@ def reduce_nef_to_basic(degree, graph, step_cap=DEFAULT_STEP_CAP):
     """Add phase (single curve at a coordinate >= 2, else the chain
     between the order-least eligible pair of 1's), then shift the last
     remaining 1 to a branch-end leaf."""
-    return _basic_pass(degree, graph, step_cap, ())[0]
+    return _basic_pass(degree, graph, step_cap, ())
 
 
 def _basic_pass(degree, graph, step_cap, known):
-    """(trace, count left): ``reduce_nef_to_basic``, stopped at the top
-    of its add-phase loop on the first degree in ``known``, which maps
-    such degrees of passes already run to the steps left from them; every
-    later step depends on that degree alone. The count is the stop's, or
-    0 for a pass that ended or hit its cap. Shift-phase degrees are never
-    looked up. With nothing known, ``()`` spares each loop a hash."""
+    """``reduce_nef_to_basic``, stopped at the top of its add-phase loop
+    on the first degree in ``known``, which maps such degrees of passes
+    already run to the steps left from them; every later step depends on
+    that degree alone. A stopped trace is terminated and ends there.
+    Shift-phase degrees are never looked up. With nothing known, ``()``
+    spares each loop a hash."""
     d = _check_degree(degree, graph)
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
@@ -372,12 +364,10 @@ def _basic_pass(degree, graph, step_cap, known):
     twice = sum(map(mul, table.weights, d))
     measures = [twice]
     steps = []
-    left = 0
     # the scan resumes on ``scan`` with the 1's before it in ``ones``
     scan, ones = spots, []
     while True:
         if d in known:
-            left = known[d]
             break
         # the first coordinate >= 2, else every 1 in curve order
         big = None
@@ -397,7 +387,7 @@ def _basic_pass(degree, graph, step_cap, known):
             if not ones or ones[0] in leaves:
                 break
         if len(steps) >= step_cap:
-            return ReductionTrace(degree, d, steps, False, measures), 0
+            return ReductionTrace(degree, d, steps, False, measures)
         if big is not None:
             for i, e in supports[big]:
                 cur[i] += e
@@ -434,7 +424,7 @@ def _basic_pass(degree, graph, step_cap, known):
         j = _shift_target(graph, p)
         while p != j:
             if len(steps) >= step_cap:
-                return ReductionTrace(degree, d, steps, False, measures), 0
+                return ReductionTrace(degree, d, steps, False, measures)
             q = chain(p, j)[1][1]
             _, path, support, move, _ = chain(q, j)
             for i, e in support:
@@ -445,7 +435,7 @@ def _basic_pass(degree, graph, step_cap, known):
             twice -= move
             p = q
         scan, ones = spots, []
-    return ReductionTrace(degree, d, steps, True, measures), left
+    return ReductionTrace(degree, d, steps, True, measures)
 
 
 def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
@@ -472,8 +462,8 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     each degree at the top of the add-phase loop that a successful basic
     pass went through, and its end, to the steps left in that pass: a
     cell whose nef terminal is known makes no pass, and ``_basic_pass``
-    stops at the first known degree. The sweep returns at the first
-    failing cell, so ``known`` only holds passes that succeeded, whose
+    stops at the first known degree, the one it ends on, whose count is
+    the steps left. The sweep returns at the first failing cell, so ``known`` only holds passes that succeeded, whose
     later measures held; each distinct step is built, and checked, once.
     Off the negative definite graphs greedy reduction has no termination
     certificate, so the sweep is skipped there."""
@@ -485,8 +475,9 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
         if nef_steps > step_cap:
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
         if terminal not in known:
-            trace, left = _basic_pass(terminal, graph, step_cap, known)
+            trace = _basic_pass(terminal, graph, step_cap, known)
             steps, ms = trace.steps, trace.twice_measures
+            left = known.get(trace.terminal, 0)
             total = len(steps) + left
             # a pass with no steps left ended on a degree that must be basic
             if not (
@@ -618,29 +609,24 @@ def cokernel_dimension(pres, step):
     The dimension is then the number of monomials of the target degree
     that neither T nor m divides: the union of the zero slices at the
     variables of m, less the multiples of T. A chain has no f, so only m
-    applies. Each slice is finite, listed below an exact bound."""
-    grading = pres.grading
-    mono = grading.monomial({"y%d" % v: 1 for v in step.curves})
+    applies. The step's degrees differ by the columns of m's variables."""
+    matrix = pres.grading.matrix
+    support = [pres.grading.index("y%d" % v) for v in step.curves]
     if step.adds_curves():
         source, target = step.degree_before, step.degree_after
     else:
         source, target = step.degree_after, step.degree_before
-    shifted = _vec_add(grading.degree_of(mono), source)
+    shifted = tuple(c + sum(row[j] for j in support) for c, row in zip(source, matrix))
     if shifted != tuple(target):
         raise ParameterError("step degrees are inconsistent with its curves")
-    support = [j for j, e in enumerate(mono.exps) if e]
+    terms = pres.relation.terms if pres.relation is not None else ()
+    lead = next((t.exps for t in terms if not any(t.exps[j] for j in support)), None)
+    if terms and lead is None:
+        raise ParameterError("every relation term shares a variable with the step")
     not_m = set()
     for j in support:
-        not_m.update(slice_points(grading.matrix, target, j))
-    if pres.relation is None:
-        return len(not_m)
-    lead = next(
-        (t.exps for t in pres.relation.terms if not any(t.exps[j] for j in support)),
-        None,
-    )
-    if lead is None:
-        raise ParameterError("every relation term shares a variable with the step")
-    return sum(1 for u in not_m if not all(map(ge, u, lead)))
+        not_m.update(_slice_basis(matrix, target, j, 0, lead))
+    return len(not_m)
 
 
 def audit_step(pres, step, graph):
@@ -677,23 +663,22 @@ def audit_add_curve(graph, node, k=2):
     if k < 2:
         raise ParameterError("AddCurve needs a coordinate of at least 2")
     before = tuple(k * c for c in graph.unit_degree(node))
-    after = _vec_add(before, graph.columns[node])
-    step = ReductionStep("AddCurve", (node,), (node,), before, after)
+    after = tuple(map(add, before, graph.columns[node]))
+    step = _step(_expect_add_curve, graph, "AddCurve", (node,), (node,), before, after)
     report = audit_step(presentation_from_graph(graph), step, graph)
     report["node"] = node
     report["k"] = k
     return report
 
 
-def _slice_basis(qp, target, j, e):
-    """The standard monomials of degree ``target`` in ``qp`` whose
-    exponent at column j is e: the zero slice at j of the target less e
-    times column j, with e put back at j, less the multiples of the
-    lead."""
-    matrix = qp.grading.matrix
+def _slice_basis(matrix, target, j, e, lead):
+    """The exponent tuples of degree ``target`` whose exponent at column
+    j is e and that ``lead`` (a tuple, or None) does not divide: the
+    zero slice at j of the target less e times column j, with e put
+    back at j, listed below an exact bound."""
     shifted = tuple(t - e * row[j] for t, row in zip(target, matrix))
-    monos = (Monomial(s[:j] + (e,) + s[j + 1:]) for s in slice_points(matrix, shifted, j))
-    return [m for m in monos if not qp.lead.divides(m)]
+    points = (s[:j] + (e,) + s[j + 1:] for s in slice_points(matrix, shifted, j))
+    return [s for s in points if lead is None or not all(map(ge, s, lead))]
 
 
 def base_case_audit(graph, leaf, k):
@@ -723,7 +708,7 @@ def base_case_audit(graph, leaf, k):
     first = k * arm
     reached = first + BASE_CASE_PERIODS * (arm + 1)
     slices = range(reached + 1)
-    counts = [len(_slice_basis(qp, target, j, e)) for e in slices]
+    counts = [len(_slice_basis(qp.grading.matrix, target, j, e, qp.lead.exps)) for e in slices]
     series = [int(e >= first and (e - first) % (arm + 1) == 0) for e in slices]
     return {"case": graph.label, "leaf": leaf, "k": k, "arm": arm, "reached": reached,
             "ok": counts == series}

@@ -11,7 +11,7 @@ from coxforge import cli, reduction
 from coxforge.cox import presentation_from_graph, verify_presentation
 from coxforge.graphs import build_custom_tree, build_singularity
 from coxforge.invariants import verify_invariant_table
-from coxforge.rings import solve_degree_system
+from coxforge.rings import Monomial, solve_degree_system
 
 FROZEN_RELATIONS = {
     ("D", 4): "x3^2*y3 + x2^2*y2 + x1^2*y1",
@@ -185,8 +185,9 @@ def test_criterion_09_base_cases():
         graph = build_singularity("D", n)
         qp = presentation_from_graph(graph, leaf)
         arm = len(graph.branch_of(leaf))
-        basis = reduction._slice_basis(qp, graph.unit_degree(leaf), qp.grading.index("y0"), arm)
-        assert [qp.grading.format_monomial(m) for m in basis] == [seed]
+        j = qp.grading.index("y0")
+        basis = reduction._slice_basis(qp.grading.matrix, graph.unit_degree(leaf), j, arm, qp.lead.exps)
+        assert [qp.grading.format_monomial(Monomial(s)) for s in basis] == [seed]
     budget.done("108 pieces count t^(k*arm) / (1 - t^(arm + 1)) slice by slice")
 
 

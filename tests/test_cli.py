@@ -359,9 +359,9 @@ def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
     basic_pass = reduction._basic_pass
 
     def counting(*args):
-        trace, left = basic_pass(*args)
+        trace = basic_pass(*args)
         built.append(len(trace.steps))
-        return trace, left
+        return trace
 
     monkeypatch.setattr(reduction, "_basic_pass", counting)
     assert reduction.sweep(graph, cells, settings["caps"]["step"])["ok"]
@@ -593,6 +593,12 @@ def test_usage_exit_codes(capsys):
     assert cli.main(["verify", "--case", "custom:zz"]) == 2
     assert cli.main(["graph", "--case", "custom:1,,2,2"]) == 2
     assert cli.main(["graph", "--case", "custom:1,2,2,"]) == 2
+    # int() alone would read each of these as a case or degree not typed
+    assert cli.main(["graph", "--case", "A1_0"]) == 2
+    assert cli.main(["graph", "--case", "custom:1_0,1,1"]) == 2
+    assert cli.main(["graph", "--case", "A\u0663"]) == 2
+    assert cli.main(["graph", "--case", "D+5"]) == 2
+    assert cli.main(["reduce", "--case", "A3", "--degree=1_0,0,0"]) == 2
     assert cli.main(["verify", "--case", "D4", "--caps", "bogus=3"]) == 2
     assert cli.main(["bogus", "--case", "D4"]) == 2
     assert cli.main(["--help"]) == 0

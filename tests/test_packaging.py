@@ -1,8 +1,9 @@
 """The package keeps zero runtime dependencies: pyproject.toml declares
 none, and every absolute import under src/coxforge names the package
 itself or a standard-library module. Every module-level private name
-under src/coxforge is read somewhere in the package, and every public
-function or method is named in the package or by the benchmark. The
+under src/coxforge is read somewhere in the package, every name a
+module imports is read in that module, and every public function or
+method is named in the package or by the benchmark. The
 library modules load lazily: each is registered on import, a command
 runs only the modules it uses, and the CLI run as __main__ runs once."""
 
@@ -215,3 +216,17 @@ def test_every_public_function_is_named_outside_the_tests():
         if not name.startswith("_") and name not in used
     ]
     assert unnamed == []
+
+
+def test_every_import_is_used():
+    # the imports of __init__.py are re-exports
+    unused = []
+    for path, tree in _parsed(ROOT / "src" / "coxforge"):
+        if path.name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused.extend((path.name, name) for name in bound if name not in read)
+    assert unused == []

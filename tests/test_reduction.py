@@ -377,6 +377,12 @@ def test_step_cap_keeps_a_prefix_of_the_uncapped_pass(data):
             assert capped.measures == full.measures[:adds + 1]
 
 
+def _left(trace, known):
+    """The steps left after a basic pass, as ``sweep`` reads them: the
+    count of the known degree a terminated pass stopped on, else 0."""
+    return known.get(trace.terminal, 0) if trace.terminated else 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_known_degrees_stop_the_basic_pass_at_the_first_one_met(data):
@@ -393,10 +399,11 @@ def test_known_degrees_stop_the_basic_pass_at_the_first_one_met(data):
     }
     full = reduce_nef_to_basic(t, graph)
     capped = reduce_nef_to_basic(t, graph, cap)
-    got, left = reduction._basic_pass(t, graph, cap, known)
+    got = reduction._basic_pass(t, graph, cap, known)
+    left = _left(got, known)
     # no known degrees: the pass as it always ran, with nothing left
-    plain, nothing = reduction._basic_pass(t, graph, cap, ())
-    assert (plain.to_dict(), nothing) == (capped.to_dict(), 0)
+    plain = reduction._basic_pass(t, graph, cap, ())
+    assert (plain.to_dict(), _left(plain, {})) == (capped.to_dict(), 0)
     stop = next(
         (k for k, s in enumerate(full.steps) if s.adds_curves() and s.degree_before in known),
         None,
@@ -426,14 +433,33 @@ def test_a_known_degree_inside_the_shift_phase_does_not_stop_the_pass():
     assert [s.kind for s in full.steps] == ["AddChain", "ShiftToLeaf", "ShiftToLeaf"]
     assert full.steps[2].degree_before == (0, 0, 0, 1, 1)
     known = {(0, 0, 0, 1, 1): 3}
-    shifted, left = reduction._basic_pass((1, 0, 0, 0, 0), d5, reduction.DEFAULT_STEP_CAP, known)
+    shifted = reduction._basic_pass((1, 0, 0, 0, 0), d5, reduction.DEFAULT_STEP_CAP, known)
+    left = _left(shifted, known)
     assert [_step_key(s) for s in shifted.steps] == [_step_key(s) for s in full.steps[1:]]
     assert shifted.terminal == (0, 0, 0, 0, 3)
     assert (shifted.terminated, left) == (True, 0)
     # at the top of the add-phase loop the same degree stops the pass
-    stopped, left = reduction._basic_pass((0, 0, 0, 1, 1), d5, reduction.DEFAULT_STEP_CAP, known)
+    stopped = reduction._basic_pass((0, 0, 0, 1, 1), d5, reduction.DEFAULT_STEP_CAP, known)
+    left = _left(stopped, known)
     assert (stopped.steps, stopped.terminal, stopped.terminated) == ((), (0, 0, 0, 1, 1), True)
     assert left == 3
+
+
+@pytest.mark.parametrize("case", ADE_CASES)
+def test_a_basic_pass_adds_then_shifts_to_a_basic_degree(case):
+    # the shape that sweep's memo of add-phase degrees relies on, on the
+    # pass of every distinct nef terminal of the grid sample
+    graph = parse_case(case)
+    arm = max(map(len, graph.branches())) if graph.center() is not None else len(graph.nodes)
+    cells = grid_sample(len(graph.nodes), 300)
+    for t in dict.fromkeys(reduce_to_nef(d, graph).terminal for d in cells):
+        trace = reduce_nef_to_basic(t, graph)
+        kinds = [s.kind for s in trace.steps]
+        adds = sum(s.adds_curves() for s in trace.steps)
+        assert all(s.adds_curves() for s in trace.steps[:adds]), kinds
+        assert set(kinds[adds:]) <= {"ShiftToLeaf"}, kinds
+        assert trace.terminated and is_basic(trace.terminal, graph), t
+        assert len(kinds) - adds <= arm, kinds
 
 
 @settings(max_examples=150, deadline=None)
@@ -567,9 +593,9 @@ def _matches_the_walk(graph, cell, step_cap=reduction.DEFAULT_STEP_CAP, known=()
     if not done:
         return None
     if known:
-        basic, left = reduction._basic_pass(end, graph, step_cap, known)
-        # a pass that ended has the count of the degree it ended on left
-        assert left == (known.get(basic.terminal, 0) if basic.terminated else 0)
+        basic = reduction._basic_pass(end, graph, step_cap, known)
+        # a pass that ended stopped on a known degree or reached a basic one
+        assert not basic.terminated or basic.terminal in known or is_basic(basic.terminal, graph)
     else:
         basic = reduce_nef_to_basic(end, graph, step_cap)
     steps, end, done, twice = oracle.walk_to_basic(graph, end, step_cap, known)
@@ -929,6 +955,22 @@ def test_cokernel_count_matches_a_box_oracle(case, box):
         assert cokernel_dimension(pres, step) == len(standard), step
 
 
+def test_cokernel_dimension_rejects_degrees_that_its_curves_do_not_join():
+    d4 = build_singularity("D", 4)
+    step = ReductionStep("AddCurve", (1,), (1,), (0, 2, 0, 0), (1, 0, 0, 1))
+    with pytest.raises(ParameterError, match="step degrees are inconsistent with its curves"):
+        cokernel_dimension(presentation_from_graph(d4), step)
+
+
+def test_cokernel_dimension_needs_a_relation_term_coprime_to_the_step():
+    # leaf 1's quotient keeps the terms of arms 2 and 3, and the chain
+    # 2-0-3 meets both
+    d4 = build_singularity("D", 4)
+    step = _step(d4, "AddChain", (2, 3), (2, 0, 3), (0, 0, 1, 1))
+    with pytest.raises(ParameterError, match="every relation term shares a variable with the step"):
+        cokernel_dimension(presentation_from_graph(d4, 1), step)
+
+
 def test_audited_sample_agrees_with_expectations():
     for family_n in (4, 5):
         graph = build_singularity("D", family_n)
@@ -1109,8 +1151,8 @@ def test_base_case_audit_fails_on_a_lost_monomial(monkeypatch):
     # slice 3 of D4's leaf 1 at k = 1 holds one standard monomial; lose it
     honest = reduction._slice_basis
 
-    def lossy(qp, target, j, e):
-        basis = honest(qp, target, j, e)
+    def lossy(matrix, target, j, e, lead):
+        basis = honest(matrix, target, j, e, lead)
         return basis[1:] if e == 3 else basis
 
     monkeypatch.setattr(reduction, "_slice_basis", lossy)
