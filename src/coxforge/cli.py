@@ -18,7 +18,8 @@ unknown caps.
 The --caps help lists the keys of DEFAULT_CAPS.
 
 A --degree value may start with a minus sign: `--degree -1,0,0,0`. Its
-numbers, like those of a case, are ASCII digits.
+numbers, like those of a case, of --caps and of --grid, are ASCII
+digits; a config value may be any string that int() reads.
 
 verify and report build their sections through one function,
 cmd_checks: both run the invariants (A, D and E only), cox and audits
@@ -107,11 +108,13 @@ def grid_sample(width, count, seed=DEFAULT_SEED, lo=-3, hi=3):
     return list(cells)
 
 
-def _integer(value, what):
-    """One integer setting: an int, or a string that parses as one."""
+def _integer(value, what, parse=int):
+    """One integer setting: an int, or a string that ``parse`` reads as
+    one. A config value may be any string int() takes; a flag is read
+    with ``_ascii_int``."""
     if isinstance(value, str):
         try:
-            return int(value)
+            return parse(value)
         except ValueError:
             pass
     elif isinstance(value, int) and not isinstance(value, bool):
@@ -119,10 +122,10 @@ def _integer(value, what):
     raise ParameterError("%s needs an integer, got %r" % (what, value))
 
 
-def _cap(value, what):
+def _cap(value, what, parse=int):
     """One cap setting: an integer of at least 1. A zero or negative cap
     would cut a reduction pass off before it did any work."""
-    cap = _integer(value, what)
+    cap = _integer(value, what, parse)
     if cap < 1:
         raise ParameterError("%s needs at least 1, got %d" % (what, cap))
     return cap
@@ -156,7 +159,7 @@ def _parse_caps_flags(entries):
                 raise ParameterError(
                     "unknown cap %r (known: %s)" % (key, ", ".join(sorted(DEFAULT_CAPS)))
                 )
-            caps[key] = _cap(value, "cap %r" % key)
+            caps[key] = _cap(value, "cap %r" % key, _ascii_int)
     return caps
 
 
@@ -179,7 +182,7 @@ def resolve_settings(args):
     # the config grid is checked even under --grid, as the config caps
     # are under --caps
     config_grid = _integer(config.get("grid", DEFAULT_GRID), "config grid")
-    grid = config_grid if args.grid is None else args.grid
+    grid = config_grid if args.grid is None else _integer(args.grid, "grid", _ascii_int)
     for value in (config_grid, grid):
         if value < 1:
             # an empty sample would pass every check without doing any work
@@ -355,7 +358,7 @@ def build_parser():
     parser.add_argument("command", choices=["graph", "invariants", "cox", "reduce", "verify", "report"])
     parser.add_argument("--case", required=True, help="A<n>, D<n>, E<n>, or custom:l1,l2,...")
     parser.add_argument("--degree", help="comma-separated multidegree (reduce only)")
-    parser.add_argument("--grid", type=int, help="max sampled degree cells for verify")
+    parser.add_argument("--grid", help="max sampled degree cells for verify")
     parser.add_argument(
         "--caps",
         action="append",

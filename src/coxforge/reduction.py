@@ -24,7 +24,8 @@ Both passes read a step table, made once per graph on its first pass:
 the (node, index) spots in curve order and each node's column, as its
 support (its nonzero entries, at most the node and its neighbours), and
 S-move, plus, on first use, each chain between two nodes with the
-support of its summed column, its S-move and its interior positions.
+support of its summed column, its S-move, its interior positions and
+its restart tail, the spots from the earliest one in that support.
 Each pass keeps its working degree as a list, applies a step's support
 to it in place, and hands the step a tuple copy, so every degree in a
 trace is a tuple. After firing a node the nef pass rescans only from
@@ -32,8 +33,10 @@ the earliest of it and its neighbours: the column moves no other spot,
 and every earlier one was nonnegative. The basic pass reads its
 is-basic test and next step kind off one scan in curve order; after an
 AddCurve it resumes that scan at the curve's restart tail and keeps the
-1's found before it, and after an AddChain or a shift it scans the
-whole degree again. It keeps
+1's found before it, after an AddChain it resumes at the chain's
+restart tail, before which every spot holds a 0, and after a shift it
+scans the whole degree again. An AddChain's order-least pair always
+starts at the first 1, so it tries that 1 with each later one. It keeps
 the doubled S-sum as an integer, moved by the S-move of each step's
 node or chain, and a trace writes each halved value as a string only
 when it is read.
@@ -57,9 +60,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, ge, mul, sub
 
-from . import linalg
-from .cox import presentation_from_graph
-from .diophantine import slice_points
+from . import cox, diophantine, linalg
 from .errors import HypothesisViolationError, ParameterError
 
 DEFAULT_STEP_CAP = 10000
@@ -188,8 +189,9 @@ class _StepTable:
     its S-move (the change of the doubled S-sum when its column is
     added, the same from every degree), its curve-order position and
     its restart tail with that tail's first position. ``chain`` fills
-    in an ordered pair's data on first use. ``_step_table`` keeps one
-    per graph; the graph's hash and equality cover all it reads."""
+    in an ordered pair's data on first use, with the restart tail of
+    the chain's summed column. ``_step_table`` keeps one per graph; the
+    graph's hash and equality cover all it reads."""
 
     def __init__(self, graph):
         spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
@@ -210,13 +212,20 @@ class _StepTable:
 
     def chain(self, u, w):
         """((u, w), the path from u to w, the support of its summed
-        column, its S-move, the index positions of its interior nodes)."""
+        column, its S-move, the index positions of its interior nodes,
+        its restart tail: the spots from the earliest one in that
+        support, which holds u)."""
         entry = self.chains.get((u, w))
         if entry is None:
-            path = self.graph.path(u, w)
-            support = _support(_sum_columns(self.graph.columns, path))
-            inner = tuple(map(self.graph.index_of.__getitem__, path[1:-1]))
-            entry = self.chains[u, w] = ((u, w), path, support, self._move(support), inner)
+            graph = self.graph
+            path = graph.path(u, w)
+            support = _support(_sum_columns(graph.columns, path))
+            inner = tuple(map(graph.index_of.__getitem__, path[1:-1]))
+            # the support holds u: its entry there is -2, plus 1 when the
+            # path goes on, since a path in a tree meets one neighbour of u
+            start = min(self.at[graph.nodes[i]] for i, _ in support)
+            entry = self.chains[u, w] = (
+                (u, w), path, support, self._move(support), inner, self.spots[start:])
         return entry
 
 
@@ -404,12 +413,17 @@ def _basic_pass(degree, graph, step_cap, known):
                 ones.pop()
             continue
         if len(ones) >= 2:
-            # the order-least pair of 1's with only zeros strictly between;
-            # ``ones`` is in curve order, so the first such pair is the least.
-            # A nef degree always has one.
-            pairs = (e for a, u in enumerate(ones) for e in map(chain, repeat(u), ones[a + 1:]))
-            entry = next(e for e in pairs if not any(map(d.__getitem__, e[4])))
-            ends, path, support, move, _ = entry
+            # the order-least pair of 1's with only zeros strictly between
+            # starts at the first 1: on the path from it to any other 1,
+            # the first 1 met has only zeros before it, as the degree is
+            # nef and no coordinate is >= 2. Were there none, the last
+            # pair tried would fail its checker.
+            u = ones[0]
+            for w in ones[1:]:
+                entry = chain(u, w)
+                if not any(map(d.__getitem__, entry[4])):
+                    break
+            ends, path, support, move, _, scan = entry
             for i, e in support:
                 cur[i] += e
             after = tuple(cur)
@@ -417,7 +431,9 @@ def _basic_pass(degree, graph, step_cap, known):
             d = after
             twice += move
             measures.append(twice)
-            scan, ones = spots, []
+            # every spot before the chain's tail held a 0, since u, the
+            # first 1, is in the summed column's support, and none moved
+            ones = []
             continue
         # a single coordinate equal to 1 remains: shift it to a leaf
         p = ones[0]
@@ -426,7 +442,7 @@ def _basic_pass(degree, graph, step_cap, known):
             if len(steps) >= step_cap:
                 return ReductionTrace(degree, d, steps, False, measures)
             q = chain(p, j)[1][1]
-            _, path, support, move, _ = chain(q, j)
+            _, path, support, move, _, _ = chain(q, j)
             for i, e in support:
                 cur[i] -= e
             after = tuple(cur)
@@ -503,11 +519,10 @@ def _expect_subtract_curve(step, graph):
     idx = graph.index_of
     before = step.degree_before
     (i,) = step.nodes
-    if before[idx[i]] >= 0:
+    c = before[idx[i]]
+    if c >= 0:
         raise HypothesisViolationError(
-            "SubtractCurve needs a negative coordinate at node %d, got %d"
-            % (i, before[idx[i]])
-        )
+            "SubtractCurve needs a negative coordinate at node %d, got %d" % (i, c))
     return 0
 
 
@@ -517,33 +532,32 @@ def _expect_add_curve(step, graph):
     (i,) = step.nodes
     if min(before) < 0:
         raise HypothesisViolationError("AddCurve needs a nef degree")
-    if before[idx[i]] < 2:
-        raise HypothesisViolationError(
-            "AddCurve needs coordinate >= 2 at node %d, got %d"
-            % (i, before[idx[i]])
-        )
-    return before[idx[i]] - 1
+    c = before[idx[i]]
+    if c < 2:
+        raise HypothesisViolationError("AddCurve needs coordinate >= 2 at node %d, got %d" % (i, c))
+    return c - 1
 
 
 def _expect_add_chain(step, graph):
     idx = graph.index_of
     before = step.degree_before
-    after = step.degree_after
     i, j = step.nodes
     chain = step.curves
     if min(before) < 0:
         raise HypothesisViolationError("AddChain needs a nef degree")
     if before[idx[i]] != 1:
         raise HypothesisViolationError("AddChain needs coordinate 1 at node %d" % i)
-    if before[idx[j]] < 1:
+    cj = before[idx[j]]
+    if cj < 1:
         raise HypothesisViolationError("AddChain needs a positive coordinate at node %d" % j)
-    if graph.valence(j) > 1 and before[idx[j]] != 1:
+    if cj != 1 and graph.valence(j) > 1:
         raise HypothesisViolationError("AddChain into interior node %d needs coordinate 1" % j)
-    if any(before[idx[v]] != 0 for v in chain[1:-1]):
+    positions = tuple(map(idx.__getitem__, chain))
+    if any(map(before.__getitem__, positions[1:-1])):
         raise HypothesisViolationError(
             "AddChain needs zeros strictly between nodes %d and %d" % (i, j))
-    restricted = [after[idx[v]] for v in chain]
-    shape = [0] * (len(chain) - 1) + [before[idx[j]] - 1]
+    restricted = list(map(step.degree_after.__getitem__, positions))
+    shape = [0] * (len(chain) - 1) + [cj - 1]
     if restricted != shape:
         raise HypothesisViolationError(
             "AddChain restricted degrees %r do not match the shape %r"
@@ -551,7 +565,7 @@ def _expect_add_chain(step, graph):
         )
     # a chain of rational curves of degrees (0, ..., 0, c) has 1 + c
     # sections, and here c = before[j] - 1
-    return before[idx[j]]
+    return cj
 
 
 def _expect_shift_to_leaf(step, graph):
@@ -665,7 +679,7 @@ def audit_add_curve(graph, node, k=2):
     before = tuple(k * c for c in graph.unit_degree(node))
     after = tuple(map(add, before, graph.columns[node]))
     step = _step(_expect_add_curve, graph, "AddCurve", (node,), (node,), before, after)
-    report = audit_step(presentation_from_graph(graph), step, graph)
+    report = audit_step(cox.presentation_from_graph(graph), step, graph)
     report["node"] = node
     report["k"] = k
     return report
@@ -677,7 +691,7 @@ def _slice_basis(matrix, target, j, e, lead):
     zero slice at j of the target less e times column j, with e put
     back at j, listed below an exact bound."""
     shifted = tuple(t - e * row[j] for t, row in zip(target, matrix))
-    points = (s[:j] + (e,) + s[j + 1:] for s in slice_points(matrix, shifted, j))
+    points = (s[:j] + (e,) + s[j + 1:] for s in diophantine.slice_points(matrix, shifted, j))
     return [s for s in points if lead is None or not all(map(ge, s, lead))]
 
 
@@ -702,7 +716,7 @@ def base_case_audit(graph, leaf, k):
     if center is None:
         raise ParameterError("the base case needs a star")
     arm = len(graph.branch_of(leaf))
-    qp = presentation_from_graph(graph, leaf)
+    qp = cox.presentation_from_graph(graph, leaf)
     target = tuple(k * c for c in graph.unit_degree(leaf))
     j = qp.grading.index(graph.curve_variable(center))
     first = k * arm
@@ -720,7 +734,7 @@ def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     on D and E graphs whose terminal k*e_leaf is nonzero, finish with
     ``base_case_audit(graph, leaf, k)``."""
     d = _check_degree(degree, graph)
-    pres = presentation_from_graph(graph)
+    pres = cox.presentation_from_graph(graph)
     trace = reduce(graph, d, step_cap)
     steps = audit(trace, pres, graph)
     report = {

@@ -593,12 +593,17 @@ def test_usage_exit_codes(capsys):
     assert cli.main(["verify", "--case", "custom:zz"]) == 2
     assert cli.main(["graph", "--case", "custom:1,,2,2"]) == 2
     assert cli.main(["graph", "--case", "custom:1,2,2,"]) == 2
-    # int() alone would read each of these as a case or degree not typed
+    # int() alone would read each of these as a case, degree, cap or grid
+    # not typed
     assert cli.main(["graph", "--case", "A1_0"]) == 2
     assert cli.main(["graph", "--case", "custom:1_0,1,1"]) == 2
     assert cli.main(["graph", "--case", "A\u0663"]) == 2
     assert cli.main(["graph", "--case", "D+5"]) == 2
     assert cli.main(["reduce", "--case", "A3", "--degree=1_0,0,0"]) == 2
+    assert cli.main(["verify", "--case", "A1", "--caps", "step=1_0"]) == 2
+    assert cli.main(["verify", "--case", "A1", "--caps", "step=+5"]) == 2
+    assert cli.main(["verify", "--case", "A1", "--grid", "1_0"]) == 2
+    assert cli.main(["verify", "--case", "A1", "--grid", "\u0663"]) == 2
     assert cli.main(["verify", "--case", "D4", "--caps", "bogus=3"]) == 2
     assert cli.main(["bogus", "--case", "D4"]) == 2
     assert cli.main(["--help"]) == 0

@@ -85,8 +85,11 @@ LIBRARY = {"linalg", "diophantine", "rings", "graphs", "invariants", "cox", "red
         ("graph --case A4", {"graphs", "rings"}),
         ("cox --case custom:2,2,3", {"graphs", "rings", "cox"}),
         ("invariants --case D12", {"graphs", "rings", "linalg", "diophantine", "invariants"}),
-        ("reduce --case D4 --degree=0,2,0,0", {"graphs", "rings", "cox", "diophantine", "reduction"}),
+        # an empty trace audits nothing, so it needs no presentation
+        ("reduce --case D4 --degree=0,2,0,0", {"graphs", "rings", "reduction"}),
         ("verify --case A4", LIBRARY),
+        ("reduce --case D4 --degree=-1,0,0,0",
+         {"graphs", "rings", "cox", "diophantine", "linalg", "reduction"}),
     ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, ran):

@@ -648,6 +648,16 @@ def test_passes_match_the_plain_walk_on_stars(case):
             assert basic.terminated
 
 
+def test_add_chain_skips_a_pair_whose_path_crosses_a_one():
+    # D4's curve order is 1, 2, 0, 3: of the 1's at 1, 2 and 0 the pair
+    # (1, 2) comes first, but its path crosses the center's 1
+    d4 = build_singularity("D", 4)
+    assert d4.curve_order() == (1, 2, 0, 3)
+    basic = _matches_the_walk(d4, (1, 1, 1, 0))
+    first = basic.steps[0]
+    assert (first.kind, first.nodes) == ("AddChain", (1, 0))
+
+
 @pytest.mark.parametrize("step_cap", [0, 1, 2, 5, 13])
 @pytest.mark.parametrize("case", ["D8", "E7"])
 def test_passes_match_the_plain_walk_under_small_step_caps(case, step_cap):
@@ -737,14 +747,20 @@ def test_step_table_supports_expand_to_the_columns(graph):
         column = graph.columns[v]
         assert _expand(table.supports[v], width) == column
         assert table.moves[v] == sum(w * c for w, c in zip(weights, column))
+    order = graph.curve_order()
     for u in graph.nodes:
         for w in graph.nodes:
-            ends, path, support, move, inner = table.chain(u, w)
+            ends, path, support, move, inner, tail = table.chain(u, w)
             assert (ends, path) == ((u, w), graph.path(u, w))
             dense = reduction._sum_columns(graph.columns, path)
             assert _expand(support, width) == dense
             assert move == sum(a * b for a, b in zip(weights, dense))
             assert inner == tuple(graph.index_of[x] for x in path[1:-1])
+            # the pass resumes at the first spot in curve order that the
+            # summed column moves, which is no later than u's
+            start = next(k for k, x in enumerate(order) if dense[graph.index_of[x]])
+            assert start <= order.index(u)
+            assert tail == tuple((x, graph.index_of[x]) for x in order[start:])
 
 
 # ---------------------------------------------------------- expected dims
