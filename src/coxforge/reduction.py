@@ -21,25 +21,27 @@ count for a whole batch in closed form, and stops each basic pass at
 the add-phase degrees an earlier cell's pass went through.
 
 Both passes read a step table, made once per graph on its first pass:
-the (node, index) spots in curve order and each node's column, as its
-support (its nonzero entries, at most the node and its neighbours), and
-S-move, plus, on first use, each chain between two nodes with the
-support of its summed column, its S-move, its interior positions and
-its restart tail, the spots from the earliest one in that support.
-Each pass keeps its working degree as a list, applies a step's support
-to it in place, and hands the step a tuple copy, so every degree in a
-trace is a tuple. After firing a node the nef pass rescans only from
-the earliest of it and its neighbours: the column moves no other spot,
-and every earlier one was nonnegative. The basic pass reads its
-is-basic test and next step kind off one scan in curve order; after an
-AddCurve it resumes that scan at the curve's restart tail and keeps the
-1's found before it, after an AddChain it resumes at the chain's
-restart tail, before which every spot holds a 0, and after a shift it
-scans the whole degree again. An AddChain's order-least pair always
-starts at the first 1, so it tries that 1 with each later one. It keeps
-the doubled S-sum as an integer, moved by the S-move of each step's
-node or chain, and a trace writes each halved value as a string only
-when it is read.
+the (node, index) spots in curve order and one entry per node, read
+with one lookup per step: its 1-tuple, its column's support (its
+nonzero entries, at most the node and its neighbours), S-move and
+restart tail with that tail's first position; plus, on first use, each
+chain between two nodes with the support of its summed column, its
+S-move, its interior positions and its restart tail, the spots from
+the earliest one in that support. Each pass keeps its working degree
+as a list, applies a step's support to it in place, and builds each
+step in place with a tuple copy of it, storing the step's slots
+directly, so every degree in a trace is a tuple. After firing a node
+the nef pass rescans only from the earliest of it and its neighbours:
+the column moves no other spot, and every earlier one was nonnegative.
+The basic pass reads its is-basic test and next step kind off one scan
+in curve order; after an AddCurve it resumes that scan at the curve's
+restart tail and keeps the 1's found before it, after an AddChain it
+resumes at the chain's restart tail, before which every spot holds a
+0, and after a shift it scans the whole degree again. An AddChain's
+order-least pair always starts at the first 1, so it tries that 1 with
+each later one. It keeps the doubled S-sum as an integer, moved by the
+S-move of each step's node or chain, and a trace writes each halved
+value as a string only when it is read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
@@ -108,17 +110,6 @@ class ReductionStep:
             self.kind, self.nodes, self.degree_before, self.degree_after)
 
 
-def _step(check, graph, kind, nodes, curves, before, after, _new=object.__new__):
-    """A ReductionStep with its expected dimension from ``check``, the
-    checker of its kind. The passes hand it tuples already, so it skips
-    the constructor's copies."""
-    step = _new(ReductionStep)
-    step.kind, step.nodes, step.curves = kind, nodes, curves
-    step.degree_before, step.degree_after, step.actual_dim = before, after, None
-    step.expected_cokernel_dim = check(step, graph)
-    return step
-
-
 class ReductionTrace:
     """A run of one reduction procedure.
 
@@ -183,27 +174,27 @@ def _support(vec):
 
 class _StepTable:
     """The step data of one graph, read by both passes: the (node, index)
-    spots in curve order, the doubled S-weights and, per node, its
-    1-tuple (a step's ``nodes`` and ``curves`` both), its column's
-    support (the nonzero entries, at most the node and its neighbours),
-    its S-move (the change of the doubled S-sum when its column is
-    added, the same from every degree), its curve-order position and
-    its restart tail with that tail's first position. ``chain`` fills
-    in an ordered pair's data on first use, with the restart tail of
-    the chain's summed column. ``_step_table`` keeps one per graph; the
-    graph's hash and equality cover all it reads."""
+    spots in curve order, each node's curve-order position, the doubled
+    S-weights and one entry per node, so that a step reads its node with
+    one lookup: (its 1-tuple, a step's ``nodes`` and ``curves`` both;
+    its column's support, the nonzero entries, at most the node and its
+    neighbours; its S-move, the change of the doubled S-sum when its
+    column is added, the same from every degree; its restart tail, the
+    spots from the earliest of it and its neighbours, which hold that
+    support; that tail's first position). ``chain`` fills in an ordered
+    pair's data on first use, with the restart tail of the chain's
+    summed column. ``_step_table`` keeps one per graph; the graph's hash
+    and equality cover all it reads."""
 
     def __init__(self, graph):
         spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
-        self.at = {v: k for k, (v, _) in enumerate(spots)}
+        self.at = at = {v: k for k, (v, _) in enumerate(spots)}
         self.spots, self.weights = spots, _twice_weights(graph)
-        self.single = {v: (v,) for v in graph.nodes}
-        self.supports = {v: _support(c) for v, c in graph.columns.items()}
-        self.moves = {v: self._move(s) for v, s in self.supports.items()}
-        # the spots from the earliest of v and its neighbours, which hold
-        # the support of v's column
-        self.first = {v: min(map(self.at.get, (v,) + graph.neighbors(v))) for v in graph.nodes}
-        self.tail = {v: spots[k:] for v, k in self.first.items()}
+        self.entries = {}
+        for v, column in graph.columns.items():
+            support = _support(column)
+            first = min(map(at.get, (v,) + graph.neighbors(v)))
+            self.entries[v] = ((v,), support, self._move(support), spots[first:], first)
         self.graph, self.chains = graph, {}
 
     def _move(self, support):
@@ -248,7 +239,8 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
     the degree is componentwise nonnegative."""
     d = _check_degree(degree, graph)
     table = _step_table(graph)
-    supports, single, tail, scan = table.supports, table.single, table.tail, table.spots
+    entries, scan = table.entries, table.spots
+    new, check = object.__new__, _expect_subtract_curve
     # the working degree, moved in place; d is its tuple before the step
     cur = list(d)
     steps = []
@@ -260,15 +252,18 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
             return ReductionTrace(degree, d, steps, True)
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False)
-        for i, e in supports[neg]:
+        # only neg and its neighbours move: every spot before its tail
+        # stays nonnegative
+        one, support, _, scan, _ = entries[neg]
+        for i, e in support:
             cur[i] -= e
-        after = tuple(cur)
-        one = single[neg]
-        steps.append(_step(_expect_subtract_curve, graph, "SubtractCurve", one, one, d, after))
-        d = after
-        # only neg and its neighbours moved: every spot before tail[neg]
-        # is still nonnegative
-        scan = tail[neg]
+        # the step is built in place, its degrees already tuples
+        step = new(ReductionStep)
+        step.kind, step.nodes, step.curves = "SubtractCurve", one, one
+        step.degree_before, step.degree_after, step.actual_dim = d, tuple(cur), None
+        step.expected_cokernel_dim = check(step, graph)
+        steps.append(step)
+        d = step.degree_after
 
 
 def _times(matrix, vectors):
@@ -321,7 +316,7 @@ def least_nef_cycles(cells, graph):
     # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
     z = [[0 if x * det <= 0 else -(-x // det) for x in row] for row in _times(adj, coords)]
     ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])
-    supports = list(map(table.supports.__getitem__, graph.nodes))
+    supports = [table.entries[v][1] for v in graph.nodes]
     out = []
     for d, size in zip(ends, map(sum, zip(*z))):
         low = min(d)
@@ -363,8 +358,8 @@ def _basic_pass(degree, graph, step_cap, known):
     if any(c < 0 for c in d):
         raise ParameterError("reduce_nef_to_basic needs a nef degree")
     table = _step_table(graph)
-    spots, supports, moves, single = table.spots, table.supports, table.moves, table.single
-    at, first, tail, chain = table.at, table.first, table.tail, table.chain
+    spots, entries, at, chain = table.spots, table.entries, table.at, table.chain
+    new = object.__new__
     leaves = graph.basic_leaves()
     width = len(d)
     # the working degree, moved in place; d is its tuple before the step
@@ -397,18 +392,21 @@ def _basic_pass(degree, graph, step_cap, known):
                 break
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False, measures)
+        # each step is built in place, its degrees already tuples
         if big is not None:
-            for i, e in supports[big]:
+            one, support, move, scan, start = entries[big]
+            for i, e in support:
                 cur[i] += e
-            after = tuple(cur)
-            one = single[big]
-            steps.append(_step(_expect_add_curve, graph, "AddCurve", one, one, d, after))
-            d = after
-            twice += moves[big]
+            step = new(ReductionStep)
+            step.kind, step.nodes, step.curves = "AddCurve", one, one
+            step.degree_before, step.actual_dim = d, None
+            step.degree_after = d = tuple(cur)
+            step.expected_cokernel_dim = _expect_add_curve(step, graph)
+            steps.append(step)
+            twice += move
             measures.append(twice)
             # only big and its neighbours moved: the 1's found before
-            # tail[big] stand, and ``ones`` is in curve order
-            scan, start = tail[big], first[big]
+            # its tail stand, and ``ones`` is in curve order
             while ones and at[ones[-1]] >= start:
                 ones.pop()
             continue
@@ -426,9 +424,12 @@ def _basic_pass(degree, graph, step_cap, known):
             ends, path, support, move, _, scan = entry
             for i, e in support:
                 cur[i] += e
-            after = tuple(cur)
-            steps.append(_step(_expect_add_chain, graph, "AddChain", ends, path, d, after))
-            d = after
+            step = new(ReductionStep)
+            step.kind, step.nodes, step.curves = "AddChain", ends, path
+            step.degree_before, step.actual_dim = d, None
+            step.degree_after = d = tuple(cur)
+            step.expected_cokernel_dim = _expect_add_chain(step, graph)
+            steps.append(step)
             twice += move
             measures.append(twice)
             # every spot before the chain's tail held a 0, since u, the
@@ -445,9 +446,12 @@ def _basic_pass(degree, graph, step_cap, known):
             _, path, support, move, _, _ = chain(q, j)
             for i, e in support:
                 cur[i] -= e
-            after = tuple(cur)
-            steps.append(_step(_expect_shift_to_leaf, graph, "ShiftToLeaf", (p, j), path, d, after))
-            d = after
+            step = new(ReductionStep)
+            step.kind, step.nodes, step.curves = "ShiftToLeaf", (p, j), path
+            step.degree_before, step.actual_dim = d, None
+            step.degree_after = d = tuple(cur)
+            step.expected_cokernel_dim = _expect_shift_to_leaf(step, graph)
+            steps.append(step)
             twice -= move
             p = q
         scan, ones = spots, []
@@ -479,8 +483,9 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     pass went through, and its end, to the steps left in that pass: a
     cell whose nef terminal is known makes no pass, and ``_basic_pass``
     stops at the first known degree, the one it ends on, whose count is
-    the steps left. The sweep returns at the first failing cell, so ``known`` only holds passes that succeeded, whose
-    later measures held; each distinct step is built, and checked, once.
+    the steps left. The sweep returns at the first failing cell, so
+    ``known`` only holds passes that succeeded, whose later measures
+    held; each distinct step is built, and checked, once.
     Off the negative definite graphs greedy reduction has no termination
     certificate, so the sweep is skipped there."""
     if not graph.is_negative_definite():
@@ -678,7 +683,8 @@ def audit_add_curve(graph, node, k=2):
         raise ParameterError("AddCurve needs a coordinate of at least 2")
     before = tuple(k * c for c in graph.unit_degree(node))
     after = tuple(map(add, before, graph.columns[node]))
-    step = _step(_expect_add_curve, graph, "AddCurve", (node,), (node,), before, after)
+    step = ReductionStep("AddCurve", (node,), (node,), before, after)
+    step.expected_cokernel_dim = expected_cokernel_dim(step, graph)
     report = audit_step(cox.presentation_from_graph(graph), step, graph)
     report["node"] = node
     report["k"] = k

@@ -365,13 +365,14 @@ def test_step_cap_keeps_a_prefix_of_the_uncapped_pass(data):
     for run, start, full in ((reduce_to_nef, d, nef), (reduce_nef_to_basic, nef.terminal, basic)):
         assert full.terminated
         n = len(full.steps)
-        for cap in range(9):
+        # a negative cap acts like 0
+        for cap in range(-1, 9):
             capped = run(start, graph, cap)
-            kept = min(cap, n)
+            kept = max(0, min(cap, n))
             assert [_step_key(s) for s in capped.steps] == [
                 _step_key(s) for s in full.steps[:kept]
             ]
-            assert capped.terminated == (n <= cap)
+            assert capped.terminated == (n <= max(cap, 0))
             assert capped.terminal == (full.steps[kept - 1].degree_after if kept else start)
             adds = sum(s.adds_curves() for s in full.steps[:kept])
             assert capped.measures == full.measures[:adds + 1]
@@ -719,6 +720,95 @@ def test_traces_hold_only_tuples(case, monkeypatch):
     assert all(type(key) is tuple for known in knowns for key in known)
 
 
+_CHECKERS = {
+    "SubtractCurve": "_expect_subtract_curve",
+    "AddCurve": "_expect_add_curve",
+    "AddChain": "_expect_add_chain",
+    "ShiftToLeaf": "_expect_shift_to_leaf",
+}
+
+
+def _count_checks(monkeypatch):
+    """Wrap the four checkers; returns {kind: [(step, result), ...]} in
+    call order."""
+    checked = {kind: [] for kind in _CHECKERS}
+    for kind, name in _CHECKERS.items():
+        def counting(step, graph, kind=kind, check=getattr(reduction, name)):
+            result = check(step, graph)
+            checked[kind].append((step, result))
+            return result
+        monkeypatch.setattr(reduction, name, counting)
+    return checked
+
+
+def _assert_each_step_checked_once(steps, checked):
+    """Each step in ``steps`` went through its kind's checker once, in
+    order, got the checker's value as its expected dimension and has
+    every slot set; the checkers saw no other step."""
+    for kind in _CHECKERS:
+        emitted = [s for s in steps if s.kind == kind]
+        assert len(checked[kind]) == len(emitted)
+        assert all(s is t for s, (t, _) in zip(emitted, checked[kind]))
+        assert [s.expected_cokernel_dim for s in emitted] == [r for _, r in checked[kind]]
+    for step in steps:
+        assert all(hasattr(step, field) for field in ReductionStep.__slots__)
+        assert step.actual_dim is None
+
+
+def test_the_passes_check_every_step_once(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    graph = parse_case("E7")
+    steps = []
+    for cell in _walk_cells("E7", 15):
+        steps += reduction.reduce(graph, cell).steps
+    assert {s.kind for s in steps} == set(_CHECKERS)
+    _assert_each_step_checked_once(steps, checked)
+
+
+def test_the_sweep_checks_every_basic_step_once(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    steps = []
+    basic_pass = reduction._basic_pass
+
+    def recording(degree, graph, step_cap, known):
+        trace = basic_pass(degree, graph, step_cap, known)
+        steps.extend(trace.steps)
+        return trace
+
+    monkeypatch.setattr(reduction, "_basic_pass", recording)
+    assert reduction.sweep(parse_case("D8"), grid_sample(8, 100))["ok"]
+    # the sweep reads its nef passes off least_nef_cycles, which builds
+    # no steps
+    assert {s.kind for s in steps} == {"AddCurve", "AddChain", "ShiftToLeaf"}
+    _assert_each_step_checked_once(steps, checked)
+
+
+def _refuse(step, graph):
+    raise HypothesisViolationError("refused")
+
+
+def test_a_refusing_subtract_checker_stops_the_nef_pass(monkeypatch):
+    monkeypatch.setattr(reduction, "_expect_subtract_curve", _refuse)
+    # the sweep takes its nef passes from least_nef_cycles, which builds
+    # no steps, so only the stepwise pass meets this checker
+    with pytest.raises(HypothesisViolationError, match="refused"):
+        reduce_to_nef((-1,) + (0,) * 6, parse_case("E7"))
+
+
+@pytest.mark.parametrize("kind", ["AddCurve", "AddChain", "ShiftToLeaf"])
+def test_a_refusing_checker_stops_the_basic_pass_and_the_sweep(kind, monkeypatch):
+    graph = parse_case("E7")
+    cells = _walk_cells("E7", 15)
+    nef = [reduce_to_nef(cell, graph).terminal for cell in cells]
+    # a nef terminal whose basic pass takes a step of this kind
+    start = next(d for d in nef if kind in {s.kind for s in reduce_nef_to_basic(d, graph).steps})
+    monkeypatch.setattr(reduction, _CHECKERS[kind], _refuse)
+    with pytest.raises(HypothesisViolationError, match="refused"):
+        reduce_nef_to_basic(start, graph)
+    with pytest.raises(HypothesisViolationError, match="refused"):
+        reduction.sweep(graph, cells)
+
+
 # ------------------------------------------------------------- step table
 
 
@@ -743,11 +833,17 @@ def test_step_table_supports_expand_to_the_columns(graph):
     table = reduction._StepTable(graph)
     width = len(graph.nodes)
     weights = reduction._twice_weights(graph)
+    order = graph.curve_order()
     for v in graph.nodes:
         column = graph.columns[v]
-        assert _expand(table.supports[v], width) == column
-        assert table.moves[v] == sum(w * c for w, c in zip(weights, column))
-    order = graph.curve_order()
+        one, support, move, tail, first = table.entries[v]
+        assert one == (v,)
+        assert _expand(support, width) == column
+        assert move == sum(w * c for w, c in zip(weights, column))
+        # the pass resumes at the earliest of v and its neighbours, the
+        # first spot in curve order that the column moves
+        assert first == next(k for k, x in enumerate(order) if column[graph.index_of[x]])
+        assert tail == tuple((x, graph.index_of[x]) for x in order[first:])
     for u in graph.nodes:
         for w in graph.nodes:
             ends, path, support, move, inner, tail = table.chain(u, w)
