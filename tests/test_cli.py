@@ -20,6 +20,7 @@ def run_json(capsys, argv):
 
 
 VERIFY_DIGESTS = json.loads((Path(__file__).parent / "data" / "verify_digests.json").read_text())
+COMMAND_DIGESTS = json.loads((Path(__file__).parent / "data" / "command_digests.json").read_text())
 
 
 def run_frozen(capsys, argv):
@@ -412,6 +413,17 @@ def test_text_output_is_frozen(capsys, command, case):
     code, out = run_frozen(capsys, [command, "--case", case, "--format", "text"])
     assert code == 0
     assert out.splitlines()[-1] == "ok"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_standalone_command_output_is_frozen(capsys, command):
+    # tests/data/command_digests.json holds the SHA-256 of the stdout of
+    # graph, invariants and cox on every ADE case and of graph and cox on
+    # five custom stars, in json and in text, less the json stdout that
+    # invariants_ade.json and cox_cases.json already hold in full
+    code, out = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COMMAND_DIGESTS[command]
 
 
 @pytest.mark.parametrize("case", ["D4", "A6"])
