@@ -126,11 +126,10 @@ def _chain_monomials(graph, degree, bound, section_at):
 
 def box_exponent_tuples(graph, degree, bound):
     """Same enumeration, as exponent tuples in grading variable order."""
-    g = graph.grading()
-    out = set()
-    for exps in box_monomials(graph, degree, bound):
-        out.add(g.monomial(exps).exps)
-    return out
+    variables = graph.grading().variables
+    return {
+        tuple(exps.get(v, 0) for v in variables) for exps in box_monomials(graph, degree, bound)
+    }
 
 
 def is_irreducible(graph, vec):

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from coxforge import diophantine, invariants
+from coxforge import cli, diophantine, invariants
 from coxforge.errors import ParameterError
 from coxforge.graphs import build_singularity
 from coxforge.rings import Monomial, solve_degree_system
@@ -27,6 +29,20 @@ def test_reference_tables_verify(family, n):
     assert report["ok"], report
     rels = report["relations"]
     assert _sides(rels["computed"]) == _sides(rels["expected"])
+
+
+def test_a_dropped_generator_fails_verify(monkeypatch, capsys):
+    # the invariants section can be false: lose the first computed
+    # generator, and its ok, the top-level ok and the exit code turn
+    solve = invariants.solve_degree_system
+    monkeypatch.setattr(invariants, "solve_degree_system", lambda grading: solve(grading)[1:])
+    code = cli.main(["verify", "--case", "D5"])
+    payload = json.loads(capsys.readouterr().out)
+    section = payload["sections"]["invariants"]
+    assert [row["name"] for row in section["generators"] if not row["match"]] == ["Z1"]
+    assert section["ok"] is False
+    assert payload["ok"] is False
+    assert code == 1
 
 
 @pytest.mark.parametrize("family,n", ALL_CASES)

@@ -2,8 +2,8 @@
 none, and every absolute import under src/coxforge names the package
 itself or a standard-library module. Every module-level private name
 under src/coxforge is read somewhere in the package, every name a
-module imports is read in that module, and every public function or
-method is named in the package or by the benchmark. The
+module imports is read in that module, and every public function,
+method or class is named in the package or by the benchmark. The
 library modules load lazily: each is registered on import, a command
 runs only the modules it uses, and the CLI run as __main__ runs once."""
 
@@ -192,13 +192,23 @@ def test_every_private_helper_is_referenced():
     assert [(module, name) for module, name in defined if name not in used] == []
 
 
+def _named_outside_the_tests():
+    """Every name the package or the benchmark reads. Names in
+    __init__.py are exports, not uses, the benchmark's traced names
+    count as uses, and a local of the same name hides a bare read."""
+    used = {name for _, path, _ in _traced() for name in path.split(".")}
+    for path, tree in _parsed(ROOT / "src" / "coxforge"):
+        if path.name != "__init__.py":
+            used.update(_names_read(tree, _bound(tree)))
+    for _, tree in _parsed(ROOT / "bench"):
+        used.update(_names_read(tree, _bound(tree)))
+    return used
+
+
 def test_every_public_function_is_named_outside_the_tests():
-    # a public function or method that only tests call is dead code;
-    # names in __init__.py are exports, not uses, the benchmark's traced
-    # names count as uses, and a local of the same name hides a bare read
+    # a public function or method that only tests call is dead code
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined = []
-    used = {name for _, path, _ in _traced() for name in path.split(".")}
     for path, tree in _parsed(ROOT / "src" / "coxforge"):
         for node in tree.body:
             if isinstance(node, functions):
@@ -209,16 +219,26 @@ def test_every_public_function_is_named_outside_the_tests():
                     for item in node.body
                     if isinstance(item, functions)
                 )
-        if path.name != "__init__.py":
-            used.update(_names_read(tree, _bound(tree)))
-    for _, tree in _parsed(ROOT / "bench"):
-        used.update(_names_read(tree, _bound(tree)))
+    used = _named_outside_the_tests()
     unnamed = [
         (module, qualname)
         for module, qualname, name in defined
         if not name.startswith("_") and name not in used
     ]
     assert unnamed == []
+
+
+def test_every_public_class_is_named_outside_the_tests():
+    # a public class that only tests build or read is dead code
+    defined = [
+        (path.name, node.name)
+        for path, tree in _parsed(ROOT / "src" / "coxforge")
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+    assert defined
+    used = _named_outside_the_tests()
+    assert [(module, name) for module, name in defined if name not in used] == []
 
 
 def test_every_import_is_used():
