@@ -3,7 +3,9 @@
 A star with three arms carries a single candidate relation: one term
 per arm, the curve variable at distance t from the center raised to the
 t-th power, times the arm-end section variable raised to (arm length +
-1), led by the first arm in curve order. Chains carry no relation. A
+1), led by the first arm in curve order. Every term has coefficient 1,
+so the relation is the tuple of its terms' exponent tuples, in branch
+order, and the lead is one of them. Chains carry no relation. A
 star with four or more arms is a legal graph, but no candidate relation
 rule applies to it. presentation_from_graph builds the presentation,
 and with a leaf the quotient that sets the leaf's section variable to
@@ -13,7 +15,11 @@ The invariant-ring ambient of an A, D or E graph realizes the same
 ring: under the reference generators the ambient hypersurface relation
 of a chain vanishes, and each hard-coded hyperplane cut of a D or E
 graph (_cuts) pulls back, after dividing out the greatest common
-monomial factor of its terms, to exactly the candidate relation. Every
+monomial factor of its terms, to exactly the candidate relation. A
+pullback adds the generators' exponent tuples, each scaled by its
+exponent in the cut; the common factor is their entrywise minimum, and
+the residual is the set of differences, compared with the relation's
+terms. Every
 function takes the caller's ResolutionGraph, and verify_presentation
 is the one report for every graph.
 
@@ -24,9 +30,11 @@ is valid, that RingPresentation accepted it; the key stays, because
 the benchmark's checks read it.
 """
 
+from operator import sub
+
 from . import invariants
 from .errors import ParameterError, UnsupportedGraphError
-from .rings import Monomial, Polynomial, RingPresentation, normal_form
+from .rings import RingPresentation, normal_form
 
 
 def section_name_at(graph, node):
@@ -43,10 +51,11 @@ def _term_exponents(graph, branch):
 
 
 def _relation(graph, grading, leaf=None):
-    """(relation, lead) over ``grading``, or None for a chain: a term per
-    branch but the one ending at ``leaf``, led by the first branch left
-    in curve order. Raises UnsupportedGraphError on a star with four or
-    more arms."""
+    """(relation, lead) over ``grading``, or None for a chain: an exponent
+    tuple per branch but the one ending at ``leaf``, in branch order, led
+    by the first branch left in curve order. Keep that order:
+    reduction.cokernel_dimension takes the first term coprime to a step.
+    Raises UnsupportedGraphError on a star with four or more arms."""
     center = graph.center()
     if center is None:
         return None
@@ -57,7 +66,7 @@ def _relation(graph, grading, leaf=None):
     arms = [br for br in graph.branches() if br[-1] != leaf]
     terms = {br[0]: grading.monomial(_term_exponents(graph, br)) for br in arms}
     lead = next(terms[v] for v in graph.curve_order() if v in terms)
-    return Polynomial(dict.fromkeys(terms.values(), 1)), lead
+    return tuple(terms.values()), lead
 
 
 def presentation_from_graph(graph, leaf=None):
@@ -123,17 +132,15 @@ def verify_presentation(graph):
     ok = True
     if graph.family is None:
         if rel is not None:
-            ok = normal_form(rel, pres).is_zero()
+            ok = not normal_form(dict.fromkeys(rel, 1), pres)
             report["normal_form_zero"] = ok
         report["ok"] = ok
         return report
     gens = dict(invariants.golden_generators(graph))
 
     def pullback(term):
-        out = grading.one()
-        for name, e in term.items():
-            out = out * gens[name] ** e
-        return out
+        scaled = [[e * x for x in gens[name]] for name, e in term.items()]
+        return tuple(map(sum, zip(*scaled)))
 
     if graph.family == "A":
         # the ambient is a hypersurface: its toric relation must vanish
@@ -143,9 +150,9 @@ def verify_presentation(graph):
         report["hypersurface_substitution_zero"] = ok
     for name, principal, terms in _cuts(graph):
         monos = [pullback(term) for term in terms]
-        gcd = Monomial(tuple(map(min, *(m.exps for m in monos))))
-        residual = Polynomial({m / gcd: 1 for m in monos})
-        matches = residual == rel
+        gcd = tuple(map(min, *monos))
+        residual = {tuple(map(sub, m, gcd)) for m in monos}
+        matches = residual == set(rel)
         report["cuts"].append(
             {
                 "name": name,

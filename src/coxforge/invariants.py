@@ -6,9 +6,11 @@ them gives the relations. Normality makes the invariant ring
 Cohen-Macaulay (Hochster 1972) with the interior ideal as its canonical
 module (Danilov-Stanley), which bounds the degree of every minimal
 relation, so toric_relations lists the fibers up to that bound in full
-and its relations are exact, with no cap. For the classical graphs the
-expected generators follow closed formulas (chains and forks) or a fixed reference table
-(the three star shapes), and verify_invariant_table checks computation
+and its relations are exact, with no cap. A generator is the exponent
+tuple of its monomial in the graph grading, named where a reference
+names it. For the classical graphs the expected generators follow
+closed formulas (chains and forks) or a fixed reference table (the
+three star shapes), and verify_invariant_table checks computation
 against expectation exponent for exponent.
 
 Every entry point takes the caller's ResolutionGraph and reads its
@@ -85,7 +87,7 @@ def _fork_generators(n, grading):
 
 def golden_generators(graph):
     """Expected invariant generators of an A, D or E graph, as (name,
-    Monomial) pairs in its grading."""
+    exponent tuple) pairs in its grading."""
     family, n, grading = graph.family, graph.rank, graph.grading()
     if family == "A":
         return _chain_generators(n, grading)
@@ -121,7 +123,7 @@ def golden_relations(graph):
 
 
 def toric_relations(gens):
-    """Minimal binomial relations among the monomials in gens, found
+    """Minimal binomial relations among the exponent tuples in gens, found
     exactly: every fiber of the substitution map up to a degree bound B
     is listed in full, and no minimal relation lies above B.
 
@@ -157,10 +159,10 @@ def toric_relations(gens):
     of "shares a variable", found by union-find with each root at the
     least point.
     """
-    weights = [m.total() for m in gens]
+    weights = [sum(m) for m in gens]
     if 0 in weights:
         raise ParameterError("a constant generator bounds no relation degree")
-    p = len(gens) - linalg.rank([m.exps for m in gens])
+    p = len(gens) - linalg.rank(gens)
     if p == 0:
         return []
     bound = sum(weights) - 1 - (p - 1) * min(weights)
@@ -172,7 +174,7 @@ def toric_relations(gens):
         if idx == k:
             fibers.setdefault(subst, []).append(prefix)
             return
-        row, w = gens[idx].exps, weights[idx]
+        row, w = gens[idx], weights[idx]
         for e in range(budget // w + 1):
             grow(prefix + (e,), budget - e * w, subst)
             subst = tuple(map(add, subst, row))
@@ -183,7 +185,7 @@ def toric_relations(gens):
             n = root[n]
         return n
 
-    grow((), bound, (0,) * len(gens[0].exps))
+    grow((), bound, (0,) * len(gens[0]))
     accepted = []
     for subst in sorted(fibers, key=lambda s: (sum(s), s)):
         pts = fibers[subst]
@@ -245,7 +247,7 @@ def verify_invariant_table(graph):
             {
                 "name": name,
                 "expected": grading.format_monomial(want),
-                "computed": grading.format_monomial(hit) if hit else None,
+                "computed": grading.format_monomial(hit) if hit is not None else None,
                 "match": hit is not None,
             }
         )

@@ -638,8 +638,8 @@ def cokernel_dimension(pres, step):
     shifted = tuple(c + sum(row[j] for j in support) for c, row in zip(source, matrix))
     if shifted != tuple(target):
         raise ParameterError("step degrees are inconsistent with its curves")
-    terms = pres.relation.terms if pres.relation is not None else ()
-    lead = next((t.exps for t in terms if not any(t.exps[j] for j in support)), None)
+    terms = pres.relation or ()
+    lead = next((t for t in terms if not any(t[j] for j in support)), None)
     if terms and lead is None:
         raise ParameterError("every relation term shares a variable with the step")
     not_m = set()
@@ -728,7 +728,7 @@ def base_case_audit(graph, leaf, k):
     first = k * arm
     reached = first + BASE_CASE_PERIODS * (arm + 1)
     slices = range(reached + 1)
-    counts = [len(_slice_basis(qp.grading.matrix, target, j, e, qp.lead.exps)) for e in slices]
+    counts = [len(_slice_basis(qp.grading.matrix, target, j, e, qp.lead)) for e in slices]
     series = [int(e >= first and (e - first) % (arm + 1) == 0) for e in slices]
     return {"case": graph.label, "leaf": leaf, "k": k, "arm": arm, "reached": reached,
             "ok": counts == series}

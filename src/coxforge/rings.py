@@ -1,7 +1,11 @@
-"""Multigraded monomials, polynomials and ring presentations.
+"""Multigraded monomials and ring presentations.
 
-Everything is exact: exponents and coefficients are Python ints, since
-every relation here has coefficients 1 and rewrites keep them integral.
+A monomial is its exponent tuple, one nonnegative int per variable of
+its grading. Every relation here is a sum of distinct monomials with
+coefficient 1, so a relation is a tuple of exponent tuples and no
+coefficient ring is needed; only normal_form, whose rewrites keep
+coefficients integral, takes a map from exponent tuples to ints.
+
 A Grading pairs a variable table with an integer degree matrix whose
 rows are the lattice coordinates. Graded pieces and the
 degree-zero generators both come from the one lattice-point solver in
@@ -12,90 +16,14 @@ shares no variable with its other terms, so normal forms need no term
 order: every rewrite order gives the same one.
 """
 
+from operator import add, le, sub
+
 from . import diophantine
 from .errors import ParameterError
 
 
-class Monomial:
-    """Exponent vector with nonnegative integer entries."""
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps):
-        t = tuple(int(x) for x in exps)
-        if any(x < 0 for x in t):
-            raise ParameterError("monomial exponents must be nonnegative")
-        self.exps = t
-
-    def total(self):
-        return sum(self.exps)
-
-    def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __mul__(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __truediv__(self, other):
-        if not other.divides(self):
-            raise ParameterError("monomial quotient has a negative exponent")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ParameterError("negative monomial power")
-        return Monomial(tuple(a * k for a in self.exps))
-
-    def key(self):
-        return (self.total(), self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __lt__(self, other):
-        return self.key() < other.key()
-
-    def __repr__(self):
-        return "Monomial(%r)" % (self.exps,)
-
-
-class Polynomial:
-    """Sparse polynomial: monomial -> int coefficient, zero terms dropped."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        d = {}
-        for m, c in dict(terms).items():
-            if type(c) is not int:
-                raise ParameterError("polynomial coefficients must be integers")
-            if c != 0:
-                d[m] = c
-        self.terms = d
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].key())
-
-    def __sub__(self, other):
-        d = dict(self.terms)
-        for m, c in other.terms.items():
-            d[m] = d.get(m, 0) - c
-        return Polynomial(d)
-
-    def times_monomial(self, mono, coeff=1):
-        return Polynomial({m * mono: c * coeff for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        return "Polynomial(%r)" % (self.terms,)
+def _divides(a, b):
+    return all(map(le, a, b))
 
 
 class Grading:
@@ -130,49 +58,33 @@ class Grading:
         except KeyError:
             raise ParameterError("unknown variable %r" % (name,)) from None
 
-    def degree_of(self, mono):
-        if len(mono.exps) != self.width:
+    def degree_of(self, exps):
+        if len(exps) != self.width:
             raise ParameterError(
-                "monomial has %d exponents, grading has %d variables"
-                % (len(mono.exps), self.width)
+                "monomial has %d exponents, grading has %d variables" % (len(exps), self.width)
             )
-        return tuple(sum(r * e for r, e in zip(row, mono.exps)) for row in self.matrix)
+        return tuple(sum(r * e for r, e in zip(row, exps)) for row in self.matrix)
 
     def monomial(self, mapping):
         exps = [0] * self.width
         for name, e in mapping.items():
             exps[self.index(name)] = e
-        return Monomial(exps)
+        return tuple(exps)
 
-    def one(self):
-        return Monomial((0,) * self.width)
-
-    def format_monomial(self, mono):
+    def format_monomial(self, exps):
         parts = []
-        for v, e in zip(self.variables, mono.exps):
+        for v, e in zip(self.variables, exps):
             if e == 1:
                 parts.append(v)
             elif e > 1:
                 parts.append("%s^%d" % (v, e))
         return "*".join(parts) if parts else "1"
 
-    def format_polynomial(self, poly):
-        if poly.is_zero():
-            return "0"
-        parts = []
-        for m, c in poly.sorted_terms():
-            mono = self.format_monomial(m)
-            if c == 1:
-                s = mono
-            elif c == -1:
-                s = "-" + mono
-            else:
-                s = "%d*%s" % (c, mono)
-            parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += " - " + s[1:] if s.startswith("-") else " + " + s
-        return out
+    def format_polynomial(self, terms):
+        """The sum of the coefficient-1 terms, by total degree, then
+        exponents."""
+        ordered = sorted(terms, key=lambda exps: (sum(exps), exps))
+        return " + ".join(self.format_monomial(m) for m in ordered)
 
     def drop(self, names):
         names = set(names)
@@ -201,28 +113,28 @@ class Grading:
 def solve_degree_system(grading):
     """Minimal generators of the degree-zero monomial monoid, sorted by
     total degree then exponents."""
-    basis = diophantine.solve_nonneg([list(row) for row in grading.matrix])
-    return tuple(Monomial(m) for m in basis)
+    return tuple(diophantine.solve_nonneg([list(row) for row in grading.matrix]))
 
 
 def monomials_of_degree(grading, degree, cap):
-    """Monomials of the given degree with total degree <= cap, sorted:
+    """The monomials of the given degree with total degree <= cap, sorted:
     the points of diophantine.fiber_points on the degree matrix."""
     degree = tuple(degree)
     if len(degree) != grading.lattice_rank:
         raise ParameterError(
             "degree has %d coordinates, grading has %d" % (len(degree), grading.lattice_rank)
         )
-    return [Monomial(s) for s in diophantine.fiber_points(grading.matrix, degree, cap)]
+    return diophantine.fiber_points(grading.matrix, degree, cap)
 
 
 class RingPresentation:
-    """Polynomial ring over a grading, modulo at most one homogeneous
-    relation. The relation has at least two terms, its lead term has
-    coefficient one, and the lead shares no variable with any other
-    term. So {relation} is a Groebner basis, the lead-free monomials
-    are a basis of the quotient, and the relation has no monomial
-    factor."""
+    """The polynomial ring over a grading, modulo at most one homogeneous
+    relation: a tuple of distinct exponent tuples, the sum of its terms
+    with coefficient 1, and a lead that is one of them. The relation
+    has at least two terms, and the lead shares no variable with any
+    other term. So {relation} is a Groebner basis, the lead-free
+    monomials are a basis of the quotient, and the relation has no
+    monomial factor."""
 
     __slots__ = ("grading", "relation", "lead")
 
@@ -230,15 +142,16 @@ class RingPresentation:
         if (relation is None) != (lead is None):
             raise ParameterError("a relation needs a lead term, and a lead term a relation")
         if relation is not None:
-            if len(relation.terms) < 2:
+            if len(relation) < 2:
                 raise ParameterError("relation needs at least two terms")
-            if relation.terms.get(lead) != 1:
-                raise ParameterError("lead term must appear with coefficient 1")
-            degs = {grading.degree_of(m) for m in relation.terms}
-            if len(degs) > 1:
+            if len(set(relation)) != len(relation):
+                raise ParameterError("relation repeats a term")
+            if lead not in relation:
+                raise ParameterError("lead term must be a term of the relation")
+            if len({grading.degree_of(m) for m in relation}) > 1:
                 raise ParameterError("relation is not homogeneous")
-            for m in relation.terms:
-                if m != lead and any(a and b for a, b in zip(lead.exps, m.exps)):
+            for m in relation:
+                if m != lead and any(a and b for a, b in zip(lead, m)):
                     raise ParameterError("lead term shares a variable with another term")
         self.grading = grading
         self.relation = relation
@@ -246,8 +159,9 @@ class RingPresentation:
 
 
 def normal_form(poly, pres):
-    """Reduce modulo the relation: rewrite lead * q -> -(rest) * q until
-    no term is divisible by the lead, taking the lead multiples in
+    """Reduce a {exponent tuple: int} map modulo the relation, and
+    return its nonzero terms: rewrite lead * q -> -(rest) * q until no
+    term is divisible by the lead, taking the lead multiples in
     whatever order they come.
 
     Any order ends: the other terms share no variable with the lead, so
@@ -257,23 +171,30 @@ def normal_form(poly, pres):
     leading term, for instance one that weights the lead's variables
     above every other term's total degree, and under it {relation} is a
     Groebner basis, whose remainders are unique."""
-    work = Polynomial(poly.terms)
+    work = {m: c for m, c in poly.items() if c}
     lead = pres.lead
     if lead is None:
         return work
-    rest = Polynomial({m: c for m, c in pres.relation.terms.items() if m != lead})
+    rest = [m for m in pres.relation if m != lead]
     while True:
-        m = next((m for m in work.terms if lead.divides(m)), None)
+        m = next((m for m in work if _divides(lead, m)), None)
         if m is None:
             return work
-        c = work.terms[m]
-        work = work - Polynomial({m: c}) - rest.times_monomial(m / lead, c)
+        c = work.pop(m)
+        q = tuple(map(sub, m, lead))
+        for r in rest:
+            t = tuple(map(add, q, r))
+            left = work.get(t, 0) - c
+            if left:
+                work[t] = left
+            else:
+                del work[t]
 
 
 def graded_piece_basis(pres, degree, cap):
-    """Monomial basis of one graded piece, truncated at total degree cap:
+    """A monomial basis of one graded piece, truncated at total degree cap:
     monomials of the degree with no lead-term divisor."""
     monos = monomials_of_degree(pres.grading, degree, cap)
     if pres.lead is None:
         return monos
-    return [m for m in monos if not pres.lead.divides(m)]
+    return [m for m in monos if not _divides(pres.lead, m)]
