@@ -13,8 +13,10 @@ attribute access. A process without bytecode caches (a fresh checkout, or
 ``PYTHONDONTWRITEBYTECODE``) compiles every module it runs, and for a
 short command that was most of what it spent past interpreter start-up;
 now ``coxforge graph`` runs only ``cli``, ``errors``, ``graphs`` and
-``rings``. The public names of ``__all__`` resolve through the
-module ``__getattr__`` below.
+``rings``. ``cli`` keeps to the same rule for the standard library: it
+reads the command line from a table of its own, not with ``argparse``,
+and imports ``json`` only to read or write JSON. The public names of
+``__all__`` resolve through the module ``__getattr__`` below.
 
 ``cli`` is not registered, so that ``python -m coxforge.cli`` runs its body
 once, as ``__main__``. Since every other module is in ``sys.modules`` once

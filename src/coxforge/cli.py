@@ -15,11 +15,11 @@ checked even when a flag overrides it. The cokernel audits are exact
 counts and take no cap, and invariants.toric_relations bounds the
 degree of its relation search itself, so `cokernel` and `relation` are
 unknown caps.
-The --caps help lists the keys of DEFAULT_CAPS.
 
-A --degree value may start with a minus sign: `--degree -1,0,0,0`. Its
-numbers, like those of a case, of --caps and of --grid, are ASCII
-digits; a config value may be any string that int() reads.
+parse_args reads a command and the options of OPTIONS, each in full or
+by a unique prefix, with its value verbatim after `=` or next (`--degree
+-1,0,0,0`). Numbers (degree, case, --caps, --grid) are ASCII digits; a
+config value may be any string that int() reads.
 
 verify and report build their sections through one function,
 cmd_checks: both run the invariants (A, D and E only), cox and audits
@@ -33,11 +33,10 @@ section was skipped, the text summary says that nothing was checked.
 On such a star, reduce exits 2 only when its trace has a step to audit.
 """
 
-import argparse
 import itertools
-import json
 import sys
 import time
+import types
 
 from . import cox, graphs, invariants, reduction
 from .errors import CoxforgeError, ParameterError, UnsupportedGraphError
@@ -134,6 +133,7 @@ def _cap(value, what, parse=int):
 def _load_config(path):
     if path is None:
         return {}
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -326,6 +326,7 @@ def _emit(payload, args):
     if args.format == "text":
         text = _render_text(payload)
     else:
+        import json
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
@@ -349,42 +350,67 @@ def _parse_degree(text, graph):
     return degree
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="coxforge",
-        description="Cox rings of ADE surface singularity resolutions: "
-        "invariant tables, candidate presentations, reduction audits.",
-    )
-    parser.add_argument("command", choices=["graph", "invariants", "cox", "reduce", "verify", "report"])
-    parser.add_argument("--case", required=True, help="A<n>, D<n>, E<n>, or custom:l1,l2,...")
-    parser.add_argument("--degree", help="comma-separated multidegree (reduce only)")
-    parser.add_argument("--grid", help="max sampled degree cells for verify")
-    parser.add_argument(
-        "--caps",
-        action="append",
-        metavar="KEY=N",
-        help="override caps, repeat or comma-separate (known: %s)"
-        % ", ".join(sorted(DEFAULT_CAPS)),
-    )
-    parser.add_argument("--config", help="JSON config file with caps/seed/grid")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument("--timings", action="store_true", help="include per-section milliseconds")
-    return parser
+COMMANDS = ("graph", "invariants", "cox", "reduce", "verify", "report")
+# long option -> (attribute, metavar (None: a switch), choices (the first
+# is the default), help); --caps keeps every value, the others their last
+OPTIONS = {
+    "--case": ("case", "CASE", None, "A<n>, D<n>, E<n>, or custom:l1,l2,... (required)"),
+    "--degree": ("degree", "D", None, "comma-separated multidegree (reduce only)"),
+    "--grid": ("grid", "N", None, "max sampled degree cells for verify"),
+    "--caps": ("caps", "KEY=N", None, "override caps, repeat or comma-separate (known: %s)"
+               % ", ".join(sorted(DEFAULT_CAPS))),
+    "--config": ("config", "PATH", None, "JSON config file with caps/seed/grid"),
+    "--format": ("format", "FORMAT", ("json", "text"), "json (the default) or text"),
+    "--out": ("out", "PATH", None, "write output to this path instead of stdout"),
+    "--timings": ("timings", None, None, "include per-section milliseconds"),
+    "--help": ("help", None, None, "print this help and exit (also -h)"),
+}
 
 
-def _glue_negative_degree(argv):
-    """argv with ``--degree -1,0,0,0`` read as ``--degree=-1,0,0,0``:
-    argparse takes a value that starts with a minus sign for an option.
-    The flag may be abbreviated, as argparse allows."""
-    out = []
+def _usage():
+    rows = ("  %-18s %s" % ("%s %s" % (name, meta or ""), text)
+            for name, (_, meta, _, text) in OPTIONS.items())
+    return "usage: coxforge {%s} --case CASE [option ...]\n\noptions (%s):\n%s\n" % (
+        ",".join(COMMANDS), "a unique prefix will do; --name=value or --name value",
+        "\n".join(rows))
+
+
+def parse_args(argv):
+    """The namespace of one command line, or None when it asks for help.
+    An option's value is taken verbatim: it may start with a minus sign."""
+    values = {attr: (choices or [None])[0] if meta else False
+              for attr, meta, choices, _ in OPTIONS.values()}
+    values["caps"] = []
+    commands = []
+    argv = iter(argv)
     for arg in argv:
-        flag = out[-1] if out else ""
-        if len(flag) > 2 and "--degree".startswith(flag) and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+        if not arg.startswith("-"):
+            commands.append(arg)
+            continue
+        arg, glued, value = arg.partition("=")
+        arg = "--help" if arg == "-h" else arg
+        names = [arg] if arg in OPTIONS else [
+            name for name in OPTIONS if len(arg) > 2 and name.startswith(arg)]
+        if len(names) != 1:
+            raise ParameterError("%s option %s (%s)" % (
+                "ambiguous" if names else "unknown", arg, ", ".join(names or OPTIONS)))
+        attr, meta, choices, _ = OPTIONS[names[0]]
+        if meta is None:
+            if glued:
+                raise ParameterError("%s takes no value" % names[0])
+            if attr == "help":
+                return None
+            values[attr] = True
+            continue
+        value = value if glued else next(argv, None)
+        if value is None or choices and value not in choices:
+            raise ParameterError("%s needs %s" % (names[0], " or ".join(choices or ["a value"])))
+        values[attr] = values[attr] + [value] if attr == "caps" else value
+    if len(commands) != 1 or commands[0] not in COMMANDS:
+        raise ParameterError("expected one command of %s, got %s" % (", ".join(COMMANDS), commands))
+    if values["case"] is None:
+        raise ParameterError("--case is required")
+    return types.SimpleNamespace(command=commands[0], **values)
 
 
 def _run(args):
@@ -408,12 +434,11 @@ def _run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_negative_degree(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_usage())
+            return EXIT_OK
         payload, code = _run(args)
         _emit(payload, args)
     except (ParameterError, UnsupportedGraphError) as exc:

@@ -17,7 +17,6 @@ Every entry point takes the caller's ResolutionGraph and reads its
 family, rank and grading; a custom tree has no reference table.
 """
 
-import json
 import os
 from functools import lru_cache
 from operator import add
@@ -31,6 +30,7 @@ from .rings import solve_degree_system
 def _tables():
     # read beside this file: importlib.resources would cost every
     # process its import, and the tables ship inside the package
+    import json
     path = os.path.join(os.path.dirname(__file__), "data", "golden_tables.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

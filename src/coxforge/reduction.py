@@ -102,7 +102,6 @@ class ReductionStep:
             "degree_after": list(self.degree_after),
             "expected_dim": self.expected_cokernel_dim,
             "actual_dim": self.actual_dim,
-            "stabilized": True if self.actual_dim is not None else None,
         }
 
     def __repr__(self):

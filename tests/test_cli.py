@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from coxforge import cli, reduction
+from coxforge.errors import ParameterError
 from coxforge.graphs import ResolutionGraph
 
 
@@ -77,7 +78,6 @@ def test_reduce_command(capsys):
     assert payload["terminal"] == [0, 1, 0, 0]
     assert len(payload["steps"]) == 6
     for step in payload["steps"]:
-        assert step["stabilized"] is True
         assert step["actual_dim"] == step["expected_dim"] == 0
 
 
@@ -105,8 +105,8 @@ def test_reduce_audits_on_a5_are_exact(capsys, degree):
 
 @pytest.mark.parametrize("degree", ["-1,0,0,0", "-3,-3,-3,-3", "0,-1,0,0", "-1,0,0"])
 def test_a_degree_with_a_leading_minus_reads_like_the_glued_spelling(capsys, degree):
-    # argparse would take "-1,0,0,0" for an option after "--degree"; the
-    # last degree has too few coordinates, which exits 2 either way
+    # an option's value is read verbatim, minus sign and all; the last
+    # degree has too few coordinates, which exits 2 either way
     def spelled(*flag):
         code = cli.main(["reduce", "--case", "D4", *flag])
         return code, capsys.readouterr()
@@ -115,6 +115,86 @@ def test_a_degree_with_a_leading_minus_reads_like_the_glued_spelling(capsys, deg
     assert glued[0] == (2 if degree == "-1,0,0" else 0)
     assert spelled("--degree", degree) == glued
     assert spelled("--deg", degree) == glued
+
+
+PARSED = {
+    "command": "reduce", "case": "D4", "degree": None, "grid": None, "caps": [],
+    "config": None, "format": "json", "out": None, "timings": False, "help": False,
+}
+
+
+@pytest.mark.parametrize(
+    "argv,parsed",
+    [
+        (["--case", "D4", "reduce"], {}),
+        (["--format", "text", "--case=D4", "reduce"], {"format": "text"}),
+        (["reduce", "--case", "D4", "--degree=-1,0,0,0"], {"degree": "-1,0,0,0"}),
+        (["reduce", "--case", "D4", "--degree", "-1,0,0,0"], {"degree": "-1,0,0,0"}),
+        (["reduce", "--case", "D4", "--deg", "-1,0,0,0"], {"degree": "-1,0,0,0"}),
+        (["reduce", "--case", "D4", "--form", "text", "--tim"], {"format": "text", "timings": True}),
+        (["reduce", "--case", "D4", "--timings"], {"timings": True}),
+        (["reduce", "--caps", "step=3", "--case", "D4", "--caps=step=4,step=5"],
+         {"caps": ["step=3", "step=4,step=5"]}),
+        (["reduce", "--case", "A1", "--grid", "5", "--case", "D4", "--grid=-7"], {"grid": "-7"}),
+        (["reduce", "--case", "D4", "--format", "text", "--format", "json"], {}),
+        # a value is verbatim, even when it spells an option
+        (["reduce", "--case", "D4", "--out", "--help", "--config="], {"out": "--help", "config": ""}),
+    ],
+)
+def test_parse_args_reads_each_spelling(argv, parsed):
+    assert vars(cli.parse_args(argv)) == dict(PARSED, **parsed)
+
+
+def test_repeated_and_joined_caps_apply_in_order():
+    args = cli.parse_args(["verify", "--case", "D4", "--caps", "step=3,step=4", "--caps=step=5"])
+    assert cli.resolve_settings(args)["caps"] == {"step": 5}
+    args = cli.parse_args(["verify", "--case", "D4", "--caps=step=5", "--caps", "step=3,step=4"])
+    assert cli.resolve_settings(args)["caps"] == {"step": 4}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_prints_the_usage_from_the_option_table(capsys, flag):
+    assert cli.parse_args(["graph", flag, "--case"]) is None
+    assert cli.main([flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: coxforge {%s} " % ",".join(cli.COMMANDS))
+    for name, (_, metavar, _, text) in cli.OPTIONS.items():
+        assert "%s %s" % (name, metavar or "") in captured.out
+        assert text in captured.out
+    assert all(key in captured.out for key in cli.DEFAULT_CAPS)
+
+
+COMMAND_LIST = "graph, invariants, cox, reduce, verify, report"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bogus", "--case", "D4"], "expected one command of %s, got ['bogus']" % COMMAND_LIST),
+        (["graph", "cox", "--case", "D4"],
+         "expected one command of %s, got ['graph', 'cox']" % COMMAND_LIST),
+        (["--case", "D4"], "expected one command of %s, got []" % COMMAND_LIST),
+        (["graph"], "--case is required"),
+        (["graph", "--case", "D4", "--format", "xml"], "--format needs json or text"),
+        (["graph", "--c", "D4"], "ambiguous option --c (--case, --caps, --config)"),
+        (["graph", "--ca", "D4"], "ambiguous option --ca (--case, --caps)"),
+        (["graph", "--case", "D4", "--bogus"], "unknown option --bogus (%s)" % ", ".join(cli.OPTIONS)),
+        # not a prefix of --timings
+        (["graph", "--case", "D4", "--time"], "unknown option --time (%s)" % ", ".join(cli.OPTIONS)),
+        (["graph", "--case", "D4", "--"], "unknown option -- (%s)" % ", ".join(cli.OPTIONS)),
+        (["graph", "--case", "D4", "--timings=1"], "--timings takes no value"),
+        (["graph", "--case", "D4", "--out"], "--out needs a value"),
+        (["graph", "--out", "x.json", "--case"], "--case needs a value"),
+    ],
+)
+def test_a_malformed_command_line_gives_one_error_line(capsys, argv, message):
+    with pytest.raises(ParameterError):
+        cli.parse_args(argv)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
 
 
 def test_reduce_usage_errors(capsys):
@@ -626,10 +706,10 @@ def test_precedence_flag_over_config(tmp_path):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"caps": {"step": 400}, "grid": 77}))
     base = ["verify", "--case", "D4", "--config", str(config)]
-    settings = cli.resolve_settings(cli.build_parser().parse_args(base))
+    settings = cli.resolve_settings(cli.parse_args(base))
     assert settings["caps"] == {"step": 400}
     assert settings["grid"] == 77
-    args = cli.build_parser().parse_args(base + ["--caps", "step=30", "--grid", "99"])
+    args = cli.parse_args(base + ["--caps", "step=30", "--grid", "99"])
     settings = cli.resolve_settings(args)
     assert settings["caps"] == {"step": 30}
     assert settings["grid"] == 99
@@ -695,7 +775,7 @@ def test_caps_flag_needs_integers(capsys):
 def test_string_integers_in_config_still_parse(tmp_path):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps({"caps": {"step": "400"}, "grid": "77", "seed": 5}))
-    args = cli.build_parser().parse_args(["verify", "--case", "D4", "--config", str(path)])
+    args = cli.parse_args(["verify", "--case", "D4", "--config", str(path)])
     settings = cli.resolve_settings(args)
     assert (settings["caps"]["step"], settings["grid"], settings["seed"]) == (400, 77, 5)
 

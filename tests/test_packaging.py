@@ -5,7 +5,8 @@ under src/coxforge is read somewhere in the package, every name a
 module imports is read in that module, and every public function,
 method or class is named in the package or by the benchmark. The
 library modules load lazily: each is registered on import, a command
-runs only the modules it uses, and the CLI run as __main__ runs once."""
+runs only the modules it uses, the CLI loads no argparse and loads json
+only to read or write JSON, and the CLI run as __main__ runs once."""
 
 import ast
 import os
@@ -58,7 +59,10 @@ def _fresh(code, *args):
     return out.stdout
 
 
-@pytest.mark.parametrize("module", ["importlib.resources", "fractions", "decimal"])
+@pytest.mark.parametrize(
+    "module",
+    ["importlib.resources", "fractions", "decimal", "argparse", "gettext", "locale", "json"],
+)
 def test_importing_the_cli_leaves_a_module_unloaded(module):
     code = "import sys, coxforge.cli; print(%r in sys.modules)" % module
     assert _fresh(code).strip() == "False"
@@ -97,6 +101,29 @@ def test_a_command_runs_only_the_modules_it_uses(argv, ran):
     # never used is still of LazyLoader's module subclass
     executed = set(_fresh(EXECUTED, *argv.split()).split())
     assert executed == {"cli", "errors"} | ran
+
+
+JSON_LOADED = """
+import io, sys
+from contextlib import redirect_stdout
+import coxforge.cli
+with redirect_stdout(io.StringIO()):
+    code = coxforge.cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        ("graph --case A4 --format text", False),
+        ("reduce --case D4 --degree=-1,0,0,0 --format text", False),
+        # the probe can fail: writing JSON loads json
+        ("graph --case A4", True),
+    ],
+)
+def test_json_is_loaded_only_to_read_or_write_json(argv, loaded):
+    assert _fresh(JSON_LOADED, *argv.split()).split() == ["0", str(loaded)]
 
 
 def test_every_library_module_is_registered_on_import():

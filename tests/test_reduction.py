@@ -278,7 +278,6 @@ def test_trace_to_dict_shape():
         "degree_after",
         "expected_dim",
         "actual_dim",
-        "stabilized",
     }
     assert step["degree_after"] == [0, 0, 0, 1]
 
