@@ -15,8 +15,11 @@ short command that was most of what it spent past interpreter start-up;
 now ``coxforge graph`` runs only ``cli``, ``errors``, ``graphs`` and
 ``rings``. ``cli`` keeps to the same rule for the standard library: it
 reads the command line from a table of its own, not with ``argparse``,
-and imports ``json`` only to read or write JSON. The public names of
-``__all__`` resolve through the module ``__getattr__`` below.
+and imports ``json`` only to read or write JSON. The package ships no
+data file: the E6-E8 reference tables are the literals of ``_golden_e``,
+which is not registered and which ``invariants`` imports on an E graph
+only. The public names of ``__all__`` but the eagerly imported ones
+resolve through the module ``__getattr__`` below.
 
 ``cli`` is not registered, so that ``python -m coxforge.cli`` runs its body
 once, as ``__main__``. Since every other module is in ``sys.modules`` once
@@ -83,21 +86,12 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-__all__ = [
+# the eagerly imported names and the lazy exports
+__all__ = sorted([
     "CoxforgeError",
     "HypothesisViolationError",
     "ParameterError",
-    "ResolutionGraph",
     "UnsupportedGraphError",
     "__version__",
-    "audit_add_curve",
-    "build_custom_tree",
-    "build_singularity",
-    "full_equivalence_audit",
-    "presentation_from_graph",
-    "reduce_nef_to_basic",
-    "reduce_to_nef",
-    "solve_degree_system",
-    "verify_invariant_table",
-    "verify_presentation",
-]
+    *_EXPORTS,
+])

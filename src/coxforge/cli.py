@@ -18,8 +18,10 @@ unknown caps.
 
 parse_args reads a command and the options of OPTIONS, each in full or
 by a unique prefix, with its value verbatim after `=` or next (`--degree
--1,0,0,0`). Numbers (degree, case, --caps, --grid) are ASCII digits; a
-config value may be any string that int() reads.
+-1,0,0,0`). Every number is read by one rule, _ascii_int: ASCII digits,
+maybe after a minus sign, on the command line (degree, case, --caps,
+--grid) and in a config string (caps, grid, seed), where a JSON integer
+also does. int() would take '1_0', ' +5' or other scripts' digits too.
 
 verify and report build their sections through one function,
 cmd_checks: both run the invariants (A, D and E only), cox and audits
@@ -39,7 +41,7 @@ import time
 import types
 
 from . import cox, graphs, invariants, reduction
-from .errors import CoxforgeError, ParameterError, UnsupportedGraphError
+from .errors import CoxforgeError, ParameterError, UnsupportedGraphError, require_int
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -107,24 +109,21 @@ def grid_sample(width, count, seed=DEFAULT_SEED, lo=-3, hi=3):
     return list(cells)
 
 
-def _integer(value, what, parse=int):
-    """One integer setting: an int, or a string that ``parse`` reads as
-    one. A config value may be any string int() takes; a flag is read
-    with ``_ascii_int``."""
+def _integer(value, what):
+    """One integer setting, from a flag or the config file alike: an
+    int, or a string that ``_ascii_int`` reads."""
     if isinstance(value, str):
         try:
-            return parse(value)
+            value = _ascii_int(value)
         except ValueError:
             pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParameterError("%s needs an integer, got %r" % (what, value))
+    return require_int(value, what)
 
 
-def _cap(value, what, parse=int):
+def _cap(value, what):
     """One cap setting: an integer of at least 1. A zero or negative cap
     would cut a reduction pass off before it did any work."""
-    cap = _integer(value, what, parse)
+    cap = _integer(value, what)
     if cap < 1:
         raise ParameterError("%s needs at least 1, got %d" % (what, cap))
     return cap
@@ -159,7 +158,7 @@ def _parse_caps_flags(entries):
                 raise ParameterError(
                     "unknown cap %r (known: %s)" % (key, ", ".join(sorted(DEFAULT_CAPS)))
                 )
-            caps[key] = _cap(value, "cap %r" % key, _ascii_int)
+            caps[key] = _cap(value, "cap %r" % key)
     return caps
 
 
@@ -182,7 +181,7 @@ def resolve_settings(args):
     # the config grid is checked even under --grid, as the config caps
     # are under --caps
     config_grid = _integer(config.get("grid", DEFAULT_GRID), "config grid")
-    grid = config_grid if args.grid is None else _integer(args.grid, "grid", _ascii_int)
+    grid = config_grid if args.grid is None else _integer(args.grid, "grid")
     for value in (config_grid, grid):
         if value < 1:
             # an empty sample would pass every check without doing any work

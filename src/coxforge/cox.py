@@ -12,16 +12,17 @@ and with a leaf the quotient that sets the leaf's section variable to
 zero.
 
 The invariant-ring ambient of an A, D or E graph realizes the same
-ring: under the reference generators the ambient hypersurface relation
-of a chain vanishes, and each hard-coded hyperplane cut of a D or E
-graph (_cuts) pulls back, after dividing out the greatest common
-monomial factor of its terms, to exactly the candidate relation. A
-pullback adds the generators' exponent tuples, each scaled by its
-exponent in the cut; the common factor is their entrywise minimum, and
-the residual is the set of differences, compared with the relation's
-terms. Every
-function takes the caller's ResolutionGraph, and verify_presentation
-is the one report for every graph.
+ring: under the reference generators (invariants.golden_generators:
+closed formulas on A and D, the literal tables of ``_golden_e`` on E)
+the ambient hypersurface relation of a chain vanishes, and each
+hard-coded hyperplane cut of a D or E graph (_cuts) pulls back, after
+dividing out the greatest common monomial factor of its terms, to
+exactly the candidate relation. A pullback adds the generators'
+exponent tuples, each scaled by its exponent in the cut; the common
+factor is their entrywise minimum, and the residual is the set of
+differences, compared with the relation's terms. Every function takes
+the caller's ResolutionGraph, and verify_presentation is the one
+report for every graph.
 
 On a custom star the report's normal_form_zero holds by construction:
 the relation's other terms share no variable with its lead, so one

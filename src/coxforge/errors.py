@@ -1,4 +1,5 @@
-"""Error taxonomy shared by the whole package."""
+"""Error taxonomy shared by the whole package, and the one integer check
+that every integer from outside passes."""
 
 
 class CoxforgeError(Exception):
@@ -19,3 +20,12 @@ class HypothesisViolationError(CoxforgeError):
     The message names the failed condition.
     """
 
+
+def require_int(value, what):
+    """``value`` when it is an int and not a bool, else a ParameterError
+    that names ``what``. The builders take their arguments only through
+    it, and the CLI its flags and config values once ``_ascii_int`` has
+    read their digits: int() would also take 3.7, True or '5'."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParameterError("%s needs an integer, got %r" % (what, value))

@@ -20,7 +20,7 @@ of the intersection matrix).
 
 from types import MappingProxyType
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .rings import Grading
 
 
@@ -222,9 +222,9 @@ class ResolutionGraph:
 def build_singularity(family, n):
     """Standard rational double point graphs: chains ('A', n >= 1) and
     the stars with arms (1, 1, n - 3) ('D', n >= 4) and (1, 2, n - 4)
-    ('E', n in 6..8)."""
+    ('E', n in 6..8). ``n`` must be an int, not a bool."""
     family = str(family).upper()
-    n = int(n)
+    n = require_int(n, "rank")
     if family == "A":
         if n < 1:
             raise ParameterError("chain graphs need n >= 1")
@@ -245,8 +245,8 @@ def build_singularity(family, n):
 
 def build_custom_tree(lengths):
     """Star tree with the given branch lengths: at least three branches,
-    each of length at least 1."""
-    lens = [int(x) for x in lengths]
+    each an int (not a bool) of at least 1."""
+    lens = [require_int(x, "branch length") for x in lengths]
     if len(lens) < 3:
         raise ParameterError("a star tree needs at least 3 branches")
     if any(x < 1 for x in lens):

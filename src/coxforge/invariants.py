@@ -10,30 +10,19 @@ and its relations are exact, with no cap. A generator is the exponent
 tuple of its monomial in the graph grading, named where a reference
 names it. For the classical graphs the expected generators follow
 closed formulas (chains and forks) or a fixed reference table (the
-three star shapes), and verify_invariant_table checks computation
+three exceptional stars, a Python literal in ``_golden_e`` that only
+an E graph imports), and verify_invariant_table checks computation
 against expectation exponent for exponent.
 
 Every entry point takes the caller's ResolutionGraph and reads its
 family, rank and grading; a custom tree has no reference table.
 """
 
-import os
-from functools import lru_cache
 from operator import add
 
 from . import linalg
 from .errors import ParameterError
 from .rings import solve_degree_system
-
-
-@lru_cache(maxsize=None)
-def _tables():
-    # read beside this file: importlib.resources would cost every
-    # process its import, and the tables ship inside the package
-    import json
-    path = os.path.join(os.path.dirname(__file__), "data", "golden_tables.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _chain_generators(n, grading):
@@ -94,8 +83,8 @@ def golden_generators(graph):
     if family == "D":
         return _fork_generators(n, grading)
     if family == "E":
-        table = _tables()["E"][str(n)]["generators"]
-        return [(name, grading.monomial(e)) for name, e in table.items()]
+        from ._golden_e import GENERATORS
+        return [(name, grading.monomial(e)) for name, e in GENERATORS[n].items()]
     raise ParameterError("no reference invariant table for %s" % graph.label)
 
 
@@ -117,8 +106,9 @@ def golden_relations(graph):
             ({"Z3": 2}, {"Z1": 1, "Z5": 1}),
         ]
     if family == "E":
-        rels = _tables()["E"][str(n)]["relations"]
-        return [tuple(dict(side) for side in pair) for pair in rels]
+        from ._golden_e import RELATIONS
+        # copies, so that a caller cannot change the table
+        return [tuple(dict(side) for side in pair) for pair in RELATIONS[n]]
     raise ParameterError("no reference invariant table for %s" % graph.label)
 
 

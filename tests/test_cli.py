@@ -755,6 +755,18 @@ def test_grid_sample_default_cells_are_frozen(width, digest):
         {"grid": "x"},
         {"grid": True},
         {"seed": [1]},
+        # int() reads each of these strings, the flags' ASCII-digit rule none
+        {"grid": "1_0"},
+        {"caps": {"step": "1_0"}},
+        {"seed": "1_0"},
+        {"grid": " +5"},
+        {"caps": {"step": " +5"}},
+        {"seed": " +5"},
+        {"grid": "\u0663"},
+        {"caps": {"step": "\u0663"}},
+        {"seed": "\u0663"},
+        # int() read this one as grid 10, step cap 5 and seed 3
+        {"grid": "1_0", "caps": {"step": " +5"}, "seed": "\u0663"},
     ],
 )
 def test_config_values_must_be_integers(capsys, tmp_path, config):
@@ -762,7 +774,9 @@ def test_config_values_must_be_integers(capsys, tmp_path, config):
     path.write_text(json.dumps(config))
     assert cli.main(["verify", "--case", "A3", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config ") and "needs an integer" in err
+    setting = "cap 'step'" if "caps" in config else next(iter(config))
+    assert err.startswith("error: config %s needs an integer, got " % setting)
+    assert err.count("\n") == 1
 
 
 def test_caps_flag_needs_integers(capsys):

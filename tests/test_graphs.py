@@ -105,6 +105,16 @@ def test_builder_rank_errors():
         build_custom_tree([0, 1, 1])
 
 
+@pytest.mark.parametrize("bad", [3.7, True, "5", [1.9, 2, 2]], ids=repr)
+def test_the_builders_take_only_ints_that_are_not_bools(bad):
+    # int() would read 3.7 as 3, True as 1 and "5" as 5
+    with pytest.raises(ParameterError, match="^rank needs an integer"):
+        build_singularity("D", bad)
+    lengths = bad if isinstance(bad, list) else [2, bad, 2]
+    with pytest.raises(ParameterError, match="^branch length needs an integer"):
+        build_custom_tree(lengths)
+
+
 def test_build_from_string():
     assert parse_case("D5") == build_singularity("D", 5)
     assert parse_case("a3") == build_singularity("A", 3)

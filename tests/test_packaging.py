@@ -6,7 +6,8 @@ module imports is read in that module, and every public function,
 method or class is named in the package or by the benchmark. The
 library modules load lazily: each is registered on import, a command
 runs only the modules it uses, the CLI loads no argparse and loads json
-only to read or write JSON, and the CLI run as __main__ runs once."""
+only to read or write JSON, only an E graph loads the E tables, the
+package ships only Python files, and the CLI run as __main__ runs once."""
 
 import ast
 import os
@@ -103,13 +104,14 @@ def test_a_command_runs_only_the_modules_it_uses(argv, ran):
     assert executed == {"cli", "errors"} | ran
 
 
-JSON_LOADED = """
+# the exit code of a command, and whether it loaded a given module
+LOADED = """
 import io, sys
 from contextlib import redirect_stdout
 import coxforge.cli
 with redirect_stdout(io.StringIO()):
     code = coxforge.cli.main(sys.argv[1:])
-print(code, "json" in sys.modules)
+print(code, %r in sys.modules)
 """
 
 
@@ -118,12 +120,35 @@ print(code, "json" in sys.modules)
     [
         ("graph --case A4 --format text", False),
         ("reduce --case D4 --degree=-1,0,0,0 --format text", False),
+        # the E reference tables are a Python literal, not a JSON file
+        ("cox --case E6 --format text", False),
+        ("invariants --case E7 --format text", False),
         # the probe can fail: writing JSON loads json
         ("graph --case A4", True),
     ],
 )
 def test_json_is_loaded_only_to_read_or_write_json(argv, loaded):
-    assert _fresh(JSON_LOADED, *argv.split()).split() == ["0", str(loaded)]
+    assert _fresh(LOADED % "json", *argv.split()).split() == ["0", str(loaded)]
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [("verify --case D5", False), ("invariants --case E6", True)],
+)
+def test_the_e_tables_load_only_on_an_e_graph(argv, loaded):
+    assert _fresh(LOADED % "coxforge._golden_e", *argv.split()).split() == ["0", str(loaded)]
+
+
+def test_the_package_ships_only_python_files():
+    # the package opens no file of its own; bytecode caches are build
+    # output, not part of the package
+    package = ROOT / "src" / "coxforge"
+    shipped = [p.relative_to(package).as_posix() for p in package.rglob("*")
+               if p.is_file() and "__pycache__" not in p.parts]
+    assert shipped and [name for name in shipped if not name.endswith(".py")] == []
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert "package-data" not in tomllib.load(fh)["tool"]["setuptools"]
 
 
 def test_every_library_module_is_registered_on_import():
