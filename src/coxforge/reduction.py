@@ -11,8 +11,8 @@ procedures move a degree into normal position:
   equals 1, then shifts that 1 step by step to a branch-end leaf.
 * the base case handles terminal degrees k*e_leaf through the leaf's
   quotient, ``presentation_from_graph(graph, leaf)``: it counts the
-  standard monomials of the quotient piece slice by slice on the center
-  curve variable y0 and compares the counts with a closed-form series.
+  standard monomials of the piece on the center curve variable y0, slice
+  by slice up to a stop the grading proves enough, against a series.
 
 ``reduce`` runs the nef pass and then the basic pass as one trace.
 ``sweep``, verify's check of both passes over a grid, reads every nef
@@ -55,19 +55,18 @@ slice below exact bounds, so no cap enters the count. ``audit``
 checks every step of a terminated trace that way, so a full audit
 certifies each step of a reduction independently. The base case counts
 its piece through the same ``_slice_basis``, one y0 slice at a time,
-each in full; it stops at a fixed number of periods of its series.
+each in full.
 """
 
 from functools import lru_cache
 from itertools import repeat
+from math import gcd
 from operator import add, ge, mul, sub
 
 from . import cox, diophantine, linalg
 from .errors import HypothesisViolationError, ParameterError
 
 DEFAULT_STEP_CAP = 10000
-# the periods of the base-case series that base_case_audit counts
-BASE_CASE_PERIODS = 3
 
 
 class ReductionStep:
@@ -700,19 +699,51 @@ def _slice_basis(matrix, target, j, e, lead):
     return [s for s in points if lead is None or not all(map(ge, s, lead))]
 
 
+def _base_case_stop(graph, qp, target, arm, first):
+    """E of base_case_audit's argument, and {section: (m_i, q_i)}."""
+    grading = qp.grading
+    curves = [grading.index(graph.curve_variable(v)) for v in graph.nodes]
+    adj, det = linalg.adjugate([[row[c] for c in curves] for row in grading.matrix])
+    # w = -det * M^-1 > 0 with det > 0, n_i = det * N_i; row 0 is y0's
+    w = [[x if det < 0 else -x for x in row] for row in adj]
+    det, sections = abs(det), [c for c in range(grading.width) if c not in curves]
+    n = [[linalg.dot(r, [row[c] for row in grading.matrix]) for r in w] for c in sections]
+    m = [det // gcd(det, *ni) for ni in n]
+    q = [mi * ni[0] // det for mi, ni in zip(m, n)]
+    tops = []
+    for c in (target, tuple(map(sub, target, grading.degree_of(qp.lead)))):
+        # det * y(s) = sum of s_i * n_i less b: y_j < 0 needs s_i * n_ij < b_j
+        b = [linalg.dot(r, c) for r in w]
+        u = [max(0, *(-(-bj // nj) for bj, nj in zip(b, ni))) for ni in n]
+        tops += [sum(ni[0] * (mi - 1) for ni, mi in zip(n, m)) - b[0],
+                 sum(ni[0] * ui for ni, ui in zip(n, u)) - b[0] + det * sum(q)]
+    return max(max(tops) // det + arm + 1, first + sum(q)), {
+        grading.variables[c]: mq for c, mq in zip(sections, zip(m, q))}
+
+
 def base_case_audit(graph, leaf, k):
     """Count the standard monomials of the basic graded piece of degree
     k*e_leaf in the leaf's quotient, slice by slice on the center curve
     variable y0, and compare the counts with the series
-    t^(k*l) / (1 - t^(l+1)), where l is the length of the leaf's arm:
+    S = t^(k*l) / (1 - t^(l+1)), where l is the length of the leaf's arm:
     slice e must hold one standard monomial when e >= k*l and
     e = k*l (mod l + 1), and none otherwise. Every slice is finite,
     because every degree-zero generator contains every curve variable,
-    and each is listed in full. The count stops at ``reached``, the
-    slice k*l + BASE_CASE_PERIODS * (l + 1); no bound shows yet that the
-    slices beyond it follow the series. Off the negative definite graphs
-    the series has no footing, so they raise ParameterError, and so does
-    a chain, which has no center."""
+    and each is listed in full. Off the negative definite graphs the
+    series has no footing, so they raise ParameterError, and so does a
+    chain, which has no center.
+
+    The count stops at ``reached``, the slice E below, which suffices. A
+    monomial of degree c is fixed by the exponents s of the sections
+    left: y(s) = y(0) + N s with N = -M^-1 on their nodes, N > 0. So
+    y(s) is integral with period m_i = det / gcd(det, adj M at section
+    i's node) in s_i, y0 rises by q_i = m_i N_0i per period, and
+    violators (some y_j < 0) have s_i < U_i = max_j ceil(-y_j(0) / N_ji).
+    The lead holds no y0, so the standard monomials' series is H = P/Q,
+    Q = prod(1 - t^q_i), with deg P at most D, the largest y0 at
+    s = m - 1 and at s = U plus deg Q over the pieces c and
+    c - deg(lead). (H - S) Q (1 - t^(l+1)) is a polynomial of degree at
+    most E = max(D + l + 1, k*l + deg Q), zero if H = S on slices 0..E."""
     if k < 1:
         raise ParameterError("k must be positive")
     if not graph.is_negative_definite():
@@ -725,7 +756,7 @@ def base_case_audit(graph, leaf, k):
     target = tuple(k * c for c in graph.unit_degree(leaf))
     j = qp.grading.index(graph.curve_variable(center))
     first = k * arm
-    reached = first + BASE_CASE_PERIODS * (arm + 1)
+    reached = _base_case_stop(graph, qp, target, arm, first)[0]
     slices = range(reached + 1)
     counts = [len(_slice_basis(qp.grading.matrix, target, j, e, qp.lead)) for e in slices]
     series = [int(e >= first and (e - first) % (arm + 1) == 0) for e in slices]
@@ -736,8 +767,8 @@ def base_case_audit(graph, leaf, k):
 def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     """Reduce a degree to nef and then to basic, audit the cokernel
     dimension of every step against the combinatorial expectation, and,
-    on D and E graphs whose terminal k*e_leaf is nonzero, finish with
-    ``base_case_audit(graph, leaf, k)``."""
+    on a negative definite star whose terminal k*e_leaf is nonzero,
+    finish with ``base_case_audit(graph, leaf, k)``."""
     d = _check_degree(degree, graph)
     pres = cox.presentation_from_graph(graph)
     trace = reduce(graph, d, step_cap)
@@ -754,10 +785,8 @@ def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     if trace.terminated:
         report["terminal"] = list(trace.terminal)
         nonzero = [c for c in trace.terminal if c]
-        if nonzero and graph.family in ("D", "E"):
-            leaf = graph.nodes[
-                next(i for i, c in enumerate(trace.terminal) if c)
-            ]
+        if nonzero and graph.center() is not None and graph.is_negative_definite():
+            leaf = graph.nodes[next(i for i, c in enumerate(trace.terminal) if c)]
             base = base_case_audit(graph, leaf, nonzero[0])
             report["base_case"] = base
             audits_ok = audits_ok and base["ok"]

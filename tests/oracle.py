@@ -58,9 +58,12 @@ def box_monomials(graph, degree, bound):
                     options[first] = a
             per_branch.append(options)
         target = 2 * e_c + d_center
-        for firsts in product(*(sorted(o) for o in per_branch)):
-            if sum(firsts) != target:
+        # the center equation fixes the last branch's first value
+        *heads, last = per_branch
+        for head in product(*(sorted(o) for o in heads)):
+            if target - sum(head) not in last:
                 continue
+            firsts = head + (target - sum(head),)
             exps = {graph.curve_variable(center): e_c}
             ok = True
             for branch, first, options in zip(branches, firsts, per_branch):

@@ -1188,7 +1188,7 @@ def test_base_case_rejects_a_chain():
 def test_base_case_audit_d4_frozen():
     d4 = build_singularity("D", 4)
     assert base_case_audit(d4, 1, 1) == {
-        "case": "D4", "leaf": 1, "k": 1, "arm": 1, "reached": 7, "ok": True}
+        "case": "D4", "leaf": 1, "k": 1, "arm": 1, "reached": 9, "ok": True}
     with pytest.raises(ParameterError, match="k must be positive"):
         base_case_audit(d4, 1, 0)
 
@@ -1196,8 +1196,8 @@ def test_base_case_audit_d4_frozen():
 def test_base_case_audit_d5_long_leaf():
     d5 = build_singularity("D", 5)
     assert base_case_audit(d5, 4, 1) == {
-        "case": "D5", "leaf": 4, "k": 1, "arm": 2, "reached": 11, "ok": True}
-    assert base_case_audit(d5, 4, 2)["reached"] == 4 + 3 * 3
+        "case": "D5", "leaf": 4, "k": 1, "arm": 2, "reached": 20, "ok": True}
+    assert base_case_audit(d5, 4, 2)["reached"] == 25
 
 
 @pytest.mark.parametrize("leaf", [1, 2, 3])
@@ -1225,6 +1225,29 @@ def test_base_case_period_is_a_golden_generator(n):
             assert report["ok"] and mono[y0] == report["arm"] + 1, (leaf, k)
 
 
+@pytest.mark.parametrize("case", ["D%d" % n for n in range(4, 13)] + ["E6", "E7", "E8"])
+def test_base_case_stop_reads_the_reference_generators(case):
+    # each section's period m_i and y0 step q_i, which the stop is built
+    # from, are the section and y0 exponents of the reference generator
+    # that is a power of that section alone (a closed formula on D, a
+    # table on E), not a count of slices
+    graph = parse_case(case)
+    grading = graph.grading()
+    golden = golden_generators(graph)
+    sections = [grading.index(name) for name, _ in graph.leaf_variables]
+    y0 = grading.index("y0")
+    seen = set()
+    for leaf in graph.basic_leaves():
+        qp = presentation_from_graph(graph, leaf)
+        _, periods = reduction._base_case_stop(graph, qp, graph.unit_degree(leaf), 1, 1)
+        for name, (m, q) in periods.items():
+            i = grading.index(name)
+            (power,) = [e for _, e in golden if e[i] and not any(e[s] for s in sections if s != i)]
+            assert (power[i], power[y0]) == (m, q), (leaf, name)
+            seen.add(name)
+    assert seen == {name for name, _ in graph.leaf_variables}
+
+
 def _box_slice_counts(graph, leaf, k, reached, bound):
     """The standard monomials of degree k*e_leaf in the leaf's quotient
     counted per y0 exponent up to ``reached``, from the brute-force box
@@ -1241,16 +1264,17 @@ def _box_slice_counts(graph, leaf, k, reached, bound):
     return [counts[e] for e in range(reached + 1)]
 
 
-@pytest.mark.parametrize("case", ["D4", "D5", "E6"])
+@pytest.mark.parametrize("case", ["D4", "D5", "E6", "custom:2,1,1"])
 def test_base_case_counts_match_the_box_oracle(case):
+    # custom:2,1,1 is D5 with its arms in another order
     graph = parse_case(case)
     for leaf in graph.basic_leaves():
         for k in (1, 2):
             report = base_case_audit(graph, leaf, k)
             arm, reached = report["arm"], report["reached"]
-            counts = _box_slice_counts(graph, leaf, k, reached, 20)
+            counts = _box_slice_counts(graph, leaf, k, reached, 2 * reached)
             # the box is big enough: doubling it finds no further point
-            assert counts == _box_slice_counts(graph, leaf, k, reached, 40)
+            assert counts == _box_slice_counts(graph, leaf, k, reached, 4 * reached)
             series = [int(e >= k * arm and (e - k * arm) % (arm + 1) == 0) for e in range(reached + 1)]
             assert report["ok"] and counts == series, (leaf, k)
 
@@ -1270,6 +1294,39 @@ def test_base_case_audit_fails_on_a_lost_monomial(monkeypatch):
     assert report["terminal"] == [0, 1, 0, 0]
     assert report["base_case"]["ok"] is False
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("case", ["D4", "D5", "E6", "E8", "custom:2,1,1", "custom:4,2,1"])
+def test_base_case_audit_fails_on_a_monomial_lost_past_three_periods(case, monkeypatch):
+    # the one standard monomial of slice k*l + 4(l + 1) lies past the
+    # three periods a fixed stop would count, and within the derived one;
+    # the permuted stars, D5 and E7 with their arms in another order, get
+    # the base case from full_equivalence_audit too
+    honest = reduction._slice_basis
+    graph = parse_case(case)
+    for leaf in graph.basic_leaves():
+        arm = len(graph.branch_of(leaf))
+        for k in (1, 2):
+            lost = k * arm + 4 * (arm + 1)
+            assert len(honest(*_leaf_slice(graph, leaf, k, lost))) == 1
+
+            def lossy(matrix, target, j, e, lead, lost=lost):
+                basis = honest(matrix, target, j, e, lead)
+                return basis[1:] if e == lost else basis
+
+            monkeypatch.setattr(reduction, "_slice_basis", lossy)
+            degree = tuple(k * c for c in graph.unit_degree(leaf))
+            assert base_case_audit(graph, leaf, k)["ok"] is False, (leaf, k)
+            report = full_equivalence_audit(graph, degree)
+            assert report["terminal"] == list(degree)
+            assert report["base_case"]["ok"] is False and report["ok"] is False
+
+
+def _leaf_slice(graph, leaf, k, e):
+    """The arguments of _slice_basis for slice e of base_case_audit."""
+    qp = presentation_from_graph(graph, leaf)
+    target = tuple(k * c for c in graph.unit_degree(leaf))
+    return qp.grading.matrix, target, qp.grading.index("y0"), e, qp.lead
 
 
 def test_passes_and_audits_read_the_graph_columns(monkeypatch):
@@ -1343,15 +1400,16 @@ def test_full_equivalence_audit_runs_the_base_case_on_e_type(case, degree, termi
         assert report["base_case"] is None
 
 
-@pytest.mark.parametrize("label,has_base_case", [("D4", True), ("custom:1,1,1", False)])
-def test_full_equivalence_audit_reads_the_family_off_the_label(label, has_base_case):
-    # D4 and custom:1,1,1 are equal graphs; only D4's builder gives it a
-    # family, and the base case runs on D and E alone
+@pytest.mark.parametrize("label", ["D4", "custom:1,1,1"])
+def test_full_equivalence_audit_reads_the_graph_not_the_label(label):
+    # D4 and custom:1,1,1 are equal graphs, and only D4's builder gives
+    # it a family; the base case runs on every negative definite star
     graph = parse_case(label)
     assert graph == build_singularity("D", 4)
     report = full_equivalence_audit(graph, (0, -1, 0, 0))
     assert report["ok"]
-    assert (report["base_case"] is not None) is has_base_case
+    assert report["base_case"] == base_case_audit(graph, 1, 1)
+    assert report["base_case"]["case"] == label
 
 
 def test_full_equivalence_audit_chain():
