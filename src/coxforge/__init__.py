@@ -6,16 +6,19 @@ presentations, and audits the divisor-reduction equivalences step by step
 with exact cokernel dimensions.
 
 Every library module but ``errors`` loads lazily: ``linalg``,
-``diophantine``, ``rings``, ``graphs``, ``invariants``, ``cox`` and
-``reduction`` are put in ``sys.modules`` and on the package here, through
-``importlib.util.LazyLoader``, and each body runs on the module's first
-attribute access. A process without bytecode caches (a fresh checkout, or
-``PYTHONDONTWRITEBYTECODE``) compiles every module it runs, and for a
-short command that was most of what it spent past interpreter start-up;
-now ``coxforge graph`` runs only ``cli``, ``errors``, ``graphs`` and
-``rings``. ``cli`` keeps to the same rule for the standard library: it
-reads the command line from a table of its own, not with ``argparse``,
-and imports ``json`` only to read or write JSON. The package ships no
+``diophantine``, ``rings``, ``graphs``, ``invariants``, ``cox``,
+``reduction`` and ``sections`` are put in ``sys.modules`` and on the
+package here, through ``importlib.util.LazyLoader``, and each body runs
+on the module's first attribute access. A process without bytecode
+caches (a fresh checkout, or ``PYTHONDONTWRITEBYTECODE``) compiles every
+module it runs, and for a short command that was most of what it spent
+past interpreter start-up; now ``coxforge graph`` runs only ``cli``,
+``errors``, ``graphs`` and ``rings``, and only ``verify`` and ``report``
+run ``sections``, which holds the sweep, the base case and the section
+assembly that a ``reduce`` command never runs. ``cli`` keeps to the
+same rule for the standard library: it reads the command line from a
+table of its own, not with ``argparse``, and imports ``json`` only to
+read or write JSON. The package ships no
 data file: the E6-E8 reference tables are the literals of ``_golden_e``,
 which is not registered and which ``invariants`` imports on an E graph
 only. The public names of ``__all__`` but the eagerly imported ones
@@ -63,14 +66,15 @@ graphs = _lazy("graphs")
 invariants = _lazy("invariants")
 cox = _lazy("cox")
 reduction = _lazy("reduction")
+sections = _lazy("sections")
 
 # public name -> the module that defines it
 _EXPORTS = {
     "ResolutionGraph": graphs,
-    "audit_add_curve": reduction,
+    "audit_add_curve": sections,
     "build_custom_tree": graphs,
     "build_singularity": graphs,
-    "full_equivalence_audit": reduction,
+    "full_equivalence_audit": sections,
     "presentation_from_graph": cox,
     "reduce_nef_to_basic": reduction,
     "reduce_to_nef": reduction,

@@ -9,7 +9,7 @@ is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
 the nef pass and the basic pass of `reduce` and of verify's reduction
-sweep (reduction.sweep) get N steps each. Every cap and the grid, from
+sweep (sections.sweep) get N steps each. Every cap and the grid, from
 a flag or the config file, must be at least 1; a config value is
 checked even when a flag overrides it. The cokernel audits are exact
 counts and take no cap, and invariants.toric_relations bounds the
@@ -24,9 +24,11 @@ maybe after a minus sign, on the command line (degree, case, --caps,
 also does. int() would take '1_0', ' +5' or other scripts' digits too.
 
 verify and report build their sections through one function,
-cmd_checks: both run the invariants (A, D and E only), cox and audits
-or counterexample sections; verify adds the reduction sweep and the
-top-level verdict, report the graph section.
+sections.cmd_checks: both run the invariants (A, D and E only), cox and
+audits or counterexample sections; verify adds the reduction sweep and
+the top-level verdict, report the graph section, which this module
+passes in (cmd_graph): sections does not import this module, which
+python -m runs as __main__. No other command loads sections.
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a star that no candidate relation covers (four or
@@ -35,24 +37,21 @@ section was skipped, the text summary says that nothing was checked.
 On such a star, reduce exits 2 only when its trace has a step to audit.
 """
 
-import itertools
 import sys
-import time
 import types
 
-from . import cox, graphs, invariants, reduction
+from . import cox, graphs, invariants, reduction, sections
 from .errors import CoxforgeError, ParameterError, UnsupportedGraphError, require_int
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# sections.DEFAULT_GRID and DEFAULT_SEED, and reduction.DEFAULT_STEP_CAP,
+# written out so that a command that does not run them loads neither
 DEFAULT_GRID = 2000
 DEFAULT_SEED = 20240
-# reduction.DEFAULT_STEP_CAP, written out so that a command that never
-# reduces does not load reduction
 DEFAULT_CAPS = {"step": 10000}
-AUDIT_DEGREE_COUNT = 6
 
 
 def _ascii_int(text):
@@ -85,28 +84,6 @@ def parse_case(text):
     except ValueError:
         raise ParameterError("cannot parse case %r" % text)
     return graphs.build_singularity(family, n)
-
-
-def grid_sample(width, count, seed=DEFAULT_SEED, lo=-3, hi=3):
-    """Deterministic sample of integer vectors in [lo, hi]^width. The
-    full box is returned in lexicographic order when it fits in
-    ``count``; otherwise a fixed-seed generator draws ``count``
-    distinct cells."""
-    span = hi - lo + 1
-    if span ** width <= count:
-        return [tuple(d) for d in itertools.product(range(lo, hi + 1), repeat=width)]
-    mask = (1 << 64) - 1
-    factor, increment = 6364136223846793005, 1442695040888963407
-    state = seed & mask
-    # a dict keeps each distinct cell once, in the order first drawn
-    cells = {}
-    while len(cells) < count:
-        cell = []
-        for _ in range(width):
-            state = (state * factor + increment) & mask
-            cell.append(lo + (state >> 33) % span)
-        cells[tuple(cell)] = None
-    return list(cells)
 
 
 def _integer(value, what):
@@ -208,81 +185,6 @@ def cmd_reduce(graph, degree, settings):
         reduction.audit(trace, cox.presentation_from_graph(graph), graph)
     payload = trace.to_dict()
     payload["case"] = graph.label
-    return payload
-
-
-def _grid_cells(graph, settings):
-    return grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
-
-
-def _audit_sample(graph, cells, step_cap):
-    reports = []
-    ok = True
-    for d in cells[:AUDIT_DEGREE_COUNT]:
-        rep = reduction.full_equivalence_audit(graph, d, step_cap)
-        reports.append(
-            {
-                "initial": rep["initial"],
-                "steps": len(rep["steps"]),
-                "base_case": None if rep["base_case"] is None else rep["base_case"]["ok"],
-                "ok": rep["ok"],
-            }
-        )
-        ok = ok and rep["ok"]
-    return {"degrees": reports, "ok": ok}
-
-
-def _counterexample_section(graph):
-    audits = []
-    any_failed = False
-    for leaf in graph.basic_leaves():
-        rep = reduction.audit_add_curve(graph, leaf, k=2)
-        audits.append(rep)
-        any_failed = any_failed or not rep["ok"]
-    verdict = "rule-fails-as-predicted" if any_failed else "rule-holds-on-sample"
-    return {"audits": audits, "verdict": verdict, "ok": True}
-
-
-def _unless_unsupported(section, *args):
-    """One section's report, or a visible skip with the reason when no
-    candidate relation covers the graph."""
-    try:
-        return section(*args)
-    except UnsupportedGraphError as exc:
-        return {"skipped": str(exc), "ok": True}
-
-
-def cmd_checks(graph, settings, command, with_timings):
-    """The payload of verify or report (``command``), with each section
-    timed. The grid cells are drawn before any section runs: always for
-    verify, and for report only when the audits need them."""
-    ade = graph.family is not None
-    cells = _grid_cells(graph, settings) if ade or command == "verify" else None
-    step_cap = settings["caps"]["step"]
-    runs = []
-    if command == "report":
-        runs.append(("graph", cmd_graph, graph))
-    if ade:
-        runs.append(("invariants", invariants.verify_invariant_table, graph))
-    runs.append(("cox", _unless_unsupported, cox.verify_presentation, graph))
-    if command == "verify":
-        runs.append(("reduction", reduction.sweep, graph, cells, step_cap))
-    if ade:
-        runs.append(("audits", _audit_sample, graph, cells, step_cap))
-    else:
-        runs.append(("counterexample", _unless_unsupported, _counterexample_section, graph))
-    sections = {}
-    timings = {}
-    for name, section, *args in runs:
-        start = time.perf_counter()
-        sections[name] = section(*args)
-        timings[name] = int((time.perf_counter() - start) * 1000)
-    ok = all(section.get("ok", True) for section in sections.values())
-    payload = {"case": graph.label, "sections": sections, "ok": ok}
-    if command == "verify" and "verdict" in sections.get("counterexample", {}):
-        payload["verdict"] = sections["counterexample"]["verdict"]
-    if with_timings:
-        payload["timings"] = timings
     return payload
 
 
@@ -427,7 +329,7 @@ def _run(args):
             raise ParameterError("reduce needs --degree")
         payload = cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
     else:
-        payload = cmd_checks(graph, settings, args.command, args.timings)
+        payload = sections.cmd_checks(graph, settings, args.command, args.timings, cmd_graph)
     # the graph payload has no verdict of its own
     return payload, EXIT_OK if payload.get("ok", True) else EXIT_MISMATCH
 

@@ -7,7 +7,7 @@ import time
 import oracle
 import pytest
 
-from coxforge import cli, reduction
+from coxforge import cli, reduction, sections
 from coxforge.cox import presentation_from_graph, verify_presentation
 from coxforge.graphs import build_custom_tree, build_singularity
 from coxforge.invariants import verify_invariant_table
@@ -130,7 +130,7 @@ def test_criterion_07_reduction_termination():
     cells_total = 0
     for family, n in (("D", 4), ("D", 5), ("E", 6)):
         graph = build_singularity(family, n)
-        cells = cli.grid_sample(n, 2000)
+        cells = sections.grid_sample(n, 2000)
         assert len(cells) >= 2000
         cells_total += len(cells)
         for d in cells:
@@ -177,7 +177,7 @@ def test_criterion_09_base_cases():
         graph = build_singularity(family, n)
         for leaf in graph.basic_leaves():
             for k in (1, 2, 3):
-                report = reduction.base_case_audit(graph, leaf, k)
+                report = sections.base_case_audit(graph, leaf, k)
                 assert report["ok"], report
                 checked += 1
     assert checked == 108
@@ -195,7 +195,7 @@ def test_criterion_09_base_cases():
 def test_criterion_10_counterexample(capsys):
     budget = Budget("criterion 10: counterexample tree", 120)
     graph = build_custom_tree((2, 2, 3))
-    report = reduction.audit_add_curve(graph, graph.nodes[-1], k=2)
+    report = sections.audit_add_curve(graph, graph.nodes[-1], k=2)
     assert report["expected"] == 1
     assert report["actual"] == 0
     assert not report["ok"]

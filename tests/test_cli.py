@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coxforge import cli, reduction
+from coxforge import cli, reduction, sections
 from coxforge.errors import ParameterError
 from coxforge.graphs import ResolutionGraph
 
@@ -225,6 +225,10 @@ def test_the_default_step_cap_is_reductions():
     assert cli.DEFAULT_CAPS == {"step": reduction.DEFAULT_STEP_CAP}
 
 
+def test_the_default_grid_and_seed_are_the_sections():
+    assert (cli.DEFAULT_GRID, cli.DEFAULT_SEED) == (sections.DEFAULT_GRID, sections.DEFAULT_SEED)
+
+
 def test_verify_command(capsys):
     code, payload = run_json(capsys, ["verify", "--case", "D4", "--grid", "200"])
     assert code == 0
@@ -380,9 +384,9 @@ def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
         "grid": grid,
         "seed": cli.DEFAULT_SEED,
     }
-    cells = cli._grid_cells(graph, settings)
+    cells = sections._grid_cells(graph, settings)
     want = _stepwise_sweep(graph, cells, settings)
-    assert reduction.sweep(graph, cells, step) == want
+    assert sections.sweep(graph, cells, step) == want
 
 
 @pytest.mark.parametrize("case,definite", [("D12", True), ("custom:2,2,3", False)])
@@ -411,7 +415,7 @@ def test_termination_sweep_matches_the_stepwise_sweep_at_the_longest_passes(case
     # the nef terminals, as cells of their own, put every basic pass
     # under the cap with no nef steps in front of it
     graph = cli.parse_case(case)
-    cells = cli._grid_cells(graph, _sweep_settings(cli.DEFAULT_CAPS["step"]))
+    cells = sections._grid_cells(graph, _sweep_settings(cli.DEFAULT_CAPS["step"]))
     terminals = list(dict.fromkeys(reduction.reduce_to_nef(d, graph).terminal for d in cells))
     longest = max(len(reduction.reduce(graph, d).steps) for d in cells)
     basic = max(len(reduction.reduce_nef_to_basic(t, graph).steps) for t in terminals)
@@ -419,11 +423,11 @@ def test_termination_sweep_matches_the_stepwise_sweep_at_the_longest_passes(case
         settings = _sweep_settings(step)
         for sample in (cells, terminals):
             want = _stepwise_sweep(graph, sample, settings)
-            assert reduction.sweep(graph, sample, step) == want
+            assert sections.sweep(graph, sample, step) == want
         if step == basic:
-            assert reduction.sweep(graph, terminals, step)["max_steps"] == basic
+            assert sections.sweep(graph, terminals, step)["max_steps"] == basic
         if step == basic - 1:
-            assert not reduction.sweep(graph, terminals, step)["ok"]
+            assert not sections.sweep(graph, terminals, step)["ok"]
 
 
 def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
@@ -431,7 +435,7 @@ def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
     # terminal, and no add-phase degree walked twice
     graph = cli.parse_case("E8")
     settings = _sweep_settings(cli.DEFAULT_CAPS["step"])
-    cells = cli._grid_cells(graph, settings)
+    cells = sections._grid_cells(graph, settings)
     terminals = {reduction.reduce_to_nef(d, graph).terminal for d in cells}
     passes = [reduction.reduce_nef_to_basic(t, graph) for t in terminals]
     add_degrees = {s.degree_before for p in passes for s in p.steps if s.adds_curves()}
@@ -445,7 +449,7 @@ def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
         return trace
 
     monkeypatch.setattr(reduction, "_basic_pass", counting)
-    assert reduction.sweep(graph, cells, settings["caps"]["step"])["ok"]
+    assert sections.sweep(graph, cells, settings["caps"]["step"])["ok"]
     assert len(built) <= len(terminals)
     assert sum(built) <= len(add_degrees) + len(shift_steps)
 
@@ -716,13 +720,13 @@ def test_precedence_flag_over_config(tmp_path):
 
 
 def test_grid_sample_full_box_and_determinism():
-    box = cli.grid_sample(2, 100)
+    box = sections.grid_sample(2, 100)
     assert len(box) == 49
     assert box[0] == (-3, -3)
     assert box[-1] == (3, 3)
-    a = cli.grid_sample(4, 500, seed=11)
-    b = cli.grid_sample(4, 500, seed=11)
-    c = cli.grid_sample(4, 500, seed=12)
+    a = sections.grid_sample(4, 500, seed=11)
+    b = sections.grid_sample(4, 500, seed=11)
+    c = sections.grid_sample(4, 500, seed=12)
     assert a == b
     assert a != c
     assert len(set(a)) == 500
@@ -742,7 +746,7 @@ def test_grid_sample_full_box_and_determinism():
 def test_grid_sample_default_cells_are_frozen(width, digest):
     # the verify grid at the default seed: any change to the generator
     # that moves, drops or reorders a cell changes the digest
-    cells = cli.grid_sample(width, cli.DEFAULT_GRID)
+    cells = sections.grid_sample(width, cli.DEFAULT_GRID)
     assert hashlib.sha256(repr(cells).encode()).hexdigest() == digest
 
 

@@ -8,8 +8,8 @@ from coxforge.cli import cmd_graph, parse_case
 from coxforge.cox import presentation_from_graph
 from coxforge.errors import ParameterError
 from coxforge.graphs import build_custom_tree, build_singularity
-from coxforge.reduction import audit_add_curve, base_case_audit
 from coxforge.rings import Grading
+from coxforge.sections import audit_add_curve, base_case_audit
 
 import oracle
 

@@ -5,9 +5,11 @@ under src/coxforge is read somewhere in the package, every name a
 module imports is read in that module, and every public function,
 method or class is named in the package or by the benchmark. The
 library modules load lazily: each is registered on import, a command
-runs only the modules it uses, the CLI loads no argparse and loads json
-only to read or write JSON, only an E graph loads the E tables, the
-package ships only Python files, and the CLI run as __main__ runs once."""
+runs only the modules it uses (only verify and report run sections),
+the CLI loads no argparse and loads json only to read or write JSON, a
+reduce that runs no linalg loads no math, only an E graph loads the E
+tables, the package ships only Python files, and the CLI run as
+__main__ runs once."""
 
 import ast
 import os
@@ -81,7 +83,7 @@ print(" ".join(sorted(
 )))
 """
 
-LIBRARY = {"linalg", "diophantine", "rings", "graphs", "invariants", "cox", "reduction"}
+LIBRARY = {"linalg", "diophantine", "rings", "graphs", "invariants", "cox", "reduction", "sections"}
 
 
 @pytest.mark.parametrize(
@@ -95,6 +97,9 @@ LIBRARY = {"linalg", "diophantine", "rings", "graphs", "invariants", "cox", "red
         ("verify --case A4", LIBRARY),
         ("reduce --case D4 --degree=-1,0,0,0",
          {"graphs", "rings", "cox", "diophantine", "linalg", "reduction"}),
+        ("report --case D4", LIBRARY),
+        # no invariants section off A, D and E
+        ("report --case custom:2,2,3", LIBRARY - {"invariants"}),
     ],
 )
 def test_a_command_runs_only_the_modules_it_uses(argv, ran):
@@ -129,6 +134,18 @@ print(code, %r in sys.modules)
 )
 def test_json_is_loaded_only_to_read_or_write_json(argv, loaded):
     assert _fresh(LOADED % "json", *argv.split()).split() == ["0", str(loaded)]
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        # reduction reads no math; linalg, which an audit runs, does
+        ("reduce --case D4 --degree=0,2,0,0 --format text", False),
+        ("reduce --case D4 --degree=-1,0,0,0 --format text", True),
+    ],
+)
+def test_a_reduce_that_runs_no_linalg_loads_no_math(argv, loaded):
+    assert _fresh(LOADED % "math", *argv.split()).split() == ["0", str(loaded)]
 
 
 @pytest.mark.parametrize(
@@ -169,13 +186,10 @@ except AttributeError as exc:
     assert _fresh(code).strip() == "AttributeError module 'coxforge' has no attribute 'no_such_name'"
 
 
-def test_the_cli_run_as_main_runs_once_and_prints_what_main_prints():
-    # python -m coxforge.cli: runpy finds the CLI apart from sys.modules
-    # and runs its body once, as __main__
-    code = """
+RUN_AS_MAIN = """
 import io, runpy, sys
 from contextlib import redirect_stdout
-sys.argv = ["coxforge", "graph", "--case", "A4"]
+sys.argv = ["coxforge", *sys.argv[1:]]
 out = io.StringIO()
 with redirect_stdout(out):
     try:
@@ -185,12 +199,25 @@ with redirect_stdout(out):
 print(code, "coxforge.cli" in sys.modules)
 sys.stdout.write(out.getvalue())
 """
-    status, _, printed = _fresh(code).partition("\n")
+
+
+def _assert_runs_once_as_main(argv):
+    # python -m coxforge.cli: runpy finds the CLI apart from sys.modules
+    # and runs its body once, as __main__
+    status, _, printed = _fresh(RUN_AS_MAIN, *argv).partition("\n")
     assert status == "0 False"
-    expected = _fresh(
-        "import sys, coxforge.cli; sys.exit(coxforge.cli.main(['graph', '--case', 'A4']))"
-    )
+    expected = _fresh("import sys, coxforge.cli; sys.exit(coxforge.cli.main(sys.argv[1:]))", *argv)
     assert printed == expected
+
+
+def test_the_cli_run_as_main_runs_once_and_prints_what_main_prints():
+    _assert_runs_once_as_main(["graph", "--case", "A4"])
+
+
+def test_report_run_as_main_runs_once_and_prints_what_main_prints():
+    # report runs sections, which takes its graph section from the CLI
+    # as an argument and never imports coxforge.cli a second time
+    _assert_runs_once_as_main(["report", "--case", "D4"])
 
 
 def _is_private(name):

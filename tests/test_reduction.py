@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxforge import diophantine, reduction
-from coxforge.cli import grid_sample, parse_case
+from coxforge import diophantine, reduction, sections
+from coxforge.cli import parse_case
 from coxforge.cox import presentation_from_graph, section_name_at
 from coxforge.errors import HypothesisViolationError, ParameterError
 from coxforge.graphs import ResolutionGraph, build_custom_tree, build_singularity
@@ -19,17 +19,15 @@ from coxforge.invariants import golden_generators
 from coxforge.linalg import rank_sparse
 from coxforge.reduction import (
     ReductionStep,
-    audit_add_curve,
     audit_step,
-    base_case_audit,
     cokernel_dimension,
     expected_cokernel_dim,
-    full_equivalence_audit,
     is_basic,
     reduce_nef_to_basic,
     reduce_to_nef,
 )
 from coxforge.rings import graded_piece_basis, normal_form
+from coxforge.sections import audit_add_curve, base_case_audit, full_equivalence_audit, grid_sample
 
 import oracle
 
@@ -150,7 +148,7 @@ def test_least_nef_cycle_is_the_end_of_the_nef_pass(case, data):
     cell = st.tuples(*[st.integers(-6, 6)] * width)
     pool = data.draw(st.lists(cell, min_size=1, max_size=10))
     cells = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
-    got = reduction.least_nef_cycles(cells, graph)
+    got = sections.least_nef_cycles(cells, graph)
     assert len(got) == len(cells)
     for d, (terminal, size) in zip(cells, got):
         nef = reduce_to_nef(d, graph)
@@ -165,9 +163,9 @@ def test_least_nef_cycle_is_the_end_of_the_nef_pass(case, data):
 
 def test_least_nef_cycles_checks_every_cell_width():
     d4 = build_singularity("D", 4)
-    assert reduction.least_nef_cycles([], d4) == []
+    assert sections.least_nef_cycles([], d4) == []
     with pytest.raises(ParameterError):
-        reduction.least_nef_cycles([(0, 0, 0, 0), (0, 0, 0)], d4)
+        sections.least_nef_cycles([(0, 0, 0, 0), (0, 0, 0)], d4)
 
 
 
@@ -179,7 +177,7 @@ def test_least_nef_cycles_rejects_a_graph_that_is_not_negative_definite(case, ex
     assert oracle.det(graph.intersection_matrix()) == expected_det
     for cells in ([(-1,) * len(graph.nodes)], []):
         with pytest.raises(ParameterError, match="negative definite"):
-            reduction.least_nef_cycles(cells, graph)
+            sections.least_nef_cycles(cells, graph)
 
 def test_add_chain_trace():
     d4 = build_singularity("D", 4)
@@ -715,7 +713,7 @@ def test_traces_hold_only_tuples(case, monkeypatch):
         return basic_pass(degree, graph, step_cap, known)
 
     monkeypatch.setattr(reduction, "_basic_pass", recording)
-    assert reduction.sweep(graph, cells)["ok"]
+    assert sections.sweep(graph, cells)["ok"]
     assert knowns and knowns[0]
     assert all(type(key) is tuple for known in knowns for key in known)
 
@@ -776,7 +774,7 @@ def test_the_sweep_checks_every_basic_step_once(monkeypatch):
         return trace
 
     monkeypatch.setattr(reduction, "_basic_pass", recording)
-    assert reduction.sweep(parse_case("D8"), grid_sample(8, 100))["ok"]
+    assert sections.sweep(parse_case("D8"), grid_sample(8, 100))["ok"]
     # the sweep reads its nef passes off least_nef_cycles, which builds
     # no steps
     assert {s.kind for s in steps} == {"AddCurve", "AddChain", "ShiftToLeaf"}
@@ -806,7 +804,7 @@ def test_a_refusing_checker_stops_the_basic_pass_and_the_sweep(kind, monkeypatch
     with pytest.raises(HypothesisViolationError, match="refused"):
         reduce_nef_to_basic(start, graph)
     with pytest.raises(HypothesisViolationError, match="refused"):
-        reduction.sweep(graph, cells)
+        sections.sweep(graph, cells)
 
 
 # ------------------------------------------------------------- step table
@@ -1234,15 +1232,15 @@ def test_base_case_stop_reads_the_reference_generators(case):
     graph = parse_case(case)
     grading = graph.grading()
     golden = golden_generators(graph)
-    sections = [grading.index(name) for name, _ in graph.leaf_variables]
+    columns = [grading.index(name) for name, _ in graph.leaf_variables]
     y0 = grading.index("y0")
     seen = set()
     for leaf in graph.basic_leaves():
         qp = presentation_from_graph(graph, leaf)
-        _, periods = reduction._base_case_stop(graph, qp, graph.unit_degree(leaf), 1, 1)
+        _, periods = sections._base_case_stop(graph, qp, graph.unit_degree(leaf), 1, 1)
         for name, (m, q) in periods.items():
             i = grading.index(name)
-            (power,) = [e for _, e in golden if e[i] and not any(e[s] for s in sections if s != i)]
+            (power,) = [e for _, e in golden if e[i] and not any(e[s] for s in columns if s != i)]
             assert (power[i], power[y0]) == (m, q), (leaf, name)
             seen.add(name)
     assert seen == {name for name, _ in graph.leaf_variables}
