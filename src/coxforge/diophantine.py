@@ -8,15 +8,17 @@ the linear conditions on it leave open. rings.monomials_of_degree wraps
 it for graded pieces, and slice_points for the zero slices s_j = 0,
 below an exact bound from a dual vector.
 
-Both Hilbert bases are the minimal nonzero solutions below an exact
-bound. By Caratheodory's theorem, an element h of the Hilbert basis of
-a pointed cone of dimension at most k is a sum of lambda_i r_i over at
-most k independent primitive extreme rays. If some lambda_i >= 1, then
-h - r_i lies in the monoid, so h is that ray. Otherwise every
+The Hilbert basis is the set of minimal nonzero solutions below an
+exact bound. By Caratheodory's theorem, an element h of the Hilbert
+basis of a pointed cone of dimension at most k is a sum of lambda_i r_i
+over at most k independent primitive extreme rays. If some lambda_i >=
+1, then h - r_i lies in the monoid, so h is that ray. Otherwise every
 lambda_i < 1, and the total of h is below the sum of the k largest ray
-totals. solve_nonneg applies this to {s >= 0 : A s = 0}, and
-hilbert_basis_inequalities to the slack vectors s = B x of {x : B x >=
-0}, which satisfy C s = 0 for the left nullspace C of B.
+totals. hilbert_basis_inequalities applies this to the slack vectors s
+= B x of {x : B x >= 0}, which satisfy C s = 0 for the left nullspace C
+of B. solve_nonneg reads {v >= 0 : A v = 0} as that cone for B = K, a
+lattice basis of the integer kernel of A from linalg.hnf_columns: it is
+{K x : K x >= 0}.
 """
 
 from functools import lru_cache
@@ -211,12 +213,6 @@ def _minimal(points):
     return kept
 
 
-def _ray_bound(totals, k):
-    """Sum of the k largest ray totals: every Hilbert-basis element of a
-    cone of dimension at most k has total at most this."""
-    return sum(sorted(totals, reverse=True)[:k])
-
-
 def hilbert_basis_inequalities(ineqs, dim):
     """Hilbert basis of the monoid {x in Z^dim : B x >= 0} (pointed), sorted.
 
@@ -229,7 +225,10 @@ def hilbert_basis_inequalities(ineqs, dim):
         return []
     width = len(ineqs)
     left = linalg.nullspace(linalg.transpose(ineqs)) or [(0,) * width]
-    cap = _ray_bound([sum(linalg.mat_vec(ineqs, r)) for r in rays], dim)
+    # Caratheodory: every element's total is at most that of the dim
+    # largest rays together
+    totals = sorted((sum(linalg.mat_vec(ineqs, r)) for r in rays), reverse=True)
+    cap = sum(totals[:dim])
     rows = _independent(ineqs, range(width))
     adj, det = linalg.adjugate([ineqs[i] for i in rows])
     xs = {}
@@ -245,17 +244,13 @@ def solve_nonneg(a_rows):
     degree then lexicographically: every nonnegative solution of the
     homogeneous system is a sum of its elements.
 
-    The rays come from the cone of the free exponents u of fiber_points:
-    u >= 0 and each pivot exponent -(adj F u)_i / den >= 0."""
+    The trailing columns K of the unimodular transform of
+    linalg.hnf_columns(A) are a lattice basis of the integer kernel, so
+    the monoid is {K x : K x >= 0}, and K maps the Hilbert basis of
+    {x : K x >= 0} onto it."""
     if not a_rows:
         raise ValueError("empty system")
-    matrix = tuple(tuple(row) for row in a_rows)
-    rows, pivots, free, den, adj, coeffs, levels, dependent = _pivot_system(matrix)
-    pivot_rows = [[-a[2 + i] for a in coeffs] for i in range(len(rows))]
-    ineqs = linalg.identity_matrix(len(free)) + pivot_rows
-    totals = []
-    for u in cone_rays(ineqs, len(free)):
-        full = [den * x for x in u] + linalg.mat_vec(pivot_rows, u)
-        totals.append(sum(linalg.primitive(full)))
-    cap = _ray_bound(totals, len(free))
-    return _minimal(fiber_points(matrix, (0,) * len(matrix), cap))
+    _, u, pivots = linalg.hnf_columns(a_rows)
+    kernel = [row[len(pivots) :] for row in u]
+    basis = hilbert_basis_inequalities(kernel, len(kernel[0]))
+    return sorted((tuple(linalg.mat_vec(kernel, x)) for x in basis), key=_total_key)

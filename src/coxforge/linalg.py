@@ -1,12 +1,17 @@
 """Exact integer linear algebra.
 
-Matrices are plain lists of lists of ints; no floating point anywhere.
-One fraction-free Gauss-Jordan core, row_reduce (Bareiss 1968), serves
-rank, nullspace, adjugate and int_inverse; primitive takes integer
-vectors only. rank_sparse (its own elimination over dict rows),
-hnf_columns, diagonalize and int_inverse have no caller in the package;
-the benchmark's per-layer tracer still names them, and they go when it
-stops.
+Matrices are lists of rows of ints (tuple rows are read, list rows are
+returned); no floating point anywhere. Two elimination cores serve
+everything here. The fraction-free Gauss-Jordan core row_reduce
+(Bareiss 1968) gives rank, nullspace, adjugate and int_inverse, and
+rank_sparse is rank over the densified rows. The unimodular core
+hnf_columns gives a column Hermite form with its transform, whose
+trailing columns are a lattice basis of the integer kernel;
+diagonalize alternates it on S and on S^T (Kannan and Bachem 1979).
+primitive takes integer vectors only. rank_sparse, diagonalize and
+int_inverse have no caller in the package; the benchmark's per-layer
+tracer still names them, and diagonalize is kept for the class group
+Z^n / M Z^n.
 """
 
 from math import gcd
@@ -17,7 +22,7 @@ def identity_matrix(n):
 
 
 def copy_matrix(m):
-    return [row[:] for row in m]
+    return [list(row) for row in m]
 
 
 def transpose(m):
@@ -32,18 +37,15 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+def mat_mul(a, b):
+    return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries, with the sign
     that makes the first nonzero entry positive. Returns a tuple; the
     zero vector is returned unchanged."""
-    g = vec_gcd(vec)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     first = next(x for x in vec if x)
@@ -196,64 +198,28 @@ def hnf_columns(a):
     return h, u, pivots
 
 
-def _row_sub(m, i, k, q):
-    m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-
-
 def diagonalize(a):
     """Integer diagonalization: returns (U, S, V) with U*A*V = S diagonal.
 
-    U and V are unimodular. Diagonal entries are nonnegative but not forced
-    into a divisibility chain (not needed for quotient enumeration).
+    U and V are unimodular. Column Hermite forms of S and of S^T
+    alternate until no entry is off the diagonal, after at least one
+    round, so the diagonal entries are Hermite pivots or zeros and
+    nonnegative ([[-3]] gives [[3]]). They are not forced into a
+    divisibility chain (not needed for quotient enumeration). A needs
+    at least one column: a transpose of rows of no entries loses their
+    count.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    s = copy_matrix(a)
-    u = identity_matrix(m)
-    v = identity_matrix(n)
-    t = 0
+    s = a
+    u = identity_matrix(len(a))
+    v = identity_matrix(len(a[0]) if a else 0)
     while True:
-        entries = [
-            (abs(s[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if s[i][j] != 0
-        ]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            _col_swap(s, pj, t)
-            _col_swap(v, pj, t)
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t] != 0:
-                q = s[i][t] // s[t][t]
-                if q:
-                    _row_sub(s, i, t, q)
-                    _row_sub(u, i, t, q)
-                if s[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if s[t][j] != 0:
-                q = s[t][j] // s[t][t]
-                if q:
-                    _col_sub(s, j, t, q)
-                    _col_sub(v, j, t, q)
-                if s[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-        if t == min(m, n):
-            break
-    return u, s, v
+        s, w, _ = hnf_columns(s)
+        v = mat_mul(v, w)
+        t, w, _ = hnf_columns(transpose(s))
+        s = transpose(t)
+        u = mat_mul(transpose(w), u)
+        if all(x == 0 for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
+            return u, s, v
 
 
 def int_inverse(m):
@@ -265,35 +231,7 @@ def int_inverse(m):
 
 
 def rank_sparse(rows):
-    """Rank of a sparse integer matrix given as dicts {col: coeff}.
-
-    Fraction-free elimination; rows are combined as r*pivot - p*r[c] and
-    divided by their gcd, which keeps entries small for near-unit
-    matrices.
-    """
-    work = [dict(r) for r in rows if r]
-    rk = 0
-    while work:
-        work.sort(key=len)
-        pivot_row = work.pop(0)
-        pc = min(pivot_row, key=lambda c: (abs(pivot_row[c]), c))
-        pv = pivot_row[pc]
-        rk += 1
-        reduced = []
-        for r in work:
-            if pc in r:
-                f = r[pc]
-                merged = {}
-                for c in set(r) | set(pivot_row):
-                    val = r.get(c, 0) * pv - pivot_row.get(c, 0) * f
-                    if val:
-                        merged[c] = val
-                if merged:
-                    g = vec_gcd(list(merged.values()))
-                    if g > 1:
-                        merged = {c: v // g for c, v in merged.items()}
-                    reduced.append(merged)
-            else:
-                reduced.append(r)
-        work = reduced
-    return rk
+    """Rank of a sparse integer matrix given as dicts {col: coeff}, with
+    any hashable column keys: rank over the densified rows."""
+    cols = list({c for row in rows for c in row})
+    return rank([[row.get(c, 0) for c in cols] for row in rows])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxforge import linalg
+from coxforge.graphs import build_singularity
 
 
 def _random_matrix(rng: random.Random, m: int, n: int, lo=-5, hi=5):
@@ -29,6 +31,7 @@ small_matrices = st.integers(1, 4).flatmap(
 @given(small_matrices)
 def test_hnf_transform_is_unimodular_and_consistent(a):
     h, u, pivots = linalg.hnf_columns(a)
+    assert linalg.hnf_columns(tuple(map(tuple, a))) == (h, u, pivots)
     n = len(a[0])
     assert abs(sympy.Matrix(u).det()) == 1
     assert sympy.Matrix(a) * sympy.Matrix(u) == sympy.Matrix(h)
@@ -42,6 +45,7 @@ def test_hnf_transform_is_unimodular_and_consistent(a):
 @given(small_matrices)
 def test_diagonalize_transforms(a):
     u, s, v = linalg.diagonalize(a)
+    assert linalg.diagonalize(tuple(map(tuple, a))) == (u, s, v)
     assert abs(sympy.Matrix(u).det()) == 1
     assert abs(sympy.Matrix(v).det()) == 1
     assert sympy.Matrix(u) * sympy.Matrix(a) * sympy.Matrix(v) == sympy.Matrix(s)
@@ -51,6 +55,34 @@ def test_diagonalize_transforms(a):
                 assert s[i][j] == 0
             else:
                 assert s[i][j] >= 0
+
+
+def _invariant_factors(diagonal):
+    """The invariant factors > 1 of Z^n / diag Z^n, by replacing each
+    pair of entries with their gcd and lcm."""
+    d = list(diagonal)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return [x for x in d if x != 1]
+
+
+CLASS_GROUPS = (
+    [(("A", n), [n + 1]) for n in range(1, 9)]
+    + [(("D", n), [2, 2] if n % 2 == 0 else [4]) for n in range(4, 13)]
+    + [(("E", 6), [3]), (("E", 7), [2]), (("E", 8), [])]
+)
+
+
+@pytest.mark.parametrize("case,factors", CLASS_GROUPS, ids=["%s%d" % c for c, _ in CLASS_GROUPS])
+def test_diagonalize_reads_the_class_group(case, factors):
+    # Cl(X) = Z^n / M Z^n for the intersection matrix M
+    m = build_singularity(*case).intersection_matrix()
+    s = linalg.diagonalize(m)[1]
+    diagonal = [s[i][i] for i in range(len(s))]
+    assert prod(diagonal) == abs(sympy.Matrix(m).det())
+    assert _invariant_factors(diagonal) == factors
 
 
 def test_int_inverse_round_trip():
@@ -128,6 +160,9 @@ def test_rank_sparse_agrees_with_dense():
         a = _random_matrix(rng, m, n, -3, 3)
         rows = [{j: x for j, x in enumerate(row) if x} for row in a]
         assert linalg.rank_sparse(rows) == sympy.Matrix(a).rank()
+    # any hashable column keys
+    rows = [{"y0": 2, (1, 0): -1}, {"y0": 4, (1, 0): -2}, {"x": 1}]
+    assert linalg.rank_sparse(rows) == 2
 
 
 def test_primitive_vectors():

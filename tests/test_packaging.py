@@ -3,13 +3,14 @@ none, and every absolute import under src/coxforge names the package
 itself or a standard-library module. Every module-level private name
 under src/coxforge is read somewhere in the package, every name a
 module imports is read in that module, and every public function,
-method or class is named in the package or by the benchmark. The
-library modules load lazily: each is registered on import, a command
-runs only the modules it uses (only verify and report run sections),
-the CLI loads no argparse and loads json only to read or write JSON, a
-reduce that runs no linalg loads no math, only an E graph loads the E
-tables, the package ships only Python files, and the CLI run as
-__main__ runs once."""
+method or class is named in the package or by the benchmark; the
+definitions that only the benchmark's tracer keeps alive are a frozen
+set. The library modules load lazily: each is registered on import, a
+command runs only the modules it uses (only verify and report run
+sections), the CLI loads no argparse and loads json only to read or
+write JSON, a reduce that runs no linalg loads no math, only an E graph
+loads the E tables, the package ships only Python files, and the CLI
+run as __main__ runs once."""
 
 import ast
 import os
@@ -305,6 +306,42 @@ def test_every_public_function_is_named_outside_the_tests():
         if not name.startswith("_") and name not in used
     ]
     assert unnamed == []
+
+
+def test_only_these_definitions_are_kept_alive_by_the_tracer():
+    # a traced definition whose only readers outside the tests are the
+    # tracer and other such definitions has no caller; each one here
+    # stays only while bench/tracing.TRACED names it
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    readers = {}
+    for path, tree in _parsed(ROOT / "src" / "coxforge"):
+        if path.name == "__init__.py":
+            continue
+        hidden = _bound(tree)
+        units = []
+        for node in tree.body:
+            if isinstance(node, functions):
+                units.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                units.extend((item.name, item) if isinstance(item, functions) else ("", item)
+                             for item in node.body)
+            else:
+                units.append(("", node))
+        for owner, node in units:
+            for name in _names_read(node, hidden):
+                readers.setdefault(name, set()).add(owner)
+    for _, tree in _parsed(ROOT / "bench"):
+        for name in _names_read(tree, _bound(tree)):
+            readers.setdefault(name, set()).add("")
+    dead = {path.split(".")[-1] for _, path, _ in _traced()}
+    while True:
+        kept = {name for name in dead if readers.get(name, set()) <= dead}
+        if kept == dead:
+            break
+        dead = kept
+    assert dead == {
+        "int_inverse", "rank_sparse", "diagonalize", "graded_piece_basis", "monomials_of_degree",
+    }
 
 
 def test_every_public_class_is_named_outside_the_tests():
