@@ -40,6 +40,13 @@ import sys
 
 __version__ = "0.1.0"
 
+# the defaults of the step cap, the grid and its seed, which ``cli``,
+# ``reduction`` and ``sections`` import from here: every command runs
+# this module, and only some run reduction or sections
+DEFAULT_STEP_CAP = 10000
+DEFAULT_GRID = 2000
+DEFAULT_SEED = 20240
+
 from .errors import (
     CoxforgeError,
     HypothesisViolationError,

@@ -3,9 +3,9 @@ emit JSON or text reports.
 
 Commands: graph, invariants, cox, reduce, verify, report. Output goes
 to stdout or --out as UTF-8. Exit codes: 0 ok, 1 verification
-mismatch, 2 usage error. Reports are byte-stable
-for a fixed configuration; --timings adds wall-clock milliseconds and
-is the one switch that breaks that stability.
+mismatch, 2 usage error or an input too large for memory. Reports are
+byte-stable for a fixed configuration; --timings adds wall-clock
+milliseconds and is the one switch that breaks that stability.
 
 Caps: --caps step=N bounds each reduction pass, not the whole trace, so
 the nef pass and the basic pass of `reduce` and of verify's reduction
@@ -26,9 +26,9 @@ also does. int() would take '1_0', ' +5' or other scripts' digits too.
 verify and report build their sections through one function,
 sections.cmd_checks: both run the invariants (A, D and E only), cox and
 audits or counterexample sections; verify adds the reduction sweep and
-the top-level verdict, report the graph section, which this module
-passes in (cmd_graph): sections does not import this module, which
-python -m runs as __main__. No other command loads sections.
+the top-level verdict, report the graph section, which is the payload
+of graph (ResolutionGraph.to_dict). No other command loads sections.
+The defaults of the step cap, the grid and the seed are the package's.
 
 verify and report show the cox and counterexample sections as skipped,
 with the reason, on a star that no candidate relation covers (four or
@@ -40,18 +40,15 @@ On such a star, reduce exits 2 only when its trace has a step to audit.
 import sys
 import types
 
-from . import cox, graphs, invariants, reduction, sections
+from . import (
+    DEFAULT_GRID, DEFAULT_SEED, DEFAULT_STEP_CAP, cox, graphs, invariants, reduction, sections)
 from .errors import CoxforgeError, ParameterError, UnsupportedGraphError, require_int
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-# sections.DEFAULT_GRID and DEFAULT_SEED, and reduction.DEFAULT_STEP_CAP,
-# written out so that a command that does not run them loads neither
-DEFAULT_GRID = 2000
-DEFAULT_SEED = 20240
-DEFAULT_CAPS = {"step": 10000}
+DEFAULT_CAPS = {"step": DEFAULT_STEP_CAP}
 
 
 def _ascii_int(text):
@@ -165,15 +162,6 @@ def resolve_settings(args):
             raise ParameterError("grid needs at least 1 cell, got %d" % value)
     seed = _integer(config.get("seed", DEFAULT_SEED), "config seed")
     return {"caps": caps, "grid": grid, "seed": seed}
-
-
-def cmd_graph(graph):
-    payload = graph.to_dict()
-    payload["intersection_matrix"] = [list(row) for row in graph.intersection_matrix()]
-    payload["grading_matrix"] = [list(row) for row in graph.grading().matrix]
-    payload["variables"] = list(graph.grading().variables)
-    payload["negative_definite"] = graph.is_negative_definite()
-    return payload
 
 
 def cmd_reduce(graph, degree, settings):
@@ -319,7 +307,7 @@ def _run(args):
     settings = resolve_settings(args)
     graph = parse_case(args.case)
     if args.command == "graph":
-        payload = cmd_graph(graph)
+        payload = graph.to_dict()
     elif args.command == "invariants":
         payload = invariants.verify_invariant_table(graph)
     elif args.command == "cox":
@@ -329,7 +317,7 @@ def _run(args):
             raise ParameterError("reduce needs --degree")
         payload = cmd_reduce(graph, _parse_degree(args.degree, graph), settings)
     else:
-        payload = sections.cmd_checks(graph, settings, args.command, args.timings, cmd_graph)
+        payload = sections.cmd_checks(graph, settings, args.command, args.timings)
     # the graph payload has no verdict of its own
     return payload, EXIT_OK if payload.get("ok", True) else EXIT_MISMATCH
 
@@ -344,6 +332,10 @@ def main(argv=None):
         _emit(payload, args)
     except (ParameterError, UnsupportedGraphError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
+    except MemoryError:
+        # a case too large to build, such as A99999999999999
+        sys.stderr.write("error: not enough memory for this input\n")
         return EXIT_USAGE
     except CoxforgeError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -4,9 +4,11 @@ from them.
 fiber_points is the one lattice-point algorithm: it lists {s >= 0 :
 A s = t, total <= cap}. Once the free exponents are fixed, t determines
 the pivot exponents, and each free exponent runs over the interval that
-the linear conditions on it leave open. rings.monomials_of_degree wraps
-it for graded pieces, and slice_points for the zero slices s_j = 0,
-below an exact bound from a dual vector.
+the linear conditions on it leave open. slice_points wraps it for the
+zero slices s_j = 0, below an exact bound from a dual vector, which the
+cokernel counts read. rings.monomials_of_degree wraps it for graded
+pieces, but only the benchmark's tracer keeps that wrapper: nothing in
+the package calls it but rings.graded_piece_basis, which nothing calls.
 
 The Hilbert basis is the set of minimal nonzero solutions below an
 exact bound. By Caratheodory's theorem, an element h of the Hilbert

@@ -196,12 +196,20 @@ class ResolutionGraph:
     # --- serialization -------------------------------------------------
 
     def to_dict(self):
+        """The payload of the ``graph`` command, and report's graph
+        section: the graph, its intersection matrix, its grading and
+        whether its intersection form is negative definite."""
+        grading = self._grading
         return {
             "label": self.label,
             "nodes": list(self.nodes),
             "edges": [list(e) for e in self.edges],
             "self_intersection": {str(n): -2 for n in self.nodes},
             "leaf_variables": [[name, node] for name, node in self.leaf_variables],
+            "intersection_matrix": self.intersection_matrix(),
+            "grading_matrix": [list(row) for row in grading.matrix],
+            "variables": list(grading.variables),
+            "negative_definite": self.is_negative_definite(),
         }
 
     def __eq__(self, other):

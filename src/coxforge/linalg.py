@@ -4,10 +4,12 @@ Matrices are lists of rows of ints (tuple rows are read, list rows are
 returned); no floating point anywhere. Two elimination cores serve
 everything here. The fraction-free Gauss-Jordan core row_reduce
 (Bareiss 1968) gives rank, nullspace, adjugate and int_inverse, and
-rank_sparse is rank over the densified rows. The unimodular core
-hnf_columns gives a column Hermite form with its transform, whose
-trailing columns are a lattice basis of the integer kernel;
-diagonalize alternates it on S and on S^T (Kannan and Bachem 1979).
+rank_sparse is rank over the densified rows. The unimodular core is
+one column Hermite pass, which carries its transform as rows stacked
+under the matrix, as adjugate carries I beside it. hnf_columns runs it
+on A over I, and the trailing columns of the transform are a lattice
+basis of the integer kernel; each round of diagonalize runs it on S
+over V and on S^T over U^T (Kannan and Bachem 1979).
 primitive takes integer vectors only. rank_sparse, diagonalize and
 int_inverse have no caller in the package; the benchmark's per-layer
 tracer still names them, and diagonalize is kept for the class group
@@ -35,10 +37,6 @@ def mat_vec(m, v):
 
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def mat_mul(a, b):
-    return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
 def primitive(vec):
@@ -137,87 +135,77 @@ def adjugate(m):
 # ----- integer forms with transforms -----
 
 
-def _col_sub(m, j, k, q):
-    """Column j -= q * column k."""
-    for row in m:
-        row[j] -= q * row[k]
-
-
-def _col_swap(m, j, k):
-    for row in m:
-        row[j], row[k] = row[k], row[j]
-
-
-def _col_neg(m, j):
-    for row in m:
-        row[j] = -row[j]
+def _hermite_pass(work, m):
+    """Column Hermite pass in place on ``work``, pivoting on its first
+    ``m`` rows, so that the rows below, a transform stacked under the
+    matrix, take every column operation with it. Returns the (row,
+    column) pivots, which come first among the columns."""
+    n = len(work[0]) if work else 0
+    pivots = []
+    for i in range(m):
+        r = len(pivots)
+        top = work[i]
+        while True:
+            nz = [j for j in range(r, n) if top[j]]
+            if not nz:
+                break
+            j = min(nz, key=lambda j: abs(top[j]))
+            for row in work:
+                row[j], row[r] = row[r], row[j]
+            if len(nz) == 1:
+                break
+            qs = [(j, top[j] // top[r]) for j in range(r + 1, n) if top[j]]
+            for row in work:
+                x = row[r]
+                for j, q in qs:
+                    row[j] -= q * x
+        if r < n and top[r]:
+            if top[r] < 0:
+                for row in work:
+                    row[r] = -row[r]
+            qs = [(j, top[j] // top[r]) for j in range(r)]
+            for row in work:
+                x = row[r]
+                for j, q in qs:
+                    row[j] -= q * x
+            pivots.append((i, r))
+    return pivots
 
 
 def hnf_columns(a):
-    """Column-style Hermite form: returns (H, U) with A*U = H, U unimodular.
+    """Column-style Hermite form: returns (H, U, pivots) with A*U = H, U
+    unimodular, from one Hermite pass on A stacked over I.
 
     Pivot columns come first; the remaining columns of H are zero, so the
     matching columns of U are a lattice basis of the integer kernel.
     """
     m = len(a)
-    n = len(a[0]) if m else 0
-    h = copy_matrix(a)
-    u = identity_matrix(n)
-    r = 0
-    pivots = []
-    for i in range(m):
-        if r == n:
-            break
-        while True:
-            nz = [j for j in range(r, n) if h[i][j] != 0]
-            if not nz:
-                break
-            j = min(nz, key=lambda j: abs(h[i][j]))
-            if j != r:
-                _col_swap(h, j, r)
-                _col_swap(u, j, r)
-            if len(nz) == 1:
-                break
-            for j2 in range(r + 1, n):
-                if h[i][j2] != 0:
-                    q = h[i][j2] // h[i][r]
-                    if q:
-                        _col_sub(h, j2, r, q)
-                        _col_sub(u, j2, r, q)
-        if h[i][r] != 0:
-            if h[i][r] < 0:
-                _col_neg(h, r)
-                _col_neg(u, r)
-            for j2 in range(r):
-                q = h[i][j2] // h[i][r]
-                if q:
-                    _col_sub(h, j2, r, q)
-                    _col_sub(u, j2, r, q)
-            pivots.append((i, r))
-            r += 1
-    return h, u, pivots
+    work = copy_matrix(a) + identity_matrix(len(a[0]) if m else 0)
+    pivots = _hermite_pass(work, m)
+    return work[:m], work[m:], pivots
 
 
 def diagonalize(a):
     """Integer diagonalization: returns (U, S, V) with U*A*V = S diagonal.
 
-    U and V are unimodular. Column Hermite forms of S and of S^T
-    alternate until no entry is off the diagonal, after at least one
-    round, so the diagonal entries are Hermite pivots or zeros and
-    nonnegative ([[-3]] gives [[3]]). They are not forced into a
-    divisibility chain (not needed for quotient enumeration). A needs
-    at least one column: a transpose of rows of no entries loses their
-    count.
+    U and V are unimodular. Each round runs a column Hermite pass on S
+    stacked over V, then one on S^T stacked over U^T, until no entry is
+    off the diagonal, after at least one round, so the diagonal entries
+    are Hermite pivots or zeros and nonnegative ([[-3]] gives [[3]]).
+    They are not forced into a divisibility chain (not needed for
+    quotient enumeration). A needs at least one column: a transpose of
+    rows of no entries loses their count.
     """
-    s = a
-    u = identity_matrix(len(a))
-    v = identity_matrix(len(a[0]) if a else 0)
+    m = len(a)
+    n = len(a[0]) if m else 0
+    s, u, v = copy_matrix(a), identity_matrix(m), identity_matrix(n)
     while True:
-        s, w, _ = hnf_columns(s)
-        v = mat_mul(v, w)
-        t, w, _ = hnf_columns(transpose(s))
-        s = transpose(t)
-        u = mat_mul(transpose(w), u)
+        work = s + v
+        _hermite_pass(work, m)
+        s, v = work[:m], work[m:]
+        work = transpose(s) + transpose(u)
+        _hermite_pass(work, n)
+        s, u = transpose(work[:n]), transpose(work[n:])
         if all(x == 0 for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
             return u, s, v
 

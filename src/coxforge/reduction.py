@@ -59,10 +59,8 @@ certifies each step of a reduction independently.
 from functools import lru_cache
 from operator import ge, mul
 
-from . import diophantine
+from . import DEFAULT_STEP_CAP, diophantine
 from .errors import HypothesisViolationError, ParameterError
-
-DEFAULT_STEP_CAP = 10000
 
 
 class ReductionStep:

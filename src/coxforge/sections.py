@@ -3,16 +3,13 @@
 ``cmd_checks`` builds both payloads: the invariants (A, D and E only),
 cox, and the audits or counterexample sections; verify adds the
 reduction sweep and the top-level verdict, report the graph section,
-which the CLI passes in: this module does not import the CLI, which
-``python -m coxforge.cli`` runs as ``__main__``.
+``ResolutionGraph.to_dict``, the payload of the ``graph`` command.
 
 No ``reduce`` command runs what is here, so it does not compile it:
 ``sweep`` with the closed-form nef pass ``least_nef_cycles``, the
 base case ``base_case_audit``, and ``full_equivalence_audit`` and
 ``audit_add_curve``. They read the passes, the step table, the step
-audits and ``_slice_basis`` from ``reduction``. ``DEFAULT_GRID`` and
-``DEFAULT_SEED`` are the CLI's, written out here too (a test keeps the
-copies equal).
+audits and ``_slice_basis`` from ``reduction``.
 """
 
 import time
@@ -20,11 +17,9 @@ from itertools import product, repeat
 from math import gcd
 from operator import add, ge, mul, sub
 
-from . import cox, invariants, linalg, reduction
+from . import DEFAULT_GRID, DEFAULT_SEED, DEFAULT_STEP_CAP, cox, invariants, linalg, reduction
 from .errors import ParameterError, UnsupportedGraphError
 
-DEFAULT_GRID = 2000
-DEFAULT_SEED = 20240
 AUDIT_DEGREE_COUNT = 6
 
 
@@ -120,11 +115,13 @@ def least_nef_cycles(cells, graph):
     return out
 
 
-def sweep(graph, cells, step_cap=reduction.DEFAULT_STEP_CAP):
+def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     """verify's reduction section: the verdict of ``reduce`` on every
     cell, in cell order, with ``step_cap`` steps for each pass. The nef
     pass must terminate, the basic pass must end on a basic degree, and
-    on D graphs its measures, compared doubled, must not increase. The
+    on a D-shaped star, three arms of which the first two have length 1
+    (the stars that ``reduction._twice_weights`` weights as D), its
+    measures, compared doubled, must not increase. The
     nef passes come from one ``least_nef_cycles`` call. ``known`` maps
     each degree at the top of the add-phase loop that a successful basic
     pass went through, and its end, to the steps left in that pass: a
@@ -137,6 +134,8 @@ def sweep(graph, cells, step_cap=reduction.DEFAULT_STEP_CAP):
     termination certificate, so the sweep is skipped there."""
     if not graph.is_negative_definite():
         return {"skipped": "intersection form is not negative definite", "ok": True}
+    arms = tuple(map(len, graph.branches())) if graph.center() is not None else ()
+    d_shaped = len(arms) == 3 and arms[:2] == (1, 1)
     known = {}
     max_steps = 0
     for d, (terminal, nef_steps) in zip(cells, least_nef_cycles(cells, graph)):
@@ -151,7 +150,7 @@ def sweep(graph, cells, step_cap=reduction.DEFAULT_STEP_CAP):
             if not (
                 trace.terminated
                 and (left or reduction.is_basic(trace.terminal, graph))
-                and (graph.family != "D" or all(map(ge, ms, ms[1:])))
+                and (not d_shaped or all(map(ge, ms, ms[1:])))
                 and total <= step_cap
             ):
                 return {"cells": len(cells), "ok": False, "failed_at": list(d)}
@@ -249,7 +248,7 @@ def base_case_audit(graph, leaf, k):
             "ok": counts == series}
 
 
-def full_equivalence_audit(graph, degree, step_cap=reduction.DEFAULT_STEP_CAP):
+def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
     """Reduce a degree to nef and then to basic, audit the cokernel
     dimension of every step against the combinatorial expectation, and,
     on a negative definite star whose terminal k*e_leaf is nonzero,
@@ -316,17 +315,16 @@ def _unless_unsupported(section, *args):
         return {"skipped": str(exc), "ok": True}
 
 
-def cmd_checks(graph, settings, command, with_timings, graph_section):
+def cmd_checks(graph, settings, command, with_timings):
     """The payload of verify or report (``command``), with each section
-    timed; ``graph_section`` is report's graph section, the CLI's
-    ``cmd_graph``. The grid cells are drawn before any section runs:
-    always for verify, and for report only when the audits need them."""
+    timed. The grid cells are drawn before any section runs: always for
+    verify, and for report only when the audits need them."""
     ade = graph.family is not None
     cells = _grid_cells(graph, settings) if ade or command == "verify" else None
     step_cap = settings["caps"]["step"]
     runs = []
     if command == "report":
-        runs.append(("graph", graph_section, graph))
+        runs.append(("graph", graph.to_dict))
     if ade:
         runs.append(("invariants", invariants.verify_invariant_table, graph))
     runs.append(("cox", _unless_unsupported, cox.verify_presentation, graph))

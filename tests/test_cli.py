@@ -221,6 +221,17 @@ def test_reduce_on_a_four_arm_star_needs_a_relation_only_to_audit(capsys, degree
         assert captured.err == ""
 
 
+@pytest.mark.parametrize("case", ["A99999999999999", "custom:99999999999999,1,1"])
+def test_a_case_too_large_to_build_exits_2(capsys, case):
+    # the node tuple of 10^14 entries is refused at once, with no memory
+    # taken, and the MemoryError becomes a usage error
+    code = cli.main(["graph", "--case", case])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: not enough memory for this input\n"
+
+
 def test_the_default_step_cap_is_reductions():
     assert cli.DEFAULT_CAPS == {"step": reduction.DEFAULT_STEP_CAP}
 
@@ -346,7 +357,10 @@ def test_verify_reports_step_capped_sweep_cell(capsys):
 
 def _stepwise_sweep(graph, cells, settings):
     # the sweep as it ran before the closed form: the whole step-by-step
-    # reduction of every cell, kept here as the reference
+    # reduction of every cell, kept here as the reference; the measures
+    # of a star with arms (1, 1, m), D_n or custom, must not rise
+    arms = [len(arm) for arm in graph.branches()] if graph.center() is not None else []
+    d_shaped = len(arms) == 3 and arms[:2] == [1, 1]
     max_steps = 0
     for d in cells:
         trace = reduction.reduce(graph, d, settings["caps"]["step"])
@@ -354,7 +368,7 @@ def _stepwise_sweep(graph, cells, settings):
         if (
             not trace.terminated
             or not reduction.is_basic(trace.terminal, graph)
-            or (graph.family == "D" and any(a < b for a, b in zip(ms, ms[1:])))
+            or (d_shaped and any(a < b for a, b in zip(ms, ms[1:])))
         ):
             return {"cells": len(cells), "ok": False, "failed_at": list(d)}
         max_steps = max(max_steps, len(trace.steps))
@@ -387,6 +401,29 @@ def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
     cells = sections._grid_cells(graph, settings)
     want = _stepwise_sweep(graph, cells, settings)
     assert sections.sweep(graph, cells, step) == want
+
+
+@pytest.mark.parametrize(
+    "case,checked",
+    [("D4", True), ("D8", True), ("custom:1,1,5", True),
+     ("A5", False), ("E6", False), ("custom:1,2,3", False)],
+)
+def test_the_sweep_checks_the_measures_of_every_d_shaped_star(monkeypatch, case, checked):
+    # a basic pass whose doubled measures rise fails the sweep on every
+    # star with arms (1, 1, m), under a D label or a custom one, and on
+    # no other graph
+    basic_pass = reduction._basic_pass
+
+    def rising(degree, graph, step_cap, known):
+        trace = basic_pass(degree, graph, step_cap, known)
+        ms = trace.twice_measures
+        return reduction.ReductionTrace(
+            trace.initial, trace.terminal, trace.steps, trace.terminated, ms + (ms[-1] + 1,))
+
+    monkeypatch.setattr(reduction, "_basic_pass", rising)
+    graph = cli.parse_case(case)
+    cells = sections.grid_sample(len(graph.nodes), 50)
+    assert sections.sweep(graph, cells)["ok"] is not checked
 
 
 @pytest.mark.parametrize("case,definite", [("D12", True), ("custom:2,2,3", False)])
@@ -528,6 +565,13 @@ def test_report_shares_its_checks_with_verify(capsys, case):
     assert shared == set(reported["sections"]) - {"graph"}
     for name in shared:
         assert reported["sections"][name] == verified["sections"][name]
+
+
+@pytest.mark.parametrize("case", ["A3", "D5", "E6", "custom:2,2,3", "custom:1,1,1,2"])
+def test_reports_graph_section_is_the_graph_payload(capsys, case):
+    _, graph = run_json(capsys, ["graph", "--case", case])
+    _, reported = run_json(capsys, ["report", "--case", case, "--grid", "20"])
+    assert reported["sections"]["graph"] == graph
 
 
 def test_verify_counterexample(capsys):

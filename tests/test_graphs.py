@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from coxforge.cli import cmd_graph, parse_case
+from coxforge.cli import parse_case
 from coxforge.cox import presentation_from_graph
 from coxforge.errors import ParameterError
 from coxforge.graphs import build_custom_tree, build_singularity
@@ -349,7 +349,7 @@ def test_graph_command_output_rebuilds_the_graph(case):
     # the graph command's JSON round-trips: its label rebuilds the graph,
     # and its nodes, edges and self-intersections rebuild the grading
     g = parse_case(case)
-    data = json.loads(json.dumps(cmd_graph(g)))
+    data = json.loads(json.dumps(g.to_dict()))
     back = parse_case(data["label"])
     assert back == g
     assert (back.family, back.rank) == (g.family, g.rank)
