@@ -2,13 +2,16 @@
 from them.
 
 fiber_points is the one lattice-point algorithm: it lists {s >= 0 :
-A s = t, total <= cap}. Once the free exponents are fixed, t determines
-the pivot exponents, and each free exponent runs over the interval that
-the linear conditions on it leave open. slice_points wraps it for the
-zero slices s_j = 0, below an exact bound from a dual vector, which the
-cokernel counts read. rings.monomials_of_degree wraps it for graded
-pieces, but only the benchmark's tracer keeps that wrapper: nothing in
-the package calls it but rings.graded_piece_basis, which nothing calls.
+A s = t}, under a cap on the total or with none. Once the free
+exponents are fixed, t determines the pivot exponents, and each free
+exponent runs over the interval that the linear conditions on it leave
+open. With no cap, the conditions that the pivot exponents be >= 0
+bound each free exponent in turn, in column order, where they can; the
+zero slices s_j = 0 that the cokernel counts read
+(reduction._slice_basis) are listed that way, on A without column j.
+rings.monomials_of_degree wraps it for graded pieces, but only the
+benchmark's tracer keeps that wrapper: nothing in the package calls it
+but rings.graded_piece_basis, which nothing calls.
 
 The Hilbert basis is the set of minimal nonzero solutions below an
 exact bound. By Caratheodory's theorem, an element h of the Hilbert
@@ -74,15 +77,16 @@ def _pivot_system(matrix):
     so B = A[R][P] is invertible; with den = |det B| and adj = den B^-1
     the pivot exponents are adj (t_R - F s) / den.
 
-    Every condition on the free exponents s is linear, a . s <= b: the
-    plain sum (a_j = 1, b = cap), the total (a_j = den - sum(adj F_j),
-    b = den cap - sum(adj t_R)) and each pivot exponent being >= 0 (a_j
-    = (adj F_j)_i, b = (adj t_R)_i). Returns (R, P, free, den, adj,
-    coeffs, levels, dependent): coeffs[j] holds the a_j of every
-    condition in that order; levels[j] lists the conditions whose
+    Every condition on the free exponents s is linear, a . s <= b: each
+    pivot exponent being >= 0 (a_j = (adj F_j)_i, b = (adj t_R)_i), then
+    under a cap the total (a_j = den - sum(adj F_j), b = den cap -
+    sum(adj t_R)) and the plain sum (a_j = 1, b = cap); coeffs[j] holds
+    the a_j in that order. Returns (R, P, free, den, adj, coeffs, levels,
+    bounded, dependent): levels[j] lists the conditions whose
     coefficients on the later free exponents are all >= 0, so that each
-    bounds s_j by its slack b - a . s_prefix; dependent holds (k, w)
-    with den * A[k] = w . A[R] for each other row.
+    with a_j > 0 bounds s_j by its slack b - a . s_prefix; bounded says
+    whether a pivot condition does so at every level; dependent holds
+    (k, w) with den * A[k] = w . A[R] for each other row.
     """
     width = len(matrix[0])
     cols = list(zip(*matrix))
@@ -97,59 +101,72 @@ def _pivot_system(matrix):
     coeffs = []
     for c in free:
         image = linalg.mat_vec(adj, [cols[c][i] for i in rows])
-        coeffs.append([1, den - sum(image)] + image)
+        coeffs.append(image + [den - sum(image), 1])
     levels = [
-        [i for i in range(2 + len(rows)) if all(a[i] >= 0 for a in coeffs[j + 1 :])]
+        [i for i in range(len(rows) + 2) if all(b[i] >= 0 for b in coeffs[j + 1 :])]
         for j in range(len(free))
     ]
+    bounded = all(
+        any(i < len(rows) and a[i] > 0 for i in level) for a, level in zip(coeffs, levels)
+    )
     dependent = [
         (k, linalg.mat_vec(linalg.transpose(adj), on_pivots[k]))
         for k in range(len(matrix))
         if k not in rows
     ]
-    return rows, pivots, free, den, adj, coeffs, levels, dependent
+    return rows, pivots, free, den, adj, coeffs, levels, bounded, dependent
 
 
 def _total_key(s):
     return (sum(s), s)
 
 
-def fiber_points(matrix, target, cap):
-    """Exponent tuples s >= 0 with A s = target and total <= cap, sorted
-    by total and then exponents.
+def fiber_points(matrix, target, cap=None):
+    """Exponent tuples s >= 0 with A s = target and, under a cap, total
+    <= cap, sorted by total and then exponents.
 
     Each free exponent runs over the interval that its qualifying
     conditions (see _pivot_system) leave open, given the exponents
     before it; at the last free exponent every condition qualifies. The
     pivot exponents follow from the target, and a point is kept when
-    they are nonnegative integers and the total stays within cap."""
+    they are nonnegative integers and the total stays within cap. With
+    no cap the pivot conditions alone bound each free exponent; raises
+    ValueError when they do not bound every one, in column order, as
+    the fiber need not be finite. A finite fiber that they do not bound
+    raises too: every curve-column slice of the graphs that coxforge
+    counts is bounded (tests/test_diophantine.py)."""
     matrix = tuple(tuple(row) for row in matrix)
-    rows, pivots, free, den, adj, coeffs, levels, dependent = _pivot_system(matrix)
+    rows, pivots, free, den, adj, coeffs, levels, bounded, dependent = _pivot_system(matrix)
+    if cap is None and not bounded:
+        raise ValueError("the pivot conditions do not bound the fibers of the matrix")
     t_rows = [target[i] for i in rows]
     if any(den * target[k] != linalg.dot(w, t_rows) for k, w in dependent):
         return []
+    width = len(rows)
+    # without a cap the slack stops before the cap conditions, and a
+    # pivot condition bounds each level; under one the plain sum does
+    levels = [[i for i in level if i < width or cap is not None] for level in levels]
     exps = [0] * len(matrix[0])
     out = []
 
     def place(j, slack):
-        # slack = [cap - plain sum, den*cap - den*total, *num]; num / den
-        # are the pivot exponents once every free exponent is placed
+        # slack = [*num, den*cap - den*total, cap - plain sum], the last
+        # two under a cap only; num / den are the pivot exponents once
+        # every free exponent is placed
         if j == len(free):
-            num = slack[2:]
+            num = slack[:width]
             if any(x < 0 or x % den for x in num):
                 return
             ys = [x // den for x in num]
-            if sum(ys) <= slack[0]:
+            if cap is None or sum(ys) <= slack[-1]:
                 for c, y in zip(pivots, ys):
                     exps[c] = y
                 out.append(tuple(exps))
             return
         a = coeffs[j]
-        lo, hi = 0, slack[0]  # the plain sum bounds every level
+        lo, hi = 0, min(slack[i] // a[i] for i in levels[j] if a[i] > 0)
         for i in levels[j]:
-            if a[i] > 0:
-                hi = min(hi, slack[i] // a[i])
-            elif a[i] < 0:
+            if a[i] < 0:
                 lo = max(lo, -(slack[i] // -a[i]))
             elif slack[i] < 0:
                 return
@@ -160,49 +177,8 @@ def fiber_points(matrix, target, cap):
             slack = [x - y for x, y in zip(slack, a)]
 
     num = linalg.mat_vec(adj, t_rows)
-    place(0, [cap, den * cap - sum(num)] + num)
+    place(0, num if cap is None else num + [den * cap - sum(num), cap])
     return sorted(out, key=_total_key)
-
-
-@lru_cache(maxsize=None)
-def _slice_bound(matrix, j):
-    """A without column j, and a dual vector y, as (A', R, w, den) with
-    y = w / den over independent rows R of A' and y . A'_c >= 1 on every
-    column c. Then every s >= 0 with A' s = t has total at most
-    y . t_R (weak duality).
-
-    y = 1 B^-1 for the first column basis B of A'[R] that meets this,
-    with columns tried from the last back as for the pivots of
-    _pivot_system: on graph gradings the curve columns and one section
-    column, found within a few tries. Such a y is a vertex of {y : y A' >=
-    1}, which is pointed because the rows R are independent, so one
-    exists exactly when the fibers of A' are bounded. With (adj, det)
-    of B the test is integral: each column sum of adj A'[R] against
-    det."""
-    dropped = tuple(row[:j] + row[j + 1 :] for row in matrix)
-    rows = _independent(dropped, range(len(dropped)))
-    on_rows = [dropped[i] for i in rows]
-    for basis in combinations(range(len(on_rows[0]) - 1, -1, -1), len(rows)):
-        adj, det = linalg.adjugate([[row[c] for c in basis] for row in on_rows])
-        if det == 0:
-            continue
-        if det < 0:
-            adj, det = [[-x for x in row] for row in adj], -det
-        w = [sum(col) for col in zip(*adj)]
-        if all(linalg.dot(w, col) >= det for col in zip(*on_rows)):
-            return dropped, rows, w, det
-    raise ValueError("the fibers of the matrix without column %d are unbounded" % j)
-
-
-def slice_points(matrix, target, j):
-    """Every s >= 0 with A s = target and s_j = 0, in the order of
-    fiber_points: its points on A without column j, below the exact
-    bound of _slice_bound, with a zero put back at j. Raises ValueError
-    when that slice need not be finite."""
-    matrix = tuple(tuple(row) for row in matrix)
-    dropped, rows, w, den = _slice_bound(matrix, j)
-    cap = linalg.dot(w, [target[i] for i in rows]) // den
-    return [s[:j] + (0,) + s[j:] for s in fiber_points(dropped, target, cap)]
 
 
 def _minimal(points):

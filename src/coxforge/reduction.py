@@ -49,9 +49,9 @@ they emit, and ``expected_cokernel_dim`` dispatches to the same
 checkers. ``cokernel_dimension`` recomputes that dimension exactly, as
 a count: the monomials of the target degree that neither the chain
 monomial nor a relation term coprime to it divides, listed slice by
-slice below exact bounds, so no cap enters the count. ``audit``
-checks every step of a terminated trace that way, so a full audit
-certifies each step of a reduction independently.
+slice, each bounded by its own pivot conditions, so no cap enters the
+count. ``audit`` checks every step of a terminated trace that way, so a
+full audit certifies each step of a reduction independently.
 ``sections.base_case_audit`` counts its piece through the same
 ``_slice_basis``, one y0 slice at a time, each in full.
 """
@@ -154,9 +154,22 @@ def _check_degree(degree, graph):
     return d
 
 
+def _d_pair(graph):
+    """The nodes of the first two arms of length 1 on a D-shaped star,
+    one with three arms of which at least two have length 1 (D_n with
+    its arms in any order), else None."""
+    if graph.center() is None or len(graph.branches()) != 3:
+        return None
+    short = [arm[0] for arm in graph.branches() if len(arm) == 1]
+    return tuple(short[:2]) if len(short) >= 2 else None
+
+
 def _twice_weights(graph):
-    """The S-measure weights doubled: 1 on nodes 1 and 2, 2 elsewhere."""
-    return tuple(1 if v in (1, 2) else 2 for v in graph.nodes)
+    """The S-measure weights doubled: 1 on the two nodes of ``_d_pair``
+    on a D-shaped star, on nodes 1 and 2 on every other graph, and 2
+    elsewhere."""
+    light = _d_pair(graph) or (1, 2)
+    return tuple(1 if v in light else 2 for v in graph.nodes)
 
 
 def _support(vec):
@@ -369,7 +382,7 @@ def _basic_pass(degree, graph, step_cap, known):
             if len(steps) >= step_cap:
                 return ReductionTrace(degree, d, steps, False, measures)
             q = chain(p, j)[1][1]
-            _, path, support, move, _, _ = chain(q, j)
+            path, support = chain(q, j)[1:3]
             for i, e in support:
                 cur[i] -= e
             step = new(ReductionStep)
@@ -378,7 +391,6 @@ def _basic_pass(degree, graph, step_cap, known):
             step.degree_after = d = tuple(cur)
             step.expected_cokernel_dim = _expect_shift_to_leaf(step, graph)
             steps.append(step)
-            twice -= move
             p = q
         scan, ones = spots, []
     return ReductionTrace(degree, d, steps, True, measures)
@@ -509,8 +521,9 @@ def cokernel_dimension(pres, step):
     Buchberger's first criterion (Cox-Little-O'Shea, ch. 2 section 9).
     The dimension is then the number of monomials of the target degree
     that neither T nor m divides: the union of the zero slices at the
-    variables of m, less the multiples of T. A chain has no f, so only m
-    applies. The step's degrees differ by the columns of m's variables."""
+    variables of m, less the multiples of T, each listed whole by
+    ``_slice_basis``. A chain has no f, so only m applies. The step's
+    degrees differ by the columns of m's variables."""
     matrix = pres.grading.matrix
     support = [pres.grading.index("y%d" % v) for v in step.curves]
     if step.adds_curves():
@@ -560,8 +573,11 @@ def audit(trace, pres, graph):
 def _slice_basis(matrix, target, j, e, lead):
     """The exponent tuples of degree ``target`` whose exponent at column
     j is e and that ``lead`` (a tuple, or None) does not divide: the
-    zero slice at j of the target less e times column j, with e put
-    back at j, listed below an exact bound."""
+    points of ``diophantine.fiber_points`` with no cap on the matrix
+    without column j, at the target less e times column j, with e put
+    back at j. Their pivot conditions bound that zero slice; raises
+    ValueError when they do not, even where the slice is finite."""
+    dropped = tuple(row[:j] + row[j + 1:] for row in matrix)
     shifted = tuple(t - e * row[j] for t, row in zip(target, matrix))
-    points = (s[:j] + (e,) + s[j + 1:] for s in diophantine.slice_points(matrix, shifted, j))
+    points = (s[:j] + (e,) + s[j:] for s in diophantine.fiber_points(dropped, shifted))
     return [s for s in points if lead is None or not all(map(ge, s, lead))]

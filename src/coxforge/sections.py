@@ -119,8 +119,8 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     """verify's reduction section: the verdict of ``reduce`` on every
     cell, in cell order, with ``step_cap`` steps for each pass. The nef
     pass must terminate, the basic pass must end on a basic degree, and
-    on a D-shaped star, three arms of which the first two have length 1
-    (the stars that ``reduction._twice_weights`` weights as D), its
+    on a D-shaped star, three arms of which at least two have length 1
+    (``reduction._d_pair``, whose nodes the S-measure weighs 1), its
     measures, compared doubled, must not increase. The
     nef passes come from one ``least_nef_cycles`` call. ``known`` maps
     each degree at the top of the add-phase loop that a successful basic
@@ -134,8 +134,7 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     termination certificate, so the sweep is skipped there."""
     if not graph.is_negative_definite():
         return {"skipped": "intersection form is not negative definite", "ok": True}
-    arms = tuple(map(len, graph.branches())) if graph.center() is not None else ()
-    d_shaped = len(arms) == 3 and arms[:2] == (1, 1)
+    d_shaped = reduction._d_pair(graph) is not None
     known = {}
     max_steps = 0
     for d, (terminal, nef_steps) in zip(cells, least_nef_cycles(cells, graph)):

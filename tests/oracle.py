@@ -211,8 +211,15 @@ def _at(graph, degree, node):
 
 
 def twice_s(graph, degree):
-    """The S-measure doubled: weight 1 on nodes 1 and 2, 2 elsewhere."""
-    return sum(c * (1 if v in (1, 2) else 2) for v, c in zip(graph.nodes, degree))
+    """The S-measure doubled: weight 1 on the nodes of the first two arms
+    of length 1 of a three-arm star with at least two such arms, on
+    nodes 1 and 2 of every other graph, and 2 elsewhere."""
+    light = [1, 2]
+    if graph.center() is not None and len(graph.branches()) == 3:
+        short = [arm[0] for arm in graph.branches() if len(arm) == 1]
+        if len(short) >= 2:
+            light = short[:2]
+    return sum(c * (1 if v in light else 2) for v, c in zip(graph.nodes, degree))
 
 
 def _walk_is_basic(graph, degree):

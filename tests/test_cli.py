@@ -358,9 +358,10 @@ def test_verify_reports_step_capped_sweep_cell(capsys):
 def _stepwise_sweep(graph, cells, settings):
     # the sweep as it ran before the closed form: the whole step-by-step
     # reduction of every cell, kept here as the reference; the measures
-    # of a star with arms (1, 1, m), D_n or custom, must not rise
+    # of a star with three arms, at least two of length 1, D_n or
+    # custom in any arm order, must not rise
     arms = [len(arm) for arm in graph.branches()] if graph.center() is not None else []
-    d_shaped = len(arms) == 3 and arms[:2] == [1, 1]
+    d_shaped = len(arms) == 3 and arms.count(1) >= 2
     max_steps = 0
     for d in cells:
         trace = reduction.reduce(graph, d, settings["caps"]["step"])
@@ -406,12 +407,13 @@ def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
 @pytest.mark.parametrize(
     "case,checked",
     [("D4", True), ("D8", True), ("custom:1,1,5", True),
+     ("custom:2,1,1", True), ("custom:1,2,1", True),
      ("A5", False), ("E6", False), ("custom:1,2,3", False)],
 )
 def test_the_sweep_checks_the_measures_of_every_d_shaped_star(monkeypatch, case, checked):
     # a basic pass whose doubled measures rise fails the sweep on every
-    # star with arms (1, 1, m), under a D label or a custom one, and on
-    # no other graph
+    # star with three arms, at least two of length 1, under a D label or
+    # a custom one and in any arm order, and on no other graph
     basic_pass = reduction._basic_pass
 
     def rising(degree, graph, step_cap, known):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxforge import diophantine, linalg
-from coxforge.graphs import build_singularity
+from coxforge.graphs import build_custom_tree, build_singularity
 
 import oracle
 
@@ -219,3 +219,39 @@ def test_degree_zero_fork_recession_is_frozen_quadruple():
         (0, 0, 2, 2, 1, 1, 2),
         (1, 1, 1, 3, 2, 2, 2),
     }
+
+
+SLICED_GRAPHS = (
+    [("A", n) for n in range(1, 9)]
+    + [("D", n) for n in range(4, 13)]
+    + [("E", n) for n in (6, 7, 8)]
+    + [(None, arms) for arms in ((2, 7, 1), (2, 1, 1), (1, 2, 1), (3, 2, 2))]
+    + [(None, arms) for arms in ((1, 2, 12), (1, 3, 10), (1, 1, 1, 1))]
+)
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    SLICED_GRAPHS,
+    ids=[f + str(n) if f else "custom:" + ",".join(map(str, n)) for f, n in SLICED_GRAPHS],
+)
+def test_every_curve_column_slice_is_bounded_by_its_pivot_system(family, n):
+    # the zero slices the cokernel counts and the base case read: the
+    # grading and each leaf quotient, less one curve column
+    graph = build_singularity(family, n) if family else build_custom_tree(n)
+    full = graph.grading()
+    for g in [full] + [full.drop([name]) for name, _ in graph.leaf_variables]:
+        for v in graph.nodes:
+            j = g.index("y%d" % v)
+            dropped = tuple(row[:j] + row[j + 1 :] for row in g.matrix)
+            assert diophantine._pivot_system(dropped)[7], (g.variables, v)
+
+
+def test_an_unbounded_fiber_with_no_cap_raises():
+    # s0 = s1 has a point at every total: no condition bounds the free
+    # exponent, so only a cap can
+    assert not diophantine._pivot_system(((1, -1),))[7]
+    with pytest.raises(ValueError):
+        diophantine.fiber_points(((1, -1),), (0,))
+    assert diophantine.fiber_points(((1, -1),), (0,), 2) == [(0, 0), (1, 1)]
+

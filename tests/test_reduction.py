@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxforge import diophantine, reduction, sections
+from coxforge import reduction, sections
 from coxforge.cli import parse_case
 from coxforge.cox import presentation_from_graph, section_name_at
 from coxforge.errors import HypothesisViolationError, ParameterError
@@ -1005,7 +1005,8 @@ def test_cokernel_count_matches_elimination(case):
             (
                 sum(u)
                 for v in step.curves
-                for u in diophantine.slice_points(grading.matrix, target, grading.index("y%d" % v))
+                for u in reduction._slice_basis(
+                    grading.matrix, target, grading.index("y%d" % v), 0, None)
             ),
             default=0,
         )
@@ -1016,6 +1017,26 @@ def test_cokernel_count_matches_elimination(case):
         else:
             pytest.fail("the elimination did not settle within cap %d on %r" % (cap, step))
         assert cokernel_dimension(pres, step) == current, (step, cap)
+
+
+def test_a_zero_slice_of_an_indefinite_star_matches_a_box_oracle():
+    # custom:2,7,1 is not negative definite, yet its zero slice at y9
+    # is finite, and its pivot conditions bound it with no cap: the
+    # points are those of the box enumeration of tests/oracle.py, every
+    # one well inside the box
+    graph = parse_case("custom:2,7,1")
+    grading = graph.grading()
+    j = grading.index("y9")
+    rng = random.Random(1)
+    for _ in range(6):
+        s = [rng.randint(0, 2) for _ in range(grading.width)]
+        s[j] = 0
+        target = grading.degree_of(tuple(s))
+        got = reduction._slice_basis(grading.matrix, target, j, 0, None)
+        assert len(got) == len(set(got))
+        box = {u for u in oracle.box_exponent_tuples(graph, target, 40) if u[j] == 0}
+        assert set(got) == box, target
+        assert all(max(u) <= 20 for u in got), target
 
 
 @pytest.mark.parametrize(
