@@ -25,16 +25,17 @@ also does. int() would take '1_0', ' +5' or other scripts' digits too.
 
 verify and report build their sections through one function,
 sections.cmd_checks: both run the invariants (A, D and E only), cox and
-audits or counterexample sections; verify adds the reduction sweep and
-the top-level verdict, report the graph section, which is the payload
-of graph (ResolutionGraph.to_dict). No other command loads sections.
-The defaults of the step cap, the grid and the seed are the package's.
+audits or counterexample sections; verify adds the reduction sweep,
+report a top-level graph key, the payload of graph. No other command
+loads sections. The defaults of the step cap, the grid and the seed
+are the package's.
 
-verify and report show the cox and counterexample sections as skipped,
-with the reason, on a star that no candidate relation covers (four or
-more arms); the exit code rests on the sections that ran. When every
-section was skipped, the text summary says that nothing was checked.
-On such a star, reduce exits 2 only when its trace has a step to audit.
+A section that does not apply reads {"skipped": <reason>}, with no ok:
+cox and counterexample on a star of four or more arms, the sweep off
+the negative definite graphs. The exit code rests on the ok of the
+sections that ran; when none ran, the text summary says that nothing
+was checked. On a star of four or more arms, reduce exits 2 only when
+its trace has a step to audit.
 """
 
 import sys
@@ -194,10 +195,10 @@ def _render_text(payload):
             if "skipped" in section:
                 status = "skipped"
             else:
-                status = "ok" if section.get("ok", True) else "FAIL"
+                status = "ok" if section["ok"] else "FAIL"
+                if "verdict" in section:
+                    status += " (%s)" % section["verdict"]
             lines.append("  %s: %s" % (name, status))
-    if "verdict" in payload:
-        lines.append("  verdict: %s" % payload["verdict"])
     if "steps" in payload and "terminal" in payload:
         lines.append("  steps: %d" % len(payload["steps"]))
         lines.append("  terminal: %s" % payload["terminal"])

@@ -2,8 +2,10 @@
 
 ``cmd_checks`` builds both payloads: the invariants (A, D and E only),
 cox, and the audits or counterexample sections; verify adds the
-reduction sweep and the top-level verdict, report the graph section,
-``ResolutionGraph.to_dict``, the payload of the ``graph`` command.
+reduction sweep, report a top-level ``graph`` key,
+``ResolutionGraph.to_dict``, the payload of the ``graph`` command. A
+section that does not apply raises UnsupportedGraphError, and
+``cmd_checks`` shows it as skipped, with the reason and no ``ok``.
 
 No ``reduce`` command runs what is here, so it does not compile it:
 ``sweep`` with the closed-form nef pass ``least_nef_cycles``, the
@@ -43,10 +45,6 @@ def grid_sample(width, count=DEFAULT_GRID, seed=DEFAULT_SEED, lo=-3, hi=3):
             cell.append(lo + (state >> 33) % span)
         cells[tuple(cell)] = None
     return list(cells)
-
-
-def _grid_cells(graph, settings):
-    return grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
 
 
 def _times(matrix, vectors):
@@ -131,9 +129,10 @@ def sweep(graph, cells, step_cap=DEFAULT_STEP_CAP):
     first failing cell, so ``known`` only holds passes that succeeded,
     whose later measures held; each distinct step is built, and checked,
     once. Off the negative definite graphs greedy reduction has no
-    termination certificate, so the sweep is skipped there."""
+    termination certificate, so the sweep raises UnsupportedGraphError
+    there."""
     if not graph.is_negative_definite():
-        return {"skipped": "intersection form is not negative definite", "ok": True}
+        raise UnsupportedGraphError("intersection form is not negative definite")
     d_shaped = reduction._d_pair(graph) is not None
     known = {}
     max_steps = 0
@@ -174,7 +173,6 @@ def audit_add_curve(graph, node, k=2):
     before = tuple(k * c for c in graph.unit_degree(node))
     after = tuple(map(add, before, graph.columns[node]))
     step = reduction.ReductionStep("AddCurve", (node,), (node,), before, after)
-    step.expected_cokernel_dim = reduction.expected_cokernel_dim(step, graph)
     report = reduction.audit_step(cox.presentation_from_graph(graph), step, graph)
     report["node"] = node
     report["k"] = k
@@ -262,24 +260,20 @@ def full_equivalence_audit(graph, degree, step_cap=DEFAULT_STEP_CAP):
         "terminated": trace.terminated,
         "steps": steps,
         "base_case": None,
-        "ok": False,
     }
-    audits_ok = all(step["ok"] for step in steps)
     if trace.terminated:
         report["terminal"] = list(trace.terminal)
         nonzero = [c for c in trace.terminal if c]
         if nonzero and graph.center() is not None and graph.is_negative_definite():
             leaf = graph.nodes[next(i for i, c in enumerate(trace.terminal) if c)]
-            base = base_case_audit(graph, leaf, nonzero[0])
-            report["base_case"] = base
-            audits_ok = audits_ok and base["ok"]
-    report["ok"] = bool(trace.terminated and audits_ok)
+            report["base_case"] = base_case_audit(graph, leaf, nonzero[0])
+    report["ok"] = (trace.terminated and all(step["ok"] for step in steps)
+                    and (report["base_case"] is None or report["base_case"]["ok"]))
     return report
 
 
 def _audit_sample(graph, cells, step_cap):
     reports = []
-    ok = True
     for d in cells[:AUDIT_DEGREE_COUNT]:
         rep = full_equivalence_audit(graph, d, step_cap)
         reports.append(
@@ -290,8 +284,7 @@ def _audit_sample(graph, cells, step_cap):
                 "ok": rep["ok"],
             }
         )
-        ok = ok and rep["ok"]
-    return {"degrees": reports, "ok": ok}
+    return {"degrees": reports, "ok": all(row["ok"] for row in reports)}
 
 
 def _counterexample_section(graph):
@@ -305,44 +298,40 @@ def _counterexample_section(graph):
     return {"audits": audits, "verdict": verdict, "ok": True}
 
 
-def _unless_unsupported(section, *args):
-    """One section's report, or a visible skip with the reason when no
-    candidate relation covers the graph."""
-    try:
-        return section(*args)
-    except UnsupportedGraphError as exc:
-        return {"skipped": str(exc), "ok": True}
-
-
 def cmd_checks(graph, settings, command, with_timings):
     """The payload of verify or report (``command``), with each section
     timed. The grid cells are drawn before any section runs: always for
-    verify, and for report only when the audits need them."""
+    verify, and for report only when the audits need them. A section
+    that raises UnsupportedGraphError is skipped, with the reason and no
+    ``ok``; the run is ok when every section that was not skipped is."""
     ade = graph.family is not None
-    cells = _grid_cells(graph, settings) if ade or command == "verify" else None
+    cells = None
+    if ade or command == "verify":
+        cells = grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
     step_cap = settings["caps"]["step"]
     runs = []
-    if command == "report":
-        runs.append(("graph", graph.to_dict))
     if ade:
         runs.append(("invariants", invariants.verify_invariant_table, graph))
-    runs.append(("cox", _unless_unsupported, cox.verify_presentation, graph))
+    runs.append(("cox", cox.verify_presentation, graph))
     if command == "verify":
         runs.append(("reduction", sweep, graph, cells, step_cap))
     if ade:
         runs.append(("audits", _audit_sample, graph, cells, step_cap))
     else:
-        runs.append(("counterexample", _unless_unsupported, _counterexample_section, graph))
+        runs.append(("counterexample", _counterexample_section, graph))
     sections = {}
     timings = {}
     for name, section, *args in runs:
         start = time.perf_counter()
-        sections[name] = section(*args)
+        try:
+            sections[name] = section(*args)
+        except UnsupportedGraphError as exc:
+            sections[name] = {"skipped": str(exc)}
         timings[name] = int((time.perf_counter() - start) * 1000)
-    ok = all(section.get("ok", True) for section in sections.values())
+    ok = all(section["ok"] for section in sections.values() if "skipped" not in section)
     payload = {"case": graph.label, "sections": sections, "ok": ok}
-    if command == "verify" and "verdict" in sections.get("counterexample", {}):
-        payload["verdict"] = sections["counterexample"]["verdict"]
+    if command == "report":
+        payload["graph"] = graph.to_dict()
     if with_timings:
         payload["timings"] = timings
     return payload

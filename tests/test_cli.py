@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from coxforge import cli, reduction, sections
-from coxforge.errors import ParameterError
+from coxforge.errors import ParameterError, UnsupportedGraphError
 from coxforge.graphs import ResolutionGraph
 
 
@@ -399,7 +399,7 @@ def test_termination_sweep_matches_the_stepwise_sweep(case, grid, step):
         "grid": grid,
         "seed": cli.DEFAULT_SEED,
     }
-    cells = sections._grid_cells(graph, settings)
+    cells = sections.grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
     want = _stepwise_sweep(graph, cells, settings)
     assert sections.sweep(graph, cells, step) == want
 
@@ -434,8 +434,19 @@ def test_verify_tests_negative_definiteness_once(capsys, case, definite):
     # which reads the answer off its arms
     code, payload = run_json(capsys, ["verify", "--case", case])
     assert code == 0
-    skipped = {"skipped": "intersection form is not negative definite", "ok": True}
+    skipped = {"skipped": "intersection form is not negative definite"}
     assert (payload["sections"]["reduction"] == skipped) == (not definite)
+
+
+def test_the_sweep_raises_off_the_negative_definite_graphs(capsys):
+    # the sweep has no skip record of its own: it raises, and verify
+    # shows the raise as the skipped reduction section
+    graph = cli.parse_case("custom:2,2,3")
+    with pytest.raises(UnsupportedGraphError, match="not negative definite"):
+        sections.sweep(graph, sections.grid_sample(len(graph.nodes), 10))
+    code, out = run(capsys, ["verify", "--case", "custom:2,2,3", "--format", "text"])
+    assert code == 0
+    assert "  reduction: skipped\n" in out
 
 
 def _sweep_settings(step):
@@ -454,7 +465,7 @@ def test_termination_sweep_matches_the_stepwise_sweep_at_the_longest_passes(case
     # the nef terminals, as cells of their own, put every basic pass
     # under the cap with no nef steps in front of it
     graph = cli.parse_case(case)
-    cells = sections._grid_cells(graph, _sweep_settings(cli.DEFAULT_CAPS["step"]))
+    cells = sections.grid_sample(len(graph.nodes), 300)
     terminals = list(dict.fromkeys(reduction.reduce_to_nef(d, graph).terminal for d in cells))
     longest = max(len(reduction.reduce(graph, d).steps) for d in cells)
     basic = max(len(reduction.reduce_nef_to_basic(t, graph).steps) for t in terminals)
@@ -474,7 +485,7 @@ def test_termination_sweep_builds_each_basic_step_once(monkeypatch):
     # terminal, and no add-phase degree walked twice
     graph = cli.parse_case("E8")
     settings = _sweep_settings(cli.DEFAULT_CAPS["step"])
-    cells = sections._grid_cells(graph, settings)
+    cells = sections.grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
     terminals = {reduction.reduce_to_nef(d, graph).terminal for d in cells}
     passes = [reduction.reduce_nef_to_basic(t, graph) for t in terminals]
     add_degrees = {s.degree_before for p in passes for s in p.steps if s.adds_curves()}
@@ -520,14 +531,14 @@ def test_verify_exits_zero_on_every_ade_case(capsys, case):
 def test_report_is_frozen_on_every_ade_case(capsys, case):
     code, payload = run_frozen(capsys, ["report", "--case", case, "--grid", "6"])
     assert code == 0
-    assert set(payload["sections"]) == {"graph", "invariants", "cox", "audits"}
+    assert set(payload["sections"]) == {"invariants", "cox", "audits"}
 
 
 @pytest.mark.parametrize("case", ["custom:2,2,3", "custom:2,2,2", "custom:1,2,5"])
 def test_report_is_frozen_on_three_arm_stars(capsys, case):
     code, payload = run_frozen(capsys, ["report", "--case", case])
     assert code == 0
-    assert set(payload["sections"]) == {"graph", "cox", "counterexample"}
+    assert set(payload["sections"]) == {"cox", "counterexample"}
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -564,7 +575,7 @@ def test_report_shares_its_checks_with_verify(capsys, case):
     _, verified = run_json(capsys, ["verify"] + argv)
     _, reported = run_json(capsys, ["report"] + argv)
     shared = set(verified["sections"]) & set(reported["sections"])
-    assert shared == set(reported["sections"]) - {"graph"}
+    assert shared == set(reported["sections"])
     for name in shared:
         assert reported["sections"][name] == verified["sections"][name]
 
@@ -573,14 +584,14 @@ def test_report_shares_its_checks_with_verify(capsys, case):
 def test_reports_graph_section_is_the_graph_payload(capsys, case):
     _, graph = run_json(capsys, ["graph", "--case", case])
     _, reported = run_json(capsys, ["report", "--case", case, "--grid", "20"])
-    assert reported["sections"]["graph"] == graph
+    assert reported["graph"] == graph
 
 
 def test_verify_counterexample(capsys):
     code, payload = run_frozen(capsys, ["verify", "--case", "custom:2,2,3"])
     assert code == 0
     assert payload["ok"] is True
-    assert payload["verdict"] == "rule-fails-as-predicted"
+    assert payload["sections"]["counterexample"]["verdict"] == "rule-fails-as-predicted"
     audits = payload["sections"]["counterexample"]["audits"]
     verdicts = {a["node"]: a["ok"] for a in audits}
     assert verdicts[2] and verdicts[4] and not verdicts[7]
@@ -599,7 +610,7 @@ def test_verify_affine_trees_exit_zero(capsys, case):
 def test_verify_definite_custom_tree_holds(capsys):
     code, payload = run_frozen(capsys, ["verify", "--case", "custom:1,1,1", "--grid", "150"])
     assert code == 0
-    assert payload["verdict"] == "rule-holds-on-sample"
+    assert payload["sections"]["counterexample"]["verdict"] == "rule-holds-on-sample"
     assert payload["sections"]["reduction"]["ok"]
 
 
@@ -611,7 +622,7 @@ def test_four_arm_stars_show_the_relation_sections_as_skipped(capsys, command, c
     code, payload = run_frozen(capsys, [command, "--case", case, "--grid", "50"])
     assert code == 0
     assert payload["ok"] is True
-    skipped = {"skipped": "no candidate relation at a node of valence 4", "ok": True}
+    skipped = {"skipped": "no candidate relation at a node of valence 4"}
     assert payload["sections"]["cox"] == skipped
     assert payload["sections"]["counterexample"] == skipped
     assert "verdict" not in payload
@@ -627,11 +638,8 @@ def test_four_arm_star_text_shows_skipped(capsys, command):
     assert code == 0
     assert "  cox: skipped\n" in out
     assert "  counterexample: skipped\n" in out
-    # report's graph section always runs; verify's every section was skipped
-    if command == "report":
-        assert out.splitlines()[-1] == "ok"
-    else:
-        assert out.splitlines()[-1] == "ok (nothing checked: every section was skipped)"
+    # every section was skipped: report's graph is a payload, not a check
+    assert out.splitlines()[-1] == "ok (nothing checked: every section was skipped)"
 
 
 @pytest.mark.parametrize(
@@ -653,7 +661,8 @@ def test_report_command(capsys):
     code, payload = run_json(capsys, ["report", "--case", "A3", "--grid", "100"])
     assert code == 0
     assert payload["ok"] is True
-    assert set(payload["sections"]) == {"graph", "invariants", "cox", "audits"}
+    assert set(payload["sections"]) == {"invariants", "cox", "audits"}
+    assert payload["graph"]["label"] == "A3"
     assert "timings" not in payload
 
 
@@ -676,6 +685,8 @@ def test_text_format_shows_skipped_sections(capsys):
     assert code == 0
     assert "  reduction: skipped\n" in out
     assert "  cox: ok\n" in out
+    # the counterexample section's status names its own verdict
+    assert "  counterexample: ok (rule-fails-as-predicted)\n" in out
     assert out.splitlines()[-1] == "ok"
 
 
@@ -693,14 +704,34 @@ def test_text_verdict_says_when_nothing_was_checked(capsys):
 
 @pytest.mark.parametrize("case", ["custom:2,2,3", "D4"])
 def test_report_text_sections_agree_with_the_verdict(capsys, case):
-    # a section without an ok flag passes, in the text status as in the
-    # verdict; the graph section of a non-definite star is one such
+    # every section that ran passed, in the text status as in the
+    # verdict; the graph, of a non-definite star too, is no section
     code, out = run(capsys, ["report", "--case", case, "--grid", "50", "--format", "text"])
     lines = out.splitlines()
     assert code == 0
     assert lines[-1] == "ok"
     assert [line for line in lines if line.endswith(": FAIL")] == []
-    assert "  graph: ok" in lines
+    assert not [line for line in lines if line.startswith("  graph:")]
+
+
+CHECKED_ARGVS = [key.split() for key in VERIFY_DIGESTS] + [
+    ["report", "--case", "custom:1,1,1,1", "--format", "text"]]
+
+
+@pytest.mark.parametrize("argv", CHECKED_ARGVS, ids=" ".join)
+def test_the_verdict_folds_the_sections_that_ran(capsys, argv):
+    # a section either ran, with its ok, or was skipped, with no ok; the
+    # run's ok is the conjunction over those that ran, and the text, the
+    # payload's rendering, says that nothing was checked exactly when
+    # none did
+    code, payload = run_json(capsys, [a for a in argv if a not in ("--format", "text")])
+    ran = [s for s in payload["sections"].values() if "skipped" not in s]
+    assert all(("ok" in s) != ("skipped" in s) for s in payload["sections"].values())
+    assert payload["ok"] is all(s["ok"] for s in ran)
+    assert code == (0 if payload["ok"] else 1)
+    nothing = "" if ran else " (nothing checked: every section was skipped)"
+    last = cli._render_text(payload).splitlines()[-1]
+    assert last == ("ok" if payload["ok"] else "FAIL") + nothing
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -216,8 +216,8 @@ def test_the_cli_run_as_main_runs_once_and_prints_what_main_prints():
 
 
 def test_report_run_as_main_runs_once_and_prints_what_main_prints():
-    # report runs sections, which takes its graph section from the CLI
-    # as an argument and never imports coxforge.cli a second time
+    # report runs sections, which takes its graph key from the graph
+    # itself and never imports coxforge.cli a second time
     _assert_runs_once_as_main(["report", "--case", "D4"])
 
 
