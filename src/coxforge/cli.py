@@ -24,18 +24,18 @@ maybe after a minus sign, on the command line (degree, case, --caps,
 also does. int() would take '1_0', ' +5' or other scripts' digits too.
 
 verify and report build their sections through one function,
-sections.cmd_checks: both run the invariants (A, D and E only), cox and
-audits or counterexample sections; verify adds the reduction sweep,
-report a top-level graph key, the payload of graph. No other command
-loads sections. The defaults of the step cap, the grid and the seed
-are the package's.
+sections.cmd_checks: both run the invariants (A, D and E; skipped on a
+custom tree), cox and audits or counterexample sections; verify adds
+the reduction sweep, report a top-level graph key, the payload of
+graph. No other command loads sections. The defaults of the step cap,
+the grid and the seed are the package's.
 
 A section that does not apply reads {"skipped": <reason>}, with no ok:
-cox and counterexample on a star of four or more arms, the sweep off
-the negative definite graphs. The exit code rests on the ok of the
-sections that ran; when none ran, the text summary says that nothing
-was checked. On a star of four or more arms, reduce exits 2 only when
-its trace has a step to audit.
+the invariants on a custom tree, cox and counterexample on a star of
+four or more arms, the sweep off the negative definite graphs. The
+exit code rests on the ok of the sections that ran; when none ran, the
+text summary says that nothing was checked. On a star of four or more
+arms, reduce exits 2 only when its trace has a step to audit.
 """
 
 import sys

@@ -17,6 +17,7 @@ Z^n / M Z^n.
 """
 
 from math import gcd
+from operator import mul
 
 
 def identity_matrix(n):
@@ -32,11 +33,11 @@ def transpose(m):
 
 
 def mat_vec(m, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(vec):

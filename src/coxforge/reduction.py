@@ -23,9 +23,9 @@ the (node, index) spots in curve order and one entry per node, read
 with one lookup per step: its 1-tuple, its column's support (its
 nonzero entries, at most the node and its neighbours), S-move and
 restart tail with that tail's first position; plus, on first use, each
-chain between two nodes with the support of its summed column, its
-S-move, its interior positions and its restart tail, the spots from
-the earliest one in that support. Each pass keeps its working degree
+chain between two nodes with the positions of its nodes, the support of
+its summed column, its S-move and its restart tail, the spots from the
+earliest one in that support. Each pass keeps its working degree
 as a list, applies a step's support to it in place, and builds each
 step in place with a tuple copy of it, storing the step's slots
 directly, so every degree in a trace is a tuple. After firing a node
@@ -44,14 +44,19 @@ value as a string only when it is read.
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Each step kind has its own
 checker, which raises when the step violates the hypotheses the count
-relies on; the passes call the checker of their step kind on every step
-they emit, and ``expected_cokernel_dim`` dispatches to the same
-checkers. ``cokernel_dimension`` recomputes that dimension exactly, as
-a count: the monomials of the target degree that neither the chain
-monomial nor a relation term coprime to it divides, listed slice by
-slice, each bounded by its own pivot conditions, so no cap enters the
-count. ``audit`` checks every step of a terminated trace that way, so a
-full audit certifies each step of a reduction independently.
+relies on. A checker takes the values it tests, not the step: the
+degree before or after the step or both, the positions of the step's
+nodes in it, and the node ids for its messages. The passes call the
+checker of their step kind on every step they emit, with the degree
+they hold and the positions their scan or the step table gives;
+``expected_cokernel_dim`` reads the same values off a step, through
+``graph.index_of``, and calls the same checker.
+``cokernel_dimension`` recomputes that dimension exactly, as a count:
+the monomials of the target degree that neither the chain monomial nor
+a relation term coprime to it divides, listed slice by slice, each
+bounded by its own pivot conditions, so no cap enters the count.
+``audit`` checks every step of a terminated trace that way, so a full
+audit certifies each step of a reduction independently.
 ``sections.base_case_audit`` counts its piece through the same
 ``_slice_basis``, one y0 slice at a time, each in full.
 """
@@ -207,21 +212,21 @@ class _StepTable:
         return sum(weights[i] * e for i, e in support)
 
     def chain(self, u, w):
-        """((u, w), the path from u to w, the support of its summed
-        column, its S-move, the index positions of its interior nodes,
-        its restart tail: the spots from the earliest one in that
-        support, which holds u)."""
+        """((u, w), the path from u to w, the index positions of its
+        nodes, the support of its summed column, its S-move, its restart
+        tail: the spots from the earliest one in that support, which
+        holds u)."""
         entry = self.chains.get((u, w))
         if entry is None:
             graph = self.graph
             path = graph.path(u, w)
+            positions = tuple(map(graph.index_of.__getitem__, path))
             support = _support(_sum_columns(graph.columns, path))
-            inner = tuple(map(graph.index_of.__getitem__, path[1:-1]))
             # the support holds u: its entry there is -2, plus 1 when the
             # path goes on, since a path in a tree meets one neighbour of u
             start = min(self.at[graph.nodes[i]] for i, _ in support)
             entry = self.chains[u, w] = (
-                (u, w), path, support, self._move(support), inner, self.spots[start:])
+                (u, w), path, positions, support, self._move(support), self.spots[start:])
         return entry
 
 
@@ -260,13 +265,14 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
         # only neg and its neighbours move: every spot before its tail
         # stays nonnegative
         one, support, _, scan, _ = entries[neg]
-        for i, e in support:
-            cur[i] -= e
-        # the step is built in place, its degrees already tuples
+        for k, e in support:
+            cur[k] -= e
+        # the step is built in place, its degrees already tuples; neg
+        # sits at position i of d
         step = new(ReductionStep)
         step.kind, step.nodes, step.curves = "SubtractCurve", one, one
         step.degree_before, step.degree_after, step.actual_dim = d, tuple(cur), None
-        step.expected_cokernel_dim = check(step, graph)
+        step.expected_cokernel_dim = check(d, i, neg)
         steps.append(step)
         d = step.degree_after
 
@@ -334,13 +340,14 @@ def _basic_pass(degree, graph, step_cap, known):
         # each step is built in place, its degrees already tuples
         if big is not None:
             one, support, move, scan, start = entries[big]
-            for i, e in support:
-                cur[i] += e
+            for k, e in support:
+                cur[k] += e
             step = new(ReductionStep)
             step.kind, step.nodes, step.curves = "AddCurve", one, one
             step.degree_before, step.actual_dim = d, None
+            # the scan stopped on big at position i
+            step.expected_cokernel_dim = _expect_add_curve(d, i, big)
             step.degree_after = d = tuple(cur)
-            step.expected_cokernel_dim = _expect_add_curve(step, graph)
             steps.append(step)
             twice += move
             measures.append(twice)
@@ -358,16 +365,17 @@ def _basic_pass(degree, graph, step_cap, known):
             u = ones[0]
             for w in ones[1:]:
                 entry = chain(u, w)
-                if not any(map(d.__getitem__, entry[4])):
+                if not any(map(d.__getitem__, entry[2][1:-1])):
                     break
-            ends, path, support, move, _, scan = entry
-            for i, e in support:
-                cur[i] += e
+            ends, path, positions, support, move, scan = entry
+            for k, e in support:
+                cur[k] += e
             step = new(ReductionStep)
             step.kind, step.nodes, step.curves = "AddChain", ends, path
             step.degree_before, step.actual_dim = d, None
-            step.degree_after = d = tuple(cur)
-            step.expected_cokernel_dim = _expect_add_chain(step, graph)
+            step.degree_after = after = tuple(cur)
+            step.expected_cokernel_dim = _expect_add_chain(d, after, positions, u, w, graph)
+            d = after
             steps.append(step)
             twice += move
             measures.append(twice)
@@ -382,14 +390,14 @@ def _basic_pass(degree, graph, step_cap, known):
             if len(steps) >= step_cap:
                 return ReductionTrace(degree, d, steps, False, measures)
             q = chain(p, j)[1][1]
-            path, support = chain(q, j)[1:3]
-            for i, e in support:
-                cur[i] -= e
+            path, positions, support = chain(q, j)[1:4]
+            for k, e in support:
+                cur[k] -= e
             step = new(ReductionStep)
             step.kind, step.nodes, step.curves = "ShiftToLeaf", (p, j), path
             step.degree_before, step.actual_dim = d, None
             step.degree_after = d = tuple(cur)
-            step.expected_cokernel_dim = _expect_shift_to_leaf(step, graph)
+            step.expected_cokernel_dim = _expect_shift_to_leaf(d, positions, q, j)
             steps.append(step)
             p = q
         scan, ones = spots, []
@@ -411,53 +419,49 @@ def reduce(graph, degree, step_cap=DEFAULT_STEP_CAP):
         degree, basic.terminal, nef.steps + basic.steps, basic.terminated, basic.twice_measures)
 
 
-def _expect_subtract_curve(step, graph):
-    idx = graph.index_of
-    before = step.degree_before
-    (i,) = step.nodes
-    c = before[idx[i]]
+def _expect_subtract_curve(before, i, node):
+    """SubtractCurve at ``node``, which sits at position ``i`` of the
+    degree ``before`` the step."""
+    c = before[i]
     if c >= 0:
         raise HypothesisViolationError(
-            "SubtractCurve needs a negative coordinate at node %d, got %d" % (i, c))
+            "SubtractCurve needs a negative coordinate at node %d, got %d" % (node, c))
     return 0
 
 
-def _expect_add_curve(step, graph):
-    idx = graph.index_of
-    before = step.degree_before
-    (i,) = step.nodes
+def _expect_add_curve(before, i, node):
+    """AddCurve at ``node``, which sits at position ``i`` of the degree
+    ``before`` the step."""
     if min(before) < 0:
         raise HypothesisViolationError("AddCurve needs a nef degree")
-    c = before[idx[i]]
+    c = before[i]
     if c < 2:
-        raise HypothesisViolationError("AddCurve needs coordinate >= 2 at node %d, got %d" % (i, c))
+        raise HypothesisViolationError(
+            "AddCurve needs coordinate >= 2 at node %d, got %d" % (node, c))
     return c - 1
 
 
-def _expect_add_chain(step, graph):
-    idx = graph.index_of
-    before = step.degree_before
-    i, j = step.nodes
-    chain = step.curves
+def _expect_add_chain(before, after, positions, i, j, graph):
+    """AddChain from node i to node j, the path whose nodes sit at
+    ``positions`` of the degrees ``before`` and ``after`` the step;
+    ``graph`` gives j's valence."""
     if min(before) < 0:
         raise HypothesisViolationError("AddChain needs a nef degree")
-    if before[idx[i]] != 1:
+    if before[positions[0]] != 1:
         raise HypothesisViolationError("AddChain needs coordinate 1 at node %d" % i)
-    cj = before[idx[j]]
+    cj = before[positions[-1]]
     if cj < 1:
         raise HypothesisViolationError("AddChain needs a positive coordinate at node %d" % j)
     if cj != 1 and graph.valence(j) > 1:
         raise HypothesisViolationError("AddChain into interior node %d needs coordinate 1" % j)
-    positions = tuple(map(idx.__getitem__, chain))
     if any(map(before.__getitem__, positions[1:-1])):
         raise HypothesisViolationError(
             "AddChain needs zeros strictly between nodes %d and %d" % (i, j))
     # the chain's after-degrees must have the shape (0, ..., 0, cj - 1);
     # the lists are built for the message only
-    after = step.degree_after
     if after[positions[-1]] != cj - 1 or any(map(after.__getitem__, positions[:-1])):
         restricted = list(map(after.__getitem__, positions))
-        shape = [0] * (len(chain) - 1) + [cj - 1]
+        shape = [0] * (len(positions) - 1) + [cj - 1]
         raise HypothesisViolationError(
             "AddChain restricted degrees %r do not match the shape %r"
             % (restricted, shape)
@@ -467,48 +471,49 @@ def _expect_add_chain(step, graph):
     return cj
 
 
-def _expect_shift_to_leaf(step, graph):
-    idx = graph.index_of
-    after = step.degree_after
-    _, j = step.nodes
-    chain = step.curves
-    q = chain[0]
+def _expect_shift_to_leaf(after, positions, q, j):
+    """ShiftToLeaf whose subtracted columns are the path from node q to
+    node j, which sits at ``positions`` of the degree ``after`` the
+    step."""
     if min(after) < 0:
         raise HypothesisViolationError("ShiftToLeaf must land on a nef degree")
+    cq, cj = after[positions[0]], after[positions[-1]]
     if q == j:
-        if after[idx[j]] < 2:
+        if cj < 2:
             raise HypothesisViolationError(
                 "ShiftToLeaf onto node %d needs coordinate >= 2 after" % j)
-        return after[idx[j]] - 1
-    if after[idx[q]] != 1:
+        return cj - 1
+    if cq != 1:
         raise HypothesisViolationError("ShiftToLeaf needs coordinate 1 at node %d after" % q)
-    if after[idx[j]] < 1:
+    if cj < 1:
         raise HypothesisViolationError(
             "ShiftToLeaf needs a positive coordinate at node %d after" % j)
-    if any(after[idx[v]] != 0 for v in chain[1:-1]):
+    if any(map(after.__getitem__, positions[1:-1])):
         raise HypothesisViolationError(
             "ShiftToLeaf needs zeros strictly between nodes %d and %d" % (q, j))
-    return after[idx[q]] + after[idx[j]] - 1
-
-
-# the checker of each step kind; the passes call theirs directly
-_EXPECTED_DIMS = {
-    "SubtractCurve": _expect_subtract_curve,
-    "AddCurve": _expect_add_curve,
-    "AddChain": _expect_add_chain,
-    "ShiftToLeaf": _expect_shift_to_leaf,
-}
+    return cq + cj - 1
 
 
 def expected_cokernel_dim(step, graph):
     """Combinatorial cokernel dimension of one step, from the section
     count over the step's chain. Raises when the step violates the
-    hypotheses the count relies on."""
-    try:
-        check = _EXPECTED_DIMS[step.kind]
-    except KeyError:
-        raise ParameterError("unknown step kind %r" % step.kind) from None
-    return check(step, graph)
+    hypotheses the count relies on. The passes call the same checker of
+    each step kind with the degrees and positions they hold; this reads
+    them off the step, its nodes and curves through ``graph.index_of``."""
+    kind, idx = step.kind, graph.index_of
+    if kind == "SubtractCurve" or kind == "AddCurve":
+        (i,) = step.nodes
+        check = _expect_subtract_curve if kind == "SubtractCurve" else _expect_add_curve
+        return check(step.degree_before, idx[i], i)
+    if kind == "AddChain":
+        i, j = step.nodes
+        positions = tuple(map(idx.__getitem__, step.curves))
+        return _expect_add_chain(step.degree_before, step.degree_after, positions, i, j, graph)
+    if kind == "ShiftToLeaf":
+        _, j = step.nodes
+        positions = tuple(map(idx.__getitem__, step.curves))
+        return _expect_shift_to_leaf(step.degree_after, positions, step.curves[0], j)
+    raise ParameterError("unknown step kind %r" % kind)
 
 
 def cokernel_dimension(pres, step):

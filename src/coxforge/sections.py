@@ -1,11 +1,12 @@
 """The sections of verify and report, and the checks only they run.
 
-``cmd_checks`` builds both payloads: the invariants (A, D and E only),
-cox, and the audits or counterexample sections; verify adds the
-reduction sweep, report a top-level ``graph`` key,
-``ResolutionGraph.to_dict``, the payload of the ``graph`` command. A
-section that does not apply raises UnsupportedGraphError, and
-``cmd_checks`` shows it as skipped, with the reason and no ``ok``.
+``cmd_checks`` builds both payloads: the invariants (skipped on a
+custom tree, without running ``invariants``), cox, and the audits or
+counterexample sections; verify adds the reduction sweep, report a
+top-level ``graph`` key, ``ResolutionGraph.to_dict``, the payload of
+the ``graph`` command. A section that does not apply raises
+UnsupportedGraphError, and ``cmd_checks`` shows it as skipped, with
+the reason and no ``ok``.
 
 No ``reduce`` command runs what is here, so it does not compile it:
 ``sweep`` with the closed-form nef pass ``least_nef_cycles``, the
@@ -298,6 +299,12 @@ def _counterexample_section(graph):
     return {"audits": audits, "verdict": verdict, "ok": True}
 
 
+def _no_invariant_table(graph):
+    # the reference tables are keyed by family, which a custom tree
+    # lacks; the invariants module is not run to learn that
+    raise UnsupportedGraphError("custom trees have no reference invariant table")
+
+
 def cmd_checks(graph, settings, command, with_timings):
     """The payload of verify or report (``command``), with each section
     timed. The grid cells are drawn before any section runs: always for
@@ -309,10 +316,10 @@ def cmd_checks(graph, settings, command, with_timings):
     if ade or command == "verify":
         cells = grid_sample(len(graph.nodes), settings["grid"], settings["seed"])
     step_cap = settings["caps"]["step"]
-    runs = []
-    if ade:
-        runs.append(("invariants", invariants.verify_invariant_table, graph))
-    runs.append(("cox", cox.verify_presentation, graph))
+    runs = [
+        ("invariants", invariants.verify_invariant_table if ade else _no_invariant_table, graph),
+        ("cox", cox.verify_presentation, graph),
+    ]
     if command == "verify":
         runs.append(("reduction", sweep, graph, cells, step_cap))
     if ade:

@@ -59,8 +59,9 @@ def test_invariants_command(capsys):
 
 
 def test_invariants_rejects_custom(capsys):
-    code, out = run(capsys, ["invariants", "--case", "custom:2,2,3"])
+    code = cli.main(["invariants", "--case", "custom:2,2,3"])
     assert code == 2
+    assert capsys.readouterr().err == "error: custom trees have no reference invariant table\n"
 
 
 def test_cox_command(capsys):
@@ -538,7 +539,8 @@ def test_report_is_frozen_on_every_ade_case(capsys, case):
 def test_report_is_frozen_on_three_arm_stars(capsys, case):
     code, payload = run_frozen(capsys, ["report", "--case", case])
     assert code == 0
-    assert set(payload["sections"]) == {"cox", "counterexample"}
+    assert set(payload["sections"]) == {"invariants", "cox", "counterexample"}
+    assert payload["sections"]["invariants"] == NO_INVARIANT_TABLE
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])
@@ -629,6 +631,27 @@ def test_four_arm_stars_show_the_relation_sections_as_skipped(capsys, command, c
     if command == "verify":
         # neither star is negative definite: custom:1,1,1,1 is affine D4
         assert payload["sections"]["reduction"]["skipped"]
+
+
+NO_INVARIANT_TABLE = {"skipped": "custom trees have no reference invariant table"}
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("case", ["custom:1,2,3", "custom:1,1,1,1", "custom:2,2,3"])
+def test_custom_trees_show_the_invariants_section_as_skipped(capsys, monkeypatch, command, case):
+    # the reference tables are kept by family, so a custom tree skips
+    # them, even custom:1,2,3, which is E7 under another name; the
+    # invariants module is not run to learn that
+    def unreachable(graph):
+        raise AssertionError("the invariants section ran")
+
+    monkeypatch.setattr(cli.invariants, "verify_invariant_table", unreachable)
+    code, payload = run_json(capsys, [command, "--case", case, "--grid", "20"])
+    assert code == 0
+    assert payload["sections"]["invariants"] == NO_INVARIANT_TABLE
+    code, out = run(capsys, [command, "--case", case, "--grid", "20", "--format", "text"])
+    assert code == 0
+    assert "  invariants: skipped\n" in out
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

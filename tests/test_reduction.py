@@ -727,26 +727,44 @@ _CHECKERS = {
 
 
 def _count_checks(monkeypatch):
-    """Wrap the four checkers; returns {kind: [(step, result), ...]} in
+    """Wrap the four checkers; returns {kind: [(args, result), ...]} in
     call order."""
     checked = {kind: [] for kind in _CHECKERS}
     for kind, name in _CHECKERS.items():
-        def counting(step, graph, kind=kind, check=getattr(reduction, name)):
-            result = check(step, graph)
-            checked[kind].append((step, result))
+        def counting(*args, kind=kind, check=getattr(reduction, name)):
+            result = check(*args)
+            checked[kind].append((args, result))
             return result
         monkeypatch.setattr(reduction, name, counting)
     return checked
 
 
-def _assert_each_step_checked_once(steps, checked):
+def _checker_args(step, graph):
+    """What a pass hands the checker of ``step``: the step's own degree
+    tuples, the positions of its nodes and curves under
+    ``graph.index_of`` and its node ids."""
+    idx = graph.index_of
+    if step.kind in ("SubtractCurve", "AddCurve"):
+        (v,) = step.nodes
+        return (step.degree_before, idx[v], v)
+    positions = tuple(idx[v] for v in step.curves)
+    if step.kind == "AddChain":
+        return (step.degree_before, step.degree_after, positions) + step.nodes + (graph,)
+    return (step.degree_after, positions, step.curves[0], step.nodes[1])
+
+
+def _assert_each_step_checked_once(steps, checked, graph):
     """Each step in ``steps`` went through its kind's checker once, in
-    order, got the checker's value as its expected dimension and has
-    every slot set; the checkers saw no other step."""
+    order, on its own degree tuple and the positions of its nodes, got
+    the checker's value as its expected dimension and has every slot
+    set; the checkers saw no other step."""
     for kind in _CHECKERS:
         emitted = [s for s in steps if s.kind == kind]
-        assert len(checked[kind]) == len(emitted)
-        assert all(s is t for s, (t, _) in zip(emitted, checked[kind]))
+        handed = [args for args, _ in checked[kind]]
+        expected = [_checker_args(s, graph) for s in emitted]
+        assert handed == expected
+        # the degree handed over is the step's own tuple, not a copy
+        assert all(a[0] is e[0] for a, e in zip(handed, expected))
         assert [s.expected_cokernel_dim for s in emitted] == [r for _, r in checked[kind]]
     for step in steps:
         assert all(hasattr(step, field) for field in ReductionStep.__slots__)
@@ -760,7 +778,7 @@ def test_the_passes_check_every_step_once(monkeypatch):
     for cell in _walk_cells("E7", 15):
         steps += reduction.reduce(graph, cell).steps
     assert {s.kind for s in steps} == set(_CHECKERS)
-    _assert_each_step_checked_once(steps, checked)
+    _assert_each_step_checked_once(steps, checked, graph)
 
 
 def test_the_sweep_checks_every_basic_step_once(monkeypatch):
@@ -774,14 +792,33 @@ def test_the_sweep_checks_every_basic_step_once(monkeypatch):
         return trace
 
     monkeypatch.setattr(reduction, "_basic_pass", recording)
-    assert sections.sweep(parse_case("D8"), grid_sample(8, 100))["ok"]
+    graph = parse_case("D8")
+    assert sections.sweep(graph, grid_sample(8, 100))["ok"]
     # the sweep reads its nef passes off least_nef_cycles, which builds
     # no steps
     assert {s.kind for s in steps} == {"AddCurve", "AddChain", "ShiftToLeaf"}
-    _assert_each_step_checked_once(steps, checked)
+    _assert_each_step_checked_once(steps, checked, graph)
 
 
-def _refuse(step, graph):
+@pytest.mark.parametrize("case", ["A8", "D8", "E8", "custom:2,2,3"])
+def test_the_passes_check_each_step_as_expected_cokernel_dim_does(case, monkeypatch):
+    # the passes hand each checker the degree they hold and positions
+    # from their scan or the step table; expected_cokernel_dim reads the
+    # same off the step through graph.index_of, and both agree
+    checked = _count_checks(monkeypatch)
+    graph = parse_case(case)
+    # a small step cap ends the passes on the indefinite star
+    cap = reduction.DEFAULT_STEP_CAP if graph.is_negative_definite() else 200
+    steps = []
+    for cell in _walk_cells(case, 25):
+        steps += reduction.reduce(graph, cell, cap).steps
+    assert {s.kind for s in steps} == set(_CHECKERS)
+    _assert_each_step_checked_once(steps, checked, graph)
+    for step in steps:
+        assert step.expected_cokernel_dim == expected_cokernel_dim(step, graph)
+
+
+def _refuse(*args):
     raise HypothesisViolationError("refused")
 
 
@@ -844,12 +881,13 @@ def test_step_table_supports_expand_to_the_columns(graph):
         assert tail == tuple((x, graph.index_of[x]) for x in order[first:])
     for u in graph.nodes:
         for w in graph.nodes:
-            ends, path, support, move, inner, tail = table.chain(u, w)
+            ends, path, positions, support, move, tail = table.chain(u, w)
             assert (ends, path) == ((u, w), graph.path(u, w))
+            assert positions == tuple(graph.index_of[x] for x in path)
             dense = reduction._sum_columns(graph.columns, path)
             assert _expand(support, width) == dense
             assert move == sum(a * b for a, b in zip(weights, dense))
-            assert inner == tuple(graph.index_of[x] for x in path[1:-1])
+            assert positions[1:-1] == tuple(graph.index_of[x] for x in path[1:-1])
             # the pass resumes at the first spot in curve order that the
             # summed column moves, which is no later than u's
             start = next(k for k, x in enumerate(order) if dense[graph.index_of[x]])
