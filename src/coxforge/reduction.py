@@ -42,15 +42,18 @@ S-move of each step's node or chain, and a trace writes each halved
 value as a string only when it is read.
 
 Every step carries a combinatorial expected cokernel dimension (a
-section count over the step's chain). Each step kind has its own
-checker, which raises when the step violates the hypotheses the count
-relies on. A checker takes the values it tests, not the step: the
-degree before or after the step or both, the positions of the step's
-nodes in it, and the node ids for its messages. The passes call the
-checker of their step kind on every step they emit, with the degree
-they hold and the positions their scan or the step table gives;
-``expected_cokernel_dim`` reads the same values off a step, through
-``graph.index_of``, and calls the same checker.
+section count over the step's chain). Three checkers serve the four
+step kinds, raising when a step violates the hypotheses the count
+relies on: SubtractCurve, AddCurve and AddChain each have one, and a
+ShiftToLeaf, which subtracts a path's columns, is checked as the add
+step it reverses, from its after-degree back to its before-degree. A
+checker takes the values it tests, not the step: the degree the added
+step starts from and, for a chain, the one it reaches, the positions of
+the step's nodes in them, the node ids and the step kind for its
+messages. The passes call a checker on every step they emit, with the
+degrees they hold and the positions their scan or the step table
+gives; ``expected_cokernel_dim`` reads the same values off a step,
+through ``graph.index_of``, and calls the same checker.
 ``cokernel_dimension`` recomputes that dimension exactly, as a count:
 the monomials of the target degree that neither the chain monomial nor
 a relation term coprime to it divides, listed slice by slice, each
@@ -346,7 +349,7 @@ def _basic_pass(degree, graph, step_cap, known):
             step.kind, step.nodes, step.curves = "AddCurve", one, one
             step.degree_before, step.actual_dim = d, None
             # the scan stopped on big at position i
-            step.expected_cokernel_dim = _expect_add_curve(d, i, big)
+            step.expected_cokernel_dim = _expect_add_curve(d, i, big, "AddCurve")
             step.degree_after = d = tuple(cur)
             steps.append(step)
             twice += move
@@ -374,7 +377,8 @@ def _basic_pass(degree, graph, step_cap, known):
             step.kind, step.nodes, step.curves = "AddChain", ends, path
             step.degree_before, step.actual_dim = d, None
             step.degree_after = after = tuple(cur)
-            step.expected_cokernel_dim = _expect_add_chain(d, after, positions, u, w, graph)
+            step.expected_cokernel_dim = _expect_add_chain(
+                d, after, positions, u, w, graph, "AddChain")
             d = after
             steps.append(step)
             twice += move
@@ -396,8 +400,12 @@ def _basic_pass(degree, graph, step_cap, known):
             step = new(ReductionStep)
             step.kind, step.nodes, step.curves = "ShiftToLeaf", (p, j), path
             step.degree_before, step.actual_dim = d, None
-            step.degree_after = d = tuple(cur)
-            step.expected_cokernel_dim = _expect_shift_to_leaf(d, positions, q, j)
+            step.degree_after = after = tuple(cur)
+            # checked as the add step it reverses, from after back to d
+            step.expected_cokernel_dim = (
+                _expect_add_curve(after, positions[0], j, "ShiftToLeaf") if q == j
+                else _expect_add_chain(after, d, positions, q, j, graph, "ShiftToLeaf"))
+            d = after
             steps.append(step)
             p = q
         scan, ones = spots, []
@@ -429,91 +437,78 @@ def _expect_subtract_curve(before, i, node):
     return 0
 
 
-def _expect_add_curve(before, i, node):
+def _expect_add_curve(before, i, node, kind):
     """AddCurve at ``node``, which sits at position ``i`` of the degree
-    ``before`` the step."""
+    ``before`` the step; ``kind`` names the step in messages, a
+    ShiftToLeaf onto ``node`` alone being checked as the AddCurve it
+    reverses."""
     if min(before) < 0:
-        raise HypothesisViolationError("AddCurve needs a nef degree")
+        raise HypothesisViolationError("%s needs a nef degree" % kind)
     c = before[i]
     if c < 2:
         raise HypothesisViolationError(
-            "AddCurve needs coordinate >= 2 at node %d, got %d" % (node, c))
+            "%s needs coordinate >= 2 at node %d, got %d" % (kind, node, c))
     return c - 1
 
 
-def _expect_add_chain(before, after, positions, i, j, graph):
+def _expect_add_chain(before, after, positions, i, j, graph, kind):
     """AddChain from node i to node j, the path whose nodes sit at
     ``positions`` of the degrees ``before`` and ``after`` the step;
-    ``graph`` gives j's valence."""
+    ``graph`` gives j's valence and ``kind`` names the step in messages,
+    a ShiftToLeaf along that path being checked as the AddChain it
+    reverses."""
     if min(before) < 0:
-        raise HypothesisViolationError("AddChain needs a nef degree")
+        raise HypothesisViolationError("%s needs a nef degree" % kind)
     if before[positions[0]] != 1:
-        raise HypothesisViolationError("AddChain needs coordinate 1 at node %d" % i)
+        raise HypothesisViolationError("%s needs coordinate 1 at node %d" % (kind, i))
     cj = before[positions[-1]]
     if cj < 1:
-        raise HypothesisViolationError("AddChain needs a positive coordinate at node %d" % j)
+        raise HypothesisViolationError("%s needs a positive coordinate at node %d" % (kind, j))
     if cj != 1 and graph.valence(j) > 1:
-        raise HypothesisViolationError("AddChain into interior node %d needs coordinate 1" % j)
+        raise HypothesisViolationError("%s into interior node %d needs coordinate 1" % (kind, j))
     if any(map(before.__getitem__, positions[1:-1])):
         raise HypothesisViolationError(
-            "AddChain needs zeros strictly between nodes %d and %d" % (i, j))
+            "%s needs zeros strictly between nodes %d and %d" % (kind, i, j))
     # the chain's after-degrees must have the shape (0, ..., 0, cj - 1);
     # the lists are built for the message only
     if after[positions[-1]] != cj - 1 or any(map(after.__getitem__, positions[:-1])):
         restricted = list(map(after.__getitem__, positions))
         shape = [0] * (len(positions) - 1) + [cj - 1]
         raise HypothesisViolationError(
-            "AddChain restricted degrees %r do not match the shape %r"
-            % (restricted, shape)
+            "%s restricted degrees %r do not match the shape %r"
+            % (kind, restricted, shape)
         )
     # a chain of rational curves of degrees (0, ..., 0, c) has 1 + c
     # sections, and here c = before[j] - 1
     return cj
 
 
-def _expect_shift_to_leaf(after, positions, q, j):
-    """ShiftToLeaf whose subtracted columns are the path from node q to
-    node j, which sits at ``positions`` of the degree ``after`` the
-    step."""
-    if min(after) < 0:
-        raise HypothesisViolationError("ShiftToLeaf must land on a nef degree")
-    cq, cj = after[positions[0]], after[positions[-1]]
-    if q == j:
-        if cj < 2:
-            raise HypothesisViolationError(
-                "ShiftToLeaf onto node %d needs coordinate >= 2 after" % j)
-        return cj - 1
-    if cq != 1:
-        raise HypothesisViolationError("ShiftToLeaf needs coordinate 1 at node %d after" % q)
-    if cj < 1:
-        raise HypothesisViolationError(
-            "ShiftToLeaf needs a positive coordinate at node %d after" % j)
-    if any(map(after.__getitem__, positions[1:-1])):
-        raise HypothesisViolationError(
-            "ShiftToLeaf needs zeros strictly between nodes %d and %d" % (q, j))
-    return cq + cj - 1
-
-
 def expected_cokernel_dim(step, graph):
     """Combinatorial cokernel dimension of one step, from the section
     count over the step's chain. Raises when the step violates the
-    hypotheses the count relies on. The passes call the same checker of
-    each step kind with the degrees and positions they hold; this reads
-    them off the step, its nodes and curves through ``graph.index_of``."""
+    hypotheses the count relies on. The passes call the same checkers
+    with the degrees and positions they hold; this reads them off the
+    step, its nodes and curves through ``graph.index_of``. A ShiftToLeaf
+    onto j is checked as the AddCurve at j or the AddChain from its
+    first curve to j that takes its after-degree to its before-degree."""
     kind, idx = step.kind, graph.index_of
-    if kind == "SubtractCurve" or kind == "AddCurve":
+    before, after = step.degree_before, step.degree_after
+    if kind == "SubtractCurve":
         (i,) = step.nodes
-        check = _expect_subtract_curve if kind == "SubtractCurve" else _expect_add_curve
-        return check(step.degree_before, idx[i], i)
-    if kind == "AddChain":
-        i, j = step.nodes
-        positions = tuple(map(idx.__getitem__, step.curves))
-        return _expect_add_chain(step.degree_before, step.degree_after, positions, i, j, graph)
+        return _expect_subtract_curve(before, idx[i], i)
+    if kind == "AddCurve":
+        (i,) = step.nodes
+        return _expect_add_curve(before, idx[i], i, kind)
     if kind == "ShiftToLeaf":
-        _, j = step.nodes
-        positions = tuple(map(idx.__getitem__, step.curves))
-        return _expect_shift_to_leaf(step.degree_after, positions, step.curves[0], j)
-    raise ParameterError("unknown step kind %r" % kind)
+        i, j, before, after = step.curves[0], step.nodes[1], after, before
+        if i == j:
+            return _expect_add_curve(before, idx[j], j, kind)
+    elif kind == "AddChain":
+        i, j = step.nodes
+    else:
+        raise ParameterError("unknown step kind %r" % kind)
+    positions = tuple(map(idx.__getitem__, step.curves))
+    return _expect_add_chain(before, after, positions, i, j, graph, kind)
 
 
 def cokernel_dimension(pres, step):

@@ -222,6 +222,28 @@ def test_reduce_on_a_four_arm_star_needs_a_relation_only_to_audit(capsys, degree
         assert captured.err == ""
 
 
+def test_a_miscounted_shift_fails_reduce_and_verify(capsys, monkeypatch):
+    # an exact count one off on every ShiftToLeaf turns the verdicts to
+    # failure: reduce on a trace of one shift, and verify on D5, whose
+    # second audited cell alone holds shifts (two)
+    count = reduction.cokernel_dimension
+
+    def miscounting(pres, step):
+        return count(pres, step) + (step.kind == "ShiftToLeaf")
+
+    monkeypatch.setattr(reduction, "cokernel_dimension", miscounting)
+    code, payload = run_json(capsys, ["reduce", "--case", "D5", "--degree=0,0,0,1,0"])
+    assert code == 1
+    assert [s["kind"] for s in payload["steps"]] == ["ShiftToLeaf"]
+    assert payload["ok"] is False
+    code, payload = run_json(capsys, ["verify", "--case", "D5", "--grid", "6"])
+    assert code == 1
+    audits = payload["sections"]["audits"]
+    assert [row["ok"] for row in audits["degrees"]] == [True, False, True, True, True, True]
+    assert audits["ok"] is False
+    assert payload["ok"] is False
+
+
 @pytest.mark.parametrize("case", ["A99999999999999", "custom:99999999999999,1,1"])
 def test_a_case_too_large_to_build_exits_2(capsys, case):
     # the node tuple of 10^14 entries is refused at once, with no memory
@@ -514,9 +536,6 @@ def test_verify_audits_settle_past_total_degree_40(capsys, case):
     assert code == 0
     assert payload["ok"] is True
     assert all(row["ok"] for row in payload["sections"]["audits"]["degrees"])
-
-
-ADE_CASES = ["A%d" % n for n in range(1, 9)] + ["D%d" % n for n in range(4, 13)] + ["E6", "E7", "E8"]
 
 
 @pytest.mark.parametrize("case", ADE_CASES)

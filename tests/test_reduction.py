@@ -718,57 +718,76 @@ def test_traces_hold_only_tuples(case, monkeypatch):
     assert all(type(key) is tuple for known in knowns for key in known)
 
 
-_CHECKERS = {
-    "SubtractCurve": "_expect_subtract_curve",
-    "AddCurve": "_expect_add_curve",
-    "AddChain": "_expect_add_chain",
-    "ShiftToLeaf": "_expect_shift_to_leaf",
+# the checkers each step kind goes through: a ShiftToLeaf is checked as
+# the add step it reverses, an AddCurve at its leaf or an AddChain
+_RULES = {
+    "SubtractCurve": ("_expect_subtract_curve",),
+    "AddCurve": ("_expect_add_curve",),
+    "AddChain": ("_expect_add_chain",),
+    "ShiftToLeaf": ("_expect_add_curve", "_expect_add_chain"),
 }
 
 
 def _count_checks(monkeypatch):
-    """Wrap the four checkers; returns {kind: [(args, result), ...]} in
-    call order."""
-    checked = {kind: [] for kind in _CHECKERS}
-    for kind, name in _CHECKERS.items():
-        def counting(*args, kind=kind, check=getattr(reduction, name)):
+    """Wrap the three checkers; returns the list of (checker name, args,
+    result) of their calls, in call order."""
+    checked = []
+    for name in sorted(set().union(*_RULES.values())):
+        def counting(*args, name=name, check=getattr(reduction, name)):
             result = check(*args)
-            checked[kind].append((args, result))
+            checked.append((name, args, result))
             return result
         monkeypatch.setattr(reduction, name, counting)
     return checked
 
 
-def _checker_args(step, graph):
-    """What a pass hands the checker of ``step``: the step's own degree
-    tuples, the positions of its nodes and curves under
-    ``graph.index_of`` and its node ids."""
-    idx = graph.index_of
-    if step.kind in ("SubtractCurve", "AddCurve"):
+def _checker_call(step, graph):
+    """The checker a pass calls on ``step`` and what it hands it: the
+    step's own degree tuples, the positions of its nodes and curves
+    under ``graph.index_of``, its node ids and, to an add checker, its
+    kind. A ShiftToLeaf onto j hands its after-degree as the source and
+    its before-degree as the target of the AddCurve at j, when its
+    curves are j alone, or of the AddChain from its first curve to j."""
+    idx, kind = graph.index_of, step.kind
+    if kind in ("SubtractCurve", "AddCurve"):
         (v,) = step.nodes
-        return (step.degree_before, idx[v], v)
+        if kind == "SubtractCurve":
+            return "_expect_subtract_curve", (step.degree_before, idx[v], v)
+        return "_expect_add_curve", (step.degree_before, idx[v], v, kind)
     positions = tuple(idx[v] for v in step.curves)
-    if step.kind == "AddChain":
-        return (step.degree_before, step.degree_after, positions) + step.nodes + (graph,)
-    return (step.degree_after, positions, step.curves[0], step.nodes[1])
+    if kind == "AddChain":
+        source, target, (i, j) = step.degree_before, step.degree_after, step.nodes
+    else:
+        source, target, i, j = step.degree_after, step.degree_before, step.curves[0], step.nodes[1]
+        if i == j:
+            return "_expect_add_curve", (source, idx[j], j, kind)
+    return "_expect_add_chain", (source, target, positions, i, j, graph, kind)
 
 
 def _assert_each_step_checked_once(steps, checked, graph):
-    """Each step in ``steps`` went through its kind's checker once, in
-    order, on its own degree tuple and the positions of its nodes, got
-    the checker's value as its expected dimension and has every slot
-    set; the checkers saw no other step."""
-    for kind in _CHECKERS:
-        emitted = [s for s in steps if s.kind == kind]
-        handed = [args for args, _ in checked[kind]]
-        expected = [_checker_args(s, graph) for s in emitted]
-        assert handed == expected
-        # the degree handed over is the step's own tuple, not a copy
-        assert all(a[0] is e[0] for a, e in zip(handed, expected))
-        assert [s.expected_cokernel_dim for s in emitted] == [r for _, r in checked[kind]]
+    """Each step in ``steps`` went through one checker call, in order,
+    the checker of its kind's rule, on its own degree tuples and the
+    positions of its nodes, got the checker's value as its expected
+    dimension and has every slot set; the checkers saw no other step.
+    Returns the (kind, checker name) pairs met."""
+    handed = [(name, args) for name, args, _ in checked]
+    expected = [_checker_call(s, graph) for s in steps]
+    assert handed == expected
+    for step, (name, _) in zip(steps, handed):
+        assert name in _RULES[step.kind]
+    # the degrees handed over are the step's own tuples, not copies
+    for (name, a), (_, e) in zip(handed, expected):
+        assert a[0] is e[0]
+        assert name != "_expect_add_chain" or a[1] is e[1]
+    assert [s.expected_cokernel_dim for s in steps] == [r for _, _, r in checked]
     for step in steps:
         assert all(hasattr(step, field) for field in ReductionStep.__slots__)
         assert step.actual_dim is None
+    return {(s.kind, name) for s, (name, _) in zip(steps, handed)}
+
+
+# every (kind, checker) pair: both forms of a ShiftToLeaf
+_ALL_RULES = {(kind, name) for kind, names in _RULES.items() for name in names}
 
 
 def test_the_passes_check_every_step_once(monkeypatch):
@@ -777,8 +796,7 @@ def test_the_passes_check_every_step_once(monkeypatch):
     steps = []
     for cell in _walk_cells("E7", 15):
         steps += reduction.reduce(graph, cell).steps
-    assert {s.kind for s in steps} == set(_CHECKERS)
-    _assert_each_step_checked_once(steps, checked, graph)
+    assert _assert_each_step_checked_once(steps, checked, graph) == _ALL_RULES
 
 
 def test_the_sweep_checks_every_basic_step_once(monkeypatch):
@@ -796,8 +814,8 @@ def test_the_sweep_checks_every_basic_step_once(monkeypatch):
     assert sections.sweep(graph, grid_sample(8, 100))["ok"]
     # the sweep reads its nef passes off least_nef_cycles, which builds
     # no steps
-    assert {s.kind for s in steps} == {"AddCurve", "AddChain", "ShiftToLeaf"}
-    _assert_each_step_checked_once(steps, checked, graph)
+    met = _assert_each_step_checked_once(steps, checked, graph)
+    assert met == {pair for pair in _ALL_RULES if pair[0] != "SubtractCurve"}
 
 
 @pytest.mark.parametrize("case", ["A8", "D8", "E8", "custom:2,2,3"])
@@ -812,10 +830,28 @@ def test_the_passes_check_each_step_as_expected_cokernel_dim_does(case, monkeypa
     steps = []
     for cell in _walk_cells(case, 25):
         steps += reduction.reduce(graph, cell, cap).steps
-    assert {s.kind for s in steps} == set(_CHECKERS)
+    assert {s.kind for s in steps} == set(_RULES)
     _assert_each_step_checked_once(steps, checked, graph)
     for step in steps:
         assert step.expected_cokernel_dim == expected_cokernel_dim(step, graph)
+
+
+@pytest.mark.parametrize("case", ["A8", "D8", "E8", "custom:2,2,3"])
+def test_every_shift_stores_the_dimension_the_count_gives(case):
+    # checked as the add step it reverses, each ShiftToLeaf of a pass
+    # stores what cokernel_dimension counts from its degrees
+    graph = parse_case(case)
+    pres = presentation_from_graph(graph)
+    cap = reduction.DEFAULT_STEP_CAP if graph.is_negative_definite() else 200
+    shifts = [
+        s
+        for cell in _walk_cells(case, 25)
+        for s in reduction.reduce(graph, cell, cap).steps
+        if s.kind == "ShiftToLeaf"
+    ]
+    assert shifts
+    for step in shifts:
+        assert step.expected_cokernel_dim == cokernel_dimension(pres, step)
 
 
 def _refuse(*args):
@@ -837,7 +873,12 @@ def test_a_refusing_checker_stops_the_basic_pass_and_the_sweep(kind, monkeypatch
     nef = [reduce_to_nef(cell, graph).terminal for cell in cells]
     # a nef terminal whose basic pass takes a step of this kind
     start = next(d for d in nef if kind in {s.kind for s in reduce_nef_to_basic(d, graph).steps})
-    monkeypatch.setattr(reduction, _CHECKERS[kind], _refuse)
+    # each checker of the kind's rule refuses the steps of that kind,
+    # named by its last argument, and passes the others on
+    for name in _RULES[kind]:
+        def refusing(*args, check=getattr(reduction, name)):
+            return _refuse() if args[-1] == kind else check(*args)
+        monkeypatch.setattr(reduction, name, refusing)
     with pytest.raises(HypothesisViolationError, match="refused"):
         reduce_nef_to_basic(start, graph)
     with pytest.raises(HypothesisViolationError, match="refused"):
@@ -943,6 +984,30 @@ def test_expected_dim_hypothesis_violations():
     bad_shift = _step(d5, "ShiftToLeaf", (0, 4), (3, 4), (0, 0, 0, 2, 1))
     with pytest.raises(HypothesisViolationError):
         expected_cokernel_dim(bad_shift, d5)
+
+
+@pytest.mark.parametrize(
+    "rank, nodes, curves, before, after, phrase",
+    [
+        (5, (0, 4), (3, 4), (1, 0, 0, 0, 0), (1, 0, 0, 1, -1), "needs a nef degree"),
+        (5, (0, 4), (3, 4), (0, 0, 0, 0, 0), (0, 0, 0, 2, 1), "needs coordinate 1 at node 3"),
+        (5, (0, 4), (3, 4), (0, 0, 0, 0, 0), (0, 0, 0, 1, 0), "positive coordinate at node 4"),
+        (6, (0, 5), (3, 4, 5), (0,) * 6, (0, 0, 0, 1, 1, 1), "zeros strictly between nodes 3 and 5"),
+        (5, (3, 4), (4,), (0, 0, 0, 1, -1), (0, 0, 0, 0, 1), "coordinate >= 2 at node 4, got 1"),
+        # the two that the reversed AddChain adds: a landing of 2 or more
+        # on an interior node, and degrees that differ by more than the
+        # path's columns; both passed before shifts were checked as adds
+        (5, (1, 3), (0, 3), (0, 0, 0, 0, 0), (1, 0, 0, 2, 0), "into interior node 3"),
+        (5, (0, 4), (3, 4), (1, 0, 0, 1, 0), (0, 0, 0, 1, 1), "restricted degrees"),
+    ],
+    ids=["nef", "one-at-q", "positive-at-j", "zeros-between", "leaf-alone",
+         "interior-landing", "off-the-columns"],
+)
+def test_hand_built_shift_violations_name_the_shift(rank, nodes, curves, before, after, phrase):
+    graph = build_singularity("D", rank)
+    step = ReductionStep("ShiftToLeaf", nodes, curves, before, after)
+    with pytest.raises(HypothesisViolationError, match="^ShiftToLeaf .*" + phrase):
+        expected_cokernel_dim(step, graph)
 
 
 # ------------------------------------------------------------- cokernels
