@@ -106,9 +106,6 @@ class ResolutionGraph:
 
     # --- basic queries -------------------------------------------------
 
-    def neighbors(self, node):
-        return self._adj[node]
-
     def valence(self, node):
         return len(self._adj[node])
 

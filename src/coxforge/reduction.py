@@ -19,27 +19,31 @@ with its ``known`` hook (``_basic_pass``), the step table and
 ``_slice_basis`` from here.
 
 Both passes read a step table, made once per graph on its first pass:
-the (node, index) spots in curve order and one entry per node, read
-with one lookup per step: its 1-tuple, its column's support (its
-nonzero entries, at most the node and its neighbours), S-move and
-restart tail with that tail's first position; plus, on first use, each
-chain between two nodes with the positions of its nodes, the support of
-its summed column, its S-move and its restart tail, the spots from the
-earliest one in that support. Each pass keeps its working degree
+the (node, index) spots in curve order and one entry per path between
+two nodes, a node being the path from itself to itself, so a step at a
+node reads its entry with one lookup. An entry holds the step's nodes,
+the path (the step's curves) with the positions of its nodes, the
+support of its summed column (its nonzero entries), its S-move and its
+restart tail, the spots from the earliest one in that support, with
+that tail's first position; a node's entry is made with the table, a
+longer path's on first use. Each pass keeps its working degree
 as a list, applies a step's support to it in place, and builds each
 step in place with a tuple copy of it, storing the step's slots
 directly, so every degree in a trace is a tuple. After firing a node
 the nef pass rescans only from the earliest of it and its neighbours:
 the column moves no other spot, and every earlier one was nonnegative.
 The basic pass reads its is-basic test and next step kind off one scan
-in curve order; after an AddCurve it resumes that scan at the curve's
-restart tail and keeps the 1's found before it, after an AddChain it
-resumes at the chain's restart tail, before which every spot holds a
-0, and after a shift it scans the whole degree again. An AddChain's
-order-least pair always starts at the first 1, so it tries that 1 with
-each later one. It keeps the doubled S-sum as an integer, moved by the
-S-move of each step's node or chain, and a trace writes each halved
-value as a string only when it is read.
+in curve order. An AddCurve and an AddChain differ only in the entry
+they pick, of the curve or of the chain, and one block applies, builds,
+checks and measures either step; after it the scan resumes at the
+entry's restart tail and keeps the 1's found before it, of which an
+AddChain keeps none, as every spot before its tail holds a 0. An
+AddChain's order-least pair always starts at the first 1, so it tries
+that 1 with each later one. The shift phase ends the pass: it walks the
+path from the last 1 to its leaf once, one node per step. The pass
+keeps the doubled S-sum as an integer, moved by the S-move of each
+step's entry, and a trace writes each halved value as a string only
+when it is read.
 
 Every step carries a combinatorial expected cokernel dimension (a
 section count over the step's chain). Three checkers serve the four
@@ -188,48 +192,40 @@ def _support(vec):
 class _StepTable:
     """The step data of one graph, read by both passes: the (node, index)
     spots in curve order, each node's curve-order position, the doubled
-    S-weights and one entry per node, so that a step reads its node with
-    one lookup: (its 1-tuple, a step's ``nodes`` and ``curves`` both;
-    its column's support, the nonzero entries, at most the node and its
-    neighbours; its S-move, the change of the doubled S-sum when its
-    column is added, the same from every degree; its restart tail, the
-    spots from the earliest of it and its neighbours, which hold that
-    support; that tail's first position). ``chain`` fills in an ordered
-    pair's data on first use, with the restart tail of the chain's
-    summed column. ``_step_table`` keeps one per graph; the graph's hash
+    S-weights and one entry per path, built by ``chain`` on first use.
+    A node is the path from itself to itself, so its entry, which a step
+    at that node reads with one lookup, is ``chain(v, v)``, kept in
+    ``entries``. ``_step_table`` keeps one per graph; the graph's hash
     and equality cover all it reads."""
 
     def __init__(self, graph):
         spots = tuple((v, graph.index_of[v]) for v in graph.curve_order())
-        self.at = at = {v: k for k, (v, _) in enumerate(spots)}
+        self.at = {v: k for k, (v, _) in enumerate(spots)}
         self.spots, self.weights = spots, _twice_weights(graph)
-        self.entries = {}
-        for v, column in graph.columns.items():
-            support = _support(column)
-            first = min(map(at.get, (v,) + graph.neighbors(v)))
-            self.entries[v] = ((v,), support, self._move(support), spots[first:], first)
         self.graph, self.chains = graph, {}
-
-    def _move(self, support):
-        weights = self.weights
-        return sum(weights[i] * e for i, e in support)
+        self.entries = {v: self.chain(v, v) for v in graph.nodes}
 
     def chain(self, u, w):
-        """((u, w), the path from u to w, the index positions of its
-        nodes, the support of its summed column, its S-move, its restart
-        tail: the spots from the earliest one in that support, which
-        holds u)."""
+        """(a step's ``nodes``: (u,) when u == w, else (u, w); the path
+        from u to w, a step's ``curves``; the index positions of its
+        nodes; the support of its summed column, the nonzero entries;
+        its S-move, the change of the doubled S-sum when that column is
+        added, the same from every degree; its restart tail, the spots
+        from the earliest one in that support, which holds u; that
+        tail's first position)."""
         entry = self.chains.get((u, w))
         if entry is None:
             graph = self.graph
             path = graph.path(u, w)
             positions = tuple(map(graph.index_of.__getitem__, path))
             support = _support(_sum_columns(graph.columns, path))
+            move = sum(self.weights[i] * e for i, e in support)
             # the support holds u: its entry there is -2, plus 1 when the
             # path goes on, since a path in a tree meets one neighbour of u
             start = min(self.at[graph.nodes[i]] for i, _ in support)
             entry = self.chains[u, w] = (
-                (u, w), path, positions, support, self._move(support), self.spots[start:])
+                (u, w) if u != w else (u,), path, positions, support, move,
+                self.spots[start:], start)
         return entry
 
 
@@ -267,17 +263,17 @@ def reduce_to_nef(degree, graph, step_cap=DEFAULT_STEP_CAP):
             return ReductionTrace(degree, d, steps, False)
         # only neg and its neighbours move: every spot before its tail
         # stays nonnegative
-        one, support, _, scan, _ = entries[neg]
+        one, _, _, support, _, scan, _ = entries[neg]
         for k, e in support:
             cur[k] -= e
         # the step is built in place, its degrees already tuples; neg
         # sits at position i of d
         step = new(ReductionStep)
         step.kind, step.nodes, step.curves = "SubtractCurve", one, one
-        step.degree_before, step.degree_after, step.actual_dim = d, tuple(cur), None
+        step.degree_before, step.actual_dim = d, None
         step.expected_cokernel_dim = check(d, i, neg)
+        step.degree_after = d = tuple(cur)
         steps.append(step)
-        d = step.degree_after
 
 
 def _shift_target(graph, node):
@@ -318,9 +314,7 @@ def _basic_pass(degree, graph, step_cap, known):
     steps = []
     # the scan resumes on ``scan`` with the 1's before it in ``ones``
     scan, ones = spots, []
-    while True:
-        if d in known:
-            break
+    while d not in known:
         # the first coordinate >= 2, else every 1 in curve order
         big = None
         for v, i in scan:
@@ -340,26 +334,9 @@ def _basic_pass(degree, graph, step_cap, known):
                 break
         if len(steps) >= step_cap:
             return ReductionTrace(degree, d, steps, False, measures)
-        # each step is built in place, its degrees already tuples
         if big is not None:
-            one, support, move, scan, start = entries[big]
-            for k, e in support:
-                cur[k] += e
-            step = new(ReductionStep)
-            step.kind, step.nodes, step.curves = "AddCurve", one, one
-            step.degree_before, step.actual_dim = d, None
-            # the scan stopped on big at position i
-            step.expected_cokernel_dim = _expect_add_curve(d, i, big, "AddCurve")
-            step.degree_after = d = tuple(cur)
-            steps.append(step)
-            twice += move
-            measures.append(twice)
-            # only big and its neighbours moved: the 1's found before
-            # its tail stand, and ``ones`` is in curve order
-            while ones and at[ones[-1]] >= start:
-                ones.pop()
-            continue
-        if len(ones) >= 2:
+            kind, entry = "AddCurve", entries[big]
+        elif len(ones) >= 2:
             # the order-least pair of 1's with only zeros strictly between
             # starts at the first 1: on the path from it to any other 1,
             # the first 1 met has only zeros before it, as the degree is
@@ -370,45 +347,53 @@ def _basic_pass(degree, graph, step_cap, known):
                 entry = chain(u, w)
                 if not any(map(d.__getitem__, entry[2][1:-1])):
                     break
-            ends, path, positions, support, move, scan = entry
-            for k, e in support:
-                cur[k] += e
-            step = new(ReductionStep)
-            step.kind, step.nodes, step.curves = "AddChain", ends, path
-            step.degree_before, step.actual_dim = d, None
-            step.degree_after = after = tuple(cur)
-            step.expected_cokernel_dim = _expect_add_chain(
-                d, after, positions, u, w, graph, "AddChain")
-            d = after
-            steps.append(step)
-            twice += move
-            measures.append(twice)
-            # every spot before the chain's tail held a 0, since u, the
-            # first 1, is in the summed column's support, and none moved
-            ones = []
-            continue
-        # a single coordinate equal to 1 remains: shift it to a leaf
-        p = ones[0]
-        j = _shift_target(graph, p)
-        while p != j:
-            if len(steps) >= step_cap:
-                return ReductionTrace(degree, d, steps, False, measures)
-            q = chain(p, j)[1][1]
-            path, positions, support = chain(q, j)[1:4]
-            for k, e in support:
-                cur[k] -= e
-            step = new(ReductionStep)
-            step.kind, step.nodes, step.curves = "ShiftToLeaf", (p, j), path
-            step.degree_before, step.actual_dim = d, None
-            step.degree_after = after = tuple(cur)
-            # checked as the add step it reverses, from after back to d
-            step.expected_cokernel_dim = (
-                _expect_add_curve(after, positions[0], j, "ShiftToLeaf") if q == j
-                else _expect_add_chain(after, d, positions, q, j, graph, "ShiftToLeaf"))
-            d = after
-            steps.append(step)
-            p = q
-        scan, ones = spots, []
+            # every spot before the chain's tail holds a 0, since u, the
+            # first 1, is in the summed column's support, and none moves
+            kind, ones = "AddChain", []
+        else:
+            # a single coordinate equal to 1 remains: shift it along the
+            # path to a leaf, one node q per step, each subtracting the
+            # columns of the path from q to the leaf
+            p = ones[0]
+            j = _shift_target(graph, p)
+            for q in chain(p, j)[1][1:]:
+                if len(steps) >= step_cap:
+                    return ReductionTrace(degree, d, steps, False, measures)
+                path, positions, support = chain(q, j)[1:4]
+                for k, e in support:
+                    cur[k] -= e
+                step = new(ReductionStep)
+                step.kind, step.nodes, step.curves = "ShiftToLeaf", (p, j), path
+                step.degree_before, step.actual_dim = d, None
+                step.degree_after = after = tuple(cur)
+                # checked as the add step it reverses, from after back to d
+                step.expected_cokernel_dim = (
+                    _expect_add_curve(after, positions[0], j, "ShiftToLeaf") if q == j
+                    else _expect_add_chain(after, d, positions, q, j, graph, "ShiftToLeaf"))
+                d = after
+                steps.append(step)
+                p = q
+            break
+        # the add step is built in place, its degrees already tuples
+        nodes, path, positions, support, move, scan, start = entry
+        for k, e in support:
+            cur[k] += e
+        step = new(ReductionStep)
+        step.kind, step.nodes, step.curves = kind, nodes, path
+        step.degree_before, step.actual_dim = d, None
+        step.degree_after = after = tuple(cur)
+        # an AddCurve's scan stopped on big at position i
+        step.expected_cokernel_dim = (
+            _expect_add_curve(d, i, big, kind) if big is not None
+            else _expect_add_chain(d, after, positions, u, w, graph, kind))
+        d = after
+        steps.append(step)
+        twice += move
+        measures.append(twice)
+        # only the support moved: the 1's found before its tail stand,
+        # and ``ones`` is in curve order
+        while ones and at[ones[-1]] >= start:
+            ones.pop()
     return ReductionTrace(degree, d, steps, True, measures)
 
 

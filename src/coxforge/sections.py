@@ -26,14 +26,13 @@ from .errors import ParameterError, UnsupportedGraphError
 AUDIT_DEGREE_COUNT = 6
 
 
-def grid_sample(width, count=DEFAULT_GRID, seed=DEFAULT_SEED, lo=-3, hi=3):
-    """Deterministic sample of integer vectors in [lo, hi]^width. The
+def grid_sample(width, count=DEFAULT_GRID, seed=DEFAULT_SEED):
+    """Deterministic sample of integer vectors in [-3, 3]^width. The
     full box is returned in lexicographic order when it fits in
     ``count``; otherwise a fixed-seed generator draws ``count``
     distinct cells."""
-    span = hi - lo + 1
-    if span ** width <= count:
-        return [tuple(d) for d in product(range(lo, hi + 1), repeat=width)]
+    if 7 ** width <= count:
+        return [tuple(d) for d in product(range(-3, 4), repeat=width)]
     mask = (1 << 64) - 1
     factor, increment = 6364136223846793005, 1442695040888963407
     state = seed & mask
@@ -43,7 +42,7 @@ def grid_sample(width, count=DEFAULT_GRID, seed=DEFAULT_SEED, lo=-3, hi=3):
         cell = []
         for _ in range(width):
             state = (state * factor + increment) & mask
-            cell.append(lo + (state >> 33) % span)
+            cell.append((state >> 33) % 7 - 3)
         cells[tuple(cell)] = None
     return list(cells)
 
@@ -98,7 +97,7 @@ def least_nef_cycles(cells, graph):
     # ceil(x / det), clamped at 0, is -(-x // det) for either sign of det
     z = [[0 if x * det <= 0 else -(-x // det) for x in row] for row in _times(adj, coords)]
     ends = zip(*[list(map(sub, c, mz)) for c, mz in zip(coords, _times(matrix, z))])
-    supports = [table.entries[v][1] for v in graph.nodes]
+    supports = [table.entries[v][3] for v in graph.nodes]
     out = []
     for d, size in zip(ends, map(sum, zip(*z))):
         low = min(d)

@@ -196,8 +196,9 @@ def _bfs_path(graph, a, b):
     parent = {a: None}
     queue = [a]
     for n in queue:
-        for m in graph.neighbors(n):
-            if m not in parent:
+        for x, y in graph.edges:
+            m = y if x == n else x
+            if n in (x, y) and m not in parent:
                 parent[m] = n
                 queue.append(m)
     path = [b]

@@ -910,20 +910,17 @@ def test_step_table_supports_expand_to_the_columns(graph):
     width = len(graph.nodes)
     weights = reduction._twice_weights(graph)
     order = graph.curve_order()
+    spots = tuple((x, graph.index_of[x]) for x in order)
+    # a node's entry is the chain from it to itself, its column's support
     for v in graph.nodes:
-        column = graph.columns[v]
-        one, support, move, tail, first = table.entries[v]
-        assert one == (v,)
-        assert _expand(support, width) == column
-        assert move == sum(w * c for w, c in zip(weights, column))
-        # the pass resumes at the earliest of v and its neighbours, the
-        # first spot in curve order that the column moves
-        assert first == next(k for k, x in enumerate(order) if column[graph.index_of[x]])
-        assert tail == tuple((x, graph.index_of[x]) for x in order[first:])
+        assert table.entries[v] is table.chain(v, v)
+        assert table.chain(v, v)[:2] == ((v,), (v,))
+        assert _expand(table.chain(v, v)[3], width) == graph.columns[v]
     for u in graph.nodes:
         for w in graph.nodes:
-            ends, path, positions, support, move, tail = table.chain(u, w)
-            assert (ends, path) == ((u, w), graph.path(u, w))
+            nodes, path, positions, support, move, tail, start = table.chain(u, w)
+            assert nodes == ((u, w) if u != w else (u,))
+            assert path == graph.path(u, w)
             assert positions == tuple(graph.index_of[x] for x in path)
             dense = reduction._sum_columns(graph.columns, path)
             assert _expand(support, width) == dense
@@ -931,9 +928,9 @@ def test_step_table_supports_expand_to_the_columns(graph):
             assert positions[1:-1] == tuple(graph.index_of[x] for x in path[1:-1])
             # the pass resumes at the first spot in curve order that the
             # summed column moves, which is no later than u's
-            start = next(k for k, x in enumerate(order) if dense[graph.index_of[x]])
+            assert start == next(k for k, x in enumerate(order) if dense[graph.index_of[x]])
             assert start <= order.index(u)
-            assert tail == tuple((x, graph.index_of[x]) for x in order[start:])
+            assert tail == spots[start:]
 
 
 # ---------------------------------------------------------- expected dims
@@ -1163,7 +1160,9 @@ def test_cokernel_count_matches_a_box_oracle(case, box):
             before = tuple(k if v == leaf else 0 for v in graph.nodes)
             step = _step(graph, "AddCurve", (leaf,), (leaf,), before)
             steps[(step.kind, step.curves, step.degree_before)] = step
-    for d in grid_sample(len(graph.nodes), 6, seed=3, lo=-1, hi=1):
+    rng = random.Random(3)
+    for _ in range(6):
+        d = tuple(rng.randint(-1, 1) for _ in graph.nodes)
         for step in reduction.reduce(graph, d, step_cap=6).steps:
             steps.setdefault((step.kind, step.curves, step.degree_before), step)
     assert len(steps) >= 10
